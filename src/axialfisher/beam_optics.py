@@ -116,13 +116,44 @@ class PupilField:
             )
 
 
+def ray_matrix(relay: RelaySystem | None, plane: float) -> tuple[float, float]:
+    """Elements (A, B) of the ray-transfer matrix from the beam waist to
+    a detector plane.
+
+    Free space (``relay`` None, ``plane`` measured from the waist) gives
+    A = 1, B = z.  Behind a thin lens (``plane`` measured from the lens),
+    with s = object_distance - f and u = z' - f,
+
+        A = -u / f,    B = (f^2 - s u) / f.
+
+    Moving the object by delta (the waist-to-lens distance, or z in free
+    space) leaves A unchanged and sends B to B + A delta.  B is written in
+    focal coordinates on purpose: the expanded form d + z' - d z' / f
+    cancels catastrophically at high magnification.
+    """
+    if relay is None:
+        return 1.0, plane
+    f = relay.focal_length
+    s = relay.object_distance - f
+    u = plane - f
+    return -u / f, (f * f - s * u) / f
+
+
+def ray_width_sq(beam: BeamParams, a: float, b: float) -> float:
+    """Squared width behind the ray matrix (A, B) from the waist.
+
+    w^2 = w0^2 * (A^2 + (B / z_R)^2)  (Kogelnik & Li, Appl. Opt. 1966)
+    """
+    zr = beam.rayleigh_range
+    return beam.waist**2 * (a * a + (b / zr) ** 2)
+
+
 def beam_width_sq(beam: BeamParams, z: float) -> float:
     """Squared 1/e^2 intensity radius at axial position z.
 
     w^2(z) = w0^2 * (1 + (z / z_R)^2)
     """
-    zr = beam.rayleigh_range
-    return beam.waist**2 * (1.0 + (z / zr) ** 2)
+    return ray_width_sq(beam, 1.0, z)
 
 
 def wavefront_curvature(beam: BeamParams, z: float) -> float:
@@ -167,7 +198,9 @@ def relay_transform(beam: BeamParams, relay: RelaySystem) -> ImageBeam:
 
     The transform is exact for the fundamental mode; no geometric-optics
     approximation is taken, so it stays finite at s = 0 where the
-    geometric image runs off to infinity.
+    geometric image runs off to infinity.  It describes the image-side
+    beam; the information and estimator code works from ``ray_matrix``
+    instead, and this route is kept as its independent cross-check.
     """
     f = relay.focal_length
     s = relay.object_distance - f

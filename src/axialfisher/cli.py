@@ -11,8 +11,9 @@ Subcommands:
 
 Lengths on the command line accept unit suffixes (nm, um, mm, m, km);
 internally everything is SI meters.  Every output file starts with a
-header that embeds the resolved configuration and seed, so artifacts
-are self-describing and runs can be reproduced from the file alone.
+header that embeds the resolved configuration (and, for the Monte Carlo
+commands, the seed), so artifacts are self-describing and runs can be
+reproduced from the file alone.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 check
 failure.
@@ -30,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .beam_optics import BeamParams, RelaySystem, beam_width_sq, intensity_pdf
+from .beam_optics import BeamParams, RelaySystem, intensity_pdf
 from .estimators import (
     TrialConfig,
     TrialReport,
@@ -39,23 +40,20 @@ from .estimators import (
     run_trials,
 )
 from .fisher import (
-    DegenerateAlphaError,
     NoGeometricImageError,
     NormalizationDriftError,
     fi_density,
     geometric_image_plane,
     image_fi,
-    image_width_response,
     info_boundary,
     info_fraction_outside,
     optimal_detection_planes,
-    optimal_planes_numeric,
     point_source_range_std,
     preferred_detection_plane,
     qfi_gaussian,
     qfi_point_source,
     scan_image_fi,
-    width_log_derivative,
+    width_response,
 )
 from .numerics import QuadratureError
 
@@ -236,13 +234,19 @@ def _out_path(args, default_name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
-                        help="base RNG seed (default %(default)#x)")
+def _add_common(
+    parser: argparse.ArgumentParser, *, seed: bool = False, tabular: bool = False
+) -> None:
+    """--out and --config everywhere; --seed for the sampling commands
+    and --format for the ones that write a table."""
+    if seed:
+        parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                            help="base RNG seed (default %(default)#x)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output path (default: command-specific name in cwd)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="tabular output format (default %(default)s)")
+    if tabular:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="tabular output format (default %(default)s)")
     parser.add_argument("--config", default=None, metavar="PATH",
                         help="key=value file supplying defaults for these flags")
 
@@ -256,11 +260,11 @@ def _add_beam(parser: argparse.ArgumentParser) -> None:
                         help="Rayleigh range, e.g. 18.9um")
 
 
-def _add_relay(parser: argparse.ArgumentParser, required: bool) -> None:
+def _add_relay(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--focal", type=parse_length, default=None,
-                        required=required, help="relay focal length")
+                        help="relay focal length")
     parser.add_argument("--object-distance", type=parse_length, default=None,
-                        required=required, help="waist-to-lens distance")
+                        help="waist-to-lens distance")
 
 
 def beam_from_args(args) -> BeamParams:
@@ -289,8 +293,12 @@ def beam_from_args(args) -> BeamParams:
         raise UsageError(str(bad)) from None
 
 
-def relay_from_args(args) -> RelaySystem | None:
+def relay_from_args(args, required: bool = False) -> RelaySystem | None:
     if args.focal is None and args.object_distance is None:
+        if required:
+            raise UsageError(
+                f"{args.command} needs a relay: --focal and --object-distance"
+            )
         return None
     if args.focal is None or args.object_distance is None:
         raise UsageError("--focal and --object-distance must be given together")
@@ -311,9 +319,7 @@ def _beam_config(beam: BeamParams) -> dict:
 
 def cmd_fi_scan(args) -> int:
     beam = beam_from_args(args)
-    relay = relay_from_args(args)
-    if relay is None:
-        raise UsageError("fi-scan needs a relay: --focal and --object-distance")
+    relay = relay_from_args(args, required=True)
     if not args.zmax > args.zmin:
         raise UsageError("--zmax must exceed --zmin")
     if args.steps < 2:
@@ -325,24 +331,20 @@ def cmd_fi_scan(args) -> int:
         "command": "fi-scan",
         "focal_m": relay.focal_length,
         "object_distance_m": relay.object_distance,
-        "seed": args.seed,
         "steps": args.steps,
         "zmax_m": args.zmax,
         "zmin_m": args.zmin,
         **_beam_config(beam),
     }
 
-    markers: dict = {"qfi_per_m2": scan.qfi}
-    try:
-        planes_opt = optimal_detection_planes(beam, relay)
-        markers["alpha"] = planes_opt.alpha
-        markers["fallback"] = False
-    except DegenerateAlphaError:
-        planes_opt = optimal_planes_numeric(beam, relay)
-        markers["alpha"] = None
-        markers["fallback"] = True
-    markers["plane_plus_m"] = planes_opt.plane_plus
-    markers["plane_minus_m"] = planes_opt.plane_minus
+    planes_opt = optimal_detection_planes(beam, relay)
+    markers: dict = {
+        "qfi_per_m2": scan.qfi,
+        "alpha": planes_opt.alpha,
+        "fallback": math.isnan(planes_opt.alpha),
+        "plane_plus_m": planes_opt.plane_plus,
+        "plane_minus_m": planes_opt.plane_minus,
+    }
     try:
         markers["geometric_image_plane_m"] = geometric_image_plane(relay)
     except NoGeometricImageError:
@@ -370,13 +372,6 @@ def cmd_fi_scan(args) -> int:
     return EXIT_OK
 
 
-def _density_response(beam, relay, plane) -> tuple[float, float]:
-    if relay is None:
-        w_sq = beam_width_sq(beam, plane)
-        return w_sq, w_sq * width_log_derivative(beam, plane)
-    return image_width_response(beam, relay, plane)
-
-
 def cmd_fi_density(args) -> int:
     beam = beam_from_args(args)
     relay = relay_from_args(args)
@@ -386,7 +381,8 @@ def cmd_fi_density(args) -> int:
         plane = preferred_detection_plane(beam, relay)
     else:
         plane = beam.rayleigh_range
-    w_sq, dw_sq = _density_response(beam, relay, plane)
+    w_sq, log_slope = width_response(beam, relay, plane)
+    dw_sq = w_sq * log_slope
     if dw_sq == 0.0:
         raise UninformativePlaneError(
             f"plane {plane!r} has zero axial sensitivity; no information density"
@@ -406,7 +402,6 @@ def cmd_fi_density(args) -> int:
         "command": "fi-density",
         "plane_m": plane,
         "rmax_m": rmax,
-        "seed": args.seed,
         "steps": args.steps,
         **_beam_config(beam),
     }
@@ -445,23 +440,16 @@ def cmd_fi_density(args) -> int:
 
 def cmd_optimal_plane(args) -> int:
     beam = beam_from_args(args)
-    relay = relay_from_args(args)
-    if relay is None:
-        raise UsageError("optimal-plane needs a relay: --focal and --object-distance")
+    relay = relay_from_args(args, required=True)
     config = {
         "command": "optimal-plane",
         "focal_m": relay.focal_length,
         "object_distance_m": relay.object_distance,
-        "seed": args.seed,
         **_beam_config(beam),
     }
     qfi = qfi_gaussian(beam)
-    try:
-        planes = optimal_detection_planes(beam, relay)
-        fallback = False
-    except DegenerateAlphaError:
-        planes = optimal_planes_numeric(beam, relay)
-        fallback = True
+    planes = optimal_detection_planes(beam, relay)
+    fallback = math.isnan(planes.alpha)
     try:
         geometric = geometric_image_plane(relay)
     except NoGeometricImageError:
@@ -487,7 +475,7 @@ def cmd_optimal_plane(args) -> int:
     print(f"wrote {out}")
     print(
         f"optimal planes: {planes.plane_plus!r} m and {planes.plane_minus!r} m"
-        + (" (numeric fallback)" if fallback else "")
+        + (" (degenerate geometry: the other plane is at infinity)" if fallback else "")
     )
     return EXIT_OK
 
@@ -508,7 +496,6 @@ def cmd_point_source(args) -> int:
         "detections": args.detections,
         "distance_m": args.distance,
         "pupil_width_m": args.pupil_width,
-        "seed": args.seed,
         "wavenumber_per_m": args.wavenumber,
     }
     payload = {
@@ -770,9 +757,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("fi-scan", help="information vs detector plane")
-    _add_common(scan)
+    _add_common(scan, tabular=True)
     _add_beam(scan)
-    _add_relay(scan, required=False)
+    _add_relay(scan)
     scan.add_argument("--zmin", type=parse_length, required=True,
                       help="first detector plane (from the lens)")
     scan.add_argument("--zmax", type=parse_length, required=True,
@@ -781,9 +768,9 @@ def build_parser() -> _Parser:
     scan.set_defaults(func=cmd_fi_scan)
 
     density = sub.add_parser("fi-density", help="radial information density")
-    _add_common(density)
+    _add_common(density, tabular=True)
     _add_beam(density)
-    _add_relay(density, required=False)
+    _add_relay(density)
     density.add_argument("--plane", type=parse_length, default=None,
                          help="detector plane (default: preferred optimal plane)")
     density.add_argument("--rmax", type=parse_length, default=None,
@@ -794,7 +781,7 @@ def build_parser() -> _Parser:
     optimal = sub.add_parser("optimal-plane", help="optimal detector planes")
     _add_common(optimal)
     _add_beam(optimal)
-    _add_relay(optimal, required=False)
+    _add_relay(optimal)
     optimal.set_defaults(func=cmd_optimal_plane)
 
     point = sub.add_parser("point-source", help="quantum ranging limit")
@@ -807,9 +794,9 @@ def build_parser() -> _Parser:
     point.set_defaults(func=cmd_point_source)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo estimator benchmark")
-    _add_common(simulate)
+    _add_common(simulate, seed=True, tabular=True)
     _add_beam(simulate)
-    _add_relay(simulate, required=False)
+    _add_relay(simulate)
     simulate.add_argument("--plane", type=parse_length, default=None,
                           help="detector plane (default: -z_R, or the preferred "
                           "optimal plane behind a relay)")
@@ -829,7 +816,7 @@ def build_parser() -> _Parser:
         "reproduce-experiment",
         help="preset benchmark: 632.8nm beam, z_R=18.9um, 1.6e6 detections",
     )
-    _add_common(reproduce)
+    _add_common(reproduce, seed=True, tabular=True)
     reproduce.add_argument("--wavelength", type=parse_length,
                            default=_PRESET_WAVELENGTH)
     reproduce.add_argument("--rayleigh-range", type=parse_length,

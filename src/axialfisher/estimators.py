@@ -7,8 +7,13 @@ Two estimators are benchmarked against the Cramer-Rao bounds:
   linearized response; cheap, camera-friendly, and carries
   1 / (e - 1) of the full information at the optimal plane;
 * a width estimator that uses every radius through the sufficient
-  statistic w^2_hat = 2 mean(r^2) and inverts the width law; this one
-  attains the full classical information asymptotically.
+  statistic w^2_hat = 2 mean(r^2) and inverts the width law in closed
+  form; this one attains the full classical information asymptotically.
+
+Both work from the ray matrix (A, B) of ``beam_optics.ray_matrix``, so
+free-space and relayed detection take the same code: the width at the
+detector is w0^2 (A^2 + ((B + A delta) / z_R)^2) for an object displaced
+by delta.
 
 ``run_trials`` repeats seeded exposures, applies one estimator, and
 reports the empirical spread next to the classical and quantum bounds.
@@ -25,24 +30,16 @@ from functools import partial
 from typing import Literal
 
 import numpy as np
-from scipy import optimize
 
-from .beam_optics import (
-    BeamParams,
-    RelaySystem,
-    beam_width_sq,
-    image_beam_width_sq,
-    relay_transform,
+from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
+from .fisher import info_boundary, qfi_gaussian, width_response
+from .photon_sim import (
+    DetectionSample,
+    count_outside,
+    derive_trial_seed,
+    poisson_count,
+    sample_radii,
 )
-from .fisher import (
-    classical_fi_analytic,
-    image_fi,
-    image_log_derivative,
-    info_boundary,
-    qfi_gaussian,
-    width_log_derivative,
-)
-from .photon_sim import DetectionSample, count_outside, derive_trial_seed, sample_radii
 
 #: Slopes smaller than this (in units of 1 / z_R) mark a detection plane
 #: as carrying no usable first-order signal.
@@ -88,20 +85,6 @@ class EstimatorCalibration:
             raise ValueError(f"slope must be finite and nonzero, got {self.slope}")
 
 
-def _plane_response(
-    beam: BeamParams, relay: RelaySystem | None, detector_plane: float
-) -> tuple[float, float]:
-    """(w^2, d/dz ln w^2) at the detector, object or image side."""
-    if relay is None:
-        return beam_width_sq(beam, detector_plane), width_log_derivative(
-            beam, detector_plane
-        )
-    image = relay_transform(beam, relay)
-    return image_beam_width_sq(image, detector_plane), image_log_derivative(
-        beam, relay, detector_plane
-    )
-
-
 def calibrate(
     beam: BeamParams, detector_plane: float, relay: RelaySystem | None = None
 ) -> EstimatorCalibration:
@@ -113,7 +96,7 @@ def calibrate(
     first-order response (the waist, a geometric image plane) are
     rejected rather than calibrated.
     """
-    w_sq, log_slope = _plane_response(beam, relay, detector_plane)
+    w_sq, log_slope = width_response(beam, relay, detector_plane)
     r_b = info_boundary(w_sq)
     ratio = 2.0 * r_b * r_b / w_sq
     f0 = math.exp(-ratio)
@@ -166,71 +149,40 @@ def fraction_estimator_fi(cal: EstimatorCalibration) -> float:
     return (cal.f0 * cal.slope) ** 2 / (cal.f0 * (1.0 - cal.f0))
 
 
-Branch = Literal["inside", "outside"]
-
-
 def estimate_mle_width(
     sample: DetectionSample,
     beam: BeamParams,
     nominal_z: float,
-    branch: Branch,
+    relay: RelaySystem | None = None,
 ) -> tuple[float, bool]:
-    """Width-based displacement estimate on one side of the waist.
+    """Width-based displacement estimate from the nominal detector plane.
 
     The sufficient statistic w^2_hat = 2 mean(r^2) is inverted through
-    w^2(z); ``branch`` picks the sign of z ("inside" of the waist is
-    z < 0, "outside" is z > 0).  Returns (delta_hat, clamped): when the
-    sampled width falls below the waist width there is no solution on
-    the branch and the estimate is clamped to the waist, flagged.
+    w^2 = w0^2 (A^2 + ((B + A delta) / z_R)^2), with (A, B) the ray
+    matrix to the nominal plane (free space when ``relay`` is None):
+
+        delta_hat = (sign(B) z_R sqrt(w^2_hat / w0^2 - A^2) - B) / A.
+
+    The branch is the side of the waist the nominal plane images to
+    (the sign of B).  Returns (delta_hat, clamped): when the sampled
+    width falls below the smallest width the branch reaches, w0^2 A^2,
+    there is no solution and the estimate is clamped to the waist,
+    flagged.
     """
-    if branch not in ("inside", "outside"):
-        raise ValueError(f"unknown branch {branch!r}")
-    sign = -1.0 if branch == "inside" else 1.0
-    if nominal_z == 0.0:
-        raise ValueError("nominal plane at the waist: branch is ambiguous")
-    if nominal_z * sign < 0.0:
-        raise ValueError(
-            f"nominal plane {nominal_z!r} is not on the {branch!r} branch"
-        )
+    a, b = ray_matrix(relay, nominal_z)
+    if b == 0.0:
+        raise ValueError("nominal plane at the waist or its image: branch is ambiguous")
+    if a == 0.0:
+        raise ValueError("nominal plane at the back focal plane: the width does not "
+                         "depend on the object distance")
     if sample.total_count == 0:
         raise ValueError("cannot estimate from an empty sample")
     w_hat_sq = 2.0 * float(np.mean(np.square(sample.radii)))
     w0_sq = beam.waist**2
-    if w_hat_sq < w0_sq:
-        return -nominal_z, True  # clamped to the waist
-    z_hat = sign * beam.rayleigh_range * math.sqrt(w_hat_sq / w0_sq - 1.0)
-    return z_hat - nominal_z, False
-
-
-def _invert_image_width(
-    beam: BeamParams,
-    relay: RelaySystem,
-    detector_plane: float,
-    w_hat_sq: float,
-) -> float:
-    """Solve image width = w_hat_sq for the object displacement, near 0.
-
-    The response is locally monotonic at any calibrated plane; the
-    bracket is grown geometrically until it straddles the root.
-    """
-
-    def mismatch(delta: float) -> float:
-        shifted = RelaySystem(relay.focal_length, relay.object_distance + delta)
-        return image_beam_width_sq(relay_transform(beam, shifted), detector_plane) - w_hat_sq
-
-    half = 0.25 * beam.rayleigh_range
-    for _ in range(24):
-        lo, hi = mismatch(-half), mismatch(half)
-        if lo == 0.0:
-            return -half
-        if hi == 0.0:
-            return half
-        if lo * hi < 0.0:
-            return float(optimize.brentq(mismatch, -half, half, xtol=1e-18, rtol=1e-15))
-        half *= 2.0
-    raise ArithmeticError(
-        "could not bracket the width inversion; sample is far outside the model"
-    )
+    if w_hat_sq < w0_sq * a * a:
+        return -b / a, True  # clamped to the waist
+    root = math.copysign(beam.rayleigh_range * math.sqrt(w_hat_sq / w0_sq - a * a), b)
+    return (root - b) / a, False
 
 
 @dataclass(frozen=True)
@@ -292,26 +244,8 @@ class TrialReport:
 def _true_width_sq(config: TrialConfig) -> float:
     """Squared width actually illuminating the detector, with the object
     displaced by the true delta."""
-    if config.relay is None:
-        return beam_width_sq(config.beam, config.detector_plane + config.true_delta)
-    shifted = RelaySystem(
-        config.relay.focal_length, config.relay.object_distance + config.true_delta
-    )
-    return image_beam_width_sq(
-        relay_transform(config.beam, shifted), config.detector_plane
-    )
-
-
-def _nominal_fi(config: TrialConfig) -> float:
-    if config.relay is None:
-        return classical_fi_analytic(config.beam, config.detector_plane)
-    return image_fi(config.beam, config.relay, config.detector_plane)
-
-
-def _mle_branch(config: TrialConfig) -> Branch:
-    if config.detector_plane == 0.0:
-        raise ValueError("width estimator is ambiguous at the waist plane")
-    return "inside" if config.detector_plane < 0.0 else "outside"
+    a, b = ray_matrix(config.relay, config.detector_plane)
+    return ray_width_sq(config.beam, a, b + a * config.true_delta)
 
 
 def _run_one(
@@ -323,10 +257,8 @@ def _run_one(
     seed = derive_trial_seed(config.base_seed, trial)
     n = config.n_per_trial
     if config.poisson_total:
-        n = int(
-            np.random.default_rng(
-                derive_trial_seed(config.base_seed, trial, substream=1)
-            ).poisson(config.n_per_trial)
+        n = poisson_count(
+            config.n_per_trial, derive_trial_seed(config.base_seed, trial, substream=1)
         )
     sample = sample_radii(width_sq_true, n, seed)
     k = count_outside(sample, cal.r_b)
@@ -338,15 +270,9 @@ def _run_one(
         elif config.estimator == "fraction-absolute":
             estimate = estimate_fraction_absolute(sample, cal, config.n_per_trial)
         else:
-            if config.relay is None:
-                estimate, flagged = estimate_mle_width(
-                    sample, config.beam, config.detector_plane, _mle_branch(config)
-                )
-            else:
-                w_hat_sq = 2.0 * float(np.mean(np.square(sample.radii)))
-                estimate = _invert_image_width(
-                    config.beam, config.relay, config.detector_plane, w_hat_sq
-                )
+            estimate, flagged = estimate_mle_width(
+                sample, config.beam, config.detector_plane, config.relay
+            )
     except SaturatedEstimateError:
         flagged = True
     return trial, seed, n, k, estimate, flagged
@@ -361,8 +287,6 @@ def run_trials(config: TrialConfig) -> TrialReport:
     """
     cal = calibrate(config.beam, config.detector_plane, config.relay)
     width_sq_true = _true_width_sq(config)
-    if config.estimator == "mle" and config.relay is None:
-        _mle_branch(config)  # validate early
 
     worker = partial(_run_one, config, cal, width_sq_true)
     if config.workers > 1:
@@ -389,6 +313,7 @@ def run_trials(config: TrialConfig) -> TrialReport:
     std = float(np.std(valid, ddof=1)) if valid.size > 1 else math.nan
 
     n_info = config.n_per_trial
+    _, log_slope = width_response(config.beam, config.relay, config.detector_plane)
     return TrialReport(
         config=config,
         trial_seeds=seeds,
@@ -398,7 +323,7 @@ def run_trials(config: TrialConfig) -> TrialReport:
         flagged=flagged,
         mean_estimate=mean,
         empirical_std=std,
-        classical_crb_std=1.0 / math.sqrt(n_info * _nominal_fi(config)),
+        classical_crb_std=1.0 / math.sqrt(n_info * (log_slope * log_slope)),
         quantum_crb_std=1.0 / math.sqrt(n_info * qfi_gaussian(config.beam)),
     )
 

@@ -10,9 +10,15 @@ of the transverse profile is
 which saturates Q exactly one Rayleigh range on either side of the
 waist.  This module computes both sides of that comparison three
 independent ways (closed form, radial quadrature of the intensity
-score, spectral-domain generator variance), propagates the classical
-information through a thin-lens relay, and locates the detection planes
-where the relayed measurement is optimal.
+score, spectral-domain generator variance).  Free-space and relayed
+detection share one route: the ray matrix (A, B) from the waist to the
+detector gives w^2 = w0^2 (A^2 + (B / z_R)^2), and moving the object by
+delta sends B to B + A delta, so
+
+    F = (2 A B / (A^2 z_R^2 + B^2))^2.
+
+The detection planes where that reaches the quantum bound follow in
+closed form.
 
 All positions are meters.  Information values are 1/m^2.
 """
@@ -33,15 +39,11 @@ from .beam_optics import (
     RelaySystem,
     beam_width_sq,
     intensity_pdf,
-    relay_transform,
+    ray_matrix,
+    ray_width_sq,
     wavefront_curvature,
 )
-from .numerics import (
-    DEFAULT_REL_TOL,
-    central_derivative,
-    finite_integral,
-    integral_to_infinity,
-)
+from .numerics import DEFAULT_REL_TOL, finite_integral, integral_to_infinity
 
 #: Pinned relative step for axial finite differences, in units of the
 #: caller's axial scale.
@@ -50,18 +52,9 @@ FD_STEP_FRACTION = 1e-6
 #: Absolute floor for axial finite-difference steps [m].
 FD_STEP_FLOOR = 1e-12
 
-#: |f - z + z_R| below this many Rayleigh ranges makes the closed-form
-#: optimal-plane parameter alpha meaningless.
+#: |s -+ z_R| below this many Rayleigh ranges (s = object distance - f)
+#: puts one optimal plane at infinity.
 ALPHA_DEGENERACY_TOL = 1e-12
-
-
-class DegenerateAlphaError(ArithmeticError):
-    """The closed-form optimal-plane parameter alpha is singular or zero.
-
-    The physics is fine (the information landscape still has maxima);
-    only the coordinate form degenerates.  Callers should fall back to
-    ``optimal_planes_numeric``.
-    """
 
 
 class NoGeometricImageError(ValueError):
@@ -110,7 +103,8 @@ class FisherScan:
 class OptimalPlanes:
     """The two image-side planes where the relayed intensity measurement
     reaches the quantum bound.  ``alpha`` is the asymmetry parameter of
-    the closed form; it is NaN when the planes were found numerically."""
+    the closed form.  In a degenerate geometry one plane is at infinity:
+    ``alpha`` is then NaN and both fields hold the reachable plane."""
 
     alpha: float
     plane_plus: float
@@ -296,49 +290,31 @@ def beam_fi_numeric(beam: BeamParams, z: float, quad_tol: float = DEFAULT_REL_TO
 
 
 # ---------------------------------------------------------------------------
-# Classical side, through a relay
+# Classical side, free or through a relay
 # ---------------------------------------------------------------------------
 
 
-def image_width_response(
-    beam: BeamParams, relay: RelaySystem, z_prime: float
+def width_response(
+    beam: BeamParams, relay: RelaySystem | None, plane: float
 ) -> tuple[float, float]:
-    """Squared width at the fixed detector plane z' and its sensitivity
-    to the true object distance.
+    """(w^2, d/d delta ln w^2) at a detector plane, in free space
+    (``relay`` None) or behind a relay.
 
-    Returns (w'^2, d w'^2 / dz) where the derivative is taken with
-    respect to the object distance z at fixed z', propagated through the
-    z-dependence of the magnification, image waist and image waist
-    position by the chain rule.
+    With (A, B) = ``ray_matrix(relay, plane)`` and B -> B + A delta,
+
+        d/d delta ln w^2 = 2 A B / (A^2 z_R^2 + B^2),
+
+    which in free space is the curvature identity 2 z / (z^2 + z_R^2).
     """
-    f = relay.focal_length
-    s = relay.object_distance - f
+    a, b = ray_matrix(relay, plane)
     zr = beam.rayleigh_range
-    w0_sq = beam.waist**2
-
-    denom = s * s + zr * zr
-    m_sq = f * f / denom
-    dm_sq = -2.0 * s * f * f / (denom * denom)
-
-    w0p_sq = m_sq * w0_sq
-    dw0p_sq = dm_sq * w0_sq
-    zrp = m_sq * zr
-    dzrp = dm_sq * zr
-    z0p = m_sq * s + f
-    dz0p = dm_sq * s + m_sq
-
-    tau = (z_prime - z0p) / zrp
-    dtau = (-dz0p - tau * dzrp) / zrp
-
-    w_sq = w0p_sq * (1.0 + tau * tau)
-    dw_sq = dw0p_sq * (1.0 + tau * tau) + 2.0 * w0p_sq * tau * dtau
-    return w_sq, dw_sq
+    return ray_width_sq(beam, a, b), 2.0 * a * b / (a * a * zr * zr + b * b)
 
 
 def image_log_derivative(beam: BeamParams, relay: RelaySystem, z_prime: float) -> float:
-    """Signed d/dz ln w'^2 at a fixed detector plane."""
-    w_sq, dw_sq = image_width_response(beam, relay, z_prime)
-    return dw_sq / w_sq
+    """Signed d/dz ln w'^2 at a fixed detector plane, with respect to
+    the object distance."""
+    return width_response(beam, relay, z_prime)[1]
 
 
 def image_fi(beam: BeamParams, relay: RelaySystem, z_prime: float) -> float:
@@ -380,77 +356,30 @@ def optimal_detection_planes(beam: BeamParams, relay: RelaySystem) -> OptimalPla
     """Closed-form detector planes where ``image_fi`` reaches the
     quantum bound.
 
-    With alpha = (f - z - z_R) / (f - z + z_R) the planes sit at
-    z0' + alpha z_R' and z0' - z_R' / alpha.  When alpha is singular or
-    zero the coordinates degenerate (one plane escapes to infinity);
-    that raises ``DegenerateAlphaError`` and the caller should use
-    ``optimal_planes_numeric`` instead.
+    F = Q exactly where B = +-A z_R.  With s = object_distance - f that
+    puts the planes at
+
+        z'_+ = f + f^2 / (s - z_R),    z'_- = f + f^2 / (s + z_R),
+
+    with alpha = (s + z_R) / (s - z_R) the asymmetry of the pair about
+    the image waist.  When |s -+ z_R| is within ``ALPHA_DEGENERACY_TOL``
+    Rayleigh ranges of zero one plane is at infinity; the reachable
+    plane is then reported in both fields and alpha is NaN.
     """
     f = relay.focal_length
-    z = relay.object_distance
+    s = relay.object_distance - f
     zr = beam.rayleigh_range
-    denom = f - z + zr
-    if abs(denom) <= ALPHA_DEGENERACY_TOL * zr:
-        raise DegenerateAlphaError(
-            f"f - z + z_R = {denom!r} is singular at the scale of z_R = {zr!r}"
-        )
-    alpha = (f - z - zr) / denom
-    if abs(alpha) <= ALPHA_DEGENERACY_TOL:
-        raise DegenerateAlphaError(
-            f"alpha = {alpha!r}: the second optimal plane recedes to infinity"
-        )
-    image = relay_transform(beam, relay)
+    if abs(s - zr) <= ALPHA_DEGENERACY_TOL * zr:
+        reachable = f + f * f / (s + zr)
+        return OptimalPlanes(alpha=math.nan, plane_plus=reachable, plane_minus=reachable)
+    if abs(s + zr) <= ALPHA_DEGENERACY_TOL * zr:
+        reachable = f + f * f / (s - zr)
+        return OptimalPlanes(alpha=math.nan, plane_plus=reachable, plane_minus=reachable)
     return OptimalPlanes(
-        alpha=alpha,
-        plane_plus=image.waist_position + alpha * image.rayleigh_range,
-        plane_minus=image.waist_position - image.rayleigh_range / alpha,
+        alpha=(s + zr) / (s - zr),
+        plane_plus=f + f * f / (s - zr),
+        plane_minus=f + f * f / (s + zr),
     )
-
-
-def optimal_planes_numeric(
-    beam: BeamParams,
-    relay: RelaySystem,
-    span: float = 30.0,
-    grid_points: int = 4001,
-) -> OptimalPlanes:
-    """Locate the information maxima by direct search over detector planes.
-
-    Scans ``span`` image-side Rayleigh ranges around the image waist,
-    picks the interior local maxima, and polishes each with a bounded
-    scalar maximization.  Meant as the fallback when the closed form is
-    degenerate, and as an independent cross-check of it.
-    """
-    from scipy import optimize
-
-    image = relay_transform(beam, relay)
-    zrp = image.rayleigh_range
-    lo = image.waist_position - span * zrp
-    hi = image.waist_position + span * zrp
-    grid = np.linspace(lo, hi, grid_points)
-    values = np.array([image_fi(beam, relay, zp) for zp in grid])
-
-    interior = np.flatnonzero(
-        (values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:])
-    ) + 1
-    if interior.size == 0:
-        raise ArithmeticError(
-            "no interior information maximum found; widen the search span"
-        )
-    # Keep the two strongest distinct maxima (or duplicate a lone one).
-    ranked = interior[np.argsort(values[interior])][::-1][:2]
-    polished = []
-    for idx in ranked:
-        res = optimize.minimize_scalar(
-            lambda zp: -image_fi(beam, relay, zp),
-            bounds=(grid[idx - 1], grid[idx + 1]),
-            method="bounded",
-            options={"xatol": 1e-13 * max(abs(grid[idx]), zrp)},
-        )
-        polished.append(res.x)
-    if len(polished) == 1:
-        polished.append(polished[0])
-    plane_plus, plane_minus = max(polished), min(polished)
-    return OptimalPlanes(alpha=math.nan, plane_plus=plane_plus, plane_minus=plane_minus)
 
 
 def preferred_detection_plane(beam: BeamParams, relay: RelaySystem) -> float:
@@ -461,10 +390,7 @@ def preferred_detection_plane(beam: BeamParams, relay: RelaySystem) -> float:
     better).  If the geometric image does not exist, take the plane
     farther from the lens.
     """
-    try:
-        planes = optimal_detection_planes(beam, relay)
-    except DegenerateAlphaError:
-        planes = optimal_planes_numeric(beam, relay)
+    planes = optimal_detection_planes(beam, relay)
     try:
         anchor = geometric_image_plane(relay)
     except NoGeometricImageError:

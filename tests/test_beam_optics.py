@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from axialfisher.beam_optics import (
     BeamParams,
@@ -15,6 +15,8 @@ from axialfisher.beam_optics import (
     pupil_field,
     pupil_intensity_pdf,
     pupil_phase,
+    ray_matrix,
+    ray_width_sq,
     relay_transform,
     wavefront_curvature,
 )
@@ -102,6 +104,39 @@ def test_image_width_at_image_waist():
     one_range_out = image.waist_position + image.rayleigh_range
     assert image_beam_width_sq(image, one_range_out) == pytest.approx(
         2.0 * image.waist**2, rel=1e-14
+    )
+
+
+def test_ray_matrix_reference_case():
+    # Free space is a plain gap; behind f = 1 with the object at 5 the
+    # geometric image (B = 0) sits at 5/4 and the back focal plane has A = 0.
+    assert ray_matrix(None, 0.3) == (1.0, 0.3)
+    assert ray_matrix(RelaySystem(1.0, 5.0), 1.25) == (-0.25, 0.0)
+    assert ray_matrix(RelaySystem(1.0, 5.0), 1.0) == (0.0, 1.0)
+    assert ray_width_sq(UNIT, 1.0, 1.0) == beam_width_sq(UNIT, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_zr=st.floats(-5.0, 0.0),
+    focal_sign=st.sampled_from([-1.0, 1.0]),
+    log_magnification=st.floats(-1.0, math.log10(20.0)),
+    s_over_zr=st.floats(-50.0, 50.0),
+    tau=st.floats(-8.0, 8.0),
+)
+def test_ray_width_matches_the_image_beam(log_zr, focal_sign, log_magnification, s_over_zr, tau):
+    """The ray-matrix width law and the image-beam transform are two
+    routes to the same relayed width, for lenses of either sign up to
+    20x magnification."""
+    beam = BeamParams.from_rayleigh_range(632.8e-9, 10.0**log_zr)
+    zr = beam.rayleigh_range
+    s = s_over_zr * zr
+    f = focal_sign * 10.0**log_magnification * math.hypot(s, zr)
+    relay = RelaySystem(f, f + s)
+    image = relay_transform(beam, relay)
+    plane = image.waist_position + tau * image.rayleigh_range
+    assert ray_width_sq(beam, *ray_matrix(relay, plane)) == pytest.approx(
+        image_beam_width_sq(image, plane), rel=1e-12
     )
 
 

@@ -154,6 +154,7 @@ def test_fi_scan_markers_and_csv(tmp_path):
     lines = out.read_text().splitlines()
     header = parse_run_header(lines[0])
     assert header["focal_m"] == 1.0
+    assert "seed" not in header  # deterministic: nothing is sampled
     assert lines[1] == "z_prime_m,fi_per_m2,fi_over_qfi"
     assert len(lines) == 2 + 301
 
@@ -182,8 +183,9 @@ def test_optimal_plane_reaches_the_quantum_limit(tmp_path):
 
 
 def test_optimal_plane_numeric_fallback(tmp_path):
-    # Waist one Rayleigh range in front of the focus: the closed form
-    # degenerates and the command must fall back to a numeric search.
+    # Waist one Rayleigh range in front of the focus: one optimal plane
+    # is at infinity.  The command reports the reachable one in both
+    # fields, with alpha null and the fallback marker set.
     out = tmp_path / "degenerate.json"
     argv = [
         "optimal-plane",
@@ -196,14 +198,17 @@ def test_optimal_plane_numeric_fallback(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["fallback"] is True
     assert payload["alpha"] is None
-    best = max(payload["fi_over_qfi_plus"], payload["fi_over_qfi_minus"])
-    assert best == pytest.approx(1.0, abs=1e-6)
+    assert payload["plane_plus_m"] == payload["plane_minus_m"] == pytest.approx(1.5, rel=1e-15)
+    assert payload["fi_over_qfi_plus"] == pytest.approx(1.0, abs=1e-9)
+    assert payload["fi_over_qfi_minus"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fi_density_summary(tmp_path):
     out = tmp_path / "density.csv"
     assert main(["fi-density", *UNIT_BEAM, "--out", str(out)]) == EXIT_OK
-    summary = json.loads(out.with_suffix(".json").read_text())["summary"]
+    sidecar = json.loads(out.with_suffix(".json").read_text())
+    assert "seed" not in sidecar["config"]
+    summary = sidecar["summary"]
     # Default plane is +z_R where w^2 = 2 w0^2; the boundary sits at w/sqrt(2).
     assert summary["width_sq_m2"] == pytest.approx(2.0, rel=1e-12)
     assert summary["boundary_radius_m"] == pytest.approx(1.0, rel=1e-12)
@@ -418,6 +423,26 @@ def test_usage_errors_exit_one(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "0m", "--zmax", "1m", "--seed", "3"],
+        ["fi-density", *UNIT_BEAM, "--seed", "3"],
+        ["optimal-plane", *UNIT_BEAM, *RELAY, "--seed", "3"],
+        ["optimal-plane", *UNIT_BEAM, *RELAY, "--format", "json"],
+        ["point-source", "--wavenumber", "1e7", "--pupil-width", "1m",
+         "--distance", "1km", "--format", "csv"],
+    ],
+    ids=["fi-scan-seed", "fi-density-seed", "optimal-plane-seed",
+         "optimal-plane-format", "point-source-format"],
+)
+def test_deterministic_commands_reject_unused_flags(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_numerical_failures_exit_two(monkeypatch, capsys):

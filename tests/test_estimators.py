@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from axialfisher.beam_optics import BeamParams, RelaySystem, beam_width_sq
+from axialfisher.beam_optics import (
+    BeamParams,
+    RelaySystem,
+    beam_width_sq,
+    ray_matrix,
+    ray_width_sq,
+)
 from axialfisher.estimators import (
     EstimatorCalibration,
     SaturatedEstimateError,
@@ -18,7 +25,11 @@ from axialfisher.estimators import (
     fraction_estimator_fi,
     run_trials,
 )
-from axialfisher.fisher import classical_fi_analytic, qfi_gaussian
+from axialfisher.fisher import (
+    classical_fi_analytic,
+    preferred_detection_plane,
+    qfi_gaussian,
+)
 from axialfisher.photon_sim import DetectionSample, derive_trial_seed, poisson_count
 
 HENE = BeamParams.from_rayleigh_range(632.8e-9, 18.9e-6)
@@ -122,7 +133,7 @@ def test_width_estimate_inverts_exactly():
     target_w_sq = beam_width_sq(HENE, -0.8 * ZR)
     radii = np.full(50, math.sqrt(target_w_sq / 2.0))
     sample = _sample_from_radii(radii, width_sq=target_w_sq)
-    delta, clamped = estimate_mle_width(sample, HENE, -ZR, "inside")
+    delta, clamped = estimate_mle_width(sample, HENE, -ZR)
     assert not clamped
     assert delta == pytest.approx(0.2 * ZR, rel=1e-12)
 
@@ -130,22 +141,69 @@ def test_width_estimate_inverts_exactly():
 def test_width_estimate_clamps_below_the_waist():
     radii = np.full(50, 0.01 * HENE.waist)
     sample = _sample_from_radii(radii)
-    delta, clamped = estimate_mle_width(sample, HENE, -ZR, "inside")
+    delta, clamped = estimate_mle_width(sample, HENE, -ZR)
     assert clamped
     assert delta == pytest.approx(ZR, rel=1e-15)
 
 
 def test_width_estimate_branch_validation():
+    # The branch is the sign of B; at the waist, or at the geometric
+    # image of the waist behind a relay, B = 0 and it is ambiguous.
     sample = _sample_from_radii(np.full(5, 1e-6))
     with pytest.raises(ValueError):
-        estimate_mle_width(sample, HENE, 0.0, "inside")
+        estimate_mle_width(sample, HENE, 0.0)
     with pytest.raises(ValueError):
-        estimate_mle_width(sample, HENE, ZR, "inside")
+        estimate_mle_width(sample, UNIT, 5.0 / 4.0, RelaySystem(1.0, 5.0))
+    # At the back focal plane A = 0: the width carries no displacement.
     with pytest.raises(ValueError):
-        estimate_mle_width(sample, HENE, -ZR, "sideways")
+        estimate_mle_width(sample, UNIT, 1.0, RelaySystem(1.0, 5.0))
     empty = _sample_from_radii(np.zeros(0))
     with pytest.raises(ValueError):
-        estimate_mle_width(empty, HENE, -ZR, "inside")
+        estimate_mle_width(empty, HENE, -ZR)
+
+
+@settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["inside", "outside"])
+@given(
+    relayed=st.booleans(),
+    log_zr=st.floats(-5.0, 0.0),
+    log_focal=st.floats(-2.0, 1.0),
+    focal_sign=st.sampled_from([-1.0, 1.0]),
+    s_over_zr=st.floats(-50.0, 50.0),
+    nominal=st.floats(0.1, 8.0),
+    displaced=st.floats(0.05, 8.0),
+)
+def test_width_estimate_round_trips(
+    side, relayed, log_zr, log_focal, focal_sign, s_over_zr, nominal, displaced
+):
+    """Feed the estimator the exact width of a displaced object and get
+    the displacement back, free and behind a relay, on both branches.
+
+    The nominal plane images to ``side * nominal`` Rayleigh ranges from
+    the waist and the displaced object to ``side * displaced``, so the
+    width stays on the nominal plane's branch."""
+    beam = BeamParams.from_rayleigh_range(632.8e-9, 10.0**log_zr)
+    zr = beam.rayleigh_range
+    if relayed:
+        # Keep the detector plane finite: its conjugate must not sit on
+        # the front focal plane.
+        assume(abs(s_over_zr - side * nominal) > 0.01)
+        f = focal_sign * 10.0**log_focal
+        s = s_over_zr * zr
+        relay = RelaySystem(f, f + s)
+        # The object-side plane conjugate to z' sits at s - f^2 / (z' - f).
+        plane = f + f * f / (s - side * nominal * zr)
+    else:
+        relay = None
+        plane = side * nominal * zr
+    a, b = ray_matrix(relay, plane)
+    # B / A is the conjugate plane's offset from the waist.
+    delta = side * displaced * zr - b / a
+    w_sq = ray_width_sq(beam, a, b + a * delta)
+    sample = _sample_from_radii(np.full(4, math.sqrt(0.5 * w_sq)), width_sq=w_sq)
+    delta_hat, clamped = estimate_mle_width(sample, beam, plane, relay)
+    assert not clamped
+    assert delta_hat == pytest.approx(delta, abs=1e-13 * zr)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +339,31 @@ def test_mle_through_a_relay_attains_the_bound():
     assert report.classical_crb_std == pytest.approx(report.quantum_crb_std, rel=1e-9)
     assert report.mean_estimate == pytest.approx(0.05 * ZR, rel=0.05)
     assert 0.5 < report.empirical_std / report.quantum_crb_std < 1.5
+
+
+def test_relay_mle_flags_instead_of_aborting():
+    """Two photons per exposure behind the 20x relay: some sampled widths
+    fall below the smallest width the branch reaches.  Those trials are
+    clamped to the waist and flagged, as in free space, rather than
+    aborting the run."""
+    relay = RelaySystem(0.1, 0.105)
+    plane = preferred_detection_plane(HENE, relay)
+    report = run_trials(
+        TrialConfig(
+            beam=HENE,
+            detector_plane=plane,
+            true_delta=0.0,
+            n_per_trial=2,
+            trials=50,
+            estimator="mle",
+            base_seed=0xA71A10C,
+            relay=relay,
+        )
+    )
+    a, b = ray_matrix(relay, plane)
+    assert 0 < report.flagged_count < 50
+    assert (report.estimates[report.flagged] == -b / a).all()
+    assert np.isfinite(report.estimates).all()
 
 
 def test_mle_rejected_at_the_waist_plane():

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axialfisher.beam_optics import (
     BeamParams,
@@ -14,7 +16,7 @@ from axialfisher.beam_optics import (
     relay_transform,
 )
 from axialfisher.fisher import (
-    DegenerateAlphaError,
+    ALPHA_DEGENERACY_TOL,
     FisherScan,
     NoGeometricImageError,
     NormalizationDriftError,
@@ -25,11 +27,9 @@ from axialfisher.fisher import (
     generator_moments,
     geometric_image_plane,
     image_fi,
-    image_width_response,
     info_boundary,
     info_fraction_outside,
     optimal_detection_planes,
-    optimal_planes_numeric,
     point_source_range_std,
     preferred_detection_plane,
     qfi_gaussian,
@@ -38,6 +38,7 @@ from axialfisher.fisher import (
     qfi_via_generator,
     scan_image_fi,
     width_log_derivative,
+    width_response,
 )
 from axialfisher.numerics import central_derivative, integral_to_infinity
 
@@ -119,15 +120,23 @@ def test_quadrature_route_rejects_bad_width_function():
 
 
 def test_image_width_response_at_reference_planes():
-    w_sq_plus, dw_sq_plus = image_width_response(UNIT, RELAY, PLANE_PLUS)
+    w_sq_plus, slope_plus = width_response(UNIT, RELAY, PLANE_PLUS)
     assert w_sq_plus == pytest.approx(2.0 / 9.0, rel=1e-13)
-    assert dw_sq_plus == pytest.approx(2.0 / 9.0, rel=1e-12)
-    w_sq_minus, dw_sq_minus = image_width_response(UNIT, RELAY, PLANE_MINUS)
-    assert dw_sq_minus / w_sq_minus == pytest.approx(-1.0, rel=1e-12)
+    assert slope_plus == pytest.approx(1.0, rel=1e-12)
+    _, slope_minus = width_response(UNIT, RELAY, PLANE_MINUS)
+    assert slope_minus == pytest.approx(-1.0, rel=1e-12)
+
+
+def test_width_response_in_free_space_is_the_curvature_law():
+    for z in (-3.0, -1.0, 0.25, 2.0):
+        w_sq, slope = width_response(HENE, None, z * HENE.rayleigh_range)
+        assert w_sq == beam_width_sq(HENE, z * HENE.rayleigh_range)
+        assert slope == width_log_derivative(HENE, z * HENE.rayleigh_range)
 
 
 def test_image_width_sensitivity_matches_finite_differences():
-    """The chain-rule derivative against a brute-force object shift."""
+    """The ray-matrix derivative against a brute-force object shift
+    through the image-beam transform."""
     configs = [
         (UNIT, RelaySystem(1.0, 5.0), 1.3),
         (UNIT, RelaySystem(1.0, 5.0), 0.4),
@@ -135,7 +144,8 @@ def test_image_width_sensitivity_matches_finite_differences():
         (HENE, RelaySystem(0.1, 0.105), 40.0),
     ]
     for beam, relay, z_prime in configs:
-        _, analytic = image_width_response(beam, relay, z_prime)
+        w_sq, slope = width_response(beam, relay, z_prime)
+        analytic = w_sq * slope
 
         def by_shift(z_obj: float) -> float:
             moved = RelaySystem(relay.focal_length, z_obj)
@@ -179,39 +189,93 @@ def test_optimal_planes_saturate_across_random_geometries():
         relay = RelaySystem(f, f - zr / t)
         planes = optimal_detection_planes(beam, relay)
         q = qfi_gaussian(beam)
+        # F never exceeds Q, so F = Q at two distinct planes means both
+        # optima were found.
+        assert planes.plane_plus != planes.plane_minus
         assert image_fi(beam, relay, planes.plane_plus) / q == pytest.approx(1.0, abs=1e-9)
         assert image_fi(beam, relay, planes.plane_minus) / q == pytest.approx(1.0, abs=1e-9)
 
 
-def test_numeric_search_agrees_with_closed_form():
-    closed = optimal_detection_planes(UNIT, RELAY)
-    numeric = optimal_planes_numeric(UNIT, RELAY)
-    assert math.isnan(numeric.alpha)
-    assert numeric.plane_plus == pytest.approx(closed.plane_plus, abs=1e-7)
-    assert numeric.plane_minus == pytest.approx(closed.plane_minus, abs=1e-7)
-
-
-@pytest.mark.parametrize("offset", [1.0, -1.0], ids=["f+zR", "f-zR"])
-def test_degenerate_geometries_raise(offset):
+@pytest.mark.parametrize(
+    "offset,reachable",
+    [(1.0, 1.5), (-1.0, 0.5)],
+    ids=["f+zR", "f-zR"],
+)
+def test_degenerate_geometries_report_the_reachable_plane(offset, reachable):
+    """At z = f +- z_R one optimum recedes to infinity.  The finite one
+    is reported in both fields, alpha is NaN, and it still saturates
+    the bound; at z = f + z_R it is the image waist."""
     relay = RelaySystem(1.0, 1.0 + offset * UNIT.rayleigh_range)
-    with pytest.raises(DegenerateAlphaError):
-        optimal_detection_planes(UNIT, relay)
-
-
-def test_numeric_fallback_on_degenerate_geometry():
-    """At z = f + z_R one optimum sits at the image waist and the other
-    recedes to infinity; the search must still find the reachable one."""
-    relay = RelaySystem(1.0, 2.0)
-    planes = optimal_planes_numeric(UNIT, relay)
-    image = relay_transform(UNIT, relay)
-    q = qfi_gaussian(UNIT)
-    best = max(
-        image_fi(UNIT, relay, planes.plane_plus),
-        image_fi(UNIT, relay, planes.plane_minus),
+    planes = optimal_detection_planes(UNIT, relay)
+    assert math.isnan(planes.alpha)
+    assert planes.plane_plus == planes.plane_minus
+    assert planes.plane_plus == pytest.approx(reachable, rel=1e-15)
+    assert image_fi(UNIT, relay, planes.plane_plus) == pytest.approx(
+        qfi_gaussian(UNIT), rel=1e-12
     )
-    assert best / q == pytest.approx(1.0, abs=1e-9)
-    assert min(abs(planes.plane_plus - image.waist_position),
-               abs(planes.plane_minus - image.waist_position)) < 1e-6 * image.rayleigh_range
+    assert preferred_detection_plane(UNIT, relay) == planes.plane_plus
+    if offset > 0.0:
+        image = relay_transform(UNIT, relay)
+        assert planes.plane_plus == pytest.approx(image.waist_position, rel=1e-15)
+
+
+def test_degeneracy_band_is_relative_to_the_rayleigh_range():
+    """Just outside the band the closed form still holds, with one plane
+    far away but finite."""
+    offset = 1.0 + 4.0 * ALPHA_DEGENERACY_TOL
+    relay = RelaySystem(1.0, 1.0 + offset)
+    planes = optimal_detection_planes(UNIT, relay)
+    assert math.isfinite(planes.alpha)
+    assert abs(planes.plane_plus) > 1e10
+    assert image_fi(UNIT, relay, planes.plane_minus) == pytest.approx(1.0, rel=1e-9)
+
+
+def _exact_ray_matrix(relay, plane):
+    """(A, B) by exact products of the gap and thin-lens matrices."""
+
+    def gap(length):
+        return np.array([[1, Fraction(length)], [0, 1]], dtype=object)
+
+    if relay is None:
+        matrix = gap(plane)
+    else:
+        lens = np.array([[1, 0], [-1 / Fraction(relay.focal_length), 1]], dtype=object)
+        matrix = gap(plane) @ lens @ gap(relay.object_distance)
+    return matrix[0, 0], matrix[0, 1]
+
+
+@st.composite
+def detection_geometries(draw):
+    """(beam, relay or None, plane): lenses of either sign magnifying
+    0.1x to 20x, objects within 50 Rayleigh ranges of the focal plane,
+    detectors within 8 image-side Rayleigh ranges of the image waist."""
+    beam = BeamParams.from_rayleigh_range(632.8e-9, 10.0 ** draw(st.floats(-5.0, 0.0)))
+    zr = beam.rayleigh_range
+    tau = draw(st.floats(-8.0, 8.0))
+    if draw(st.booleans()):
+        return beam, None, tau * zr
+    s = draw(st.floats(-50.0, 50.0)) * zr
+    magnification = 10.0 ** draw(st.floats(-1.0, math.log10(20.0)))
+    f = draw(st.sampled_from([-1.0, 1.0])) * magnification * math.hypot(s, zr)
+    relay = RelaySystem(f, f + s)
+    image = relay_transform(beam, relay)
+    return beam, relay, image.waist_position + tau * image.rayleigh_range
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometry=detection_geometries())
+def test_width_response_matches_exact_arithmetic(geometry):
+    """Width and F from the focal-form ray matrix against exact rational
+    arithmetic on the same floating-point inputs."""
+    beam, relay, plane = geometry
+    w_sq, slope = width_response(beam, relay, plane)
+    a, b = _exact_ray_matrix(relay, plane)
+    zr = Fraction(beam.rayleigh_range)
+    exact_w_sq = Fraction(beam.waist) ** 2 * (a * a + b * b / (zr * zr))
+    exact_slope = 2 * a * b / (a * a * zr * zr + b * b)
+    assert abs(Fraction(w_sq) - exact_w_sq) / exact_w_sq <= 1e-13
+    # F in units of Q: an absolute error, meaningful near F = 0 too.
+    assert abs(Fraction(slope * slope) - exact_slope**2) * zr * zr <= 1e-13
 
 
 def test_geometric_image_plane():
