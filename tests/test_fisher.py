@@ -204,7 +204,7 @@ def test_optimal_planes_saturate_across_random_geometries():
 def test_degenerate_geometries_report_the_reachable_plane(offset, reachable):
     """At z = f +- z_R one optimum recedes to infinity.  The finite one
     is reported in both fields, alpha is NaN, and it still saturates
-    the bound; at z = f + z_R it is the image waist."""
+    the bound."""
     relay = RelaySystem(1.0, 1.0 + offset * UNIT.rayleigh_range)
     planes = optimal_detection_planes(UNIT, relay)
     assert math.isnan(planes.alpha)
@@ -214,9 +214,22 @@ def test_degenerate_geometries_report_the_reachable_plane(offset, reachable):
         qfi_gaussian(UNIT), rel=1e-12
     )
     assert preferred_detection_plane(UNIT, relay) == planes.plane_plus
-    if offset > 0.0:
-        image = relay_transform(UNIT, relay)
-        assert planes.plane_plus == pytest.approx(image.waist_position, rel=1e-15)
+
+
+def test_numeric_fallback_on_degenerate_geometry():
+    """At z = f + z_R one optimum sits at the image waist and the other
+    recedes to infinity; the reachable one must still be reported."""
+    relay = RelaySystem(1.0, 2.0)
+    planes = optimal_detection_planes(UNIT, relay)
+    image = relay_transform(UNIT, relay)
+    q = qfi_gaussian(UNIT)
+    best = max(
+        image_fi(UNIT, relay, planes.plane_plus),
+        image_fi(UNIT, relay, planes.plane_minus),
+    )
+    assert best / q == pytest.approx(1.0, abs=1e-9)
+    assert planes.plane_plus == pytest.approx(image.waist_position, rel=1e-15)
+    assert planes.plane_minus == pytest.approx(image.waist_position, rel=1e-15)
 
 
 def test_degeneracy_band_is_relative_to_the_rayleigh_range():
