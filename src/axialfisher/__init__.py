@@ -36,7 +36,6 @@ from .beam_optics import (
 )
 from .estimators import (
     EstimatorCalibration,
-    SaturatedEstimateError,
     TrialConfig,
     TrialReport,
     UninformativePlaneError,
@@ -76,23 +75,17 @@ from .fisher import (
 )
 from .numerics import QuadratureError, central_derivative, integral_to_infinity
 from .photon_sim import (
-    CameraModel,
     DetectionSample,
-    PixelImage,
     count_outside,
     derive_trial_seed,
-    pixelate,
     poisson_count,
-    read_sample,
     sample_radii,
-    write_sample,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BeamParams",
-    "CameraModel",
     "DetectionSample",
     "EstimatorCalibration",
     "FisherScan",
@@ -100,11 +93,9 @@ __all__ = [
     "NoGeometricImageError",
     "NormalizationDriftError",
     "OptimalPlanes",
-    "PixelImage",
     "PupilField",
     "QuadratureError",
     "RelaySystem",
-    "SaturatedEstimateError",
     "TrialConfig",
     "TrialReport",
     "UninformativePlaneError",
@@ -135,7 +126,6 @@ __all__ = [
     "integral_to_infinity",
     "intensity_pdf",
     "optimal_detection_planes",
-    "pixelate",
     "point_source_range_std",
     "poisson_count",
     "preferred_detection_plane",
@@ -149,7 +139,6 @@ __all__ = [
     "qfi_point_source",
     "qfi_pure_state",
     "qfi_via_generator",
-    "read_sample",
     "relay_transform",
     "run_trials",
     "sample_radii",
@@ -157,5 +146,4 @@ __all__ = [
     "wavefront_curvature",
     "width_log_derivative",
     "width_response",
-    "write_sample",
 ]

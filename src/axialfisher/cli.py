@@ -643,32 +643,29 @@ def cmd_reproduce_experiment(args) -> int:
     summaries = []
     failures = []
     for delta in deltas:
-        per_delta: dict = {"true_delta_m": delta}
-        for estimator in ("mle", "fraction"):
-            trial_config = TrialConfig(
+        mle = run_trials(
+            TrialConfig(
                 beam=beam,
                 detector_plane=plane,
                 true_delta=delta,
                 n_per_trial=args.n_per_trial,
                 trials=args.trials,
-                estimator=estimator,
+                estimator="mle",
                 base_seed=args.seed,
                 workers=args.workers,
             )
-            report = run_trials(trial_config)
-            per_delta[f"{estimator}_mean_m"] = report.mean_estimate
-            per_delta[f"{estimator}_std_m"] = report.empirical_std
-            per_delta[f"{estimator}_flagged"] = report.flagged_count
-        bias_config = TrialConfig(
-            beam=beam,
-            detector_plane=plane,
-            true_delta=delta,
-            n_per_trial=args.n_per_trial,
-            trials=args.trials,
-            estimator="fraction",
-            base_seed=args.seed,
         )
-        per_delta["fraction_response_m"] = expected_fraction_estimate(bias_config)
+        fraction = mle.with_estimator("fraction")
+        per_delta = {
+            "true_delta_m": delta,
+            "mle_mean_m": mle.mean_estimate,
+            "mle_std_m": mle.empirical_std,
+            "mle_flagged": mle.flagged_count,
+            "fraction_mean_m": fraction.mean_estimate,
+            "fraction_std_m": fraction.empirical_std,
+            "fraction_flagged": fraction.flagged_count,
+            "fraction_response_m": expected_fraction_estimate(mle.config),
+        }
         summaries.append(per_delta)
         rows.append(
             (

@@ -1,45 +1,46 @@
 """Axial-displacement estimators and their Monte Carlo benchmarking.
 
-Two estimators are benchmarked against the Cramer-Rao bounds:
+One exposure of n photons reduces to two statistics: the count k beyond
+the information-free radius r_b = w / sqrt(2), and the squared-width
+statistic w^2_hat = 2 mean(r^2).  Both estimators are closed-form,
+vectorized functions of them, benchmarked against the Cramer-Rao bounds:
 
-* a binary "fraction outside" estimator that only counts photons beyond
-  the information-free radius r_b = w / sqrt(2) and inverts the
-  linearized response; cheap, camera-friendly, and carries
-  1 / (e - 1) of the full information at the optimal plane;
-* a width estimator that uses every radius through the sufficient
-  statistic w^2_hat = 2 mean(r^2) and inverts the width law in closed
-  form; this one attains the full classical information asymptotically.
+* a binary "fraction outside" estimator that reads k and inverts the
+  linearized response; cheap, camera-friendly, and carries 1 / (e - 1)
+  of the full information at the optimal plane;
+* a width estimator that reads w^2_hat, the sufficient statistic of the
+  Gaussian profile, and inverts the width law in closed form; this one
+  attains the full classical information asymptotically.
 
-Both work from the ray matrix (A, B) of ``beam_optics.ray_matrix``, so
-free-space and relayed detection take the same code: the width at the
-detector is w0^2 (A^2 + ((B + A delta) / z_R)^2) for an object displaced
-by delta.
+An exposure the estimator cannot invert (all photons on one side of the
+boundary, none at all, or a width below the branch minimum) is flagged,
+never raised.  Both estimators work from the ray matrix (A, B) of
+``beam_optics.ray_matrix``, so free-space and relayed detection take the
+same code: the width at the detector is w0^2 (A^2 + ((B + A delta) /
+z_R)^2) for an object displaced by delta.
 
-``run_trials`` repeats seeded exposures, applies one estimator, and
+``run_trials`` samples each seeded exposure once, records (n, k,
+w^2_hat) per trial, applies the configured estimator to those arrays and
 reports the empirical spread next to the classical and quantum bounds.
-Trials use independent derived streams, so the report is independent of
-execution order and worker count.
+``TrialReport.with_estimator`` reads another estimator off the same
+exposures without resampling.  Trials use independent derived streams,
+so the report is independent of execution order and worker count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Literal
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
 from .fisher import info_boundary, qfi_gaussian, width_response
-from .photon_sim import (
-    DetectionSample,
-    count_outside,
-    derive_trial_seed,
-    poisson_count,
-    sample_radii,
-)
+from .photon_sim import count_outside, derive_trial_seed, poisson_count, sample_radii
 
 #: Slopes smaller than this (in units of 1 / z_R) mark a detection plane
 #: as carrying no usable first-order signal.
@@ -48,18 +49,6 @@ MIN_SLOPE_FRACTION = 1e-9
 
 class UninformativePlaneError(ValueError):
     """The detection plane has (numerically) zero axial sensitivity."""
-
-
-class SaturatedEstimateError(RuntimeError):
-    """All photons fell on one side of the boundary; the linearized
-    fraction estimate is undefined for this exposure."""
-
-    def __init__(self, outside: int, total: int):
-        super().__init__(
-            f"saturated exposure: {outside} of {total} photons outside the boundary"
-        )
-        self.outside = outside
-        self.total = total
 
 
 @dataclass(frozen=True)
@@ -109,35 +98,40 @@ def calibrate(
     return EstimatorCalibration(nominal_z=detector_plane, r_b=r_b, f0=f0, slope=slope)
 
 
-def estimate_fraction(sample: DetectionSample, cal: EstimatorCalibration) -> float:
+def estimate_fraction(
+    outside: ArrayLike, total: ArrayLike, cal: EstimatorCalibration
+) -> tuple[np.ndarray, np.ndarray]:
     """Displacement from the nominal plane via the outside fraction.
 
-    delta_hat = (k / n - f0) / (f0 * slope).  Exposures with k = 0 or
-    k = n carry no invertible fraction and raise instead of returning a
-    fabricated number.
+    delta_hat = (k / n - f0) / (f0 * slope) for outside counts k of n
+    photons, elementwise.  Returns (estimates, flagged): exposures with
+    k = 0 or k = n (an empty one included) carry no invertible fraction
+    and get NaN, flagged, instead of a fabricated number.
     """
-    k = count_outside(sample, cal.r_b)
-    n = sample.total_count
-    if k == 0 or k == n:
-        raise SaturatedEstimateError(k, n)
-    return (k / n - cal.f0) / (cal.f0 * cal.slope)
+    k = np.asarray(outside, dtype=np.int64)
+    n = np.asarray(total, dtype=np.int64)
+    saturated = (k == 0) | (k == n)
+    with np.errstate(invalid="ignore"):  # 0 / 0 on empty exposures
+        estimates = (k / n - cal.f0) / (cal.f0 * cal.slope)
+    return np.where(saturated, math.nan, estimates), saturated
 
 
 def estimate_fraction_absolute(
-    sample: DetectionSample, cal: EstimatorCalibration, expected_total: float
-) -> float:
+    outside: ArrayLike, cal: EstimatorCalibration, expected_total: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Intensity-calibrated variant: no per-exposure normalization.
 
     Uses the absolute outside count against the calibrated expectation
     ``expected_total * f0``.  Appropriate when the total flux is known
     and the exposure's photon number fluctuates (Poisson totals).
+    Returns (estimates, flagged); a zero count is NaN, flagged.
     """
     if expected_total <= 0.0:
         raise ValueError(f"expected_total must be positive, got {expected_total}")
-    k = count_outside(sample, cal.r_b)
-    if k == 0:
-        raise SaturatedEstimateError(k, sample.total_count)
-    return (k / (expected_total * cal.f0) - 1.0) / cal.slope
+    k = np.asarray(outside, dtype=np.int64)
+    saturated = k == 0
+    estimates = (k / (expected_total * cal.f0) - 1.0) / cal.slope
+    return np.where(saturated, math.nan, estimates), saturated
 
 
 def fraction_estimator_fi(cal: EstimatorCalibration) -> float:
@@ -150,24 +144,24 @@ def fraction_estimator_fi(cal: EstimatorCalibration) -> float:
 
 
 def estimate_mle_width(
-    sample: DetectionSample,
+    width_sq_hat: ArrayLike,
     beam: BeamParams,
     nominal_z: float,
     relay: RelaySystem | None = None,
-) -> tuple[float, bool]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Width-based displacement estimate from the nominal detector plane.
 
     The sufficient statistic w^2_hat = 2 mean(r^2) is inverted through
     w^2 = w0^2 (A^2 + ((B + A delta) / z_R)^2), with (A, B) the ray
     matrix to the nominal plane (free space when ``relay`` is None):
 
-        delta_hat = (sign(B) z_R sqrt(w^2_hat / w0^2 - A^2) - B) / A.
+        delta_hat = (sign(B) z_R sqrt(w^2_hat / w0^2 - A^2) - B) / A,
 
-    The branch is the side of the waist the nominal plane images to
-    (the sign of B).  Returns (delta_hat, clamped): when the sampled
-    width falls below the smallest width the branch reaches, w0^2 A^2,
-    there is no solution and the estimate is clamped to the waist,
-    flagged.
+    elementwise.  The branch is the side of the waist the nominal plane
+    images to (the sign of B).  Returns (estimates, flagged): when the
+    sampled width falls below the smallest width the branch reaches,
+    w0^2 A^2, there is no solution and the estimate is clamped to the
+    waist, flagged; an empty exposure (w^2_hat NaN) is NaN, flagged.
     """
     a, b = ray_matrix(relay, nominal_z)
     if b == 0.0:
@@ -175,14 +169,13 @@ def estimate_mle_width(
     if a == 0.0:
         raise ValueError("nominal plane at the back focal plane: the width does not "
                          "depend on the object distance")
-    if sample.total_count == 0:
-        raise ValueError("cannot estimate from an empty sample")
-    w_hat_sq = 2.0 * float(np.mean(np.square(sample.radii)))
+    w_hat_sq = np.asarray(width_sq_hat, dtype=float)
     w0_sq = beam.waist**2
-    if w_hat_sq < w0_sq * a * a:
-        return -b / a, True  # clamped to the waist
-    root = math.copysign(beam.rayleigh_range * math.sqrt(w_hat_sq / w0_sq - a * a), b)
-    return (root - b) / a, False
+    clamped = w_hat_sq < w0_sq * a * a
+    with np.errstate(invalid="ignore"):
+        root = np.copysign(beam.rayleigh_range * np.sqrt(w_hat_sq / w0_sq - a * a), b)
+    estimates = np.where(clamped, -b / a, (root - b) / a)
+    return estimates, clamped | np.isnan(w_hat_sq)
 
 
 @dataclass(frozen=True)
@@ -216,12 +209,17 @@ class TrialConfig:
 @dataclass(frozen=True, eq=False)
 class TrialReport:
     """Outcome of ``run_trials``: per-trial records plus the summary
-    statistics and the two Cramer-Rao floors they are judged against."""
+    statistics and the two Cramer-Rao floors they are judged against.
+
+    ``totals``, ``counts_outside`` and ``width_sq_hat`` are each trial's
+    sufficient statistics (n, k, w^2_hat); ``estimates`` and ``flagged``
+    are the configured estimator applied to them."""
 
     config: TrialConfig
     trial_seeds: np.ndarray
     totals: np.ndarray
     counts_outside: np.ndarray
+    width_sq_hat: np.ndarray
     estimates: np.ndarray
     flagged: np.ndarray
     mean_estimate: float
@@ -240,6 +238,17 @@ class TrialReport:
     def flagged_count(self) -> int:
         return int(self.flagged.sum())
 
+    def with_estimator(self, estimator: str) -> TrialReport:
+        """The same exposures read by another estimator: bit for bit the
+        report ``run_trials`` gives for that estimator on this seed."""
+        config = replace(self.config, estimator=estimator)
+        cal = calibrate(config.beam, config.detector_plane, config.relay)
+        return replace(
+            self,
+            config=config,
+            **_estimate(config, cal, self.totals, self.counts_outside, self.width_sq_hat),
+        )
+
 
 def _true_width_sq(config: TrialConfig) -> float:
     """Squared width actually illuminating the detector, with the object
@@ -250,10 +259,11 @@ def _true_width_sq(config: TrialConfig) -> float:
 
 def _run_one(
     config: TrialConfig,
-    cal: EstimatorCalibration,
+    r_b: float,
     width_sq_true: float,
     trial: int,
-) -> tuple[int, int, int, int, float, bool]:
+) -> tuple[int, int, int, int, float]:
+    """One exposure reduced to (trial, seed, n, k, w^2_hat)."""
     seed = derive_trial_seed(config.base_seed, trial)
     n = config.n_per_trial
     if config.poisson_total:
@@ -261,34 +271,51 @@ def _run_one(
             config.n_per_trial, derive_trial_seed(config.base_seed, trial, substream=1)
         )
     sample = sample_radii(width_sq_true, n, seed)
-    k = count_outside(sample, cal.r_b)
-    flagged = False
-    estimate = math.nan
-    try:
-        if config.estimator == "fraction":
-            estimate = estimate_fraction(sample, cal)
-        elif config.estimator == "fraction-absolute":
-            estimate = estimate_fraction_absolute(sample, cal, config.n_per_trial)
-        else:
-            estimate, flagged = estimate_mle_width(
-                sample, config.beam, config.detector_plane, config.relay
-            )
-    except SaturatedEstimateError:
-        flagged = True
-    return trial, seed, n, k, estimate, flagged
+    k = count_outside(sample, r_b)
+    w_hat_sq = 2.0 * float(np.mean(np.square(sample.radii))) if n else math.nan
+    return trial, seed, n, k, w_hat_sq
+
+
+def _estimate(
+    config: TrialConfig,
+    cal: EstimatorCalibration,
+    totals: np.ndarray,
+    counts: np.ndarray,
+    width_sq_hat: np.ndarray,
+) -> dict:
+    """Apply ``config.estimator`` to the per-trial statistics and
+    summarize the unflagged estimates: the report fields the estimator
+    determines."""
+    if config.estimator == "fraction":
+        estimates, flagged = estimate_fraction(counts, totals, cal)
+    elif config.estimator == "fraction-absolute":
+        estimates, flagged = estimate_fraction_absolute(counts, cal, config.n_per_trial)
+    else:
+        estimates, flagged = estimate_mle_width(
+            width_sq_hat, config.beam, config.detector_plane, config.relay
+        )
+    valid = estimates[~flagged]
+    return {
+        "estimates": estimates,
+        "flagged": flagged,
+        "mean_estimate": float(np.mean(valid)) if valid.size else math.nan,
+        "empirical_std": float(np.std(valid, ddof=1)) if valid.size > 1 else math.nan,
+    }
 
 
 def run_trials(config: TrialConfig) -> TrialReport:
     """Run the seeded benchmark described by ``config``.
 
-    Flagged trials (saturated or clamped) are excluded from the mean and
-    standard deviation but remain in the per-trial arrays; the flag count
-    is part of the report rather than silently dropped.
+    Each trial samples one exposure and keeps its statistics (n, k,
+    w^2_hat); the estimator then reads all trials at once.  Flagged
+    trials (saturated, empty or clamped) are excluded from the mean and
+    standard deviation but remain in the per-trial arrays; the flag
+    count is part of the report rather than silently dropped.
     """
     cal = calibrate(config.beam, config.detector_plane, config.relay)
     width_sq_true = _true_width_sq(config)
 
-    worker = partial(_run_one, config, cal, width_sq_true)
+    worker = partial(_run_one, config, cal.r_b, width_sq_true)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(
@@ -305,12 +332,7 @@ def run_trials(config: TrialConfig) -> TrialReport:
     seeds = np.array([row[1] for row in rows], dtype=np.uint64)
     totals = np.array([row[2] for row in rows], dtype=np.int64)
     counts = np.array([row[3] for row in rows], dtype=np.int64)
-    estimates = np.array([row[4] for row in rows], dtype=float)
-    flagged = np.array([row[5] for row in rows], dtype=bool)
-
-    valid = estimates[~flagged]
-    mean = float(np.mean(valid)) if valid.size else math.nan
-    std = float(np.std(valid, ddof=1)) if valid.size > 1 else math.nan
+    width_sq_hat = np.array([row[4] for row in rows], dtype=float)
 
     n_info = config.n_per_trial
     _, log_slope = width_response(config.beam, config.relay, config.detector_plane)
@@ -319,10 +341,8 @@ def run_trials(config: TrialConfig) -> TrialReport:
         trial_seeds=seeds,
         totals=totals,
         counts_outside=counts,
-        estimates=estimates,
-        flagged=flagged,
-        mean_estimate=mean,
-        empirical_std=std,
+        width_sq_hat=width_sq_hat,
+        **_estimate(config, cal, totals, counts, width_sq_hat),
         classical_crb_std=1.0 / math.sqrt(n_info * (log_slope * log_slope)),
         quantum_crb_std=1.0 / math.sqrt(n_info * qfi_gaussian(config.beam)),
     )

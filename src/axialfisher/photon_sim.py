@@ -9,17 +9,18 @@ so the statistic 2 r^2 / w^2 is a unit-mean exponential.  Everything is
 driven by explicit integer seeds; per-trial streams are derived from a
 base seed and a trial index so that trials are independent of execution
 order, and re-running any trial reproduces it bit for bit.
+
+An exposure is reduced to its sufficient statistics as soon as it is
+drawn: the count beyond a boundary radius (``count_outside``) and the
+mean of r^2, which ``estimators.run_trials`` takes from the same radii.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
-
-_HEADER_PREFIX = "# "
 
 
 def derive_trial_seed(base_seed: int, trial_index: int, substream: int = 0) -> int:
@@ -29,7 +30,7 @@ def derive_trial_seed(base_seed: int, trial_index: int, substream: int = 0) -> i
     spawn key into a seed sequence, so distinct (base, trial, substream)
     triples give independent streams and the mapping never changes
     between runs.  ``substream`` separates different random purposes
-    within one trial (radii, fluctuating totals, azimuths).
+    within one trial (radii, fluctuating totals).
     """
     if base_seed < 0:
         raise ValueError(f"base_seed must be nonnegative, got {base_seed}")
@@ -68,47 +69,6 @@ class DetectionSample:
             raise ValueError("radii must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CameraModel:
-    """Detector geometry.
-
-    ``mode="continuous"`` records exact radii; ``mode="pixelated"`` bins
-    onto a square grid of ``2 * half_extent`` pixels per side centered
-    on the optic axis.  ``mean_dark_counts`` is a forward-compatibility
-    hook; only the zero value is modeled.
-    """
-
-    pixel_pitch: float
-    half_extent: int
-    mode: Literal["continuous", "pixelated"] = "pixelated"
-    mean_dark_counts: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("continuous", "pixelated"):
-            raise ValueError(f"unknown camera mode {self.mode!r}")
-        if self.mode == "pixelated":
-            if not (self.pixel_pitch > 0.0 and math.isfinite(self.pixel_pitch)):
-                raise ValueError(f"pixel pitch must be positive, got {self.pixel_pitch}")
-            if self.half_extent <= 0:
-                raise ValueError(f"half_extent must be positive, got {self.half_extent}")
-        if self.mean_dark_counts < 0.0:
-            raise ValueError("mean_dark_counts cannot be negative")
-
-
-@dataclass(frozen=True, eq=False)
-class PixelImage:
-    """Binned exposure: integer counts per pixel plus an overflow bin for
-    photons that landed off the grid, so the total is conserved."""
-
-    counts: np.ndarray
-    overflow: int
-    pixel_pitch: float
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.overflow
-
-
 def sample_radii(width_sq: float, n: int, seed: int) -> DetectionSample:
     """Draw ``n`` photon radii at squared width ``width_sq``.
 
@@ -137,56 +97,3 @@ def count_outside(sample: DetectionSample, r_b: float) -> int:
     if r_b < 0.0:
         raise ValueError(f"boundary radius must be nonnegative, got {r_b}")
     return int(np.count_nonzero(sample.radii > r_b))
-
-
-def pixelate(sample: DetectionSample, camera: CameraModel, seed: int) -> PixelImage:
-    """Scatter radii to uniformly random azimuths and bin onto the camera.
-
-    Photons outside the grid go to the overflow bin rather than being
-    clipped, so ``PixelImage.total`` always equals the sample size.
-    """
-    if camera.mode != "pixelated":
-        raise ValueError("pixelate needs a camera with mode='pixelated'")
-    if camera.mean_dark_counts != 0.0:
-        raise NotImplementedError("dark counts are a hook; only 0.0 is modeled")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * math.pi, sample.total_count)
-    x = sample.radii * np.cos(theta)
-    y = sample.radii * np.sin(theta)
-    side = 2 * camera.half_extent
-    ix = np.floor(x / camera.pixel_pitch).astype(np.int64) + camera.half_extent
-    iy = np.floor(y / camera.pixel_pitch).astype(np.int64) + camera.half_extent
-    on_grid = (ix >= 0) & (ix < side) & (iy >= 0) & (iy < side)
-    counts = np.zeros((side, side), dtype=np.int64)
-    np.add.at(counts, (iy[on_grid], ix[on_grid]), 1)
-    overflow = int(sample.total_count - int(on_grid.sum()))
-    return PixelImage(counts=counts, overflow=overflow, pixel_pitch=camera.pixel_pitch)
-
-
-def write_sample(sample: DetectionSample, path) -> None:
-    """Dump raw radii, one per line in decimal meters, behind a
-    self-describing header."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(
-            f"{_HEADER_PREFIX}w_sq={sample.width_sq!r} "
-            f"n={sample.total_count} seed={sample.seed}\n"
-        )
-        for r in sample.radii:
-            fh.write(f"{float(r)!r}\n")
-
-
-def read_sample(path) -> DetectionSample:
-    """Inverse of ``write_sample``; round-trips bit for bit."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header.startswith(_HEADER_PREFIX):
-            raise ValueError(f"{path}: missing sample header")
-        fields = dict(item.split("=", 1) for item in header[len(_HEADER_PREFIX):].split())
-        try:
-            width_sq = float(fields["w_sq"])
-            n = int(fields["n"])
-            seed = int(fields["seed"])
-        except KeyError as missing:
-            raise ValueError(f"{path}: header lacks field {missing}") from None
-        radii = np.array([float(line) for line in fh], dtype=float)
-    return DetectionSample(radii=radii, width_sq=width_sq, total_count=n, seed=seed)

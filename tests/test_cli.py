@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from axialfisher import cli
+from axialfisher import cli, estimators
+from axialfisher.beam_optics import BeamParams
 from axialfisher.cli import (
     DEFAULT_SEED,
     EXIT_CHECK_FAILED,
@@ -20,6 +21,7 @@ from axialfisher.cli import (
     parse_run_header,
     render_header,
 )
+from axialfisher.estimators import TrialConfig, run_trials
 from axialfisher.numerics import QuadratureError
 
 
@@ -339,6 +341,72 @@ def test_reproduce_experiment_row_layout(tmp_path):
     assert float(row[0]) == pytest.approx(100e-9)
     bound = float(row[6])
     assert float(row[7]) == pytest.approx(bound * math.sqrt(math.e - 1.0), rel=1e-12)
+
+
+def _one_pass_argv(out):
+    return [
+        "reproduce-experiment",
+        "--n-per-trial", "2000",
+        "--trials", "3",
+        "--deltas", "100nm,400nm",
+        "--seed", "7",
+        "--out", str(out),
+    ]
+
+
+def test_reproduce_experiment_samples_each_exposure_once(tmp_path, monkeypatch):
+    """Both estimators read the same photons: one exposure per trial and
+    displacement, 2 x 3 in all."""
+    real = estimators.sample_radii
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "sample_radii", counting)
+    assert main(_one_pass_argv(tmp_path / "once.csv")) == EXIT_OK
+    assert len(calls) == 6
+
+
+def test_reproduce_experiment_columns_equal_separate_runs(tmp_path):
+    """Each displacement's width and fraction columns are, bit for bit,
+    those of a separate ``run_trials`` with that estimator on the seed."""
+    argv = _one_pass_argv(tmp_path / "rows.csv")
+    assert main(argv) == EXIT_OK
+    rows = json.loads((tmp_path / "rows.json").read_text())["per_delta"]
+    args = build_parser().parse_args(argv)
+    beam = BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
+    for row, delta in zip(rows, args.deltas, strict=True):
+        for estimator in ("mle", "fraction"):
+            report = run_trials(TrialConfig(
+                beam=beam, detector_plane=-beam.rayleigh_range, true_delta=delta,
+                n_per_trial=args.n_per_trial, trials=args.trials,
+                estimator=estimator, base_seed=args.seed,
+            ))
+            assert row[f"{estimator}_mean_m"] == report.mean_estimate
+            assert row[f"{estimator}_std_m"] == report.empirical_std
+            assert row[f"{estimator}_flagged"] == report.flagged_count
+
+
+def test_simulate_flags_empty_exposures(tmp_path):
+    """Width MLE at one photon per Poisson exposure: the empty trials are
+    flagged, not a usage error."""
+    out = tmp_path / "empty.json"
+    argv = [
+        "simulate",
+        *SMALL_BEAM,
+        "--estimator", "mle",
+        "--poisson-total",
+        "--n-per-trial", "1",
+        "--trials", "50",
+        "--format", "json",
+        "--out", str(out),
+    ]
+    assert main(argv) == EXIT_OK
+    trials = json.loads(out.read_text())["trials"]
+    empty = [t for t in trials if t["n"] == 0]
+    assert empty and all(t["flagged"] for t in empty)
 
 
 def test_reproduce_experiment_check_passes(tmp_path):

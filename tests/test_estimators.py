@@ -13,7 +13,6 @@ from axialfisher.beam_optics import (
 )
 from axialfisher.estimators import (
     EstimatorCalibration,
-    SaturatedEstimateError,
     TrialConfig,
     TrialReport,
     UninformativePlaneError,
@@ -30,18 +29,11 @@ from axialfisher.fisher import (
     preferred_detection_plane,
     qfi_gaussian,
 )
-from axialfisher.photon_sim import DetectionSample, derive_trial_seed, poisson_count
+from axialfisher.photon_sim import derive_trial_seed, poisson_count
 
 HENE = BeamParams.from_rayleigh_range(632.8e-9, 18.9e-6)
 ZR = HENE.rayleigh_range
 UNIT = BeamParams(math.pi, 1.0)
-
-
-def _sample_from_radii(radii, width_sq=1.0):
-    radii = np.asarray(radii, dtype=float)
-    return DetectionSample(
-        radii=radii, width_sq=width_sq, total_count=radii.size, seed=0
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -90,37 +82,52 @@ def test_binarized_information_ratio():
 
 def test_fraction_estimate_inverts_the_linear_response():
     cal = calibrate(HENE, -ZR)
-    n, k = 100, 37
-    radii = np.concatenate([np.full(k, 2.0 * cal.r_b), np.full(n - k, 0.5 * cal.r_b)])
-    sample = _sample_from_radii(radii, width_sq=beam_width_sq(HENE, -ZR))
-    expected = (k / n - cal.f0) / (cal.f0 * cal.slope)
-    assert estimate_fraction(sample, cal) == pytest.approx(expected, rel=1e-14)
+    estimate, flagged = estimate_fraction(37, 100, cal)
+    assert not flagged
+    assert estimate == pytest.approx((37 / 100 - cal.f0) / (cal.f0 * cal.slope), rel=1e-14)
 
 
 def test_fraction_estimate_raises_when_saturated():
+    """A saturated exposure (k = 0 or k = n, an empty one included) is
+    not raised but flagged, with a NaN estimate."""
     cal = calibrate(HENE, -ZR)
-    inside = _sample_from_radii(np.full(5, 0.1 * cal.r_b))
-    outside = _sample_from_radii(np.full(5, 9.0 * cal.r_b))
-    with pytest.raises(SaturatedEstimateError) as excinfo:
-        estimate_fraction(inside, cal)
-    assert excinfo.value.outside == 0
-    with pytest.raises(SaturatedEstimateError):
-        estimate_fraction(outside, cal)
+    estimates, flagged = estimate_fraction([0, 5, 2, 0], [5, 5, 5, 0], cal)
+    assert flagged.tolist() == [True, True, False, True]
+    assert np.isnan(estimates[flagged]).all()
+    assert math.isfinite(estimates[2])
 
 
 def test_absolute_fraction_estimator():
     cal = calibrate(HENE, -ZR)
-    radii = np.concatenate([np.full(40, 2.0 * cal.r_b), np.full(60, 0.0)])
-    sample = _sample_from_radii(radii)
-    expected = (40 / (100.0 * cal.f0) - 1.0) / cal.slope
-    assert estimate_fraction_absolute(sample, cal, 100.0) == pytest.approx(
-        expected, rel=1e-14
-    )
+    estimate, flagged = estimate_fraction_absolute(40, cal, 100.0)
+    assert not flagged
+    assert estimate == pytest.approx((40 / (100.0 * cal.f0) - 1.0) / cal.slope, rel=1e-14)
     with pytest.raises(ValueError):
-        estimate_fraction_absolute(sample, cal, 0.0)
-    empty = _sample_from_radii(np.zeros(4))
-    with pytest.raises(SaturatedEstimateError):
-        estimate_fraction_absolute(empty, cal, 100.0)
+        estimate_fraction_absolute(40, cal, 0.0)
+    estimates, flagged = estimate_fraction_absolute([0, 100], cal, 100.0)
+    assert flagged.tolist() == [True, False]
+    assert math.isnan(estimates[0]) and math.isfinite(estimates[1])
+
+
+def test_vectorized_estimates_equal_the_scalar_closed_forms():
+    """One call over many trials gives, entry by entry and bit for bit,
+    the scalar closed form of each estimator."""
+    rng = np.random.default_rng(3)
+    cal = calibrate(HENE, -ZR)
+    n = rng.integers(1, 10**6, 200)
+    k = rng.integers(1, n)
+    a, b = ray_matrix(None, -ZR)
+    w0_sq = HENE.waist**2
+    w_hat_sq = w0_sq * rng.uniform(1.0, 4.0, 200)
+    fraction, _ = estimate_fraction(k, n, cal)
+    absolute, _ = estimate_fraction_absolute(k, cal, 5e5)
+    width, _ = estimate_mle_width(w_hat_sq, HENE, -ZR)
+    for i in range(200):
+        ki, ni, wi = int(k[i]), int(n[i]), float(w_hat_sq[i])
+        assert fraction[i] == (ki / ni - cal.f0) / (cal.f0 * cal.slope)
+        assert absolute[i] == (ki / (5e5 * cal.f0) - 1.0) / cal.slope
+        root = math.copysign(ZR * math.sqrt(wi / w0_sq - a * a), b)
+        assert width[i] == (root - b) / a
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +136,14 @@ def test_absolute_fraction_estimator():
 
 
 def test_width_estimate_inverts_exactly():
-    # All radii equal: w_hat^2 = 2 r^2.  Choose it to match z = -0.8 z_R.
-    target_w_sq = beam_width_sq(HENE, -0.8 * ZR)
-    radii = np.full(50, math.sqrt(target_w_sq / 2.0))
-    sample = _sample_from_radii(radii, width_sq=target_w_sq)
-    delta, clamped = estimate_mle_width(sample, HENE, -ZR)
+    # The width statistic of an object at z = -0.8 z_R seen from -z_R.
+    delta, clamped = estimate_mle_width(beam_width_sq(HENE, -0.8 * ZR), HENE, -ZR)
     assert not clamped
     assert delta == pytest.approx(0.2 * ZR, rel=1e-12)
 
 
 def test_width_estimate_clamps_below_the_waist():
-    radii = np.full(50, 0.01 * HENE.waist)
-    sample = _sample_from_radii(radii)
-    delta, clamped = estimate_mle_width(sample, HENE, -ZR)
+    delta, clamped = estimate_mle_width(2.0 * (0.01 * HENE.waist) ** 2, HENE, -ZR)
     assert clamped
     assert delta == pytest.approx(ZR, rel=1e-15)
 
@@ -149,17 +151,17 @@ def test_width_estimate_clamps_below_the_waist():
 def test_width_estimate_branch_validation():
     # The branch is the sign of B; at the waist, or at the geometric
     # image of the waist behind a relay, B = 0 and it is ambiguous.
-    sample = _sample_from_radii(np.full(5, 1e-6))
+    w_hat_sq = 2e-12
     with pytest.raises(ValueError):
-        estimate_mle_width(sample, HENE, 0.0)
+        estimate_mle_width(w_hat_sq, HENE, 0.0)
     with pytest.raises(ValueError):
-        estimate_mle_width(sample, UNIT, 5.0 / 4.0, RelaySystem(1.0, 5.0))
+        estimate_mle_width(w_hat_sq, UNIT, 5.0 / 4.0, RelaySystem(1.0, 5.0))
     # At the back focal plane A = 0: the width carries no displacement.
     with pytest.raises(ValueError):
-        estimate_mle_width(sample, UNIT, 1.0, RelaySystem(1.0, 5.0))
-    empty = _sample_from_radii(np.zeros(0))
-    with pytest.raises(ValueError):
-        estimate_mle_width(empty, HENE, -ZR)
+        estimate_mle_width(w_hat_sq, UNIT, 1.0, RelaySystem(1.0, 5.0))
+    # An empty exposure has no width statistic: NaN, flagged.
+    delta, flagged = estimate_mle_width(math.nan, HENE, -ZR)
+    assert flagged and math.isnan(delta)
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,8 +202,7 @@ def test_width_estimate_round_trips(
     # B / A is the conjugate plane's offset from the waist.
     delta = side * displaced * zr - b / a
     w_sq = ray_width_sq(beam, a, b + a * delta)
-    sample = _sample_from_radii(np.full(4, math.sqrt(0.5 * w_sq)), width_sq=w_sq)
-    delta_hat, clamped = estimate_mle_width(sample, beam, plane, relay)
+    delta_hat, clamped = estimate_mle_width(w_sq, beam, plane, relay)
     assert not clamped
     assert delta_hat == pytest.approx(delta, abs=1e-13 * zr)
 
@@ -279,6 +280,7 @@ def test_report_rejects_classical_below_quantum():
             trial_seeds=good.trial_seeds,
             totals=good.totals,
             counts_outside=good.counts_outside,
+            width_sq_hat=good.width_sq_hat,
             estimates=good.estimates,
             flagged=good.flagged,
             mean_estimate=good.mean_estimate,
@@ -294,6 +296,39 @@ def test_saturated_trials_are_flagged_not_dropped():
     assert np.isnan(report.estimates[report.flagged]).all()
     assert math.isfinite(report.mean_estimate)
     assert math.isfinite(report.empirical_std)
+
+
+@pytest.mark.parametrize("estimator", ["fraction", "fraction-absolute", "mle"])
+def test_empty_poisson_exposures_are_flagged(estimator):
+    """At one photon per exposure on average, about a third of the
+    Poisson totals are zero; each such trial is NaN and flagged under
+    every estimator instead of aborting the run."""
+    report = run_trials(
+        _config(estimator=estimator, poisson_total=True, n_per_trial=1, trials=50)
+    )
+    empty = report.totals == 0
+    assert 0 < empty.sum() < 50
+    assert report.flagged[empty].all()
+    assert np.isnan(report.estimates[empty]).all()
+    assert np.isnan(report.width_sq_hat[empty]).all()
+
+
+def test_with_estimator_equals_a_separate_run():
+    """Reading another estimator off a report's statistics gives what a
+    fresh run with that estimator gives, without sampling again."""
+    base = _config(estimator="mle", poisson_total=True, n_per_trial=2000, trials=30)
+    report = run_trials(base)
+    for estimator in ("fraction", "fraction-absolute", "mle"):
+        view = report.with_estimator(estimator)
+        fresh = run_trials(_config(estimator=estimator, poisson_total=True,
+                                   n_per_trial=2000, trials=30))
+        assert view.config == fresh.config
+        for field in ("trial_seeds", "totals", "counts_outside", "width_sq_hat",
+                      "estimates", "flagged"):
+            assert np.array_equal(getattr(view, field), getattr(fresh, field),
+                                  equal_nan=field in ("estimates", "width_sq_hat"))
+        assert repr(view.mean_estimate) == repr(fresh.mean_estimate)
+        assert repr(view.empirical_std) == repr(fresh.empirical_std)
 
 
 def test_fraction_benchmark_statistics():

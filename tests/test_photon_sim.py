@@ -5,15 +5,11 @@ import pytest
 from scipy import stats
 
 from axialfisher.photon_sim import (
-    CameraModel,
     DetectionSample,
     count_outside,
     derive_trial_seed,
-    pixelate,
     poisson_count,
-    read_sample,
     sample_radii,
-    write_sample,
 )
 
 
@@ -100,57 +96,3 @@ def test_poisson_count_moments():
     with pytest.raises(ValueError):
         poisson_count(-1.0, seed=0)
 
-
-def test_pixelate_conserves_photons():
-    sample = sample_radii(4.0, 20_000, seed=3)
-    camera = CameraModel(pixel_pitch=0.25, half_extent=16)
-    image = pixelate(sample, camera, seed=9)
-    assert image.total == sample.total_count
-    assert image.counts.shape == (32, 32)
-    assert image.overflow > 0  # a 4-width beam spills past a 4-unit grid
-    tight = pixelate(sample, CameraModel(pixel_pitch=2.0, half_extent=16), seed=9)
-    assert tight.overflow == 0
-
-
-def test_pixelate_is_deterministic():
-    sample = sample_radii(1.0, 5000, seed=3)
-    camera = CameraModel(pixel_pitch=0.1, half_extent=32)
-    a = pixelate(sample, camera, seed=1)
-    b = pixelate(sample, camera, seed=1)
-    assert np.array_equal(a.counts, b.counts)
-    assert a.overflow == b.overflow
-
-
-def test_pixelate_mode_and_dark_count_guards():
-    sample = sample_radii(1.0, 10, seed=0)
-    with pytest.raises(ValueError):
-        pixelate(sample, CameraModel(0.1, 4, mode="continuous"), seed=0)
-    with pytest.raises(NotImplementedError):
-        pixelate(sample, CameraModel(0.1, 4, mean_dark_counts=0.5), seed=0)
-
-
-def test_camera_validation():
-    with pytest.raises(ValueError):
-        CameraModel(0.0, 4)
-    with pytest.raises(ValueError):
-        CameraModel(0.1, 0)
-    with pytest.raises(ValueError):
-        CameraModel(0.1, 4, mode="sparse")
-
-
-def test_sample_round_trip(tmp_path):
-    sample = sample_radii(7.613921547934482e-12, 257, seed=99)
-    path = tmp_path / "exposure.txt"
-    write_sample(sample, path)
-    back = read_sample(path)
-    assert np.array_equal(back.radii, sample.radii)
-    assert back.width_sq == sample.width_sq
-    assert back.total_count == sample.total_count
-    assert back.seed == sample.seed
-
-
-def test_read_sample_rejects_missing_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0.5\n1.5\n")
-    with pytest.raises(ValueError):
-        read_sample(path)
