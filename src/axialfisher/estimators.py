@@ -19,7 +19,8 @@ never raised.  Both estimators work from the ray matrix (A, B) of
 same code: the width at the detector is w0^2 (A^2 + ((B + A delta) /
 z_R)^2) for an object displaced by delta.
 
-``run_trials`` samples each seeded exposure once, records (n, k,
+``run_trials`` draws each seeded exposure's statistics once, exactly and
+without photon arrays (``photon_sim.sample_statistics``), records (n, k,
 w^2_hat) per trial, applies the configured estimator to those arrays and
 reports the empirical spread next to the classical and quantum bounds.
 ``TrialReport.with_estimator`` reads another estimator off the same
@@ -40,7 +41,7 @@ from numpy.typing import ArrayLike
 
 from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
 from .fisher import info_boundary, qfi_gaussian, width_response
-from .photon_sim import count_outside, derive_trial_seed, poisson_count, sample_radii
+from .photon_sim import derive_trial_seed, poisson_count, sample_statistics
 
 #: Slopes smaller than this (in units of 1 / z_R) mark a detection plane
 #: as carrying no usable first-order signal.
@@ -270,10 +271,8 @@ def _run_one(
         n = poisson_count(
             config.n_per_trial, derive_trial_seed(config.base_seed, trial, substream=1)
         )
-    sample = sample_radii(width_sq_true, n, seed)
-    k = count_outside(sample, r_b)
-    w_hat_sq = 2.0 * float(np.mean(np.square(sample.radii))) if n else math.nan
-    return trial, seed, n, k, w_hat_sq
+    k, t = sample_statistics(width_sq_true, n, r_b, seed)
+    return trial, seed, n, k, width_sq_true * t / n if n else math.nan
 
 
 def _estimate(
@@ -306,11 +305,11 @@ def _estimate(
 def run_trials(config: TrialConfig) -> TrialReport:
     """Run the seeded benchmark described by ``config``.
 
-    Each trial samples one exposure and keeps its statistics (n, k,
-    w^2_hat); the estimator then reads all trials at once.  Flagged
-    trials (saturated, empty or clamped) are excluded from the mean and
-    standard deviation but remain in the per-trial arrays; the flag
-    count is part of the report rather than silently dropped.
+    Each trial draws one exposure's statistics (n, k, w^2_hat); the
+    estimator then reads all trials at once.  Flagged trials (saturated,
+    empty or clamped) are excluded from the mean and standard deviation
+    but remain in the per-trial arrays; the flag count is part of the
+    report rather than silently dropped.
     """
     cal = calibrate(config.beam, config.detector_plane, config.relay)
     width_sq_true = _true_width_sq(config)

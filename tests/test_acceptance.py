@@ -204,7 +204,13 @@ def test_criterion_4_benchmark_reaches_the_bounds():
     the width estimator's spread sits at the quantum bound (~14.9 nm)
     and the binarized fraction estimator at sqrt(e-1) times it
     (~19.6 nm); the fraction readout stays within 5% of the programmed
-    displacement out to 1650 nm."""
+    displacement out to 1650 nm.
+
+    Each band is about 2 standard errors of a 200-trial std, so it fails
+    by chance on a fresh seed.  Measured over 2e4 fresh base seeds: the
+    width band 4.6 % of the time (95 % CI 4.3-4.9 %), the fraction band
+    4.2 % (3.9-4.5 %), one or the other 7.9 % (7.5-8.2 %); no trial was
+    flagged (below 0.02 %)."""
     start = time.perf_counter()
 
     def config(estimator):

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import math
+import time
 
 import pytest
 
@@ -355,16 +356,16 @@ def _one_pass_argv(out):
 
 
 def test_reproduce_experiment_samples_each_exposure_once(tmp_path, monkeypatch):
-    """Both estimators read the same photons: one exposure per trial and
-    displacement, 2 x 3 in all."""
-    real = estimators.sample_radii
+    """Both estimators read the same exposure: one draw of its statistics
+    per trial and displacement, 2 x 3 in all."""
+    real = estimators.sample_statistics
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(estimators, "sample_radii", counting)
+    monkeypatch.setattr(estimators, "sample_statistics", counting)
     assert main(_one_pass_argv(tmp_path / "once.csv")) == EXIT_OK
     assert len(calls) == 6
 
@@ -422,6 +423,19 @@ def test_reproduce_experiment_check_passes(tmp_path):
     payload = json.loads((tmp_path / "check.json").read_text())
     assert payload["checks"]["enabled"] is True
     assert payload["checks"]["failures"] == []
+
+
+def test_packaged_preset_check_passes(tmp_path):
+    """The packaged preset itself (200 trials x 5 displacements x 1.6e6
+    photons, default seed) passes --check in under a second.  Its std
+    checks are about 2 standard errors wide, so on a fresh seed the run
+    fails by chance 11.7 % of the time (95 % CI 10.7-12.7 %, 4000 seeds);
+    per displacement the width check fails 5.2-5.4 % and the fraction
+    check 3.9-5.7 % of the time."""
+    start = time.perf_counter()
+    assert main(["reproduce-experiment", "--check",
+                 "--out", str(tmp_path / "preset.csv")]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reproduce_experiment_check_flags_large_displacements(tmp_path, capsys):

@@ -352,6 +352,19 @@ def test_mle_benchmark_statistics():
     assert 0.7 < report.empirical_std / report.quantum_crb_std < 1.3
 
 
+def test_run_trials_cost_does_not_grow_with_the_photon_count():
+    """10^12 photons per exposure, 8 TB as photon radii: each exposure is
+    drawn as its statistics, so this runs like any other size.  The width
+    estimates center on the truth and spread at the quantum bound, within
+    5 standard errors each (a chance failure below 1e-6 per check)."""
+    report = run_trials(_config(estimator="mle", n_per_trial=10**12, trials=200,
+                                true_delta=100e-9, base_seed=13))
+    bound = report.quantum_crb_std
+    assert report.flagged_count == 0
+    assert abs(report.mean_estimate - 100e-9) < 5.0 * bound / math.sqrt(200)
+    assert abs(report.empirical_std / bound - 1.0) < 5.0 / math.sqrt(2 * 199)
+
+
 def test_mle_through_a_relay_attains_the_bound():
     """20x magnifier: the image-side width inversion must recover the
     object displacement at the quantum-bound precision."""

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from axialfisher.photon_sim import (
@@ -10,6 +12,7 @@ from axialfisher.photon_sim import (
     derive_trial_seed,
     poisson_count,
     sample_radii,
+    sample_statistics,
 )
 
 
@@ -96,3 +99,134 @@ def test_poisson_count_moments():
     with pytest.raises(ValueError):
         poisson_count(-1.0, seed=0)
 
+
+
+# ---------------------------------------------------------------------------
+# The exact (k, t) sampler against the photon-level oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_TRIALS = 20_000
+ORACLE_CASES = [(n, c) for n in (1, 3, 20, 1000) for c in (0.09, 1.0, 4.0)]
+#: Bonferroni: the 3 two-sample tests of each of the 12 cases share a
+#: family-wise false-failure rate of 1e-3.
+ORACLE_ALPHA = 1e-3 / (3 * len(ORACLE_CASES))
+#: Moment checks allow this many standard errors: a chance failure has
+#: probability 2 Phi(-5) = 5.7e-7 per check.
+MOMENT_SIGMAS = 5.0
+
+
+def _photon_oracle(n, r_b, seed):
+    """Per-trial (k, t) of ``ORACLE_TRIALS`` exposures of n photons at unit
+    squared width, from photon radii: ``count_outside``'s strict rule and
+    the sum of 2 r^2, over blocks of trials drawn by ``sample_radii``."""
+    per_call = max(1, 200_000 // n)
+    k, t = [], []
+    for block, start in enumerate(range(0, ORACLE_TRIALS, per_call)):
+        trials = min(per_call, ORACLE_TRIALS - start)
+        radii = sample_radii(1.0, n * trials, derive_trial_seed(seed, block)).radii
+        radii = radii.reshape(trials, n)
+        k.append(np.count_nonzero(radii > r_b, axis=1))
+        t.append((2.0 * radii**2).sum(axis=1))
+    return np.concatenate(k), np.concatenate(t)
+
+
+def _chi2_homogeneity(a, b):
+    """p-value of a chi-square test that two integer samples of equal size
+    share one law; adjacent values are pooled until every bin holds at
+    least 20 draws of both samples together (expected counts >= 10)."""
+    lo = min(a.min(), b.min())
+    size = max(a.max(), b.max()) - lo + 1
+    counts = np.stack([np.bincount(a - lo, minlength=size),
+                       np.bincount(b - lo, minlength=size)])
+    bins, current = [], np.zeros(2, dtype=np.int64)
+    for column in counts.T:
+        current = current + column
+        if current.sum() >= 20:
+            bins.append(current)
+            current = np.zeros(2, dtype=np.int64)
+    bins[-1] = bins[-1] + current
+    assert len(bins) >= 2, "k takes a single value: nothing to compare"
+    return stats.chi2_contingency(np.array(bins).T, correction=False).pvalue
+
+
+@pytest.mark.parametrize("n, c", ORACLE_CASES)
+def test_statistics_sampler_matches_the_photon_oracle(n, c):
+    """``sample_statistics`` against photon radii, 2e4 fixed-seed trials a
+    side: two-sample KS on t, chi-square on k and KS on t given the modal
+    k, each at the Bonferroni level ORACLE_ALPHA = 1e-3 / 36 = 2.8e-5 (a
+    correct sampler fails one of the 36 with probability below 1e-3 on a
+    fresh seed).  The sampler's own draws then meet the closed forms
+    E k = n e^-c, E t = Var t = n and Cov(k, t) = n c e^-c within 5
+    standard errors each (a chance failure per check: 5.7e-7)."""
+    case = ORACLE_CASES.index((n, c))
+    r_b = math.sqrt(c / 2.0)
+    draws = [sample_statistics(1.0, n, r_b, seed)
+             for seed in range(case * ORACLE_TRIALS, (case + 1) * ORACLE_TRIALS)]
+    k = np.array([d[0] for d in draws])
+    t = np.array([d[1] for d in draws])
+    k_ref, t_ref = _photon_oracle(n, r_b, seed=1000 + case)
+
+    mode = np.bincount(np.concatenate([k, k_ref])).argmax()
+    p_values = {
+        "KS on t": stats.ks_2samp(t, t_ref).pvalue,
+        "chi-square on k": _chi2_homogeneity(k, k_ref),
+        f"KS on t | k = {mode}": stats.ks_2samp(t[k == mode], t_ref[k_ref == mode]).pvalue,
+    }
+    for name, p in p_values.items():
+        assert p > ORACLE_ALPHA, f"{name}: p = {p!r} at n={n}, c={c}"
+
+    root_t = math.sqrt(ORACLE_TRIALS)
+    dk, dt = k - k.mean(), t - t.mean()
+    moments = {
+        "E k": (k.mean(), n * math.exp(-c), k.std() / root_t),
+        "E t": (t.mean(), n, t.std() / root_t),
+        "Var t": (np.mean(dt * dt), n, (dt * dt).std() / root_t),
+        "Cov(k, t)": (np.mean(dk * dt), n * c * math.exp(-c), (dk * dt).std() / root_t),
+    }
+    for name, (got, expected, stderr) in moments.items():
+        assert abs(got - expected) <= MOMENT_SIGMAS * stderr, (
+            f"{name} = {got!r}, expected {expected!r} +- {stderr!r} at n={n}, c={c}"
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width_sq=st.floats(min_value=1e-12, max_value=1e6),
+    n=st.integers(min_value=0, max_value=10**6),
+    c=st.floats(min_value=1e-12, max_value=2000.0),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_statistics_sampler_invariants(width_sq, n, c, seed):
+    """0 <= k <= n, t >= c k, the same seed gives the same bits, and no
+    floating-point warning at any boundary-to-width ratio from 1e-12 to
+    2000 (exp underflow makes the digit probabilities exactly 0)."""
+    r_b = math.sqrt(c * width_sq / 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k, t = sample_statistics(width_sq, n, r_b, seed)
+    assert 0 <= k <= n
+    assert t >= 2.0 * r_b * r_b / width_sq * k
+    assert math.isfinite(t)
+    assert (k, t) == sample_statistics(width_sq, n, r_b, seed)
+
+
+@pytest.mark.parametrize("c", [1e-12, 2000.0])
+def test_statistics_sampler_extreme_ratios(c):
+    """The two ends of the ratio at full preset size: nearly every photon
+    beyond the boundary, or none."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k, t = sample_statistics(1.0, 1_600_000, math.sqrt(c / 2.0), seed=3)
+    assert k == (1_600_000 if c < 1.0 else 0)
+    assert t == pytest.approx(1_600_000, rel=5e-3)
+
+
+def test_statistics_sampler_empty_exposure_and_validation():
+    assert sample_statistics(1.0, 0, 0.5, seed=0) == (0, 0.0)
+    for r_b in (0.0, -0.5, math.nan, math.inf, 1e200):
+        with pytest.raises(ValueError, match="r_b"):
+            sample_statistics(1.0, 10, r_b, seed=0)
+    with pytest.raises(ValueError):
+        sample_statistics(0.0, 10, 0.5, seed=0)
+    with pytest.raises(ValueError):
+        sample_statistics(1.0, -1, 0.5, seed=0)
