@@ -59,7 +59,6 @@ from .fisher import (
     generator_moments,
     geometric_image_plane,
     image_fi,
-    image_log_derivative,
     info_boundary,
     info_fraction_outside,
     optimal_detection_planes,
@@ -121,7 +120,6 @@ __all__ = [
     "gouy_phase",
     "image_beam_width_sq",
     "image_fi",
-    "image_log_derivative",
     "info_boundary",
     "info_fraction_outside",
     "integral_to_infinity",

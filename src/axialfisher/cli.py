@@ -34,7 +34,6 @@ import numpy as np
 from .beam_optics import BeamParams, RelaySystem, intensity_pdf
 from .estimators import (
     TrialConfig,
-    TrialReport,
     UninformativePlaneError,
     expected_fraction_estimate,
     run_trials,
@@ -87,6 +86,18 @@ _PRESET_DELTAS = "10nm,100nm,400nm,1000nm,1650nm"
 
 _STD_CHECK_REL_TOL = 0.10
 _BIAS_CHECK_REL_TOL = 0.05
+
+_TRIAL_COLUMNS = ("trial_index", "seed", "n", "count_outside", "delta_hat_m")
+_REPRODUCE_COLUMNS = (
+    "true_delta_m",
+    "mle_mean_m",
+    "mle_std_m",
+    "fraction_mean_m",
+    "fraction_std_m",
+    "fraction_response_m",
+    "quantum_bound_m",
+    "fraction_bound_m",
+)
 
 
 class UsageError(Exception):
@@ -229,6 +240,28 @@ def _out_path(args, default_name: str) -> Path:
     return Path(args.out) if args.out else Path(default_name)
 
 
+def _write_table(
+    args, stem: str, csv_config: dict, columns: Sequence[str], rows: list,
+    sidecar: dict, full: dict | None = None,
+) -> None:
+    """Write a command's table: ``<stem>.csv`` (headed by ``csv_config``)
+    plus a ``.json`` sidecar, or with ``--format json`` one JSON file
+    holding ``full`` when given, else the sidecar with the columns and
+    rows added."""
+    if args.format == "json":
+        out = _out_path(args, f"{stem}.json")
+        if full is None:
+            full = {**sidecar, "columns": list(columns), "rows": rows}
+        write_json(out, full)
+        print(f"wrote {out}")
+    else:
+        out = _out_path(args, f"{stem}.csv")
+        write_csv(out, csv_config, columns, rows)
+        sidecar_path = out.with_suffix(".json")
+        write_json(sidecar_path, sidecar)
+        print(f"wrote {out} and {sidecar_path}")
+
+
 # ---------------------------------------------------------------------------
 # Shared flag groups
 # ---------------------------------------------------------------------------
@@ -308,13 +341,34 @@ def relay_from_args(args, required: bool = False) -> RelaySystem | None:
         raise UsageError(str(bad)) from None
 
 
-def _beam_config(beam: BeamParams) -> dict:
-    return {"wavelength_m": beam.wavelength, "waist_m": beam.waist}
+def _beam_config(beam: BeamParams, relay: RelaySystem | None = None) -> dict:
+    config = {"wavelength_m": beam.wavelength, "waist_m": beam.waist}
+    if relay is not None:
+        config["focal_m"] = relay.focal_length
+        config["object_distance_m"] = relay.object_distance
+    return config
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+
+
+def _plane_markers(beam: BeamParams, relay: RelaySystem) -> dict:
+    """The closed-form optimal planes behind ``relay`` and the geometric
+    image plane (None with the object at the front focal plane)."""
+    planes = optimal_detection_planes(beam, relay)
+    try:
+        geometric = geometric_image_plane(relay)
+    except NoGeometricImageError:
+        geometric = None
+    return {
+        "alpha": planes.alpha,
+        "fallback": math.isnan(planes.alpha),
+        "plane_plus_m": planes.plane_plus,
+        "plane_minus_m": planes.plane_minus,
+        "geometric_image_plane_m": geometric,
+    }
 
 
 def cmd_fi_scan(args) -> int:
@@ -329,46 +383,18 @@ def cmd_fi_scan(args) -> int:
     scan = scan_image_fi(beam, relay, planes)
     config = {
         "command": "fi-scan",
-        "focal_m": relay.focal_length,
-        "object_distance_m": relay.object_distance,
         "steps": args.steps,
         "zmax_m": args.zmax,
         "zmin_m": args.zmin,
-        **_beam_config(beam),
+        **_beam_config(beam, relay),
     }
-
-    planes_opt = optimal_detection_planes(beam, relay)
-    markers: dict = {
-        "qfi_per_m2": scan.qfi,
-        "alpha": planes_opt.alpha,
-        "fallback": math.isnan(planes_opt.alpha),
-        "plane_plus_m": planes_opt.plane_plus,
-        "plane_minus_m": planes_opt.plane_minus,
-    }
-    try:
-        markers["geometric_image_plane_m"] = geometric_image_plane(relay)
-    except NoGeometricImageError:
-        markers["geometric_image_plane_m"] = None
-
+    markers = {"qfi_per_m2": scan.qfi, **_plane_markers(beam, relay)}
     rows = [
         (float(zp), float(fi), float(fi / scan.qfi))
         for zp, fi in zip(scan.plane_positions, scan.fi_values)
     ]
-    if args.format == "json":
-        out = _out_path(args, "fi_scan.json")
-        write_json(out, {
-            "config": config,
-            "markers": markers,
-            "columns": ["z_prime_m", "fi_per_m2", "fi_over_qfi"],
-            "rows": rows,
-        })
-        print(f"wrote {out}")
-    else:
-        out = _out_path(args, "fi_scan.csv")
-        write_csv(out, config, ("z_prime_m", "fi_per_m2", "fi_over_qfi"), rows)
-        sidecar = out.with_suffix(".json")
-        write_json(sidecar, {"config": config, "markers": markers})
-        print(f"wrote {out} and {sidecar}")
+    _write_table(args, "fi_scan", config, ("z_prime_m", "fi_per_m2", "fi_over_qfi"),
+                 rows, {"config": config, "markers": markers})
     return EXIT_OK
 
 
@@ -403,11 +429,8 @@ def cmd_fi_density(args) -> int:
         "plane_m": plane,
         "rmax_m": rmax,
         "steps": args.steps,
-        **_beam_config(beam),
+        **_beam_config(beam, relay),
     }
-    if relay is not None:
-        config["focal_m"] = relay.focal_length
-        config["object_distance_m"] = relay.object_distance
 
     summary = {
         "boundary_radius_m": r_b,
@@ -419,22 +442,8 @@ def cmd_fi_density(args) -> int:
         (float(r), float(d / density.max()), float(i / intensity.max()))
         for r, d, i in zip(radii, density, intensity)
     ]
-    columns = ("r_m", "fi_density_norm", "intensity_norm")
-    if args.format == "json":
-        out = _out_path(args, "fi_density.json")
-        write_json(out, {
-            "config": config,
-            "summary": summary,
-            "columns": list(columns),
-            "rows": rows,
-        })
-        print(f"wrote {out}")
-    else:
-        out = _out_path(args, "fi_density.csv")
-        write_csv(out, config, columns, rows)
-        sidecar = out.with_suffix(".json")
-        write_json(sidecar, {"config": config, "summary": summary})
-        print(f"wrote {out} and {sidecar}")
+    _write_table(args, "fi_density", config, ("r_m", "fi_density_norm", "intensity_norm"),
+                 rows, {"config": config, "summary": summary})
     return EXIT_OK
 
 
@@ -443,39 +452,30 @@ def cmd_optimal_plane(args) -> int:
     relay = relay_from_args(args, required=True)
     config = {
         "command": "optimal-plane",
-        "focal_m": relay.focal_length,
-        "object_distance_m": relay.object_distance,
-        **_beam_config(beam),
+        **_beam_config(beam, relay),
     }
     qfi = qfi_gaussian(beam)
-    planes = optimal_detection_planes(beam, relay)
-    fallback = math.isnan(planes.alpha)
-    try:
-        geometric = geometric_image_plane(relay)
-    except NoGeometricImageError:
-        geometric = None
-
+    markers = _plane_markers(beam, relay)
+    plus, minus = markers["plane_plus_m"], markers["plane_minus_m"]
+    geometric = markers["geometric_image_plane_m"]
     payload = {
         "config": config,
-        "alpha": planes.alpha,
-        "fallback": fallback,
-        "plane_plus_m": planes.plane_plus,
-        "plane_minus_m": planes.plane_minus,
-        "fi_over_qfi_plus": image_fi(beam, relay, planes.plane_plus) / qfi,
-        "fi_over_qfi_minus": image_fi(beam, relay, planes.plane_minus) / qfi,
-        "geometric_image_plane_m": geometric,
+        **markers,
+        "fi_over_qfi_plus": image_fi(beam, relay, plus) / qfi,
+        "fi_over_qfi_minus": image_fi(beam, relay, minus) / qfi,
         "preferred_plane_m": preferred_detection_plane(beam, relay),
         "qfi_per_m2": qfi,
     }
     if geometric is not None:
-        payload["defocus_plus_m"] = planes.plane_plus - geometric
-        payload["defocus_minus_m"] = planes.plane_minus - geometric
+        payload["defocus_plus_m"] = plus - geometric
+        payload["defocus_minus_m"] = minus - geometric
     out = _out_path(args, "optimal_plane.json")
     write_json(out, payload)
     print(f"wrote {out}")
     print(
-        f"optimal planes: {planes.plane_plus!r} m and {planes.plane_minus!r} m"
-        + (" (degenerate geometry: the other plane is at infinity)" if fallback else "")
+        f"optimal planes: {plus!r} m and {minus!r} m"
+        + (" (degenerate geometry: the other plane is at infinity)"
+           if markers["fallback"] else "")
     )
     return EXIT_OK
 
@@ -511,72 +511,6 @@ def cmd_point_source(args) -> int:
     return EXIT_OK
 
 
-def _trial_config_dict(config: TrialConfig) -> dict:
-    out = {
-        "base_seed": config.base_seed,
-        "detector_plane_m": config.detector_plane,
-        "estimator": config.estimator,
-        "n_per_trial": config.n_per_trial,
-        "poisson_total": config.poisson_total,
-        "trials": config.trials,
-        "true_delta_m": config.true_delta,
-        "wavelength_m": config.beam.wavelength,
-        "waist_m": config.beam.waist,
-    }
-    if config.relay is not None:
-        out["focal_m"] = config.relay.focal_length
-        out["object_distance_m"] = config.relay.object_distance
-    return out
-
-
-def _report_payload(report: TrialReport) -> dict:
-    return {
-        "config": _trial_config_dict(report.config),
-        "mean_estimate_m": report.mean_estimate,
-        "empirical_std_m": report.empirical_std,
-        "classical_crb_std_m": report.classical_crb_std,
-        "quantum_crb_std_m": report.quantum_crb_std,
-        "flagged_trials": report.flagged_count,
-        "trials": [
-            {
-                "trial_index": index,
-                "seed": int(seed),
-                "n": int(total),
-                "count_outside": int(outside),
-                "delta_hat_m": float(estimate),
-                "flagged": bool(flag),
-            }
-            for index, (seed, total, outside, estimate, flag) in enumerate(
-                zip(
-                    report.trial_seeds,
-                    report.totals,
-                    report.counts_outside,
-                    report.estimates,
-                    report.flagged,
-                )
-            )
-        ],
-    }
-
-
-def _write_report_csv(path: Path, report: TrialReport) -> None:
-    config = {"command": "simulate", **_trial_config_dict(report.config)}
-    rows = [
-        (index, int(seed), int(total), int(outside), float(estimate))
-        for index, (seed, total, outside, estimate) in enumerate(
-            zip(
-                report.trial_seeds,
-                report.totals,
-                report.counts_outside,
-                report.estimates,
-            )
-        )
-    ]
-    write_csv(
-        path, config, ("trial_index", "seed", "n", "count_outside", "delta_hat_m"), rows
-    )
-
-
 def cmd_simulate(args) -> int:
     beam = beam_from_args(args)
     relay = relay_from_args(args)
@@ -603,18 +537,35 @@ def cmd_simulate(args) -> int:
     except ValueError as bad:
         raise UsageError(str(bad)) from None
 
-    if args.format == "json":
-        out = _out_path(args, "simulate.json")
-        write_json(out, _report_payload(report))
-        print(f"wrote {out}")
-    else:
-        out = _out_path(args, "simulate.csv")
-        _write_report_csv(out, report)
-        sidecar = out.with_suffix(".json")
-        payload = _report_payload(report)
-        del payload["trials"]
-        write_json(sidecar, payload)
-        print(f"wrote {out} and {sidecar}")
+    rows = [
+        (index, int(seed), int(total), int(outside), float(estimate))
+        for index, (seed, total, outside, estimate) in enumerate(
+            zip(report.trial_seeds, report.totals, report.counts_outside, report.estimates)
+        )
+    ]
+    summary = {
+        "config": {
+            "base_seed": config.base_seed,
+            "detector_plane_m": config.detector_plane,
+            "estimator": config.estimator,
+            "n_per_trial": config.n_per_trial,
+            "poisson_total": config.poisson_total,
+            "trials": config.trials,
+            "true_delta_m": config.true_delta,
+            **_beam_config(beam, relay),
+        },
+        "mean_estimate_m": report.mean_estimate,
+        "empirical_std_m": report.empirical_std,
+        "classical_crb_std_m": report.classical_crb_std,
+        "quantum_crb_std_m": report.quantum_crb_std,
+        "flagged_trials": report.flagged_count,
+    }
+    trials = [
+        {**dict(zip(_TRIAL_COLUMNS, row)), "flagged": bool(flag)}
+        for row, flag in zip(rows, report.flagged)
+    ]
+    _write_table(args, "simulate", {"command": "simulate", **summary["config"]},
+                 _TRIAL_COLUMNS, rows, summary, full={**summary, "trials": trials})
     print(
         f"estimator={report.config.estimator} mean={report.mean_estimate!r} m "
         f"std={report.empirical_std!r} m quantum_bound={report.quantum_crb_std!r} m"
@@ -667,31 +618,20 @@ def cmd_reproduce_experiment(args) -> int:
             "fraction_response_m": expected_fraction_estimate(mle.config),
         }
         summaries.append(per_delta)
-        rows.append(
-            (
-                float(delta),
-                float(per_delta["mle_mean_m"]),
-                float(per_delta["mle_std_m"]),
-                float(per_delta["fraction_mean_m"]),
-                float(per_delta["fraction_std_m"]),
-                float(per_delta["fraction_response_m"]),
-                float(quantum_bound),
-                float(fraction_bound),
-            )
-        )
+        row = {**per_delta, "quantum_bound_m": quantum_bound,
+               "fraction_bound_m": fraction_bound}
+        rows.append(tuple(float(row[column]) for column in _REPRODUCE_COLUMNS))
         if args.check:
-            mle_err = abs(per_delta["mle_std_m"] - quantum_bound) / quantum_bound
-            if not mle_err <= _STD_CHECK_REL_TOL:
-                failures.append(
-                    f"delta={delta!r} m: width std {per_delta['mle_std_m']!r} m "
-                    f"departs from the quantum bound {quantum_bound!r} m by {mle_err:.3f}"
-                )
-            frac_err = abs(per_delta["fraction_std_m"] - fraction_bound) / fraction_bound
-            if not frac_err <= _STD_CHECK_REL_TOL:
-                failures.append(
-                    f"delta={delta!r} m: fraction std {per_delta['fraction_std_m']!r} m "
-                    f"departs from its binomial bound {fraction_bound!r} m by {frac_err:.3f}"
-                )
+            for label, key, name, bound in (
+                ("width", "mle_std_m", "the quantum bound", quantum_bound),
+                ("fraction", "fraction_std_m", "its binomial bound", fraction_bound),
+            ):
+                err = abs(per_delta[key] - bound) / bound
+                if not err <= _STD_CHECK_REL_TOL:
+                    failures.append(
+                        f"delta={delta!r} m: {label} std {per_delta[key]!r} m "
+                        f"departs from {name} {bound!r} m by {err:.3f}"
+                    )
             bias = abs(per_delta["fraction_response_m"] - delta)
             if not bias <= _BIAS_CHECK_REL_TOL * abs(delta):
                 failures.append(
@@ -709,26 +649,8 @@ def cmd_reproduce_experiment(args) -> int:
             "failures": failures,
         },
     }
-    columns = (
-        "true_delta_m",
-        "mle_mean_m",
-        "mle_std_m",
-        "fraction_mean_m",
-        "fraction_std_m",
-        "fraction_response_m",
-        "quantum_bound_m",
-        "fraction_bound_m",
-    )
-    if args.format == "json":
-        out = _out_path(args, "reproduce_experiment.json")
-        write_json(out, payload)
-        print(f"wrote {out}")
-    else:
-        out = _out_path(args, "reproduce_experiment.csv")
-        write_csv(out, config, columns, rows)
-        sidecar = out.with_suffix(".json")
-        write_json(sidecar, payload)
-        print(f"wrote {out} and {sidecar}")
+    _write_table(args, "reproduce_experiment", config, _REPRODUCE_COLUMNS, rows,
+                 payload, full=payload)
     print(f"quantum bound: {quantum_bound!r} m per exposure")
 
     if args.check and failures:

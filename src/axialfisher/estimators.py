@@ -263,8 +263,8 @@ def _run_one(
     r_b: float,
     width_sq_true: float,
     trial: int,
-) -> tuple[int, int, int, int, float]:
-    """One exposure reduced to (trial, seed, n, k, w^2_hat)."""
+) -> tuple[int, int, int, float]:
+    """One exposure reduced to (seed, n, k, w^2_hat)."""
     seed = derive_trial_seed(config.base_seed, trial)
     n = config.n_per_trial
     if config.poisson_total:
@@ -272,7 +272,7 @@ def _run_one(
             config.n_per_trial, derive_trial_seed(config.base_seed, trial, substream=1)
         )
     k, t = sample_statistics(width_sq_true, n, r_b, seed)
-    return trial, seed, n, k, width_sq_true * t / n if n else math.nan
+    return seed, n, k, width_sq_true * t / n if n else math.nan
 
 
 def _estimate(
@@ -326,12 +326,12 @@ def run_trials(config: TrialConfig) -> TrialReport:
             )
     else:
         rows = [worker(t) for t in range(config.trials)]
-    rows.sort(key=lambda row: row[0])
 
-    seeds = np.array([row[1] for row in rows], dtype=np.uint64)
-    totals = np.array([row[2] for row in rows], dtype=np.int64)
-    counts = np.array([row[3] for row in rows], dtype=np.int64)
-    width_sq_hat = np.array([row[4] for row in rows], dtype=float)
+    seeds, totals, counts, width_sq_hat = zip(*rows)
+    seeds = np.array(seeds, dtype=np.uint64)
+    totals = np.array(totals, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
+    width_sq_hat = np.array(width_sq_hat, dtype=float)
 
     n_info = config.n_per_trial
     _, log_slope = width_response(config.beam, config.relay, config.detector_plane)

@@ -43,7 +43,12 @@ from .beam_optics import (
     ray_width_sq,
     wavefront_curvature,
 )
-from .numerics import DEFAULT_REL_TOL, finite_integral, integral_to_infinity
+from .numerics import (
+    DEFAULT_REL_TOL,
+    central_derivative,
+    finite_integral,
+    integral_to_infinity,
+)
 
 #: Pinned relative step for axial finite differences, in units of the
 #: caller's axial scale.
@@ -263,14 +268,9 @@ def classical_fi_numeric(
         if p == 0.0:
             # Far tail: both p and its derivative have underflowed.
             return 0.0
-        coarse = (
-            intensity_pdf(widths[step], r) - intensity_pdf(widths[-step], r)
-        ) / (2.0 * step)
-        fine = (
-            intensity_pdf(widths[0.5 * step], r)
-            - intensity_pdf(widths[-0.5 * step], r)
-        ) / step
-        dp = (4.0 * fine - coarse) / 3.0
+        dp = central_derivative(
+            lambda offset: intensity_pdf(widths[offset], r), 0.0, step
+        )
         return r * dp * dp / p
 
     return 2.0 * math.pi * integral_to_infinity(
@@ -298,7 +298,8 @@ def width_response(
     beam: BeamParams, relay: RelaySystem | None, plane: float
 ) -> tuple[float, float]:
     """(w^2, d/d delta ln w^2) at a detector plane, in free space
-    (``relay`` None) or behind a relay.
+    (``relay`` None) or behind a relay.  ``plane`` may be an array of
+    planes; both results then have its shape.
 
     With (A, B) = ``ray_matrix(relay, plane)`` and B -> B + A delta,
 
@@ -311,16 +312,11 @@ def width_response(
     return ray_width_sq(beam, a, b), 2.0 * a * b / (a * a * zr * zr + b * b)
 
 
-def image_log_derivative(beam: BeamParams, relay: RelaySystem, z_prime: float) -> float:
-    """Signed d/dz ln w'^2 at a fixed detector plane, with respect to
-    the object distance."""
-    return width_response(beam, relay, z_prime)[1]
-
-
 def image_fi(beam: BeamParams, relay: RelaySystem, z_prime: float) -> float:
     """Classical information about the object distance available from
-    the intensity profile at detector plane z'."""
-    slope = image_log_derivative(beam, relay, z_prime)
+    the intensity profile at detector plane z' (a float or an array of
+    planes)."""
+    slope = width_response(beam, relay, z_prime)[1]
     return slope * slope
 
 
@@ -329,10 +325,9 @@ def scan_image_fi(
 ) -> FisherScan:
     """Evaluate ``image_fi`` over a set of detector planes."""
     planes = np.asarray(plane_positions, dtype=float)
-    values = np.array([image_fi(beam, relay, zp) for zp in planes.ravel()])
     return FisherScan(
         plane_positions=planes,
-        fi_values=values.reshape(planes.shape),
+        fi_values=image_fi(beam, relay, planes),
         qfi=qfi_gaussian(beam),
     )
 
@@ -581,15 +576,10 @@ def qfi_pure_state(
         return lambda r: gauge * profile(r)
 
     def evaluate(h: float) -> float:
-        plus_h = aligned(h)
-        minus_h = aligned(-h)
-        plus_half = aligned(0.5 * h)
-        minus_half = aligned(-0.5 * h)
+        stencil = {offset: aligned(offset) for offset in (h, -h, 0.5 * h, -0.5 * h)}
 
         def dpsi(r: float) -> complex:
-            coarse = (plus_h(r) - minus_h(r)) / (2.0 * h)
-            fine = (plus_half(r) - minus_half(r)) / h
-            return (4.0 * fine - coarse) / 3.0
+            return central_derivative(lambda offset: stencil[offset](r), 0.0, h)
 
         grad_sq = integral_to_infinity(
             lambda r: abs(dpsi(r)) ** 2 * 2.0 * math.pi * r,

@@ -69,24 +69,7 @@ def integral_to_infinity(
         u = 1.0 - t
         return fn(lower + scale * t / u) * scale / (u * u)
 
-    out = integrate.quad(
-        mapped,
-        0.0,
-        1.0,
-        epsabs=abs_tol,
-        epsrel=rel_tol,
-        limit=SUBDIVISION_CAP,
-        full_output=True,
-    )
-    value, estimate = out[0], out[1]
-    if len(out) > 3:
-        # quad appends an explanation exactly when it could not converge
-        raise QuadratureError(
-            "semi-infinite quadrature did not converge: "
-            f"{out[3]} (value={value!r}, error estimate={estimate!r})",
-            estimate=estimate,
-        )
-    return value
+    return _checked_quad(mapped, 0.0, 1.0, rel_tol, abs_tol, "semi-infinite")
 
 
 def finite_integral(
@@ -107,6 +90,16 @@ def finite_integral(
         raise ValueError(f"need upper > lower, got [{lower}, {upper}]")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    return _checked_quad(fn, lower, upper, rel_tol, abs_tol, "finite")
+
+
+def _checked_quad(
+    fn: Callable[[float], float], lower: float, upper: float, rel_tol: float,
+    abs_tol: float, kind: str,
+) -> float:
+    """``quad`` over ``[lower, upper]`` that raises ``QuadratureError``
+    instead of returning an unconverged value.  ``kind`` names the
+    integral in the message."""
     out = integrate.quad(
         fn,
         lower,
@@ -118,8 +111,9 @@ def finite_integral(
     )
     value, estimate = out[0], out[1]
     if len(out) > 3:
+        # quad appends an explanation exactly when it could not converge
         raise QuadratureError(
-            "finite quadrature did not converge: "
+            f"{kind} quadrature did not converge: "
             f"{out[3]} (value={value!r}, error estimate={estimate!r})",
             estimate=estimate,
         )

@@ -47,6 +47,11 @@ import numpy as np
 _DIGITS = 64
 _DIGIT_WEIGHTS = np.ldexp(1.0, -np.arange(1, _DIGITS + 1))
 
+#: numpy's largest accepted Poisson mean, which its negative-binomial
+#: draw checks (1 - p) / p * (n + 10 sqrt(n)) against.
+_INT64_MAX = np.iinfo(np.int64).max
+_POISSON_LAM_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
+
 
 def derive_trial_seed(base_seed: int, trial_index: int, substream: int = 0) -> int:
     """Injective, documented derivation of a per-trial RNG seed.
@@ -117,25 +122,33 @@ def sample_statistics(width_sq: float, n: int, r_b: float, seed: int) -> tuple[i
     sum of 2 r^2 / w^2 over all of them, at squared width ``width_sq``;
     the module docstring derives the law.  One generator on ``seed``
     draws k, then G (only when k > 0), then the 64 digit counts in one
-    call.  An empty exposure is (0, 0.0).  numpy rejects the G draw
-    with a ``ValueError`` once its mean, about k / c for small c, passes
-    numpy's Poisson limit (~9.2e18): c below ~1.1e-13 at 10^6 photons.
+    call.  An empty exposure is (0, 0.0).  The G draw has mean about
+    k / c for small c, and numpy cannot draw it past its Poisson limit
+    (~9.2e18): c below ~1.1e-13 at 10^6 photons raises a ``ValueError``
+    naming r_b, width_sq and c.
     """
     if n < 0:
         raise ValueError(f"photon count must be nonnegative, got {n}")
     if not (width_sq > 0.0 and math.isfinite(width_sq)):
         raise ValueError(f"width_sq must be positive, got {width_sq}")
     c = 2.0 * r_b * r_b / width_sq
-    if not (r_b > 0.0 and math.isfinite(c)):
+    if not (r_b > 0.0 and 0.0 < c < math.inf):
         raise ValueError(
-            f"boundary radius r_b must be positive, with 2 r_b^2 / width_sq finite; "
-            f"got r_b={r_b!r}"
+            "boundary radius r_b must be positive, with 2 r_b^2 / width_sq positive "
+            f"and finite; got r_b={r_b!r}"
         )
     if n == 0:
         return 0, 0.0
     rng = np.random.default_rng(seed)
     k = int(rng.binomial(n, math.exp(-c)))
-    g = int(rng.negative_binomial(k, -math.expm1(-c))) if k else 0
+    p = -math.expm1(-c)
+    if (1.0 - p) / p * (k + 10.0 * math.sqrt(k)) > _POISSON_LAM_MAX:
+        raise ValueError(
+            f"boundary radius r_b={r_b!r} at width_sq={width_sq!r} gives "
+            f"c = 2 r_b^2 / width_sq = {c!r}, too small to draw {k} photons beyond "
+            "r_b: the true width is far wider than the calibrated one"
+        )
+    g = int(rng.negative_binomial(k, p)) if k else 0
     # q_j = 1 / (1 + exp(c 2^-j)), written with exp(-c 2^-j) so that a
     # large c underflows to q_j = 0 instead of overflowing.
     e = np.exp(-c * _DIGIT_WEIGHTS)

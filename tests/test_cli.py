@@ -460,6 +460,52 @@ def test_reproduce_experiment_check_flags_large_displacements(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def _csv_table(path):
+    """The column names and rows of a CSV artifact, numbers parsed."""
+    lines = path.read_text().splitlines()
+
+    def number(cell):
+        try:
+            return int(cell)
+        except ValueError:
+            return float(cell)
+
+    return lines[1].split(","), [[number(cell) for cell in line.split(",")]
+                                 for line in lines[2:]]
+
+
+@pytest.mark.parametrize(
+    ("argv", "table_key"),
+    [
+        (["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "0.5m", "--zmax", "2m",
+          "--steps", "11"], "rows"),
+        (["fi-density", *SMALL_BEAM, "--focal", "100mm", "--object-distance", "105mm",
+          "--steps", "11"], "rows"),
+        (["simulate", *SMALL_BEAM, "--n-per-trial", "500", "--trials", "4"], "trials"),
+        (["reproduce-experiment", "--n-per-trial", "20000", "--trials", "5",
+          "--deltas", "100nm,400nm", "--check"], None),
+    ],
+    ids=["fi-scan", "fi-density", "simulate", "reproduce-experiment"],
+)
+def test_json_format_is_the_csv_sidecar_plus_the_table(tmp_path, argv, table_key):
+    csv_out = tmp_path / "table.csv"
+    json_out = tmp_path / "whole.json"
+    csv_code = main([*argv, "--out", str(csv_out)])
+    assert main([*argv, "--format", "json", "--out", str(json_out)]) == csv_code
+    sidecar = json.loads(csv_out.with_suffix(".json").read_text())
+    whole = json.loads(json_out.read_text())
+    columns, rows = _csv_table(csv_out)
+    if table_key == "rows":
+        assert whole == {**sidecar, "columns": columns, "rows": rows}
+    elif table_key == "trials":
+        trials = whole.pop("trials")
+        assert whole == sidecar
+        assert [[trial[c] for c in columns] for trial in trials] == rows
+        assert [trial["flagged"] for trial in trials] == [False] * len(rows)
+    else:
+        assert whole == sidecar
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -313,6 +313,8 @@ def test_scan_shape_and_structure():
     assert scan.fi_values.shape == grid.shape
     assert scan.qfi == pytest.approx(1.0, rel=1e-15)
     values = scan.fi_values
+    # One array pass over the planes is bit for bit the per-plane loop.
+    assert np.array_equal(values, [image_fi(UNIT, RELAY, zp) for zp in grid])
     interior_max = np.flatnonzero(
         (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
     )
@@ -498,3 +500,10 @@ def test_point_source_validation():
         qfi_point_source(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         point_source_range_std(1.0, 1.0, 1.0, 0)
+
+
+def test_public_names_resolve():
+    import axialfisher
+
+    missing = [name for name in axialfisher.__all__ if not hasattr(axialfisher, name)]
+    assert missing == []

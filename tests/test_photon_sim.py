@@ -223,10 +223,18 @@ def test_statistics_sampler_extreme_ratios(c):
 
 def test_statistics_sampler_empty_exposure_and_validation():
     assert sample_statistics(1.0, 0, 0.5, seed=0) == (0, 0.0)
-    for r_b in (0.0, -0.5, math.nan, math.inf, 1e200):
+    for r_b in (0.0, -0.5, math.nan, math.inf, 1e200, 1e-200):
         with pytest.raises(ValueError, match="r_b"):
             sample_statistics(1.0, 10, r_b, seed=0)
     with pytest.raises(ValueError):
         sample_statistics(0.0, 10, 0.5, seed=0)
     with pytest.raises(ValueError):
         sample_statistics(1.0, -1, 0.5, seed=0)
+
+
+def test_statistics_sampler_names_r_b_past_the_outside_sum_limit():
+    # c = 1e-13 at 10^6 photons: the outside sum G would exceed numpy's
+    # negative-binomial range.
+    with pytest.raises(ValueError, match="r_b") as caught:
+        sample_statistics(1.0, 10**6, math.sqrt(0.5e-13), seed=0)
+    assert "width_sq" in str(caught.value) and "c = " in str(caught.value)
