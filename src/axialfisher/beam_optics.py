@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BeamParams:
@@ -243,10 +245,11 @@ def pupil_phase(pupil: PupilField, r: float) -> float:
 # ---------------------------------------------------------------------------
 # Complex field models.  Only the two places that need actual field values
 # (the pupil and the generator/derivative checks) use these; everything
-# else works with intensities.
+# else works with intensities.  A profile takes a radius or an array of
+# radii and returns the complex field with the same shape.
 # ---------------------------------------------------------------------------
 
-FieldProfile = Callable[[float], complex]
+FieldProfile = Callable[[float | np.ndarray], complex | np.ndarray]
 FieldFamily = Callable[[float], FieldProfile]
 
 
@@ -265,9 +268,8 @@ def gaussian_field(beam: BeamParams, z: float) -> FieldProfile:
     k = beam.wavenumber
     piston = k * z - gouy_phase(beam, z)
 
-    def profile(r: float) -> complex:
-        phase = -(piston + 0.5 * k * r * r * curv)
-        return amp * math.exp(-r * r / w_sq) * complex(math.cos(phase), math.sin(phase))
+    def profile(r):
+        return amp * np.exp(-r * r / w_sq - 1j * (piston + 0.5 * k * r * r * curv))
 
     return profile
 
@@ -285,12 +287,9 @@ def pupil_field(pupil: PupilField) -> FieldProfile:
     """Complex pupil-plane profile for a point source at ``source_distance``."""
     w_sq = pupil.pupil_width**2
     amp = math.sqrt(2.0 / (math.pi * w_sq))
-    denom = 2.0 * (pupil.source_distance - pupil.focal_length)
-    k = pupil.wavenumber
 
-    def profile(r: float) -> complex:
-        phase = -k * r * r / denom
-        return amp * math.exp(-r * r / w_sq) * complex(math.cos(phase), math.sin(phase))
+    def profile(r):
+        return amp * np.exp(-r * r / w_sq - 1j * pupil_phase(pupil, r))
 
     return profile
 

@@ -803,12 +803,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, FileNotFoundError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        QuadratureError,
-        NormalizationDriftError,
-        ArithmeticError,
-        OverflowError,
-    ) as numerical:
+    except (QuadratureError, NormalizationDriftError, ArithmeticError) as numerical:
         print(f"numerical failure: {numerical}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -43,6 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy loads its random package on first attribute access.  Load it with
+# this module instead, so that pool workers forked by ``run_trials`` find it
+# already imported rather than each importing it again.
+import numpy.random  # noqa: F401
+
 #: Binary digits of V drawn per exposure; the rest is below 2^-64.
 _DIGITS = 64
 _DIGIT_WEIGHTS = np.ldexp(1.0, -np.arange(1, _DIGITS + 1))

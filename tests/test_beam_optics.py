@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -209,3 +210,22 @@ def test_pupil_field_magnitude_and_normalization():
         assert abs(profile(r)) ** 2 == pytest.approx(
             pupil_intensity_pdf(pupil, r), rel=1e-13
         )
+
+
+@pytest.mark.parametrize(
+    "profile,width",
+    [
+        (gaussian_field(HENE, 0.0), HENE.waist),
+        (gaussian_field(HENE, -HENE.rayleigh_range), 2.0**0.5 * HENE.waist),
+        (gaussian_field(UNIT, 3.0), 10.0**0.5),
+        (pupil_field(PupilField(0.05, 1e6, 10.0)), 0.05),
+        (pupil_field(PupilField(2e-3, 2.0 * math.pi / 632.8e-9, 0.5, focal_length=0.1)), 2e-3),
+    ],
+    ids=["hene-waist", "hene-zR", "unit-3zR", "pupil", "pupil-lens"],
+)
+def test_field_profiles_take_arrays_of_radii(profile, width):
+    radii = np.linspace(0.0, 5.0 * width, 41)
+    together = profile(radii)
+    one_by_one = np.array([profile(float(r)) for r in radii])
+    assert together.shape == radii.shape
+    assert np.all(np.abs(together - one_by_one) <= 1e-15 * np.abs(one_by_one))

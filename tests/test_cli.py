@@ -1,10 +1,15 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import axialfisher
 from axialfisher import cli, estimators
 from axialfisher.beam_optics import BeamParams
 from axialfisher.cli import (
@@ -276,6 +281,34 @@ def test_simulate_writes_per_trial_csv(tmp_path):
     sidecar = json.loads(out.with_suffix(".json").read_text())
     assert sidecar["flagged_trials"] == 0
     assert "trials" not in sidecar
+
+
+def test_monte_carlo_commands_do_not_import_scipy(tmp_path):
+    """The sampling commands never integrate, so scipy stays unimported:
+    ``numerics`` and ``fisher`` import it on first use only."""
+    script = f"""
+import sys
+from axialfisher.cli import main
+out = {str(tmp_path)!r}
+codes = [
+    main(["simulate", "--wavelength", "632.8nm", "--rayleigh-range", "18.9um",
+          "--n-per-trial", "2000", "--trials", "4", "--out", out + "/free.csv"]),
+    main(["simulate", "--wavelength", "632.8nm", "--rayleigh-range", "18.9um",
+          "--focal", "10mm", "--object-distance", "12mm", "--estimator", "mle",
+          "--n-per-trial", "2000", "--trials", "4", "--out", out + "/relay.csv"]),
+    main(["reproduce-experiment", "--n-per-trial", "2000", "--trials", "4",
+          "--out", out + "/preset.csv"]),
+]
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(axialfisher.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 3} []"
 
 
 def test_simulate_json_format(tmp_path):

@@ -40,7 +40,8 @@ from axialfisher.fisher import (
     width_log_derivative,
     width_response,
 )
-from axialfisher.numerics import central_derivative, integral_to_infinity
+from axialfisher.numerics import QuadratureError, central_derivative, integral_to_infinity
+from pure_state_oracle import adaptive_qfi_pure_state
 
 UNIT = BeamParams(math.pi, 1.0)  # z_R = 1, k = 2, Q = 1
 HENE = BeamParams.from_rayleigh_range(632.8e-9, 18.9e-6)
@@ -366,6 +367,17 @@ def test_fraction_outside_boundary_is_two_over_e(width_sq):
     assert fraction == pytest.approx(2.0 / math.e, rel=1e-12)
 
 
+@pytest.mark.parametrize("r_over_w", [0.0, 0.3, 1.0 / math.sqrt(2.0), 1.0, 1.7, 2.5])
+def test_fraction_outside_matches_closed_form(r_over_w):
+    """Integrating the radial density from r_b in x = 2 r^2 / w^2 gives
+    the fraction e^{-x_b} (1 + x_b^2); on the boundary x_b = 1, so 2/e."""
+    w_sq = HENE.waist**2
+    r_b = r_over_w * HENE.waist
+    x_b = 2.0 * r_b * r_b / w_sq
+    closed = math.exp(-x_b) * (1.0 + x_b * x_b)
+    assert info_fraction_outside(w_sq, r_b) == pytest.approx(closed, rel=1e-9)
+
+
 def test_fraction_outside_validates_inputs():
     with pytest.raises(ValueError):
         info_fraction_outside(-1.0, 0.5)
@@ -463,6 +475,38 @@ def test_pure_state_point_source_with_lens_offset():
     family = pupil_field_family(0.05, 1e6, focal_length=2.0)
     numeric = qfi_pure_state(family, 10.0)
     assert numeric == pytest.approx(qfi_point_source(1e6, 0.05, 8.0), rel=1e-6)
+
+
+ORACLE_CASES = [
+    (pupil_field_family(1.0, 1e7), 2e5),
+    (pupil_field_family(2e-3, 2.0 * math.pi / 632.8e-9), 0.5),
+    (pupil_field_family(0.05, 1e6), 10.0),
+    (pupil_field_family(0.05, 1e6, focal_length=2.0), 10.0),
+] + [
+    (gaussian_field_family(HENE), n * HENE.rayleigh_range) for n in (1.0, -1.0, 3.0, -3.0)
+]
+
+
+@pytest.mark.parametrize(
+    "family,z", ORACLE_CASES,
+    ids=["orbit", "bench", "mid", "lens-offset", "hene+zR", "hene-zR", "hene+3zR", "hene-3zR"],
+)
+def test_pure_state_rule_matches_adaptive_quadrature(family, z):
+    """The fixed Gauss-Laguerre rule reproduces the adaptive route; both
+    share the finite-difference stencil, so the gap is quadrature only."""
+    fixed = qfi_pure_state(family, z)
+    oracle = adaptive_qfi_pure_state(family, z)
+    assert fixed == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("factor", [10.0, 0.1])
+def test_pure_state_rejects_a_mismatched_transverse_scale(factor):
+    """A rule sized 10x too wide or too narrow for the pupil cannot
+    resolve its inner products, and the 48/96-node gap says so."""
+    family = pupil_field_family(0.05, 1e6)
+    with pytest.raises(QuadratureError) as excinfo:
+        qfi_pure_state(family, 10.0, transverse_scale=factor * 0.05)
+    assert excinfo.value.estimate > 1e-3
 
 
 def test_normalization_drift_error_carries_drift():

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
+from axialfisher import numerics
 from axialfisher.numerics import (
     QuadratureError,
     central_derivative,
     finite_integral,
     integral_to_infinity,
+    radial_rule,
 )
 
 
@@ -40,6 +43,55 @@ def test_divergent_integrand_raises_with_estimate():
     with pytest.raises(QuadratureError) as excinfo:
         integral_to_infinity(lambda r: 1.0, scale=1.0)
     assert math.isfinite(excinfo.value.estimate) or excinfo.value.estimate > 0.0
+
+
+def test_quadrature_goes_through_the_rebindable_integrate_global(monkeypatch):
+    """``numerics.integrate`` is resolved at call time, so a proxy bound
+    there (as the benchmark's tracer binds one) sees every ``quad`` call."""
+    real = numerics.integrate
+    calls = []
+
+    class Proxy:
+        def quad(self, *args, **kwargs):
+            calls.append(kwargs.get("epsrel"))
+            return real.quad(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate", Proxy())
+    value = integral_to_infinity(lambda r: math.exp(-r), scale=1.0, rel_tol=1e-11)
+    assert value == pytest.approx(1.0, rel=1e-11)
+    assert calls == [1e-11]
+
+
+def test_unknown_module_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        numerics.not_a_name  # noqa: B018
+
+
+@pytest.mark.parametrize("nodes", [48, 96])
+@pytest.mark.parametrize("scale", [1.0, 3.7e-6])
+def test_radial_rule_is_exact_for_gaussian_times_polynomial(nodes, scale):
+    """integral exp(-2 r^2/s^2) (2 r^2/s^2)^m 2 pi r dr = (pi s^2 / 2) m!"""
+    radii, weights = radial_rule(scale, nodes)
+    u = 2.0 * radii**2 / scale**2
+    for m in range(6):
+        exact = 0.5 * math.pi * scale**2 * math.factorial(m)
+        assert np.dot(weights, np.exp(-u) * u**m) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("nodes", [5, 48, 96])
+def test_radial_rule_has_the_laguerre_nodes(nodes):
+    radii, _ = radial_rule(1.0, nodes)
+    zeros, _ = np.polynomial.laguerre.laggauss(nodes)
+    assert 2.0 * radii**2 == pytest.approx(zeros, rel=1e-13)
+
+
+def test_radial_rule_is_cached_and_read_only():
+    first = radial_rule(1.0, 48)
+    assert radial_rule(2.0, 48)[0] == pytest.approx(2.0 * first[0], rel=1e-15)
+    with pytest.raises(ValueError):
+        numerics._laguerre_rule(48)[0][0] = 1.0
+    with pytest.raises(ValueError):
+        radial_rule(0.0, 48)
 
 
 def test_finite_integral_basic():
