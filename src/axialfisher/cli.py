@@ -54,7 +54,7 @@ from .fisher import (
     scan_image_fi,
     width_response,
 )
-from .numerics import QuadratureError
+from .numerics import NumericalLimitError, QuadratureError
 
 #: Fixed default seed so that bare invocations are reproducible.
 DEFAULT_SEED = 0xA71A10C
@@ -534,6 +534,8 @@ def cmd_simulate(args) -> int:
             workers=args.workers,
         )
         report = run_trials(config)
+    except NumericalLimitError:
+        raise
     except ValueError as bad:
         raise UsageError(str(bad)) from None
 
@@ -800,12 +802,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_inject_config(argv))
         return args.func(args)
+    except (NumericalLimitError, QuadratureError, NormalizationDriftError,
+            ArithmeticError) as numerical:
+        print(f"numerical failure: {numerical}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (UsageError, ValueError, FileNotFoundError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureError, NormalizationDriftError, ArithmeticError) as numerical:
-        print(f"numerical failure: {numerical}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def entry() -> None:

@@ -20,12 +20,13 @@ same code: the width at the detector is w0^2 (A^2 + ((B + A delta) /
 z_R)^2) for an object displaced by delta.
 
 ``run_trials`` draws each seeded exposure's statistics once, exactly and
-without photon arrays (``photon_sim.sample_statistics``), records (n, k,
+without photon arrays (``photon_sim.sample_trials``), records (n, k,
 w^2_hat) per trial, applies the configured estimator to those arrays and
 reports the empirical spread next to the classical and quantum bounds.
 ``TrialReport.with_estimator`` reads another estimator off the same
 exposures without resampling.  Trials use independent derived streams,
-so the report is independent of execution order and worker count.
+all derived up front in one pass, so the report is independent of
+execution order and worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -41,7 +42,7 @@ from numpy.typing import ArrayLike
 
 from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
 from .fisher import info_boundary, qfi_gaussian, width_response
-from .photon_sim import derive_trial_seed, poisson_count, sample_statistics
+from .photon_sim import derive_trial_seeds, poisson_counts, sample_trials, seed_states
 
 #: Slopes smaller than this (in units of 1 / z_R) mark a detection plane
 #: as carrying no usable first-order signal.
@@ -197,8 +198,11 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.n_per_trial <= 0:
             raise ValueError(f"n_per_trial must be positive, got {self.n_per_trial}")
-        if self.trials <= 0:
-            raise ValueError(f"trials must be positive, got {self.trials}")
+        if not 0 < self.trials < 2**32:
+            raise ValueError(
+                f"trials must be positive and below 2**32 (a trial index is one "
+                f"32-bit word of its seed's spawn key), got {self.trials}"
+            )
         if self.estimator not in ("fraction", "fraction-absolute", "mle"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.base_seed < 0:
@@ -258,23 +262,6 @@ def _true_width_sq(config: TrialConfig) -> float:
     return ray_width_sq(config.beam, a, b + a * config.true_delta)
 
 
-def _run_one(
-    config: TrialConfig,
-    r_b: float,
-    width_sq_true: float,
-    trial: int,
-) -> tuple[int, int, int, float]:
-    """One exposure reduced to (seed, n, k, w^2_hat)."""
-    seed = derive_trial_seed(config.base_seed, trial)
-    n = config.n_per_trial
-    if config.poisson_total:
-        n = poisson_count(
-            config.n_per_trial, derive_trial_seed(config.base_seed, trial, substream=1)
-        )
-    k, t = sample_statistics(width_sq_true, n, r_b, seed)
-    return seed, n, k, width_sq_true * t / n if n else math.nan
-
-
 def _estimate(
     config: TrialConfig,
     cal: EstimatorCalibration,
@@ -305,8 +292,12 @@ def _estimate(
 def run_trials(config: TrialConfig) -> TrialReport:
     """Run the seeded benchmark described by ``config``.
 
-    Each trial draws one exposure's statistics (n, k, w^2_hat); the
-    estimator then reads all trials at once.  Flagged trials (saturated,
+    Each trial draws one exposure's statistics (n, k, w^2_hat) from its
+    own stream, trial t's being ``default_rng(derive_trial_seed(base_seed,
+    t))`` (and substream 1 for a Poisson total); every trial's seed and
+    generator state come from one vectorized pass, which the serial loop
+    and the worker pool both read.  The estimator then reads all trials
+    at once.  Flagged trials (saturated,
     empty or clamped) are excluded from the mean and standard deviation
     but remain in the per-trial arrays; the flag count is part of the
     report rather than silently dropped.
@@ -314,24 +305,32 @@ def run_trials(config: TrialConfig) -> TrialReport:
     cal = calibrate(config.beam, config.detector_plane, config.relay)
     width_sq_true = _true_width_sq(config)
 
-    worker = partial(_run_one, config, cal.r_b, width_sq_true)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(
-                pool.map(
-                    worker,
-                    range(config.trials),
-                    chunksize=max(1, config.trials // (4 * config.workers)),
-                )
-            )
+    seeds = derive_trial_seeds(config.base_seed, config.trials)
+    states = seed_states(seeds)
+    if config.poisson_total:
+        totals = poisson_counts(
+            config.n_per_trial,
+            seed_states(derive_trial_seeds(config.base_seed, config.trials, substream=1)),
+        )
     else:
-        rows = [worker(t) for t in range(config.trials)]
-
-    seeds, totals, counts, width_sq_hat = zip(*rows)
-    seeds = np.array(seeds, dtype=np.uint64)
-    totals = np.array(totals, dtype=np.int64)
-    counts = np.array(counts, dtype=np.int64)
-    width_sq_hat = np.array(width_sq_hat, dtype=float)
+        totals = np.full(config.trials, config.n_per_trial, dtype=np.int64)
+    if config.workers > 1:
+        # Every trial costs the same, so one chunk per worker balances the
+        # load with the fewest round trips.
+        parts = min(config.trials, config.workers)
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            chunks = list(pool.map(
+                sample_trials,
+                repeat(width_sq_true),
+                repeat(cal.r_b),
+                np.array_split(totals, parts),
+                np.array_split(states, parts),
+            ))
+        counts, stats = (np.concatenate(column) for column in zip(*chunks))
+    else:
+        counts, stats = sample_trials(width_sq_true, cal.r_b, totals, states)
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty exposures
+        width_sq_hat = np.where(totals > 0, width_sq_true * stats / totals, math.nan)
 
     n_info = config.n_per_trial
     _, log_slope = width_response(config.beam, config.relay, config.detector_plane)

@@ -45,6 +45,7 @@ from .beam_optics import (
 )
 from .numerics import (
     DEFAULT_REL_TOL,
+    NumericalLimitError,
     QuadratureError,
     central_derivative,
     finite_integral,
@@ -480,7 +481,7 @@ def _estimate_transverse_scale(profile: FieldProfile) -> float:
         if abs(profile(r)) < target:
             return r
         r *= 2.0
-    raise ValueError("field profile does not decay; cannot infer a transverse scale")
+    raise NumericalLimitError("field profile does not decay; cannot infer a transverse scale")
 
 
 def qfi_pure_state(
@@ -518,6 +519,9 @@ def qfi_pure_state(
     state's rate of change, so the truncation error scales like
     (sqrt(Q) step)^4 and a first estimate of Q tells us the step that
     meets the tolerance.  An explicitly passed step is used as given.
+    A stencil field nearly orthogonal to the central one (the step is too
+    large) or, with no ``transverse_scale``, a profile that does not decay
+    raises ``NumericalLimitError``.
     """
     refine = step is None
     if step is None:
@@ -563,7 +567,7 @@ def qfi_pure_state(
             overlap = np.dot(weights, psi_c[index].conj() * samples[index])
             mag = abs(overlap)
             if mag < 1e-3:
-                raise ValueError(
+                raise NumericalLimitError(
                     f"stencil field at offset {offset!r} nearly orthogonal to the "
                     "center field; reduce the finite-difference step"
                 )

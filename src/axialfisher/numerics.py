@@ -45,6 +45,17 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+class NumericalLimitError(ValueError):
+    """The inputs take a numerical method past what it can do: a draw
+    past the sampler's range, a finite-difference stencil whose fields
+    are nearly orthogonal, a profile with no transverse scale.
+
+    A ``ValueError``, because a different input is the remedy; the CLI
+    still reports it as a numerical failure (exit code 2), not as a
+    usage error.
+    """
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance.
 

@@ -30,23 +30,40 @@ survival function of the radial intensity,
 
     r = w * sqrt(-ln(u) / 2),
 
-and ``count_outside`` counts the radii beyond r_b.  Everything is driven
-by explicit integer seeds; per-trial streams are derived from a base
-seed and a trial index so that trials are independent of execution
-order, and re-running any trial reproduces it bit for bit.
+and ``count_outside`` counts the radii beyond r_b.
+
+Everything is driven by explicit integer seeds.  Trial t's seed is
+
+    SeedSequence(entropy=base_seed, spawn_key=(t, substream))
+        .generate_state(1, uint64)
+
+(``derive_trial_seed``), and its generator is ``default_rng(seed)``: PCG64
+seeded with the four words ``SeedSequence(seed).generate_state(4,
+uint64)``.  So trials are independent of execution order, and re-running
+any trial reproduces it bit for bit.  A run derives all of them at once:
+``derive_trial_seeds`` and ``seed_states`` are numpy-vectorized copies of
+``numpy.random.SeedSequence``'s hash (pool of four 32-bit words) that
+equal it bit for bit, and ``sample_trials`` hands each trial's state
+words straight to PCG64 instead of hashing its seed again.  The part of
+the pool that depends on the base seed alone is numpy's own
+``SeedSequence(base_seed)`` pool, taken once per run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-# numpy loads its random package on first attribute access.  Load it with
-# this module instead, so that pool workers forked by ``run_trials`` find it
-# already imported rather than each importing it again.
-import numpy.random  # noqa: F401
+# This also loads numpy's random package, which numpy would otherwise load
+# on first attribute access: pool workers forked by ``run_trials`` then
+# find it already imported rather than each importing it again.
+from numpy.random.bit_generator import ISeedSequence
+
+from .numerics import NumericalLimitError
 
 #: Binary digits of V drawn per exposure; the rest is below 2^-64.
 _DIGITS = 64
@@ -56,6 +73,72 @@ _DIGIT_WEIGHTS = np.ldexp(1.0, -np.arange(1, _DIGITS + 1))
 #: draw checks (1 - p) / p * (n + 10 sqrt(n)) against.
 _INT64_MAX = np.iinfo(np.int64).max
 _POISSON_LAM_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
+
+# numpy.random.SeedSequence's hash (pool of four 32-bit words), with its
+# constants: hash call j of the entropy mixing xors with INIT_A MULT_A^j
+# and multiplies by INIT_A MULT_A^(j+1) (mod 2^32); output word j uses the
+# same map on INIT_B and MULT_B.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hash_calls(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of the given hash calls, as read-only
+    uint32 rows."""
+    xor = np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in calls], dtype=np.uint32)
+    mul = xor * np.uint32(mult)
+    xor.flags.writeable = mul.flags.writeable = False
+    return xor, mul
+
+
+def _mixing_calls(src: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constants that mix pool word ``src`` into each other pool word, in
+    one row; column ``src`` is a placeholder whose result is discarded."""
+    first = _POOL + (_POOL - 1) * src
+    calls = [first + dst - (dst > src) for dst in range(_POOL)]
+    return _hash_calls(_INIT_A, _MULT_A, calls)
+
+
+_FILL_CALLS = _hash_calls(_INIT_A, _MULT_A, range(_POOL))
+_MIXING_CALLS = [_mixing_calls(src) for src in range(_POOL)]
+_OUTPUT_CALLS = _hash_calls(_INIT_B, _MULT_B, range(2 * _POOL))
+_OUTPUT_SOURCES = np.arange(2 * _POOL) % _POOL
+
+
+@functools.lru_cache(maxsize=16)
+def _absorbing_calls(word: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constants that absorb entropy word ``word`` (counted from 0) past
+    the first four into the four pool words."""
+    first = _POOL * (_POOL + word)  # after the 4 filling and 12 mixing calls
+    return _hash_calls(_INIT_A, _MULT_A, range(first, first + _POOL))
+
+
+def _hashmix(value, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``value`` under each column's
+    constants; uint32 arithmetic wraps mod 2^32."""
+    value = value ^ xor
+    value *= mul
+    value ^= value >> _SHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix``, elementwise."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    result ^= result >> _SHIFT
+    return result
+
+
+def _output_words(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """``generate_state(n_words, uint64)`` of each row of ``pool``."""
+    sources = _OUTPUT_SOURCES[: 2 * n_words]
+    xor, mul = (consts[: 2 * n_words] for consts in _OUTPUT_CALLS)
+    words = np.ascontiguousarray(_hashmix(pool[:, sources], xor, mul), dtype="<u4")
+    return words.view("<u8").astype(np.uint64, copy=False)
 
 
 def derive_trial_seed(base_seed: int, trial_index: int, substream: int = 0) -> int:
@@ -75,6 +158,69 @@ def derive_trial_seed(base_seed: int, trial_index: int, substream: int = 0) -> i
         raise ValueError(f"substream must be nonnegative, got {substream}")
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(trial_index, substream))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def derive_trial_seeds(base_seed: int, trials: int, substream: int = 0) -> np.ndarray:
+    """``derive_trial_seed(base_seed, t, substream)`` for t = 0..trials-1,
+    as a uint64 array computed in one vectorized pass.
+
+    Trial t's entropy is the base seed's words, padded with zeros to four,
+    then t and ``substream``.  Padding hashes like the zeros that fill a
+    short pool, so the pool before t is ``SeedSequence(base_seed)``'s,
+    taken once per call; t and ``substream`` are then absorbed for every
+    trial at once.  Each must fit one 32-bit word, so ``trials`` is at
+    most 2^32.
+    """
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be nonnegative, got {base_seed}")
+    if not 0 <= trials <= 2**32:
+        raise ValueError(f"trials must lie in [0, 2**32], got {trials}")
+    if not 0 <= substream <= _MASK32:
+        raise ValueError(f"substream must lie in [0, 2**32), got {substream}")
+    later = max(0, -(-int(base_seed).bit_length() // 32) - _POOL)
+    pool = np.random.SeedSequence(base_seed).pool[None, :]
+    trial = np.arange(trials, dtype=np.uint32)[:, None]
+    pool = _mix(pool, _hashmix(trial, *_absorbing_calls(later)))  # one row per trial
+    pool = _mix(pool, _hashmix(np.uint32(substream), *_absorbing_calls(later + 1)))
+    return _output_words(pool, 1)[:, 0]
+
+
+def seed_states(seeds) -> np.ndarray:
+    """PCG64's seed words for each seed, one row per seed: row i is
+    ``SeedSequence(seeds[i]).generate_state(4, uint64)``, the words that
+    ``default_rng(seeds[i])`` seeds its PCG64 with.
+
+    A seed below 2^32 is one entropy word, and its missing second word
+    hashes exactly as the zero that fills a short pool, so every seed
+    below 2^64 is hashed as its two 32-bit words.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    head = np.zeros((seeds.shape[0], _POOL), dtype=np.uint32)
+    head[:, :2] = seeds.astype("<u8", copy=False).view("<u4")
+    pool = _hashmix(head, *_FILL_CALLS)
+    for src, (xor, mul) in enumerate(_MIXING_CALLS):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], xor, mul))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    return _output_words(pool, _POOL)
+
+
+class _StateWords(ISeedSequence):
+    """Seed sequence that hands PCG64 four precomputed seed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (_POOL, np.uint64):
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} {dtype}")
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The generator ``default_rng`` builds from the seed whose
+    ``seed_states`` row is ``words``."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +266,49 @@ def sample_radii(width_sq: float, n: int, seed: int) -> DetectionSample:
     return DetectionSample(radii=radii, width_sq=width_sq, total_count=n, seed=seed)
 
 
+class _ExposureLaw(NamedTuple):
+    """The constants of the (k, t) law at one width and boundary."""
+
+    width_sq: float
+    r_b: float
+    c: float
+    outside: float
+    p: float
+    digit_probs: np.ndarray
+
+
+def _exposure_law(width_sq: float, r_b: float) -> _ExposureLaw:
+    """c = 2 r_b^2 / width_sq, P(F >= 1) = exp(-c), p = 1 - exp(-c) and
+    the 64 digit probabilities, checked."""
+    if not (width_sq > 0.0 and math.isfinite(width_sq)):
+        raise ValueError(f"width_sq must be positive, got {width_sq}")
+    c = 2.0 * r_b * r_b / width_sq
+    if not (r_b > 0.0 and 0.0 < c < math.inf):
+        raise ValueError(
+            "boundary radius r_b must be positive, with 2 r_b^2 / width_sq positive "
+            f"and finite; got r_b={r_b!r}"
+        )
+    # q_j = 1 / (1 + exp(c 2^-j)), written with exp(-c 2^-j) so that a
+    # large c underflows to q_j = 0 instead of overflowing.
+    e = np.exp(-c * _DIGIT_WEIGHTS)
+    return _ExposureLaw(width_sq, r_b, c, math.exp(-c), -math.expm1(-c), e / (1.0 + e))
+
+
+def _draw(rng: np.random.Generator, n: int, law: _ExposureLaw) -> tuple[int, float]:
+    """One exposure of ``n`` photons: k, then G (only when k > 0), then
+    the 64 digit counts in one call, all from ``rng``."""
+    k = int(rng.binomial(n, law.outside))
+    if (1.0 - law.p) / law.p * (k + 10.0 * math.sqrt(k)) > _POISSON_LAM_MAX:
+        raise NumericalLimitError(
+            f"boundary radius r_b={law.r_b!r} at width_sq={law.width_sq!r} gives "
+            f"c = 2 r_b^2 / width_sq = {law.c!r}, too small to draw {k} photons beyond "
+            "r_b: the true width is far wider than the calibrated one"
+        )
+    g = int(rng.negative_binomial(k, law.p)) if k else 0
+    digits = rng.binomial(n, law.digit_probs)
+    return k, law.c * math.fsum([k + g, *(digits * _DIGIT_WEIGHTS).tolist()])
+
+
 def sample_statistics(width_sq: float, n: int, r_b: float, seed: int) -> tuple[int, float]:
     """Draw an exposure's sufficient statistics (k, t) from their joint law.
 
@@ -129,36 +318,31 @@ def sample_statistics(width_sq: float, n: int, r_b: float, seed: int) -> tuple[i
     draws k, then G (only when k > 0), then the 64 digit counts in one
     call.  An empty exposure is (0, 0.0).  The G draw has mean about
     k / c for small c, and numpy cannot draw it past its Poisson limit
-    (~9.2e18): c below ~1.1e-13 at 10^6 photons raises a ``ValueError``
-    naming r_b, width_sq and c.
+    (~9.2e18): c below ~1.1e-13 at 10^6 photons raises a
+    ``NumericalLimitError`` (a ``ValueError``) naming r_b, width_sq and c.
     """
     if n < 0:
         raise ValueError(f"photon count must be nonnegative, got {n}")
-    if not (width_sq > 0.0 and math.isfinite(width_sq)):
-        raise ValueError(f"width_sq must be positive, got {width_sq}")
-    c = 2.0 * r_b * r_b / width_sq
-    if not (r_b > 0.0 and 0.0 < c < math.inf):
-        raise ValueError(
-            "boundary radius r_b must be positive, with 2 r_b^2 / width_sq positive "
-            f"and finite; got r_b={r_b!r}"
-        )
-    if n == 0:
-        return 0, 0.0
-    rng = np.random.default_rng(seed)
-    k = int(rng.binomial(n, math.exp(-c)))
-    p = -math.expm1(-c)
-    if (1.0 - p) / p * (k + 10.0 * math.sqrt(k)) > _POISSON_LAM_MAX:
-        raise ValueError(
-            f"boundary radius r_b={r_b!r} at width_sq={width_sq!r} gives "
-            f"c = 2 r_b^2 / width_sq = {c!r}, too small to draw {k} photons beyond "
-            "r_b: the true width is far wider than the calibrated one"
-        )
-    g = int(rng.negative_binomial(k, p)) if k else 0
-    # q_j = 1 / (1 + exp(c 2^-j)), written with exp(-c 2^-j) so that a
-    # large c underflows to q_j = 0 instead of overflowing.
-    e = np.exp(-c * _DIGIT_WEIGHTS)
-    digits = rng.binomial(n, e / (1.0 + e))
-    return k, c * math.fsum([k + g, *(digits * _DIGIT_WEIGHTS).tolist()])
+    return _draw(np.random.default_rng(seed), n, _exposure_law(width_sq, r_b))
+
+
+def sample_trials(
+    width_sq: float, r_b: float, totals: np.ndarray, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k, t) of one exposure per trial, as int64 and float arrays.
+
+    Trial i draws ``totals[i]`` photons from the generator seeded with
+    the PCG64 words ``states[i]`` (a ``seed_states`` row): bit for bit
+    ``sample_statistics(width_sq, totals[i], r_b, seed)`` for the seed of
+    that row.  The law's constants are computed once per call.
+    """
+    law = _exposure_law(width_sq, r_b)
+    totals = np.asarray(totals, dtype=np.int64)
+    if totals.size and totals.min() < 0:
+        raise ValueError(f"photon counts must be nonnegative, got {totals.min()}")
+    rows = [_draw(_generator(words), n, law) for n, words in zip(totals.tolist(), states)]
+    return (np.array([k for k, _ in rows], dtype=np.int64),
+            np.array([t for _, t in rows], dtype=float))
 
 
 def poisson_count(mean: float, seed: int) -> int:
@@ -166,6 +350,14 @@ def poisson_count(mean: float, seed: int) -> int:
     if mean < 0.0:
         raise ValueError(f"mean must be nonnegative, got {mean}")
     return int(np.random.default_rng(seed).poisson(mean))
+
+
+def poisson_counts(mean: float, states: np.ndarray) -> np.ndarray:
+    """``poisson_count(mean, seed)`` for the seed of each ``seed_states``
+    row, as an int64 array."""
+    if mean < 0.0:
+        raise ValueError(f"mean must be nonnegative, got {mean}")
+    return np.array([_generator(words).poisson(mean) for words in states], dtype=np.int64)
 
 
 def count_outside(sample: DetectionSample, r_b: float) -> int:

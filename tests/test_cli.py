@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import axialfisher
-from axialfisher import cli, estimators
+from axialfisher import cli, photon_sim
 from axialfisher.beam_optics import BeamParams
 from axialfisher.cli import (
     DEFAULT_SEED,
@@ -254,6 +254,19 @@ def test_point_source_ranging(tmp_path):
     assert payload["sigma_n_m"] == pytest.approx(8000.0 / math.sqrt(2e6), rel=1e-12)
 
 
+def test_sampler_limit_exits_two(tmp_path, monkeypatch, capsys):
+    """A true width ~4e6 times the calibrated one takes the sampler past
+    numpy's negative-binomial range: a numerical failure, not a usage
+    error, and no artifact is written."""
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", *SMALL_BEAM, "--delta", "100m", "--estimator", "mle",
+                 "--n-per-trial", "1000000", "--trials", "2"])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "r_b=" in err
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo commands
 # ---------------------------------------------------------------------------
@@ -391,14 +404,14 @@ def _one_pass_argv(out):
 def test_reproduce_experiment_samples_each_exposure_once(tmp_path, monkeypatch):
     """Both estimators read the same exposure: one draw of its statistics
     per trial and displacement, 2 x 3 in all."""
-    real = estimators.sample_statistics
+    real = photon_sim._draw
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(estimators, "sample_statistics", counting)
+    monkeypatch.setattr(photon_sim, "_draw", counting)
     assert main(_one_pass_argv(tmp_path / "once.csv")) == EXIT_OK
     assert len(calls) == 6
 

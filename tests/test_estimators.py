@@ -30,6 +30,7 @@ from axialfisher.fisher import (
     qfi_gaussian,
 )
 from axialfisher.photon_sim import derive_trial_seed, poisson_count
+from trial_stream_oracle import trial_rows
 
 HENE = BeamParams.from_rayleigh_range(632.8e-9, 18.9e-6)
 ZR = HENE.rayleigh_range
@@ -239,6 +240,14 @@ def test_trial_config_validation():
         _config(workers=0)
 
 
+@pytest.mark.parametrize("trials", [2**32, 2**40])
+def test_trial_config_rejects_trial_indices_past_one_word(trials):
+    """A trial index is one 32-bit word of its seed's spawn key."""
+    with pytest.raises(ValueError, match="trials"):
+        _config(trials=trials)
+    assert _config(trials=2**32 - 1).trials == 2**32 - 1
+
+
 def test_run_trials_is_reproducible():
     a = run_trials(_config())
     b = run_trials(_config())
@@ -252,6 +261,30 @@ def test_worker_count_does_not_change_results():
     parallel = run_trials(_config(workers=2))
     assert np.array_equal(serial.estimates, parallel.estimates)
     assert np.array_equal(serial.totals, parallel.totals)
+
+
+RELAY_20X = RelaySystem(0.1, 0.105)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("poisson_total", [False, True], ids=["fixed", "poisson"])
+@pytest.mark.parametrize("relay", [None, RELAY_20X], ids=["free", "relayed"])
+def test_run_trials_matches_the_per_trial_route(relay, poisson_total, workers):
+    """Byte for byte the exposures of ``default_rng(derive_trial_seed(...))``
+    drawn one trial at a time (``tests/trial_stream_oracle.py``).  The
+    8-photon Poisson run on seed 5 includes an empty exposure, which the
+    last line checks."""
+    plane = -ZR if relay is None else preferred_detection_plane(HENE, relay)
+    for n_per_trial, base_seed in ((2000, 2**64 - 1), (8, 5)):
+        config = _config(detector_plane=plane, relay=relay, poisson_total=poisson_total,
+                         workers=workers, trials=37, n_per_trial=n_per_trial,
+                         base_seed=base_seed, estimator="mle")
+        report = run_trials(config)
+        expected = trial_rows(config)
+        got = (report.trial_seeds, report.totals, report.counts_outside, report.width_sq_hat)
+        for name, a, b in zip(("seeds", "totals", "counts", "width_sq_hat"), got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert poisson_total == (report.totals == 0).any()
 
 
 def test_totals_fixed_without_poisson_and_variable_with():

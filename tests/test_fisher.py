@@ -40,7 +40,12 @@ from axialfisher.fisher import (
     width_log_derivative,
     width_response,
 )
-from axialfisher.numerics import QuadratureError, central_derivative, integral_to_infinity
+from axialfisher.numerics import (
+    NumericalLimitError,
+    QuadratureError,
+    central_derivative,
+    integral_to_infinity,
+)
 from pure_state_oracle import adaptive_qfi_pure_state
 
 UNIT = BeamParams(math.pi, 1.0)  # z_R = 1, k = 2, Q = 1
@@ -446,8 +451,19 @@ def test_pure_state_rejects_pathological_profiles():
     def non_decaying(_z: float):
         return lambda r: complex(1.0, 0.0)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalLimitError):
         qfi_pure_state(non_decaying, 1.0)
+
+    def rotating(z: float):
+        """cos z L0 + sin z L1 of two orthonormal radial modes: Q = 4."""
+        def profile(r):
+            u = 2.0 * np.asarray(r) ** 2
+            return (math.cos(z) + math.sin(z) * (1.0 - u)) * np.exp(-0.5 * u) + 0j
+        return profile
+
+    assert qfi_pure_state(rotating, 0.0, step=1e-3) == pytest.approx(4.0, rel=1e-9)
+    with pytest.raises(NumericalLimitError, match="nearly orthogonal"):
+        qfi_pure_state(rotating, 0.0, step=math.pi / 2)
 
 
 def test_pure_state_accepts_explicit_transverse_scale():

@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from axialfisher.numerics import NumericalLimitError
 from axialfisher.photon_sim import (
     DetectionSample,
     count_outside,
     derive_trial_seed,
+    derive_trial_seeds,
     poisson_count,
+    poisson_counts,
     sample_radii,
     sample_statistics,
+    sample_trials,
+    seed_states,
 )
 
 
@@ -24,6 +29,61 @@ def test_trial_seed_derivation_is_deterministic_and_distinct():
     assert derive_trial_seed(7, 3, substream=1) != derive_trial_seed(7, 3)
     for s in list(seeds)[:10]:
         assert 0 <= s < 2**64
+
+
+#: Base seeds at every boundary of SeedSequence's word count (1, 2, 4 and
+#: more than 4 words), or any seed up to 2^200.
+BASE_SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**128 + 5]),
+    st.integers(min_value=0, max_value=2**200),
+)
+#: Seeds of one word (zero among them) or of two words.
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base_seed=BASE_SEEDS, trials=st.integers(min_value=0, max_value=12),
+       substream=st.sampled_from([0, 1]), extra=st.lists(SEEDS, max_size=4))
+def test_vectorized_streams_equal_seed_sequence(base_seed, trials, substream, extra):
+    """``derive_trial_seeds`` and ``seed_states`` against numpy's
+    ``SeedSequence``, bit for bit.  The seeds fed to ``seed_states`` are
+    the derived ones plus seeds that are 0 or have a zero high word."""
+    seeds = derive_trial_seeds(base_seed, trials, substream)
+    expected = [derive_trial_seed(base_seed, t, substream) for t in range(trials)]
+    assert seeds.dtype == np.uint64 and seeds.tolist() == expected
+    seeds = np.concatenate([seeds, np.array(extra, dtype=np.uint64)])
+    states = seed_states(seeds)
+    assert states.dtype == np.uint64 and states.shape == (seeds.size, 4)
+    for seed, words in zip(seeds.tolist(), states):
+        reference = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert words.tolist() == reference.tolist(), seed
+
+
+def test_vectorized_streams_reject_what_one_word_cannot_hold():
+    with pytest.raises(ValueError, match="trials"):
+        derive_trial_seeds(0, 2**32 + 1)
+    with pytest.raises(ValueError, match="substream"):
+        derive_trial_seeds(0, 3, substream=2**32)
+    with pytest.raises(ValueError, match="base_seed"):
+        derive_trial_seeds(-1, 3)
+
+
+def test_sample_trials_equals_sample_statistics_on_each_seed():
+    """A state row drives the same draws as ``default_rng`` on its seed."""
+    seeds = derive_trial_seeds(11, 6)
+    totals = np.array([0, 1, 50, 1000, 3, 10**6])
+    counts, stats = sample_trials(2.0, 0.9, totals, seed_states(seeds))
+    expected = [sample_statistics(2.0, n, 0.9, seed)
+                for n, seed in zip(totals.tolist(), seeds.tolist())]
+    assert list(zip(counts.tolist(), stats.tolist())) == expected
+    assert poisson_counts(40.0, seed_states(seeds)).tolist() == [
+        poisson_count(40.0, seed) for seed in seeds.tolist()]
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_trials(2.0, 0.9, np.array([3, -1]), seed_states(seeds[:2]))
 
 
 def test_sampling_is_bit_reproducible():
@@ -235,6 +295,6 @@ def test_statistics_sampler_empty_exposure_and_validation():
 def test_statistics_sampler_names_r_b_past_the_outside_sum_limit():
     # c = 1e-13 at 10^6 photons: the outside sum G would exceed numpy's
     # negative-binomial range.
-    with pytest.raises(ValueError, match="r_b") as caught:
+    with pytest.raises(NumericalLimitError, match="r_b") as caught:
         sample_statistics(1.0, 10**6, math.sqrt(0.5e-13), seed=0)
     assert "width_sq" in str(caught.value) and "c = " in str(caught.value)
