@@ -27,7 +27,6 @@ from .beam_optics import (
     intensity_pdf,
     pupil_field,
     pupil_field_family,
-    pupil_intensity_pdf,
     pupil_phase,
     ray_matrix,
     ray_width_sq,
@@ -78,20 +77,12 @@ from .numerics import (
     central_derivative,
     integral_to_infinity,
 )
-from .photon_sim import (
-    DetectionSample,
-    count_outside,
-    derive_trial_seed,
-    poisson_count,
-    sample_radii,
-    sample_statistics,
-)
+from .photon_sim import sample_radii
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BeamParams",
-    "DetectionSample",
     "EstimatorCalibration",
     "FisherScan",
     "ImageBeam",
@@ -111,8 +102,6 @@ __all__ = [
     "central_derivative",
     "classical_fi_analytic",
     "classical_fi_numeric",
-    "count_outside",
-    "derive_trial_seed",
     "estimate_fraction",
     "estimate_fraction_absolute",
     "estimate_mle_width",
@@ -132,11 +121,9 @@ __all__ = [
     "intensity_pdf",
     "optimal_detection_planes",
     "point_source_range_std",
-    "poisson_count",
     "preferred_detection_plane",
     "pupil_field",
     "pupil_field_family",
-    "pupil_intensity_pdf",
     "pupil_phase",
     "ray_matrix",
     "ray_width_sq",
@@ -147,7 +134,6 @@ __all__ = [
     "relay_transform",
     "run_trials",
     "sample_radii",
-    "sample_statistics",
     "scan_image_fi",
     "wavefront_curvature",
     "width_log_derivative",

@@ -223,15 +223,6 @@ def image_beam_width_sq(image: ImageBeam, z_prime: float) -> float:
     return image.waist**2 * (1.0 + tau * tau)
 
 
-def pupil_intensity_pdf(pupil: PupilField, r: float) -> float:
-    """Normalized intensity of the pupil field at radius r.
-
-    Identical in form to the beam profile with w^2 = pupil_width^2;
-    deliberately independent of the source distance.
-    """
-    return intensity_pdf(pupil.pupil_width**2, r)
-
-
 def pupil_phase(pupil: PupilField, r: float) -> float:
     """Quadratic phase k r^2 / (2 (z - f)) carried by the pupil field."""
     return (

@@ -173,31 +173,6 @@ def render_header(config: dict) -> str:
     return "# " + " ".join(parts)
 
 
-def parse_run_header(line: str) -> dict:
-    """Reconstruct the config dict from a header line written by
-    ``render_header``."""
-    if not line.startswith("# "):
-        raise ValueError(f"not a run header: {line!r}")
-    config: dict = {}
-    for item in line[2:].split():
-        key, _, raw = item.partition("=")
-        if raw in ("True", "False"):
-            config[key] = raw == "True"
-            continue
-        try:
-            config[key] = int(raw)
-            continue
-        except ValueError:
-            pass
-        try:
-            config[key] = float(raw)
-            continue
-        except ValueError:
-            pass
-        config[key] = raw
-    return config
-
-
 def _jsonify(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None

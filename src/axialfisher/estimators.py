@@ -42,7 +42,7 @@ from numpy.typing import ArrayLike
 
 from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
 from .fisher import info_boundary, qfi_gaussian, width_response
-from .photon_sim import derive_trial_seeds, poisson_counts, sample_trials, seed_states
+from .photon_sim import derive_trial_seeds, poisson_counts, sample_trials
 
 #: Slopes smaller than this (in units of 1 / z_R) mark a detection plane
 #: as carrying no usable first-order signal.
@@ -196,8 +196,11 @@ class TrialConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_per_trial <= 0:
-            raise ValueError(f"n_per_trial must be positive, got {self.n_per_trial}")
+        if not 0 < self.n_per_trial < 2**63:
+            raise ValueError(
+                f"n_per_trial must be positive and below 2**63 (numpy draws a photon "
+                f"count as a C long), got {self.n_per_trial}"
+            )
         if not 0 < self.trials < 2**32:
             raise ValueError(
                 f"trials must be positive and below 2**32 (a trial index is one "
@@ -293,24 +296,21 @@ def run_trials(config: TrialConfig) -> TrialReport:
     """Run the seeded benchmark described by ``config``.
 
     Each trial draws one exposure's statistics (n, k, w^2_hat) from its
-    own stream, trial t's being ``default_rng(derive_trial_seed(base_seed,
-    t))`` (and substream 1 for a Poisson total); every trial's seed and
-    generator state come from one vectorized pass, which the serial loop
-    and the worker pool both read.  The estimator then reads all trials
-    at once.  Flagged trials (saturated,
-    empty or clamped) are excluded from the mean and standard deviation
-    but remain in the per-trial arrays; the flag count is part of the
-    report rather than silently dropped.
+    own stream: ``derive_trial_seeds`` gives every trial's seed in one
+    pass (substream 1 seeds a Poisson total), and ``sample_trials`` draws
+    from each seed's ``default_rng``, in this process or split across the
+    worker pool.  The estimator then reads all trials at once.  Flagged
+    trials (saturated, empty or clamped) are excluded from the mean and
+    standard deviation but remain in the per-trial arrays; the flag count
+    is part of the report rather than silently dropped.
     """
     cal = calibrate(config.beam, config.detector_plane, config.relay)
     width_sq_true = _true_width_sq(config)
 
     seeds = derive_trial_seeds(config.base_seed, config.trials)
-    states = seed_states(seeds)
     if config.poisson_total:
         totals = poisson_counts(
-            config.n_per_trial,
-            seed_states(derive_trial_seeds(config.base_seed, config.trials, substream=1)),
+            config.n_per_trial, derive_trial_seeds(config.base_seed, config.trials, substream=1)
         )
     else:
         totals = np.full(config.trials, config.n_per_trial, dtype=np.int64)
@@ -324,11 +324,11 @@ def run_trials(config: TrialConfig) -> TrialReport:
                 repeat(width_sq_true),
                 repeat(cal.r_b),
                 np.array_split(totals, parts),
-                np.array_split(states, parts),
+                np.array_split(seeds, parts),
             ))
         counts, stats = (np.concatenate(column) for column in zip(*chunks))
     else:
-        counts, stats = sample_trials(width_sq_true, cal.r_b, totals, states)
+        counts, stats = sample_trials(width_sq_true, cal.r_b, totals, seeds)
     with np.errstate(divide="ignore", invalid="ignore"):  # empty exposures
         width_sq_hat = np.where(totals > 0, width_sq_true * stats / totals, math.nan)
 

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo detection of single photons on a Gaussian profile.
 
 An exposure of n photons at squared width w^2 is drawn straight as its
-two sufficient statistics (``sample_statistics``): the count k beyond a
+two sufficient statistics (``sample_trials``): the count k beyond a
 boundary radius r_b and t = sum of 2 r^2 / w^2, in O(1) work however
 large n is.  The law is exact.  Each X = 2 r^2 / w^2 is a unit-mean
 exponential; with c = 2 r_b^2 / w^2 split it as X = c F + c V:
@@ -28,32 +28,34 @@ The photon-level route stays as the reference the sampler is tested
 against: ``sample_radii`` maps u uniform on (0, 1] through the inverse
 survival function of the radial intensity,
 
-    r = w * sqrt(-ln(u) / 2),
+    r = w * sqrt(-ln(u) / 2).
 
-and ``count_outside`` counts the radii beyond r_b.
-
-Everything is driven by explicit integer seeds.  Trial t's seed is
+Everything is driven by explicit integer seeds, one route per job:
+``derive_trial_seeds`` gives every trial's seed, and ``sample_trials``
+and ``poisson_counts`` take those seeds and draw from each trial's
+``default_rng(seed)``.  Trial t's seed is
 
     SeedSequence(entropy=base_seed, spawn_key=(t, substream))
-        .generate_state(1, uint64)
+        .generate_state(1, uint64),
 
-(``derive_trial_seed``), and its generator is ``default_rng(seed)``: PCG64
-seeded with the four words ``SeedSequence(seed).generate_state(4,
-uint64)``.  So trials are independent of execution order, and re-running
-any trial reproduces it bit for bit.  A run derives all of them at once:
-``derive_trial_seeds`` and ``seed_states`` are numpy-vectorized copies of
-``numpy.random.SeedSequence``'s hash (pool of four 32-bit words) that
-equal it bit for bit, and ``sample_trials`` hands each trial's state
-words straight to PCG64 instead of hashing its seed again.  The part of
-the pool that depends on the base seed alone is numpy's own
-``SeedSequence(base_seed)`` pool, taken once per run.
+and ``default_rng(seed)`` is PCG64 seeded with the four words
+``SeedSequence(seed).generate_state(4, uint64)``.  So trials are
+independent of execution order, and re-running any trial reproduces it
+bit for bit.  Both hashes run once per call over all trials:
+``derive_trial_seeds`` and the private ``_seed_states`` are
+numpy-vectorized copies of ``numpy.random.SeedSequence``'s hash (pool of
+four 32-bit words) that equal it bit for bit, and the samplers hand each
+trial's state words straight to PCG64 instead of hashing its seed again.
+The part of the pool that depends on the base seed alone is numpy's own
+``SeedSequence(base_seed)`` pool, taken once per run.  How a seed becomes
+a generator stays inside this module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -141,29 +143,14 @@ def _output_words(pool: np.ndarray, n_words: int) -> np.ndarray:
     return words.view("<u8").astype(np.uint64, copy=False)
 
 
-def derive_trial_seed(base_seed: int, trial_index: int, substream: int = 0) -> int:
-    """Injective, documented derivation of a per-trial RNG seed.
-
-    Feeds ``base_seed`` as entropy and ``(trial_index, substream)`` as a
-    spawn key into a seed sequence, so distinct (base, trial, substream)
-    triples give independent streams and the mapping never changes
-    between runs.  ``substream`` separates different random purposes
-    within one trial (radii, fluctuating totals).
-    """
-    if base_seed < 0:
-        raise ValueError(f"base_seed must be nonnegative, got {base_seed}")
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be nonnegative, got {trial_index}")
-    if substream < 0:
-        raise ValueError(f"substream must be nonnegative, got {substream}")
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(trial_index, substream))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def derive_trial_seeds(base_seed: int, trials: int, substream: int = 0) -> np.ndarray:
-    """``derive_trial_seed(base_seed, t, substream)`` for t = 0..trials-1,
-    as a uint64 array computed in one vectorized pass.
+    """Trial t's seed ``SeedSequence(entropy=base_seed, spawn_key=(t,
+    substream)).generate_state(1, uint64)`` for t = 0..trials-1, as a
+    uint64 array computed in one vectorized pass.
 
+    Distinct (base, trial, substream) triples give independent streams,
+    and the mapping never changes between runs; ``substream`` separates
+    the random purposes of one trial (statistics, fluctuating totals).
     Trial t's entropy is the base seed's words, padded with zeros to four,
     then t and ``substream``.  Padding hashes like the zeros that fill a
     short pool, so the pool before t is ``SeedSequence(base_seed)``'s,
@@ -185,16 +172,16 @@ def derive_trial_seeds(base_seed: int, trials: int, substream: int = 0) -> np.nd
     return _output_words(pool, 1)[:, 0]
 
 
-def seed_states(seeds) -> np.ndarray:
-    """PCG64's seed words for each seed, one row per seed: row i is
-    ``SeedSequence(seeds[i]).generate_state(4, uint64)``, the words that
-    ``default_rng(seeds[i])`` seeds its PCG64 with.
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """PCG64's seed words for each uint64 seed, one row per seed: row i
+    is ``SeedSequence(seeds[i]).generate_state(4, uint64)``, the words
+    that ``default_rng(seeds[i])`` seeds its PCG64 with.
 
     A seed below 2^32 is one entropy word, and its missing second word
     hashes exactly as the zero that fills a short pool, so every seed
     below 2^64 is hashed as its two 32-bit words.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    seeds = seeds.reshape(-1, 1)
     head = np.zeros((seeds.shape[0], _POOL), dtype=np.uint32)
     head[:, :2] = seeds.astype("<u8", copy=False).view("<u4")
     pool = _hashmix(head, *_FILL_CALLS)
@@ -217,41 +204,16 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """The generator ``default_rng`` builds from the seed whose
-    ``seed_states`` row is ``words``."""
-    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+def _generators(seeds) -> Iterator[np.random.Generator]:
+    """``default_rng(seed)`` for each seed, built from the seeds'
+    ``_seed_states`` rows, all hashed in one pass."""
+    for words in _seed_states(np.asarray(seeds, dtype=np.uint64)):
+        yield np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
-@dataclass(frozen=True, eq=False)
-class DetectionSample:
-    """One exposure: ``total_count`` photon radii drawn at squared beam
-    width ``width_sq`` from the stream identified by ``seed``."""
-
-    radii: np.ndarray
-    width_sq: float
-    total_count: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        radii = np.asarray(self.radii, dtype=float)
-        object.__setattr__(self, "radii", radii)
-        if radii.ndim != 1:
-            raise ValueError(f"radii must be one-dimensional, got shape {radii.shape}")
-        if self.total_count != radii.size:
-            raise ValueError(
-                f"total_count {self.total_count} disagrees with {radii.size} radii"
-            )
-        if not (self.width_sq > 0.0 and math.isfinite(self.width_sq)):
-            raise ValueError(f"width_sq must be positive, got {self.width_sq}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if radii.size and radii.min() < 0.0:
-            raise ValueError("radii must be nonnegative")
-
-
-def sample_radii(width_sq: float, n: int, seed: int) -> DetectionSample:
-    """Draw ``n`` photon radii at squared width ``width_sq``.
+def sample_radii(width_sq: float, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` photon radii at squared width ``width_sq`` from
+    ``default_rng(seed)``.
 
     The uniform variate is mapped to (0, 1] before the log so the
     transform never sees zero.
@@ -260,10 +222,8 @@ def sample_radii(width_sq: float, n: int, seed: int) -> DetectionSample:
         raise ValueError(f"photon count must be nonnegative, got {n}")
     if not (width_sq > 0.0 and math.isfinite(width_sq)):
         raise ValueError(f"width_sq must be positive, got {width_sq}")
-    rng = np.random.default_rng(seed)
-    u = 1.0 - rng.random(n)
-    radii = np.sqrt(-0.5 * width_sq * np.log(u))
-    return DetectionSample(radii=radii, width_sq=width_sq, total_count=n, seed=seed)
+    u = 1.0 - np.random.default_rng(seed).random(n)
+    return np.sqrt(-0.5 * width_sq * np.log(u))
 
 
 class _ExposureLaw(NamedTuple):
@@ -309,59 +269,36 @@ def _draw(rng: np.random.Generator, n: int, law: _ExposureLaw) -> tuple[int, flo
     return k, law.c * math.fsum([k + g, *(digits * _DIGIT_WEIGHTS).tolist()])
 
 
-def sample_statistics(width_sq: float, n: int, r_b: float, seed: int) -> tuple[int, float]:
-    """Draw an exposure's sufficient statistics (k, t) from their joint law.
+def sample_trials(
+    width_sq: float, r_b: float, totals: np.ndarray, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's sufficient statistics (k, t), as int64 and float arrays.
 
-    k is the number of the ``n`` photons beyond radius ``r_b`` and t the
-    sum of 2 r^2 / w^2 over all of them, at squared width ``width_sq``;
-    the module docstring derives the law.  One generator on ``seed``
-    draws k, then G (only when k > 0), then the 64 digit counts in one
+    Trial i draws an exposure of ``totals[i]`` photons from
+    ``default_rng(seeds[i])``: k is the number of them beyond radius
+    ``r_b`` and t the sum of 2 r^2 / w^2 over all of them, at squared
+    width ``width_sq``; the module docstring derives the law.  Each
+    generator draws k, then G (only when k > 0), then the 64 digit
+    counts in one call, and the law's constants are computed once per
     call.  An empty exposure is (0, 0.0).  The G draw has mean about
     k / c for small c, and numpy cannot draw it past its Poisson limit
     (~9.2e18): c below ~1.1e-13 at 10^6 photons raises a
     ``NumericalLimitError`` (a ``ValueError``) naming r_b, width_sq and c.
     """
-    if n < 0:
-        raise ValueError(f"photon count must be nonnegative, got {n}")
-    return _draw(np.random.default_rng(seed), n, _exposure_law(width_sq, r_b))
-
-
-def sample_trials(
-    width_sq: float, r_b: float, totals: np.ndarray, states: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(k, t) of one exposure per trial, as int64 and float arrays.
-
-    Trial i draws ``totals[i]`` photons from the generator seeded with
-    the PCG64 words ``states[i]`` (a ``seed_states`` row): bit for bit
-    ``sample_statistics(width_sq, totals[i], r_b, seed)`` for the seed of
-    that row.  The law's constants are computed once per call.
-    """
     law = _exposure_law(width_sq, r_b)
     totals = np.asarray(totals, dtype=np.int64)
+    if totals.shape != np.shape(seeds):
+        raise ValueError(f"{totals.size} totals for {np.size(seeds)} seeds")
     if totals.size and totals.min() < 0:
         raise ValueError(f"photon counts must be nonnegative, got {totals.min()}")
-    rows = [_draw(_generator(words), n, law) for n, words in zip(totals.tolist(), states)]
+    rows = [_draw(rng, n, law) for n, rng in zip(totals.tolist(), _generators(seeds))]
     return (np.array([k for k, _ in rows], dtype=np.int64),
             np.array([t for _, t in rows], dtype=float))
 
 
-def poisson_count(mean: float, seed: int) -> int:
-    """One Poisson draw for a fluctuating total photon number."""
+def poisson_counts(mean: float, seeds: np.ndarray) -> np.ndarray:
+    """One Poisson draw of ``mean`` from ``default_rng(seed)`` for each
+    seed, as an int64 array: the fluctuating total photon numbers."""
     if mean < 0.0:
         raise ValueError(f"mean must be nonnegative, got {mean}")
-    return int(np.random.default_rng(seed).poisson(mean))
-
-
-def poisson_counts(mean: float, states: np.ndarray) -> np.ndarray:
-    """``poisson_count(mean, seed)`` for the seed of each ``seed_states``
-    row, as an int64 array."""
-    if mean < 0.0:
-        raise ValueError(f"mean must be nonnegative, got {mean}")
-    return np.array([_generator(words).poisson(mean) for words in states], dtype=np.int64)
-
-
-def count_outside(sample: DetectionSample, r_b: float) -> int:
-    """Number of detections strictly beyond radius ``r_b``."""
-    if r_b < 0.0:
-        raise ValueError(f"boundary radius must be nonnegative, got {r_b}")
-    return int(np.count_nonzero(sample.radii > r_b))
+    return np.array([rng.poisson(mean) for rng in _generators(seeds)], dtype=np.int64)

@@ -24,7 +24,6 @@ from axialfisher.cli import (
     main,
     parse_delta_list,
     parse_length,
-    parse_run_header,
     render_header,
 )
 from axialfisher.estimators import TrialConfig, run_trials
@@ -66,6 +65,31 @@ def test_parse_delta_list():
     assert parse_delta_list("1um,") == pytest.approx([1e-6])
     with pytest.raises(UsageError):
         parse_delta_list(",")
+
+
+def parse_run_header(line: str) -> dict:
+    """Reconstruct the config dict from a header line written by
+    ``render_header``."""
+    if not line.startswith("# "):
+        raise ValueError(f"not a run header: {line!r}")
+    config: dict = {}
+    for item in line[2:].split():
+        key, _, raw = item.partition("=")
+        if raw in ("True", "False"):
+            config[key] = raw == "True"
+            continue
+        try:
+            config[key] = int(raw)
+            continue
+        except ValueError:
+            pass
+        try:
+            config[key] = float(raw)
+            continue
+        except ValueError:
+            pass
+        config[key] = raw
+    return config
 
 
 def test_run_header_round_trip():
@@ -294,6 +318,20 @@ def test_simulate_writes_per_trial_csv(tmp_path):
     sidecar = json.loads(out.with_suffix(".json").read_text())
     assert sidecar["flagged_trials"] == 0
     assert "trials" not in sidecar
+
+
+def test_simulate_names_n_per_trial_past_a_c_long(tmp_path, monkeypatch, capsys):
+    """numpy draws a photon count as a C long: 2**63 photons is a usage
+    error naming n_per_trial, and 2**63 - 1 still runs."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", *SMALL_BEAM, "--trials", "2", "--n-per-trial"]
+    assert main([*argv, str(10**19)]) == EXIT_USAGE
+    assert "n_per_trial" in capsys.readouterr().err
+    assert main([*argv, str(2**63)]) == EXIT_USAGE
+    assert "n_per_trial" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert main([*argv, str(2**63 - 1), "--out", "run.csv"]) == EXIT_OK
+    assert (tmp_path / "run.csv").read_text().splitlines()[2].split(",")[2] == str(2**63 - 1)
 
 
 def test_monte_carlo_commands_do_not_import_scipy(tmp_path):

@@ -29,8 +29,7 @@ from axialfisher.fisher import (
     preferred_detection_plane,
     qfi_gaussian,
 )
-from axialfisher.photon_sim import derive_trial_seed, poisson_count
-from trial_stream_oracle import trial_rows
+from trial_stream_oracle import trial_rows, trial_seed
 
 HENE = BeamParams.from_rayleigh_range(632.8e-9, 18.9e-6)
 ZR = HENE.rayleigh_range
@@ -270,10 +269,10 @@ RELAY_20X = RelaySystem(0.1, 0.105)
 @pytest.mark.parametrize("poisson_total", [False, True], ids=["fixed", "poisson"])
 @pytest.mark.parametrize("relay", [None, RELAY_20X], ids=["free", "relayed"])
 def test_run_trials_matches_the_per_trial_route(relay, poisson_total, workers):
-    """Byte for byte the exposures of ``default_rng(derive_trial_seed(...))``
-    drawn one trial at a time (``tests/trial_stream_oracle.py``).  The
-    8-photon Poisson run on seed 5 includes an empty exposure, which the
-    last line checks."""
+    """Byte for byte the exposures drawn one trial at a time from numpy's
+    own ``SeedSequence`` and ``default_rng`` (``tests/trial_stream_oracle.py``).
+    The 8-photon Poisson run on seed 5 includes an empty exposure, which
+    the last line checks."""
     plane = -ZR if relay is None else preferred_detection_plane(HENE, relay)
     for n_per_trial, base_seed in ((2000, 2**64 - 1), (8, 5)):
         config = _config(detector_plane=plane, relay=relay, poisson_total=poisson_total,
@@ -292,7 +291,7 @@ def test_totals_fixed_without_poisson_and_variable_with():
     assert (fixed.totals == 5000).all()
     fluct = run_trials(_config(poisson_total=True, estimator="fraction-absolute"))
     assert len(set(fluct.totals.tolist())) > 1
-    assert fluct.totals[0] == poisson_count(5000, derive_trial_seed(99, 0, substream=1))
+    assert fluct.totals[0] == np.random.default_rng(trial_seed(99, 0, substream=1)).poisson(5000)
 
 
 def test_bounds_ordering_and_values():

@@ -8,27 +8,21 @@ from scipy import stats
 
 from axialfisher.numerics import NumericalLimitError
 from axialfisher.photon_sim import (
-    DetectionSample,
-    count_outside,
-    derive_trial_seed,
+    _seed_states,
     derive_trial_seeds,
-    poisson_count,
     poisson_counts,
     sample_radii,
-    sample_statistics,
     sample_trials,
-    seed_states,
 )
+from trial_stream_oracle import exposure_statistics, trial_seed
 
 
 def test_trial_seed_derivation_is_deterministic_and_distinct():
-    seeds = {derive_trial_seed(7, t) for t in range(500)}
-    assert len(seeds) == 500
-    assert derive_trial_seed(7, 3) == derive_trial_seed(7, 3)
-    assert derive_trial_seed(7, 3) != derive_trial_seed(8, 3)
-    assert derive_trial_seed(7, 3, substream=1) != derive_trial_seed(7, 3)
-    for s in list(seeds)[:10]:
-        assert 0 <= s < 2**64
+    seeds = derive_trial_seeds(7, 500)
+    assert seeds.dtype == np.uint64 and len(set(seeds.tolist())) == 500
+    assert np.array_equal(seeds, derive_trial_seeds(7, 500))
+    assert seeds[3] != derive_trial_seeds(8, 4)[3]
+    assert seeds[3] != derive_trial_seeds(7, 4, substream=1)[3]
 
 
 #: Base seeds at every boundary of SeedSequence's word count (1, 2, 4 and
@@ -49,14 +43,14 @@ SEEDS = st.one_of(
 @given(base_seed=BASE_SEEDS, trials=st.integers(min_value=0, max_value=12),
        substream=st.sampled_from([0, 1]), extra=st.lists(SEEDS, max_size=4))
 def test_vectorized_streams_equal_seed_sequence(base_seed, trials, substream, extra):
-    """``derive_trial_seeds`` and ``seed_states`` against numpy's
-    ``SeedSequence``, bit for bit.  The seeds fed to ``seed_states`` are
+    """``derive_trial_seeds`` and ``_seed_states`` against numpy's
+    ``SeedSequence``, bit for bit.  The seeds fed to ``_seed_states`` are
     the derived ones plus seeds that are 0 or have a zero high word."""
     seeds = derive_trial_seeds(base_seed, trials, substream)
-    expected = [derive_trial_seed(base_seed, t, substream) for t in range(trials)]
+    expected = [trial_seed(base_seed, t, substream) for t in range(trials)]
     assert seeds.dtype == np.uint64 and seeds.tolist() == expected
     seeds = np.concatenate([seeds, np.array(extra, dtype=np.uint64)])
-    states = seed_states(seeds)
+    states = _seed_states(seeds)
     assert states.dtype == np.uint64 and states.shape == (seeds.size, 4)
     for seed, words in zip(seeds.tolist(), states):
         reference = np.random.SeedSequence(seed).generate_state(4, np.uint64)
@@ -72,39 +66,41 @@ def test_vectorized_streams_reject_what_one_word_cannot_hold():
         derive_trial_seeds(-1, 3)
 
 
-def test_sample_trials_equals_sample_statistics_on_each_seed():
-    """A state row drives the same draws as ``default_rng`` on its seed."""
+def test_sample_trials_equals_default_rng_on_each_seed():
+    """The samplers draw from ``default_rng(seed)`` for each seed, as the
+    numpy-only oracle does one seed at a time."""
     seeds = derive_trial_seeds(11, 6)
     totals = np.array([0, 1, 50, 1000, 3, 10**6])
-    counts, stats = sample_trials(2.0, 0.9, totals, seed_states(seeds))
-    expected = [sample_statistics(2.0, n, 0.9, seed)
+    counts, stats = sample_trials(2.0, 0.9, totals, seeds)
+    expected = [exposure_statistics(2.0, n, 0.9, seed)
                 for n, seed in zip(totals.tolist(), seeds.tolist())]
     assert list(zip(counts.tolist(), stats.tolist())) == expected
-    assert poisson_counts(40.0, seed_states(seeds)).tolist() == [
-        poisson_count(40.0, seed) for seed in seeds.tolist()]
+    assert poisson_counts(40.0, seeds).tolist() == [
+        np.random.default_rng(seed).poisson(40.0) for seed in seeds.tolist()]
     with pytest.raises(ValueError, match="nonnegative"):
-        sample_trials(2.0, 0.9, np.array([3, -1]), seed_states(seeds[:2]))
+        sample_trials(2.0, 0.9, np.array([3, -1]), seeds[:2])
+    with pytest.raises(ValueError, match="seeds"):
+        sample_trials(2.0, 0.9, totals, seeds[:5])
 
 
 def test_sampling_is_bit_reproducible():
     a = sample_radii(2.0, 1000, seed=41)
     b = sample_radii(2.0, 1000, seed=41)
     c = sample_radii(2.0, 1000, seed=42)
-    assert np.array_equal(a.radii, b.radii)
-    assert not np.array_equal(a.radii, c.radii)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sampled_second_moment():
     """2 r^2 / w^2 is a unit exponential, so mean(2 r^2) estimates w^2."""
     w_sq = 3.7
-    sample = sample_radii(w_sq, 1_000_000, seed=11)
-    w_hat_sq = 2.0 * float(np.mean(sample.radii**2))
+    radii = sample_radii(w_sq, 1_000_000, seed=11)
+    w_hat_sq = 2.0 * float(np.mean(radii**2))
     assert w_hat_sq == pytest.approx(w_sq, rel=5e-3)
 
 
 def test_sampled_distribution_against_exponential_law():
-    sample = sample_radii(1.0, 100_000, seed=5)
-    pulls = 2.0 * sample.radii**2
+    pulls = 2.0 * sample_radii(1.0, 100_000, seed=5) ** 2
     statistic = stats.kstest(pulls, "expon").statistic
     assert statistic < 1.628 / math.sqrt(pulls.size)  # 1% critical value
 
@@ -112,32 +108,20 @@ def test_sampled_distribution_against_exponential_law():
 def test_two_seeds_give_statistically_compatible_samples():
     a = sample_radii(1.0, 30_000, seed=1)
     b = sample_radii(1.0, 30_000, seed=2)
-    assert stats.ks_2samp(a.radii, b.radii).pvalue > 0.01
+    assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
 def test_fraction_outside_information_boundary():
     w_sq = 4.0
     r_b = math.sqrt(w_sq / 2.0)
-    sample = sample_radii(w_sq, 1_000_000, seed=17)
-    fraction = count_outside(sample, r_b) / sample.total_count
+    radii = sample_radii(w_sq, 1_000_000, seed=17)
+    fraction = np.count_nonzero(radii > r_b) / radii.size
     # 5 sigma of a binomial at p = 1/e.
     assert abs(fraction - 1.0 / math.e) < 5.0 * math.sqrt(0.368 * 0.632 / 1e6)
 
 
-def test_count_outside_is_strict():
-    sample = DetectionSample(
-        radii=np.array([0.5, 1.0, 1.5]), width_sq=1.0, total_count=3, seed=0
-    )
-    assert count_outside(sample, 1.0) == 1
-    with pytest.raises(ValueError):
-        count_outside(sample, -0.1)
-
-
 def test_empty_sample_is_allowed():
-    sample = sample_radii(1.0, 0, seed=0)
-    assert sample.total_count == 0
-    assert sample.radii.shape == (0,)
-    assert count_outside(sample, 1.0) == 0
+    assert sample_radii(1.0, 0, seed=0).shape == (0,)
 
 
 def test_sample_validation():
@@ -145,20 +129,15 @@ def test_sample_validation():
         sample_radii(0.0, 10, seed=0)
     with pytest.raises(ValueError):
         sample_radii(1.0, -1, seed=0)
-    with pytest.raises(ValueError):
-        DetectionSample(radii=np.array([1.0]), width_sq=1.0, total_count=2, seed=0)
-    with pytest.raises(ValueError):
-        DetectionSample(radii=np.array([-1.0]), width_sq=1.0, total_count=1, seed=0)
 
 
 def test_poisson_count_moments():
-    draws = np.array([poisson_count(50.0, seed=s) for s in range(4000)])
+    draws = poisson_counts(50.0, np.arange(4000))
     assert draws.mean() == pytest.approx(50.0, abs=5.0 * math.sqrt(50.0 / 4000.0))
     # Fano factor of a Poisson law is 1.
     assert draws.var() / draws.mean() == pytest.approx(1.0, abs=0.1)
     with pytest.raises(ValueError):
-        poisson_count(-1.0, seed=0)
-
+        poisson_counts(-1.0, np.arange(1))
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +156,13 @@ MOMENT_SIGMAS = 5.0
 
 def _photon_oracle(n, r_b, seed):
     """Per-trial (k, t) of ``ORACLE_TRIALS`` exposures of n photons at unit
-    squared width, from photon radii: ``count_outside``'s strict rule and
+    squared width, from photon radii: the count strictly beyond r_b and
     the sum of 2 r^2, over blocks of trials drawn by ``sample_radii``."""
     per_call = max(1, 200_000 // n)
     k, t = [], []
     for block, start in enumerate(range(0, ORACLE_TRIALS, per_call)):
         trials = min(per_call, ORACLE_TRIALS - start)
-        radii = sample_radii(1.0, n * trials, derive_trial_seed(seed, block)).radii
-        radii = radii.reshape(trials, n)
+        radii = sample_radii(1.0, n * trials, trial_seed(seed, block)).reshape(trials, n)
         k.append(np.count_nonzero(radii > r_b, axis=1))
         t.append((2.0 * radii**2).sum(axis=1))
     return np.concatenate(k), np.concatenate(t)
@@ -211,7 +189,7 @@ def _chi2_homogeneity(a, b):
 
 @pytest.mark.parametrize("n, c", ORACLE_CASES)
 def test_statistics_sampler_matches_the_photon_oracle(n, c):
-    """``sample_statistics`` against photon radii, 2e4 fixed-seed trials a
+    """``sample_trials`` against photon radii, 2e4 fixed-seed trials a
     side: two-sample KS on t, chi-square on k and KS on t given the modal
     k, each at the Bonferroni level ORACLE_ALPHA = 1e-3 / 36 = 2.8e-5 (a
     correct sampler fails one of the 36 with probability below 1e-3 on a
@@ -220,10 +198,8 @@ def test_statistics_sampler_matches_the_photon_oracle(n, c):
     standard errors each (a chance failure per check: 5.7e-7)."""
     case = ORACLE_CASES.index((n, c))
     r_b = math.sqrt(c / 2.0)
-    draws = [sample_statistics(1.0, n, r_b, seed)
-             for seed in range(case * ORACLE_TRIALS, (case + 1) * ORACLE_TRIALS)]
-    k = np.array([d[0] for d in draws])
-    t = np.array([d[1] for d in draws])
+    seeds = np.arange(case * ORACLE_TRIALS, (case + 1) * ORACLE_TRIALS, dtype=np.uint64)
+    k, t = sample_trials(1.0, r_b, np.full(ORACLE_TRIALS, n), seeds)
     k_ref, t_ref = _photon_oracle(n, r_b, seed=1000 + case)
 
     mode = np.bincount(np.concatenate([k, k_ref])).argmax()
@@ -249,6 +225,12 @@ def test_statistics_sampler_matches_the_photon_oracle(n, c):
         )
 
 
+def _one_exposure(width_sq, n, r_b, seed):
+    """(k, t) of one exposure of ``n`` photons through ``sample_trials``."""
+    k, t = sample_trials(width_sq, r_b, np.array([n]), np.array([seed], dtype=np.uint64))
+    return int(k[0]), float(t[0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     width_sq=st.floats(min_value=1e-12, max_value=1e6),
@@ -263,11 +245,11 @@ def test_statistics_sampler_invariants(width_sq, n, c, seed):
     r_b = math.sqrt(c * width_sq / 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        k, t = sample_statistics(width_sq, n, r_b, seed)
+        k, t = _one_exposure(width_sq, n, r_b, seed)
     assert 0 <= k <= n
     assert t >= 2.0 * r_b * r_b / width_sq * k
     assert math.isfinite(t)
-    assert (k, t) == sample_statistics(width_sq, n, r_b, seed)
+    assert (k, t) == _one_exposure(width_sq, n, r_b, seed)
 
 
 @pytest.mark.parametrize("c", [1e-12, 2000.0])
@@ -276,25 +258,25 @@ def test_statistics_sampler_extreme_ratios(c):
     beyond the boundary, or none."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        k, t = sample_statistics(1.0, 1_600_000, math.sqrt(c / 2.0), seed=3)
+        k, t = _one_exposure(1.0, 1_600_000, math.sqrt(c / 2.0), seed=3)
     assert k == (1_600_000 if c < 1.0 else 0)
     assert t == pytest.approx(1_600_000, rel=5e-3)
 
 
 def test_statistics_sampler_empty_exposure_and_validation():
-    assert sample_statistics(1.0, 0, 0.5, seed=0) == (0, 0.0)
+    assert _one_exposure(1.0, 0, 0.5, seed=0) == (0, 0.0)
     for r_b in (0.0, -0.5, math.nan, math.inf, 1e200, 1e-200):
         with pytest.raises(ValueError, match="r_b"):
-            sample_statistics(1.0, 10, r_b, seed=0)
+            _one_exposure(1.0, 10, r_b, seed=0)
     with pytest.raises(ValueError):
-        sample_statistics(0.0, 10, 0.5, seed=0)
+        _one_exposure(0.0, 10, 0.5, seed=0)
     with pytest.raises(ValueError):
-        sample_statistics(1.0, -1, 0.5, seed=0)
+        _one_exposure(1.0, -1, 0.5, seed=0)
 
 
 def test_statistics_sampler_names_r_b_past_the_outside_sum_limit():
     # c = 1e-13 at 10^6 photons: the outside sum G would exceed numpy's
     # negative-binomial range.
     with pytest.raises(NumericalLimitError, match="r_b") as caught:
-        sample_statistics(1.0, 10**6, math.sqrt(0.5e-13), seed=0)
+        _one_exposure(1.0, 10**6, math.sqrt(0.5e-13), seed=0)
     assert "width_sq" in str(caught.value) and "c = " in str(caught.value)
