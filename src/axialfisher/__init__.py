@@ -48,7 +48,6 @@ from .estimators import (
 )
 from .fisher import (
     FisherScan,
-    NoGeometricImageError,
     NormalizationDriftError,
     OptimalPlanes,
     beam_fi_numeric,
@@ -68,7 +67,6 @@ from .fisher import (
     qfi_pure_state,
     qfi_via_generator,
     scan_image_fi,
-    width_log_derivative,
     width_response,
 )
 from .numerics import (
@@ -86,7 +84,6 @@ __all__ = [
     "EstimatorCalibration",
     "FisherScan",
     "ImageBeam",
-    "NoGeometricImageError",
     "NormalizationDriftError",
     "NumericalLimitError",
     "OptimalPlanes",
@@ -136,6 +133,5 @@ __all__ = [
     "sample_radii",
     "scan_image_fi",
     "wavefront_curvature",
-    "width_log_derivative",
     "width_response",
 ]

@@ -39,7 +39,6 @@ from .estimators import (
     run_trials,
 )
 from .fisher import (
-    NoGeometricImageError,
     NormalizationDriftError,
     fi_density,
     geometric_image_plane,
@@ -180,12 +179,6 @@ def _jsonify(value):
         return {key: _jsonify(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(item) for item in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return _jsonify(float(value))
-    if isinstance(value, np.ndarray):
-        return [_jsonify(item) for item in value.tolist()]
     return value
 
 
@@ -290,15 +283,12 @@ def beam_from_args(args) -> BeamParams:
             "specify exactly two of --wavelength/--waist/--rayleigh-range "
             f"(got {sorted(given) or 'none'})"
         )
-    try:
-        if "rayleigh-range" not in given:
-            return BeamParams(args.wavelength, args.waist)
-        if "wavelength" in given:
-            return BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
-        wavelength = math.pi * args.waist**2 / args.rayleigh_range
-        return BeamParams(wavelength, args.waist)
-    except ValueError as bad:
-        raise UsageError(str(bad)) from None
+    if "rayleigh-range" not in given:
+        return BeamParams(args.wavelength, args.waist)
+    if "wavelength" in given:
+        return BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
+    wavelength = math.pi * args.waist**2 / args.rayleigh_range
+    return BeamParams(wavelength, args.waist)
 
 
 def relay_from_args(args, required: bool = False) -> RelaySystem | None:
@@ -310,10 +300,7 @@ def relay_from_args(args, required: bool = False) -> RelaySystem | None:
         return None
     if args.focal is None or args.object_distance is None:
         raise UsageError("--focal and --object-distance must be given together")
-    try:
-        return RelaySystem(args.focal, args.object_distance)
-    except ValueError as bad:
-        raise UsageError(str(bad)) from None
+    return RelaySystem(args.focal, args.object_distance)
 
 
 def _beam_config(beam: BeamParams, relay: RelaySystem | None = None) -> dict:
@@ -331,18 +318,15 @@ def _beam_config(beam: BeamParams, relay: RelaySystem | None = None) -> dict:
 
 def _plane_markers(beam: BeamParams, relay: RelaySystem) -> dict:
     """The closed-form optimal planes behind ``relay`` and the geometric
-    image plane (None with the object at the front focal plane)."""
+    image plane (infinite, so null in JSON, with the object at the front
+    focal plane)."""
     planes = optimal_detection_planes(beam, relay)
-    try:
-        geometric = geometric_image_plane(relay)
-    except NoGeometricImageError:
-        geometric = None
     return {
         "alpha": planes.alpha,
         "fallback": math.isnan(planes.alpha),
         "plane_plus_m": planes.plane_plus,
         "plane_minus_m": planes.plane_minus,
-        "geometric_image_plane_m": geometric,
+        "geometric_image_plane_m": geometric_image_plane(relay),
     }
 
 
@@ -441,7 +425,7 @@ def cmd_optimal_plane(args) -> int:
         "preferred_plane_m": preferred_detection_plane(beam, relay),
         "qfi_per_m2": qfi,
     }
-    if geometric is not None:
+    if not math.isinf(geometric):
         payload["defocus_plus_m"] = plus - geometric
         payload["defocus_minus_m"] = minus - geometric
     out = _out_path(args, "optimal_plane.json")
@@ -456,16 +440,11 @@ def cmd_optimal_plane(args) -> int:
 
 
 def cmd_point_source(args) -> int:
-    try:
-        qfi = qfi_point_source(args.wavenumber, args.pupil_width, args.distance)
-        sigma_one = point_source_range_std(
-            args.wavenumber, args.pupil_width, args.distance, 1
-        )
-        sigma_n = point_source_range_std(
-            args.wavenumber, args.pupil_width, args.distance, args.detections
-        )
-    except ValueError as bad:
-        raise UsageError(str(bad)) from None
+    qfi = qfi_point_source(args.wavenumber, args.pupil_width, args.distance)
+    sigma_one = point_source_range_std(args.wavenumber, args.pupil_width, args.distance, 1)
+    sigma_n = point_source_range_std(
+        args.wavenumber, args.pupil_width, args.distance, args.detections
+    )
     config = {
         "command": "point-source",
         "detections": args.detections,
@@ -495,24 +474,19 @@ def cmd_simulate(args) -> int:
         plane = preferred_detection_plane(beam, relay)
     else:
         plane = -beam.rayleigh_range
-    try:
-        config = TrialConfig(
-            beam=beam,
-            detector_plane=plane,
-            true_delta=args.delta,
-            n_per_trial=args.n_per_trial,
-            trials=args.trials,
-            estimator=args.estimator,
-            base_seed=args.seed,
-            relay=relay,
-            poisson_total=args.poisson_total,
-            workers=args.workers,
-        )
-        report = run_trials(config)
-    except NumericalLimitError:
-        raise
-    except ValueError as bad:
-        raise UsageError(str(bad)) from None
+    config = TrialConfig(
+        beam=beam,
+        detector_plane=plane,
+        true_delta=args.delta,
+        n_per_trial=args.n_per_trial,
+        trials=args.trials,
+        estimator=args.estimator,
+        base_seed=args.seed,
+        relay=relay,
+        poisson_total=args.poisson_total,
+        workers=args.workers,
+    )
+    report = run_trials(config)
 
     rows = [
         (index, int(seed), int(total), int(outside), float(estimate))
@@ -553,13 +527,12 @@ def cmd_simulate(args) -> int:
 def cmd_reproduce_experiment(args) -> int:
     beam = BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
     plane = -beam.rayleigh_range
-    deltas = args.deltas if isinstance(args.deltas, list) else parse_delta_list(args.deltas)
     quantum_bound = 1.0 / math.sqrt(args.n_per_trial * qfi_gaussian(beam))
     fraction_bound = quantum_bound * math.sqrt(math.e - 1.0)
 
     config = {
         "command": "reproduce-experiment",
-        "deltas_m": ",".join(repr(d) for d in deltas),
+        "deltas_m": ",".join(repr(d) for d in args.deltas),
         "detector_plane_m": plane,
         "n_per_trial": args.n_per_trial,
         "seed": args.seed,
@@ -570,7 +543,7 @@ def cmd_reproduce_experiment(args) -> int:
     rows = []
     summaries = []
     failures = []
-    for delta in deltas:
+    for delta in args.deltas:
         mle = run_trials(
             TrialConfig(
                 beam=beam,

@@ -42,7 +42,7 @@ from numpy.typing import ArrayLike
 
 from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
 from .fisher import info_boundary, qfi_gaussian, width_response
-from .photon_sim import derive_trial_seeds, poisson_counts, sample_trials
+from .photon_sim import _POISSON_LAM_MAX, derive_trial_seeds, poisson_counts, sample_trials
 
 #: Slopes smaller than this (in units of 1 / z_R) mark a detection plane
 #: as carrying no usable first-order signal.
@@ -62,7 +62,6 @@ class EstimatorCalibration:
     first order f_out(z + delta) = f0 (1 + slope * delta).
     """
 
-    nominal_z: float
     r_b: float
     f0: float
     slope: float
@@ -97,7 +96,7 @@ def calibrate(
             f"plane {detector_plane!r} has |d ln f_out / dz| = {abs(slope)!r}; "
             "no usable axial signal"
         )
-    return EstimatorCalibration(nominal_z=detector_plane, r_b=r_b, f0=f0, slope=slope)
+    return EstimatorCalibration(r_b=r_b, f0=f0, slope=slope)
 
 
 def estimate_fraction(
@@ -200,6 +199,11 @@ class TrialConfig:
             raise ValueError(
                 f"n_per_trial must be positive and below 2**63 (numpy draws a photon "
                 f"count as a C long), got {self.n_per_trial}"
+            )
+        if self.poisson_total and float(self.n_per_trial) > _POISSON_LAM_MAX:
+            raise ValueError(
+                f"with poisson_total, n_per_trial must not exceed numpy's largest "
+                f"Poisson mean {_POISSON_LAM_MAX!r}, got {self.n_per_trial}"
             )
         if not 0 < self.trials < 2**32:
             raise ValueError(

@@ -41,7 +41,6 @@ from .beam_optics import (
     intensity_pdf,
     ray_matrix,
     ray_width_sq,
-    wavefront_curvature,
 )
 from .numerics import (
     DEFAULT_REL_TOL,
@@ -65,13 +64,15 @@ FD_STEP_FLOOR = 1e-12
 #: error estimate.
 PURE_STATE_NODES = (48, 96)
 
+#: Largest relative gap between the two pure-state rules.
+PURE_STATE_TOL = 1e-10
+
+#: Relative tolerance of the outside-fraction quadratures.
+FRACTION_QUAD_TOL = 1e-11
+
 #: |s -+ z_R| below this many Rayleigh ranges (s = object distance - f)
 #: puts one optimal plane at infinity.
 ALPHA_DEGENERACY_TOL = 1e-12
-
-
-class NoGeometricImageError(ValueError):
-    """Object at the front focal plane: the geometric image is at infinity."""
 
 
 class NormalizationDriftError(RuntimeError):
@@ -222,26 +223,22 @@ def qfi_via_generator(beam: BeamParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def width_log_derivative(beam: BeamParams, z: float) -> float:
-    """d/dz ln w^2(z) = 2 z / (z^2 + z_R^2), i.e. twice the curvature."""
-    return 2.0 * wavefront_curvature(beam, z)
-
-
 def classical_fi_analytic(beam: BeamParams, z: float) -> float:
     """Closed-form classical information of the transverse intensity.
 
-    F(z) = (d/dz ln w^2)^2 = 4 C(z)^2.  Equals the quantum bound at
-    z = +-z_R and vanishes at the waist.
+    F(z) = (d/dz ln w^2)^2 = 4 C(z)^2, the free-space case of
+    ``width_response``.  Equals the quantum bound at z = +-z_R and
+    vanishes at the waist.
     """
-    slope = width_log_derivative(beam, z)
+    slope = width_response(beam, None, z)[1]
     return slope * slope
 
 
 def classical_fi_numeric(
     width_fn: Callable[[float], float],
     z: float,
+    step: float,
     quad_tol: float = DEFAULT_REL_TOL,
-    step: float | None = None,
 ) -> float:
     """Classical information by direct radial quadrature of the score.
 
@@ -252,19 +249,14 @@ def classical_fi_numeric(
     the reference the closed form is validated against; it shares no
     algebra with ``classical_fi_analytic``.
 
-    ``step`` is the finite-difference step in meters.  Callers that know
-    the axial scale of ``width_fn`` should pass
-    ``max(1e-6 * scale, 1e-12)``; the default guesses from |z| and the
-    local width.
+    ``step`` is the finite-difference step in meters; for a width law of
+    axial scale ``scale``, ``max(1e-6 * scale, 1e-12)`` works.
     """
     if not 0.0 < quad_tol <= 1e-4:
         raise ValueError(f"quad_tol must lie in (0, 1e-4], got {quad_tol}")
     w_center = width_fn(z)
     if not (w_center > 0.0 and math.isfinite(w_center)):
         raise ValueError(f"width_fn returned a non-positive width {w_center!r} at z={z!r}")
-    if step is None:
-        scale = max(abs(z), math.sqrt(w_center))
-        step = max(FD_STEP_FRACTION * scale, FD_STEP_FLOOR)
 
     widths = {}
     for offset in (step, -step, 0.5 * step, -0.5 * step):
@@ -346,14 +338,13 @@ def geometric_image_plane(relay: RelaySystem) -> float:
     """Thin-lens image position f z / (z - f), from the lens.
 
     At this plane the relayed width is stationary in the object distance
-    and the intensity profile carries no axial information.
+    and the intensity profile carries no axial information.  With the
+    object at the front focal plane the image is at infinity: ``math.inf``.
     """
     f = relay.focal_length
     z = relay.object_distance
     if z == f:
-        raise NoGeometricImageError(
-            f"object at the focal distance {f!r}: geometric image is at infinity"
-        )
+        return math.inf
     return f * z / (z - f)
 
 
@@ -396,9 +387,8 @@ def preferred_detection_plane(beam: BeamParams, relay: RelaySystem) -> float:
     farther from the lens.
     """
     planes = optimal_detection_planes(beam, relay)
-    try:
-        anchor = geometric_image_plane(relay)
-    except NoGeometricImageError:
+    anchor = geometric_image_plane(relay)
+    if math.isinf(anchor):
         return max(planes.plane_plus, planes.plane_minus)
     if abs(planes.plane_plus - anchor) >= abs(planes.plane_minus - anchor):
         return planes.plane_plus
@@ -435,9 +425,7 @@ def info_boundary(width_sq: float) -> float:
     return math.sqrt(0.5 * width_sq)
 
 
-def info_fraction_outside(
-    width_sq: float, r_b: float, rel_tol: float = 1e-11
-) -> float:
+def info_fraction_outside(width_sq: float, r_b: float) -> float:
     """Fraction of the classical information carried by radii beyond r_b.
 
     Quadrature ratio of the radial density; the slope factor cancels, so
@@ -456,8 +444,10 @@ def info_fraction_outside(
         return r * p * t * t
 
     scale = math.sqrt(width_sq)
-    total = integral_to_infinity(shape, scale=scale, rel_tol=rel_tol)
-    outside = integral_to_infinity(shape, scale=scale, lower=r_b, rel_tol=rel_tol)
+    total = integral_to_infinity(shape, scale=scale, rel_tol=FRACTION_QUAD_TOL)
+    outside = integral_to_infinity(
+        shape, scale=scale, lower=r_b, rel_tol=FRACTION_QUAD_TOL
+    )
     return outside / total
 
 
@@ -488,7 +478,6 @@ def qfi_pure_state(
     field_family: FieldFamily,
     z: float,
     step: float | None = None,
-    quad_tol: float = 1e-10,
     transverse_scale: float | None = None,
 ) -> float:
     """Quantum information of a pure radial field family at parameter z.
@@ -510,9 +499,9 @@ def qfi_pure_state(
     shape (``beam_optics.FieldProfile``); each is evaluated once on each
     node set.  Q is computed on 48 and on 96 nodes, and the 96-node value
     is returned.  Their gap is the error estimate: ``QuadratureError``
-    is raised when it exceeds ``quad_tol`` |Q| (plus a roundoff floor that
-    lets a frozen family return Q = 0), e.g. when ``transverse_scale`` is
-    far from the field's actual width.
+    is raised when it exceeds ``PURE_STATE_TOL`` |Q| (plus a roundoff
+    floor that lets a frozen family return Q = 0), e.g. when
+    ``transverse_scale`` is far from the field's actual width.
 
     ``step`` defaults to 1e-3 |z| (an explicit value is required at
     z = 0) and is then refined once against the result: sqrt(Q) is the
@@ -587,7 +576,7 @@ def qfi_pure_state(
         # d_z psi; a gap below that floor says nothing about the rule.
         floor = (1e3 * np.finfo(float).eps / h) ** 2
         gap = abs(coarse - fine)
-        if not gap <= quad_tol * abs(fine) + floor:
+        if not gap <= PURE_STATE_TOL * abs(fine) + floor:
             raise QuadratureError(
                 f"pure-state information differs by {gap!r} between "
                 f"{PURE_STATE_NODES[0]} and {PURE_STATE_NODES[1]} Gauss-Laguerre "
@@ -613,6 +602,10 @@ def qfi_point_source(wavenumber: float, pupil_width: float, z: float) -> float:
         raise ValueError(f"pupil width must be positive, got {pupil_width}")
     if z == 0.0:
         raise ValueError("source distance must be nonzero")
+    for name, value in (("wavenumber", wavenumber), ("pupil width", pupil_width),
+                        ("source distance", z)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return (wavenumber * pupil_width * pupil_width) ** 2 / (4.0 * z**4)
 
 

@@ -71,8 +71,9 @@ from .numerics import NumericalLimitError
 _DIGITS = 64
 _DIGIT_WEIGHTS = np.ldexp(1.0, -np.arange(1, _DIGITS + 1))
 
-#: numpy's largest accepted Poisson mean, which its negative-binomial
-#: draw checks (1 - p) / p * (n + 10 sqrt(n)) against.
+#: numpy's largest accepted Poisson mean.  Its negative-binomial draw
+#: checks (1 - p) / p * (n + 10 sqrt(n)) against it, and ``TrialConfig``
+#: checks a Poisson-total ``n_per_trial`` against it.
 _INT64_MAX = np.iinfo(np.int64).max
 _POISSON_LAM_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
 

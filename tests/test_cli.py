@@ -11,7 +11,7 @@ import pytest
 
 import axialfisher
 from axialfisher import cli, photon_sim
-from axialfisher.beam_optics import BeamParams
+from axialfisher.beam_optics import BeamParams, RelaySystem
 from axialfisher.cli import (
     DEFAULT_SEED,
     EXIT_CHECK_FAILED,
@@ -27,6 +27,7 @@ from axialfisher.cli import (
     render_header,
 )
 from axialfisher.estimators import TrialConfig, run_trials
+from axialfisher.fisher import preferred_detection_plane
 from axialfisher.numerics import QuadratureError
 
 
@@ -235,6 +236,25 @@ def test_optimal_plane_numeric_fallback(tmp_path):
     assert payload["fi_over_qfi_minus"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["optimal-plane", "fi-scan"])
+def test_object_at_the_front_focal_plane_has_no_geometric_image(tmp_path, command):
+    """With the object at the front focal plane the geometric image is at
+    infinity: its marker is null and no defocus is reported."""
+    out = tmp_path / "markers.json"
+    argv = [command, *UNIT_BEAM, "--focal", "1m", "--object-distance", "1m",
+            "--out", str(out)]
+    if command == "fi-scan":
+        argv += ["--zmin", "0.5m", "--zmax", "2m", "--steps", "11", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(out.read_text())
+    markers = payload["markers"] if command == "fi-scan" else payload
+    assert markers["geometric_image_plane_m"] is None
+    assert (markers["plane_plus_m"], markers["plane_minus_m"]) == (0.0, 2.0)
+    assert not [key for key in payload if key.startswith("defocus")]
+    if command == "optimal-plane":
+        assert payload["preferred_plane_m"] == 2.0
+
+
 def test_fi_density_summary(tmp_path):
     out = tmp_path / "density.csv"
     assert main(["fi-density", *UNIT_BEAM, "--out", str(out)]) == EXIT_OK
@@ -320,6 +340,24 @@ def test_simulate_writes_per_trial_csv(tmp_path):
     assert "trials" not in sidecar
 
 
+def test_simulate_behind_a_relay_detects_at_the_preferred_plane(tmp_path):
+    """Behind a relay the default detector plane is the preferred optimal
+    plane; ``--plane`` overrides it."""
+    relay_flags = ("--focal", "10mm", "--object-distance", "10.5mm")
+    argv = ["simulate", *SMALL_BEAM, *relay_flags, "--estimator", "mle",
+            "--n-per-trial", "2000", "--trials", "4"]
+    beam = BeamParams.from_rayleigh_range(parse_length("632.8nm"), parse_length("18.9um"))
+    relay = RelaySystem(parse_length("10mm"), parse_length("10.5mm"))
+    for extra, plane in (((), preferred_detection_plane(beam, relay)),
+                         (("--plane", "250mm"), parse_length("250mm"))):
+        out = tmp_path / "run.csv"
+        assert main([*argv, *extra, "--out", str(out)]) == EXIT_OK
+        config = parse_run_header(out.read_text().splitlines()[0])
+        assert config["detector_plane_m"] == plane
+        assert (config["focal_m"], config["object_distance_m"]) == (
+            relay.focal_length, relay.object_distance)
+
+
 def test_simulate_names_n_per_trial_past_a_c_long(tmp_path, monkeypatch, capsys):
     """numpy draws a photon count as a C long: 2**63 photons is a usage
     error naming n_per_trial, and 2**63 - 1 still runs."""
@@ -332,6 +370,22 @@ def test_simulate_names_n_per_trial_past_a_c_long(tmp_path, monkeypatch, capsys)
     assert not list(tmp_path.iterdir())
     assert main([*argv, str(2**63 - 1), "--out", "run.csv"]) == EXIT_OK
     assert (tmp_path / "run.csv").read_text().splitlines()[2].split(",")[2] == str(2**63 - 1)
+
+
+def test_simulate_names_n_per_trial_past_the_poisson_limit(tmp_path, monkeypatch, capsys):
+    """numpy's Poisson draw takes means up to ~9.2234e18, below 2**63: a
+    Poisson-total run past it is a usage error naming n_per_trial, and
+    9e18 photons still run."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", *SMALL_BEAM, "--poisson-total", "--estimator", "fraction-absolute",
+            "--trials", "2", "--n-per-trial"]
+    assert main([*argv, str(2**63 - 1)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: with poisson_total, n_per_trial must not exceed numpy's largest Poisson "
+        f"mean {photon_sim._POISSON_LAM_MAX!r}, got {2**63 - 1}\n"
+    )
+    assert not list(tmp_path.iterdir())
+    assert main([*argv, str(9 * 10**18), "--out", "run.csv"]) == EXIT_OK
 
 
 def test_monte_carlo_commands_do_not_import_scipy(tmp_path):
@@ -635,6 +689,76 @@ def test_usage_errors_exit_one(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err
+
+
+def test_config_file_true_line_sets_a_flag(tmp_path, capsys):
+    """A ``check = true`` line passes ``--check``; ``--config=PATH`` works
+    like ``--config PATH``."""
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("n_per_trial = 2000\ntrials = 20\ndeltas = 18900nm\ncheck = true\n")
+    out = tmp_path / "out.csv"
+    argv = ["reproduce-experiment", f"--config={cfg}", "--out", str(out)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert "CHECK FAILED" in capsys.readouterr().err
+    assert json.loads(out.with_suffix(".json").read_text())["checks"]["enabled"] is True
+
+
+_CONFIG_FILES = {
+    "check.cfg": "check = true\n",
+    "bad.cfg": "# reduced run\nn_per_trial 1000\n",
+}
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["simulate", *SMALL_BEAM, "--seed", "abc"], "seed must be an integer, got 'abc'"),
+        (["simulate", *SMALL_BEAM, "--seed", str(2**64)],
+         f"seed must fit in 64 bits, got {2**64}"),
+        (["simulate", *SMALL_BEAM, "--trials", "x"], "expected an integer, got 'x'"),
+        (["simulate", *SMALL_BEAM, "--trials", "0"], "expected a positive integer, got 0"),
+        (["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "1m", "--zmax", "1m"],
+         "--zmax must exceed --zmin"),
+        (["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "0m", "--zmax", "1m", "--steps", "1"],
+         "--steps must be at least 2"),
+        (["fi-density", *UNIT_BEAM, "--steps", "1"], "--steps must be at least 2"),
+        (["fi-density", *UNIT_BEAM, "--rmax", "0m"], "--rmax must be positive"),
+        (["simulate", *SMALL_BEAM, "--focal", "1m"],
+         "--focal and --object-distance must be given together"),
+        (["fi-scan", *UNIT_BEAM, "--zmin", "0m", "--zmax", "1m"],
+         "fi-scan needs a relay: --focal and --object-distance"),
+        (["fi-scan", "--wavelength=-1nm", "--waist", "1um", *RELAY, "--zmin", "0m",
+          "--zmax", "1m"], "wavelength must be positive, got -1e-09"),
+        (["simulate", "--wavelength", "1nm", "--rayleigh-range=-1um"],
+         "rayleigh range must be positive, got -1e-06"),
+        (["optimal-plane", *UNIT_BEAM, "--focal", "0m", "--object-distance", "1m"],
+         "focal length must be finite and nonzero, got 0.0"),
+        (["point-source", "--wavenumber", "-1", "--pupil-width", "1m", "--distance", "1km"],
+         "wavenumber must be positive, got -1.0"),
+        (["point-source", "--wavenumber", "nan", "--pupil-width", "1m",
+          "--distance", "200km"], "wavenumber must be finite, got nan"),
+        (["point-source", "--wavenumber", "inf", "--pupil-width", "1m",
+          "--distance", "200km"], "wavenumber must be finite, got inf"),
+        (["simulate", *UNIT_BEAM, "--plane", "0m", "--n-per-trial", "10", "--trials", "2"],
+         "plane 0.0 has |d ln f_out / dz| = 0.0; no usable axial signal"),
+        (["simulate", *SMALL_BEAM, "--config", "check.cfg"],
+         "unrecognized arguments: --check"),
+        (["simulate", *SMALL_BEAM, "--config=bad.cfg"],
+         "bad.cfg:2: expected key=value, got 'n_per_trial 1000'"),
+    ],
+    ids=["seed-text", "seed-range", "int-text", "int-zero", "zmax", "scan-steps",
+         "density-steps", "rmax", "one-relay-flag", "scan-without-relay", "wavelength",
+         "rayleigh-range", "focal", "wavenumber", "wavenumber-nan", "wavenumber-inf",
+         "uninformative-plane", "config-true-line", "config-malformed"],
+)
+def test_usage_errors_exit_one_with_the_message(argv, message, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(_CONFIG_FILES)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from axialfisher import photon_sim
 from axialfisher.beam_optics import (
     BeamParams,
     RelaySystem,
@@ -61,11 +62,11 @@ def test_calibration_rejects_uninformative_planes():
 
 def test_calibration_dataclass_validation():
     with pytest.raises(ValueError):
-        EstimatorCalibration(nominal_z=1.0, r_b=-1.0, f0=0.3, slope=1.0)
+        EstimatorCalibration(r_b=-1.0, f0=0.3, slope=1.0)
     with pytest.raises(ValueError):
-        EstimatorCalibration(nominal_z=1.0, r_b=1.0, f0=1.5, slope=1.0)
+        EstimatorCalibration(r_b=1.0, f0=1.5, slope=1.0)
     with pytest.raises(ValueError):
-        EstimatorCalibration(nominal_z=1.0, r_b=1.0, f0=0.3, slope=0.0)
+        EstimatorCalibration(r_b=1.0, f0=0.3, slope=0.0)
 
 
 def test_binarized_information_ratio():
@@ -245,6 +246,18 @@ def test_trial_config_rejects_trial_indices_past_one_word(trials):
     with pytest.raises(ValueError, match="trials"):
         _config(trials=trials)
     assert _config(trials=2**32 - 1).trials == 2**32 - 1
+
+
+def test_trial_config_rejects_poisson_means_past_numpy_limit():
+    """numpy's Poisson draw rejects a mean above ~9.2234e18, below 2**63.
+    With Poisson totals a larger n_per_trial is named as the input at
+    fault, and at the limit itself numpy still draws."""
+    limit = int(photon_sim._POISSON_LAM_MAX)
+    with pytest.raises(ValueError, match="n_per_trial"):
+        _config(n_per_trial=limit + 1024, poisson_total=True)
+    assert _config(n_per_trial=limit + 1024).n_per_trial == limit + 1024
+    config = _config(n_per_trial=limit, poisson_total=True)
+    assert np.random.default_rng(0).poisson(config.n_per_trial) > 0
 
 
 def test_run_trials_is_reproducible():

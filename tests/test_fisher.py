@@ -14,11 +14,11 @@ from axialfisher.beam_optics import (
     image_beam_width_sq,
     pupil_field_family,
     relay_transform,
+    wavefront_curvature,
 )
 from axialfisher.fisher import (
     ALPHA_DEGENERACY_TOL,
     FisherScan,
-    NoGeometricImageError,
     NormalizationDriftError,
     beam_fi_numeric,
     classical_fi_analytic,
@@ -37,7 +37,6 @@ from axialfisher.fisher import (
     qfi_pure_state,
     qfi_via_generator,
     scan_image_fi,
-    width_log_derivative,
     width_response,
 )
 from axialfisher.numerics import (
@@ -112,12 +111,12 @@ def test_quadrature_route_matches_closed_form_on_a_grid():
 
 def test_quadrature_route_rejects_sloppy_tolerance():
     with pytest.raises(ValueError):
-        classical_fi_numeric(lambda z: beam_width_sq(UNIT, z), 1.0, quad_tol=1e-3)
+        classical_fi_numeric(lambda z: beam_width_sq(UNIT, z), 1.0, 1e-6, quad_tol=1e-3)
 
 
 def test_quadrature_route_rejects_bad_width_function():
     with pytest.raises(ValueError):
-        classical_fi_numeric(lambda z: -1.0, 1.0)
+        classical_fi_numeric(lambda z: -1.0, 1.0, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def test_width_response_in_free_space_is_the_curvature_law():
     for z in (-3.0, -1.0, 0.25, 2.0):
         w_sq, slope = width_response(HENE, None, z * HENE.rayleigh_range)
         assert w_sq == beam_width_sq(HENE, z * HENE.rayleigh_range)
-        assert slope == width_log_derivative(HENE, z * HENE.rayleigh_range)
+        assert slope == 2.0 * wavefront_curvature(HENE, z * HENE.rayleigh_range)
 
 
 def test_image_width_sensitivity_matches_finite_differences():
@@ -299,13 +298,29 @@ def test_width_response_matches_exact_arithmetic(geometry):
 
 def test_geometric_image_plane():
     assert geometric_image_plane(RELAY) == pytest.approx(GEOMETRIC, rel=1e-15)
-    with pytest.raises(NoGeometricImageError):
-        geometric_image_plane(RelaySystem(1.0, 1.0))
+    assert geometric_image_plane(RelaySystem(1.0, 1.0)) == math.inf
 
 
 def test_preferred_plane_is_farther_from_geometric_image():
     # |4/3 - 5/4| = 1/12 > |6/5 - 5/4| = 1/20.
     assert preferred_detection_plane(UNIT, RELAY) == pytest.approx(PLANE_PLUS, rel=1e-12)
+
+
+def test_preferred_plane_can_be_the_minus_plane():
+    # Object inside the focal length (s = -1/2): z'_+ = 1/3, z'_- = 3 and a
+    # virtual geometric image at -1, so the minus plane is the farther one.
+    relay = RelaySystem(1.0, 0.5)
+    planes = optimal_detection_planes(UNIT, relay)
+    assert planes.plane_minus == pytest.approx(3.0, rel=1e-15)
+    assert preferred_detection_plane(UNIT, relay) == planes.plane_minus
+
+
+def test_preferred_plane_without_a_geometric_image_is_the_one_farther_from_the_lens():
+    # Object at the front focal plane (s = 0): z'_+ = 0 and z'_- = 2.
+    relay = RelaySystem(1.0, 1.0)
+    planes = optimal_detection_planes(UNIT, relay)
+    assert (planes.plane_plus, planes.plane_minus) == (0.0, 2.0)
+    assert preferred_detection_plane(UNIT, relay) == 2.0
 
 
 def test_scan_shape_and_structure():
@@ -346,7 +361,7 @@ def test_scan_rejects_values_above_quantum_bound():
 def test_density_integrates_to_total_information():
     z = -HENE.rayleigh_range
     w_sq = beam_width_sq(HENE, z)
-    dw_sq = w_sq * width_log_derivative(HENE, z)
+    dw_sq = w_sq * 2.0 * wavefront_curvature(HENE, z)
     total = 2.0 * math.pi * integral_to_infinity(
         lambda r: fi_density(w_sq, dw_sq, r), scale=math.sqrt(w_sq), rel_tol=1e-11
     )
@@ -560,6 +575,24 @@ def test_point_source_validation():
         qfi_point_source(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         point_source_range_std(1.0, 1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize(
+    ("inputs", "name"),
+    [
+        ((math.nan, 1.0, 1.0), "wavenumber"),
+        ((math.inf, 1.0, 1.0), "wavenumber"),
+        ((1.0, math.nan, 1.0), "pupil width"),
+        ((1.0, math.inf, 1.0), "pupil width"),
+        ((1.0, 1.0, math.nan), "source distance"),
+        ((1.0, 1.0, -math.inf), "source distance"),
+    ],
+)
+def test_point_source_rejects_non_finite_inputs(inputs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        qfi_point_source(*inputs)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        point_source_range_std(*inputs, 1)
 
 
 def test_public_names_resolve():
