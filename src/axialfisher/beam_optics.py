@@ -174,18 +174,18 @@ def gouy_phase(beam: BeamParams, z: float) -> float:
     return math.atan2(z, beam.rayleigh_range)
 
 
-def intensity_pdf(width_sq: float, r: float) -> float:
-    """Normalized transverse intensity at radius r for a beam of squared
-    width ``width_sq``.
+def intensity_pdf(width_sq: float, r):
+    """Normalized transverse intensity at radius r (a float or an array
+    of radii) for a beam of squared width ``width_sq``.
 
     p(r) = 2 / (pi w^2) * exp(-2 r^2 / w^2), with
     integral of p(r) * 2 pi r dr over [0, inf) equal to one.
     """
     if width_sq <= 0.0:
         raise ValueError(f"width_sq must be positive, got {width_sq}")
-    if r < 0.0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    return 2.0 / (math.pi * width_sq) * math.exp(-2.0 * r * r / width_sq)
+    if np.any(np.asarray(r) < 0.0):
+        raise ValueError(f"radius must be nonnegative, got {np.min(r)}")
+    return 2.0 / (math.pi * width_sq) * np.exp(-2.0 * r * r / width_sq)
 
 
 def relay_transform(beam: BeamParams, relay: RelaySystem) -> ImageBeam:

@@ -288,10 +288,20 @@ def beam_from_args(args) -> BeamParams:
     if "wavelength" in given:
         return BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
     wavelength = math.pi * args.waist**2 / args.rayleigh_range
+    if not (wavelength > 0.0 and math.isfinite(wavelength)):
+        raise UsageError(
+            f"--waist {args.waist!r} m and --rayleigh-range {args.rayleigh_range!r} m "
+            f"give the wavelength pi w0^2 / z_R = {wavelength!r} m, which is not "
+            "positive and finite"
+        )
     return BeamParams(wavelength, args.waist)
 
 
-def relay_from_args(args, required: bool = False) -> RelaySystem | None:
+def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySystem | None:
+    """The relay of --focal and --object-distance, if given.  A focal
+    length so short that its optimal planes f + f^2 / (s -+ z_R) round
+    to the focal plane, where the ray matrix has A = 0 and carries no
+    information, is a numerical limit."""
     if args.focal is None and args.object_distance is None:
         if required:
             raise UsageError(
@@ -300,7 +310,14 @@ def relay_from_args(args, required: bool = False) -> RelaySystem | None:
         return None
     if args.focal is None or args.object_distance is None:
         raise UsageError("--focal and --object-distance must be given together")
-    return RelaySystem(args.focal, args.object_distance)
+    relay = RelaySystem(args.focal, args.object_distance)
+    planes = optimal_detection_planes(beam, relay)
+    if relay.focal_length in (planes.plane_plus, planes.plane_minus):
+        raise NumericalLimitError(
+            f"--focal {args.focal!r} m is too short for double precision: the "
+            "optimal planes f + f^2 / (s -+ z_R) round to the focal plane"
+        )
+    return relay
 
 
 def _beam_config(beam: BeamParams, relay: RelaySystem | None = None) -> dict:
@@ -332,7 +349,7 @@ def _plane_markers(beam: BeamParams, relay: RelaySystem) -> dict:
 
 def cmd_fi_scan(args) -> int:
     beam = beam_from_args(args)
-    relay = relay_from_args(args, required=True)
+    relay = relay_from_args(args, beam, required=True)
     if not args.zmax > args.zmin:
         raise UsageError("--zmax must exceed --zmin")
     if args.steps < 2:
@@ -359,7 +376,7 @@ def cmd_fi_scan(args) -> int:
 
 def cmd_fi_density(args) -> int:
     beam = beam_from_args(args)
-    relay = relay_from_args(args)
+    relay = relay_from_args(args, beam)
     if args.plane is not None:
         plane = args.plane
     elif relay is not None:
@@ -379,8 +396,8 @@ def cmd_fi_density(args) -> int:
         raise UsageError("--rmax must be positive")
 
     radii = np.linspace(0.0, rmax, args.steps)
-    density = np.array([fi_density(w_sq, dw_sq, r) for r in radii])
-    intensity = np.array([intensity_pdf(w_sq, r) for r in radii])
+    density = fi_density(w_sq, dw_sq, radii)
+    intensity = intensity_pdf(w_sq, radii)
     r_b = info_boundary(w_sq)
 
     config = {
@@ -408,7 +425,7 @@ def cmd_fi_density(args) -> int:
 
 def cmd_optimal_plane(args) -> int:
     beam = beam_from_args(args)
-    relay = relay_from_args(args, required=True)
+    relay = relay_from_args(args, beam, required=True)
     config = {
         "command": "optimal-plane",
         **_beam_config(beam, relay),
@@ -467,7 +484,7 @@ def cmd_point_source(args) -> int:
 
 def cmd_simulate(args) -> int:
     beam = beam_from_args(args)
-    relay = relay_from_args(args)
+    relay = relay_from_args(args, beam)
     if args.plane is not None:
         plane = args.plane
     elif relay is not None:

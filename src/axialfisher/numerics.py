@@ -1,21 +1,24 @@
 """Shared numerical kernels.
 
-Three tools live here because several physics modules need them in the
-same form: an adaptive quadrature for semi-infinite radial integrals, a
+Four tools live here because several physics modules need them in the
+same form: an adaptive Gauss-Kronrod quadrature for radial integrals, a
 fixed Gauss-Laguerre rule for Gaussian-windowed radial inner products,
-and a Richardson-extrapolated central difference for axial derivatives.
+the Bessel function J0, and a Richardson-extrapolated central difference
+for axial derivatives.
 
 The radial integrals all have the shape ``integral of f(r) dr from a to
 infinity`` with an integrand that decays on a known transverse length
 scale.  Mapping ``r = a + scale * t / (1 - t)`` compresses the half-line
 onto ``t in [0, 1)`` so that the integrand's mass lands at moderate ``t``
 and the adaptive rule can resolve it with a bounded number of panels.
+Integrands take an array of points and return an array of the same
+shape: each round of the adaptive rule evaluates them once on every
+panel it still has to resolve.
 
-``scipy.integrate`` is imported on first use, not with the package, so
-commands that never integrate (the Monte Carlo runs) do not pay for it.
-It is bound to this module's ``integrate`` global on first access, and
-the adaptive rule reads that global at call time, so rebinding
-``numerics.integrate`` (to a tracing proxy, say) takes effect.
+Everything here is numpy; scipy is not imported.  The module still
+resolves ``numerics.integrate`` to ``scipy.integrate`` on first access,
+because the benchmark's tracer (``perfbench/tracer.py``) reads that name
+when it installs; no library code reads it.
 """
 
 from __future__ import annotations
@@ -29,14 +32,60 @@ import numpy as np
 #: Default relative tolerance for radial quadratures.
 DEFAULT_REL_TOL = 1e-9
 
-#: Hard cap on adaptive subdivisions.  Hitting it raises QuadratureError
-#: instead of silently returning a degraded estimate.
+#: Hard cap on the adaptive rule's panels.  Hitting it raises
+#: QuadratureError instead of silently returning a degraded estimate.
 SUBDIVISION_CAP = 200
+
+#: Midpoint nodes of Bessel's integral in ``bessel_j0`` over [0, pi].
+BESSEL_NODES = 384
+
+Integrand = Callable[[np.ndarray], np.ndarray]
+
+# QUADPACK's qk15 on [-1, 1]: the Kronrod abscissae from 1 down to 0 and
+# their weights, and the weights of the embedded 7-point Gauss rule,
+# whose nodes are every other abscissa (zero weight at the others).
+_XGK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_WG = (
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+)
+
+
+def _mirrored(half: tuple[float, ...], sign: float = 1.0) -> np.ndarray:
+    """The 15 node values from the 8 given for x >= 0, ordered from -1."""
+    return np.array([sign * v for v in half[:-1]] + list(reversed(half)))
+
+
+_NODES = _mirrored(_XGK, -1.0)
+_KRONROD_WEIGHTS = _mirrored(_WGK)
+_GAUSS_WEIGHTS = _mirrored(_WG)
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+#: Equal panels the adaptive rule starts from.
+_INITIAL_PANELS = 16
+
+#: A panel narrower than this, relative to its endpoints, is not split:
+#: the nodes of its halves would round onto their ends.
+_NARROWEST_PANEL = 2000.0 * _EPS
 
 
 def __getattr__(name: str):
-    # PEP 562: import scipy.integrate on first access and cache it, so the
-    # later lookups find the global without coming back here.
+    # PEP 562: perfbench/tracer.py reads ``numerics.integrate`` when it
+    # installs, so the name still resolves (to scipy.integrate, imported
+    # on first access and cached).  The quadrature does not use it.
     if name == "integrate":
         from scipy import integrate
 
@@ -69,7 +118,7 @@ class QuadratureError(RuntimeError):
 
 
 def integral_to_infinity(
-    fn: Callable[[float], float],
+    fn: Integrand,
     scale: float,
     lower: float = 0.0,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -80,23 +129,24 @@ def integral_to_infinity(
     Parameters
     ----------
     fn : callable
-        Real-valued integrand of one real variable.
+        Real-valued integrand: takes an array of points and returns the
+        values as an array of the same shape.
     scale : float
         Decay length of the integrand, used to condition the change of
         variable.  Must be positive.
     lower : float
         Lower limit of integration.
     rel_tol, abs_tol : float
-        Tolerances handed to the adaptive rule.  ``abs_tol`` defaults to
-        zero so the request is purely relative; pass a small floor when
-        the integrand itself can be tiny (oscillatory transforms).
+        Tolerances of the adaptive rule.  ``abs_tol`` defaults to zero so
+        the request is purely relative; pass a small floor when the
+        integrand itself can be tiny (oscillatory transforms).
     """
     if scale <= 0.0:
         raise ValueError(f"quadrature scale must be positive, got {scale}")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
 
-    def mapped(t: float) -> float:
+    def mapped(t: np.ndarray) -> np.ndarray:
         u = 1.0 - t
         return fn(lower + scale * t / u) * scale / (u * u)
 
@@ -104,52 +154,134 @@ def integral_to_infinity(
 
 
 def finite_integral(
-    fn: Callable[[float], float],
+    fn: Integrand,
     lower: float,
     upper: float,
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = 0.0,
 ) -> float:
-    """Integrate ``fn`` over ``[lower, upper]`` with the same failure
-    contract as ``integral_to_infinity``.
+    """Integrate ``fn`` over ``[lower, upper]`` with the same integrand
+    and failure contract as ``integral_to_infinity``.
 
     Meant for integrands whose tails are known to underflow before a
     finite cutoff (e.g. Gaussian-windowed oscillatory transforms), where
     an explicit truncation behaves far better than a mapped half-line.
     """
-    if not upper > lower:
-        raise ValueError(f"need upper > lower, got [{lower}, {upper}]")
+    if not (upper > lower and math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(f"need finite upper > lower, got [{lower}, {upper}]")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     return _checked_quad(fn, lower, upper, rel_tol, abs_tol, "finite")
 
 
-def _checked_quad(
-    fn: Callable[[float], float], lower: float, upper: float, rel_tol: float,
-    abs_tol: float, kind: str,
-) -> float:
-    """``quad`` over ``[lower, upper]`` that raises ``QuadratureError``
-    instead of returning an unconverged value.  ``kind`` names the
-    integral in the message."""
-    integrate = globals().get("integrate") or __getattr__("integrate")
-    out = integrate.quad(
-        fn,
-        lower,
-        upper,
-        epsabs=abs_tol,
-        epsrel=rel_tol,
-        limit=SUBDIVISION_CAP,
-        full_output=True,
-    )
-    value, estimate = out[0], out[1]
-    if len(out) > 3:
-        # quad appends an explanation exactly when it could not converge
-        raise QuadratureError(
-            f"{kind} quadrature did not converge: "
-            f"{out[3]} (value={value!r}, error estimate={estimate!r})",
-            estimate=estimate,
+def _kronrod_panels(
+    fn: Integrand, lo: np.ndarray, hi: np.ndarray, kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integral and error estimate of the 15-point Kronrod rule on each
+    panel ``[lo[i], hi[i]]``, from one call of ``fn`` on all their nodes.
+
+    The error is QUADPACK's: the Kronrod-Gauss gap ``|K - G|``, scaled by
+    ``resasc * min(1, (200 |K - G| / resasc)^1.5)`` with ``resasc`` the
+    integral of ``|f - K / (hi - lo)|``, and never below 50 ulps of the
+    integral of ``|f|``.
+    """
+    half = 0.5 * (hi - lo)
+    points = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    values = np.asarray(fn(points), dtype=float)
+    if values.shape != points.shape:
+        raise ValueError(
+            f"integrand returned shape {values.shape} for points of shape "
+            f"{points.shape}; it must take and return arrays"
         )
-    return value
+    if not np.isfinite(values).all():
+        where = float(points[~np.isfinite(values)][0])
+        raise QuadratureError(
+            f"{kind} quadrature: the integrand is not finite at {where!r}"
+        )
+    kronrod = values @ _KRONROD_WEIGHTS
+    gap = np.abs(kronrod - values @ _GAUSS_WEIGHTS) * half
+    resabs = np.abs(values) @ _KRONROD_WEIGHTS * half
+    resasc = np.abs(values - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS * half
+    # resasc min(1, (200 gap / resasc)^1.5), read as 0 where resasc = 0
+    # (a constant integrand, whose gap is roundoff below the floor).
+    ratio = np.minimum(200.0 * gap, resasc) / np.maximum(resasc, _TINY)
+    error = np.maximum(resasc * ratio**1.5, 50.0 * _EPS * resabs)
+    return kronrod * half, error
+
+
+def _checked_quad(
+    fn: Integrand, lower: float, upper: float, rel_tol: float, abs_tol: float,
+    kind: str,
+) -> float:
+    """Globally adaptive Gauss-Kronrod 7/15 quadrature over
+    ``[lower, upper]`` that raises ``QuadratureError`` instead of
+    returning an unconverged value.  ``kind`` names the integral in the
+    message.
+
+    The rule starts from ``_INITIAL_PANELS`` equal panels, and each round
+    evaluates the integrand once on the nodes of every panel made in the
+    previous round.  It stops when the summed error
+    estimate is within ``max(abs_tol, rel_tol |integral|)``; otherwise it
+    bisects every panel whose error exceeds an equal share of that
+    tolerance (at least one does, the largest).
+    More than ``SUBDIVISION_CAP`` panels, a panel too narrow to split, or
+    an integrand that is not finite raises ``QuadratureError``.
+    """
+    edges = np.linspace(lower, upper, _INITIAL_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    value, error = _kronrod_panels(fn, lo, hi, kind)
+    while True:
+        total = float(np.sum(value))
+        estimate = float(np.sum(error))
+        tolerance = max(abs_tol, rel_tol * abs(total))
+        if estimate <= tolerance:
+            return total
+        split = (error > tolerance / error.size) | (error == error.max())
+        if lo.size + np.count_nonzero(split) > SUBDIVISION_CAP:
+            raise QuadratureError(
+                f"{kind} quadrature did not converge within {SUBDIVISION_CAP} panels "
+                f"(value={total!r}, error estimate={estimate!r}, "
+                f"tolerance={tolerance!r})",
+                estimate=estimate,
+            )
+        a, b = lo[split], hi[split]
+        narrow = b - a <= _NARROWEST_PANEL * np.maximum(np.abs(a), np.abs(b))
+        if narrow.any():
+            raise QuadratureError(
+                f"{kind} quadrature cannot resolve the integrand near "
+                f"{float(a[narrow][0])!r} (value={total!r}, "
+                f"error estimate={estimate!r}, tolerance={tolerance!r})",
+                estimate=estimate,
+            )
+        mid = 0.5 * (a + b)
+        new_lo = np.concatenate([a, mid])
+        new_hi = np.concatenate([mid, b])
+        new_value, new_error = _kronrod_panels(fn, new_lo, new_hi, kind)
+        keep = ~split
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        value = np.concatenate([value[keep], new_value])
+        error = np.concatenate([error[keep], new_error])
+
+
+def bessel_j0(x) -> np.ndarray:
+    """Bessel function J0 of an array (or a scalar), elementwise.
+
+    Bessel's integral J0(x) = (1/pi) integral cos(x sin theta) over
+    theta in [0, pi] has a periodic, entire integrand, so the midpoint
+    rule converges geometrically: with ``BESSEL_NODES`` = 384 nodes its
+    error is of order J_768(x), below roundoff for |x| < ~600.  What is
+    left is the rounding of x sin(theta), a few ulps of |x| (5e-15 at
+    x = 420).  The nodes at theta and pi - theta share sin(theta), so
+    half of them are evaluated, one node at a time: memory stays at a
+    few arrays the size of x.
+    """
+    x = np.asarray(x, dtype=float)
+    total = np.zeros_like(x)
+    half = BESSEL_NODES // 2
+    for k in range(half):
+        total += np.cos(x * math.sin(math.pi * (k + 0.5) / BESSEL_NODES))
+    return total / half
 
 
 def _laguerre(n: int, u: float) -> tuple[float, float, float]:

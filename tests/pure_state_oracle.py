@@ -1,12 +1,12 @@
 """Adaptive-quadrature route to the pure-state quantum information.
 
 This is the route ``fisher.qfi_pure_state`` took before it moved to a
-fixed Gauss-Laguerre rule: every inner product is two adaptive ``quad``
-calls on scalar complex integrands, each with its own error control.  It
-shares the Richardson stencil, the renormalization and the gauge
-alignment with the library, and nothing of the radial rule, so the tests
-use it as the oracle for that rule.  It is slow (~15 ms a call) and takes
-scalar profiles only.
+fixed Gauss-Laguerre rule: every inner product is two adaptive
+quadratures (``numerics.integral_to_infinity``) of the real and the
+imaginary part, each with its own error control.  It shares the
+Richardson stencil, the renormalization and the gauge alignment with the
+library, and nothing of the radial rule, so the tests use it as the
+oracle for that rule.
 """
 
 from __future__ import annotations
@@ -14,23 +14,25 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from axialfisher.fisher import _estimate_transverse_scale
 from axialfisher.numerics import central_derivative, integral_to_infinity
 
 
 def _complex_radial_inner(
-    left: Callable[[float], complex],
-    right: Callable[[float], complex],
+    left: Callable[[np.ndarray], np.ndarray],
+    right: Callable[[np.ndarray], np.ndarray],
     scale: float,
     rel_tol: float,
     abs_tol: float,
 ) -> complex:
     """<left|right> = integral conj(left) right 2 pi r dr."""
 
-    def real_part(r: float) -> float:
+    def real_part(r: np.ndarray) -> np.ndarray:
         return (left(r).conjugate() * right(r)).real * 2.0 * math.pi * r
 
-    def imag_part(r: float) -> float:
+    def imag_part(r: np.ndarray) -> np.ndarray:
         return (left(r).conjugate() * right(r)).imag * 2.0 * math.pi * r
 
     return complex(
@@ -78,7 +80,7 @@ def adaptive_qfi_pure_state(
     def evaluate(h: float) -> float:
         stencil = {offset: aligned(offset) for offset in (h, -h, 0.5 * h, -0.5 * h)}
 
-        def dpsi(r: float) -> complex:
+        def dpsi(r: np.ndarray) -> np.ndarray:
             return central_derivative(lambda offset: stencil[offset](r), 0.0, h)
 
         grad_sq = integral_to_infinity(

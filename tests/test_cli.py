@@ -388,22 +388,36 @@ def test_simulate_names_n_per_trial_past_the_poisson_limit(tmp_path, monkeypatch
     assert main([*argv, str(9 * 10**18), "--out", "run.csv"]) == EXIT_OK
 
 
-def test_monte_carlo_commands_do_not_import_scipy(tmp_path):
-    """The sampling commands never integrate, so scipy stays unimported:
-    ``numerics`` and ``fisher`` import it on first use only."""
+def test_no_command_or_bound_route_imports_scipy(tmp_path):
+    """Every command, and the four quadrature routes to the bounds, run on
+    numpy alone: scipy is a test-only oracle."""
     script = f"""
 import sys
+from axialfisher import beam_optics, fisher
 from axialfisher.cli import main
 out = {str(tmp_path)!r}
+beam = ["--wavelength", "632.8nm", "--rayleigh-range", "18.9um"]
+relay = ["--focal", "10mm", "--object-distance", "12mm"]
 codes = [
-    main(["simulate", "--wavelength", "632.8nm", "--rayleigh-range", "18.9um",
-          "--n-per-trial", "2000", "--trials", "4", "--out", out + "/free.csv"]),
-    main(["simulate", "--wavelength", "632.8nm", "--rayleigh-range", "18.9um",
-          "--focal", "10mm", "--object-distance", "12mm", "--estimator", "mle",
+    main(["fi-scan", *beam, *relay, "--zmin", "10mm", "--zmax", "60mm",
+          "--out", out + "/scan.csv"]),
+    main(["fi-density", *beam, "--out", out + "/density.csv"]),
+    main(["fi-density", *beam, *relay, "--out", out + "/density-relay.csv"]),
+    main(["optimal-plane", *beam, *relay, "--out", out + "/planes.json"]),
+    main(["point-source", "--wavenumber", "1e7", "--pupil-width", "2mm",
+          "--distance", "1m", "--out", out + "/point.json"]),
+    main(["simulate", *beam, "--n-per-trial", "2000", "--trials", "4",
+          "--out", out + "/free.csv"]),
+    main(["simulate", *beam, *relay, "--estimator", "mle",
           "--n-per-trial", "2000", "--trials", "4", "--out", out + "/relay.csv"]),
     main(["reproduce-experiment", "--n-per-trial", "2000", "--trials", "4",
           "--out", out + "/preset.csv"]),
 ]
+hene = beam_optics.BeamParams.from_rayleigh_range(632.8e-9, 18.9e-6)
+fisher.info_fraction_outside(1e-12, fisher.info_boundary(1e-12))
+fisher.beam_fi_numeric(hene, hene.rayleigh_range)
+fisher.qfi_via_generator(hene)
+fisher.qfi_pure_state(beam_optics.pupil_field_family(2e-3, 1e7), 1.0)
 print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
     src = str(Path(axialfisher.__file__).resolve().parents[1])
@@ -413,7 +427,7 @@ print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy
         env={**os.environ, "PYTHONPATH": path},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 3} []"
+    assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 8} []"
 
 
 def test_simulate_json_format(tmp_path):
@@ -731,6 +745,9 @@ _CONFIG_FILES = {
           "--zmax", "1m"], "wavelength must be positive, got -1e-09"),
         (["simulate", "--wavelength", "1nm", "--rayleigh-range=-1um"],
          "rayleigh range must be positive, got -1e-06"),
+        (["fi-density", "--waist", "1e-200m", "--rayleigh-range", "1e-200m"],
+         "--waist 1e-200 m and --rayleigh-range 1e-200 m give the wavelength "
+         "pi w0^2 / z_R = 0.0 m, which is not positive and finite"),
         (["optimal-plane", *UNIT_BEAM, "--focal", "0m", "--object-distance", "1m"],
          "focal length must be finite and nonzero, got 0.0"),
         (["point-source", "--wavenumber", "-1", "--pupil-width", "1m", "--distance", "1km"],
@@ -748,7 +765,7 @@ _CONFIG_FILES = {
     ],
     ids=["seed-text", "seed-range", "int-text", "int-zero", "zmax", "scan-steps",
          "density-steps", "rmax", "one-relay-flag", "scan-without-relay", "wavelength",
-         "rayleigh-range", "focal", "wavenumber", "wavenumber-nan", "wavenumber-inf",
+         "rayleigh-range", "waist-underflow", "focal", "wavenumber", "wavenumber-nan", "wavenumber-inf",
          "uninformative-plane", "config-true-line", "config-malformed"],
 )
 def test_usage_errors_exit_one_with_the_message(argv, message, tmp_path, monkeypatch,
@@ -778,6 +795,37 @@ def test_deterministic_commands_reject_unused_flags(argv, capsys, tmp_path, monk
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+_TINY_FOCAL = ("--focal", "1e-300m", "--object-distance", "5m")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "0m", "--zmax", "1e308m", "--steps", "3"],
+         "classical information is not finite at 2 of 3 planes, from 5e+307 m to "
+         "1e+308 m: the ray matrix is out of double range there"),
+        (["optimal-plane", *UNIT_BEAM, *_TINY_FOCAL],
+         "--focal 1e-300 m is too short for double precision: the optimal planes "
+         "f + f^2 / (s -+ z_R) round to the focal plane"),
+        (["fi-scan", *UNIT_BEAM, *_TINY_FOCAL, "--zmin", "0m", "--zmax", "1m"],
+         "--focal 1e-300 m is too short for double precision: the optimal planes "
+         "f + f^2 / (s -+ z_R) round to the focal plane"),
+        (["simulate", *UNIT_BEAM, "--focal", "1e-150m", "--object-distance", "5m",
+          "--n-per-trial", "10", "--trials", "2"],
+         "--focal 1e-150 m is too short for double precision: the optimal planes "
+         "f + f^2 / (s -+ z_R) round to the focal plane"),
+    ],
+    ids=["scan-past-double-range", "optimal-plane-tiny-focal", "fi-scan-tiny-focal",
+         "simulate-tiny-focal"],
+)
+def test_numerical_limits_exit_two_with_the_message(argv, message, tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from axialfisher.beam_optics import (
     BeamParams,
@@ -396,6 +397,48 @@ def test_fraction_outside_matches_closed_form(r_over_w):
     x_b = 2.0 * r_b * r_b / w_sq
     closed = math.exp(-x_b) * (1.0 + x_b * x_b)
     assert info_fraction_outside(w_sq, r_b) == pytest.approx(closed, rel=1e-9)
+
+
+def _scalar_intensity(width_sq: float, r: float) -> float:
+    return 2.0 / (math.pi * width_sq) * math.exp(-2.0 * r * r / width_sq)
+
+
+@pytest.mark.parametrize("width_sq", [1e-12, 1e-9, 1e-6, 1e-3, 1.0])
+def test_fisher_quadratures_agree_with_scipy_quad(width_sq):
+    """The outside-fraction and score integrals of ``fisher``, taken by
+    ``scipy.integrate.quad`` on scalar copies of the integrands over
+    [0, 20 w] (the tail beyond is below e^-800)."""
+    w = math.sqrt(width_sq)
+
+    def oracle(fn, lower, rel_tol):
+        value, _ = quad(fn, lower, 20.0 * w, epsabs=0.0, epsrel=rel_tol, limit=200)
+        return value
+
+    def shape(r):
+        t = 2.0 * r * r / width_sq - 1.0
+        return r * _scalar_intensity(width_sq, r) * t * t
+
+    for r_over_w in (0.0, 0.3, 1.0 / math.sqrt(2.0), 1.7):
+        r_b = r_over_w * w
+        expected = oracle(shape, r_b, 1e-13) / oracle(shape, 0.0, 1e-13)
+        assert info_fraction_outside(width_sq, r_b) == pytest.approx(expected, rel=1e-10)
+
+    def width_fn(z):
+        return width_sq * (1.0 + z * z)
+
+    for z, step in ((1.0, 1e-6), (0.3, 1e-6), (-2.0, 1e-5)):
+        def score(r):
+            p = _scalar_intensity(width_fn(z), r)
+            if p == 0.0:
+                return 0.0
+            dp = central_derivative(
+                lambda offset: _scalar_intensity(width_fn(z + offset), r), 0.0, step
+            )
+            return r * dp * dp / p
+
+        # The stencil leaves ~1e-10 relative roundoff in the score.
+        numeric = classical_fi_numeric(width_fn, z, step, quad_tol=1e-10)
+        assert numeric == pytest.approx(2.0 * math.pi * oracle(score, 0.0, 1e-10), rel=1e-9)
 
 
 def test_fraction_outside_validates_inputs():
