@@ -85,6 +85,8 @@ _PRESET_DELTAS = "10nm,100nm,400nm,1000nm,1650nm"
 
 _STD_CHECK_REL_TOL = 0.10
 _BIAS_CHECK_REL_TOL = 0.05
+#: ``optimal-plane`` fails when F/Q at a reported plane is further below 1.
+_PLANE_FI_TOL = 1e-6
 
 _TRIAL_COLUMNS = ("trial_index", "seed", "n", "count_outside", "delta_hat_m")
 _REPRODUCE_COLUMNS = (
@@ -434,11 +436,20 @@ def cmd_optimal_plane(args) -> int:
     markers = _plane_markers(beam, relay)
     plus, minus = markers["plane_plus_m"], markers["plane_minus_m"]
     geometric = markers["geometric_image_plane_m"]
+    ratio_plus = image_fi(beam, relay, plus) / qfi
+    ratio_minus = image_fi(beam, relay, minus) / qfi
+    collapsed = plus == minus and not markers["fallback"]
+    if collapsed or not (ratio_plus >= 1.0 - _PLANE_FI_TOL and ratio_minus >= 1.0 - _PLANE_FI_TOL):
+        raise NumericalLimitError(
+            f"--rayleigh-range {beam.rayleigh_range!r} m is too short for double precision "
+            f"behind this relay: the optimal planes f + f^2 / (s -+ z_R) are {plus!r} m "
+            f"and {minus!r} m, where F/Q is {ratio_plus!r} and {ratio_minus!r} instead of 1"
+        )
     payload = {
         "config": config,
         **markers,
-        "fi_over_qfi_plus": image_fi(beam, relay, plus) / qfi,
-        "fi_over_qfi_minus": image_fi(beam, relay, minus) / qfi,
+        "fi_over_qfi_plus": ratio_plus,
+        "fi_over_qfi_minus": ratio_minus,
         "preferred_plane_m": preferred_detection_plane(beam, relay),
         "qfi_per_m2": qfi,
     }

@@ -32,9 +32,7 @@ execution order and worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -319,6 +317,10 @@ def run_trials(config: TrialConfig) -> TrialReport:
     else:
         totals = np.full(config.trials, config.n_per_trial, dtype=np.int64)
     if config.workers > 1:
+        # Imported here: the pool's modules cost every other run ~15 ms.
+        from concurrent.futures import ProcessPoolExecutor
+        from itertools import repeat
+
         # Every trial costs the same, so one chunk per worker balances the
         # load with the fewest round trips.
         parts = min(config.trials, config.workers)

@@ -166,7 +166,10 @@ def _waist_mode_spectral_moments() -> tuple[float, float, float]:
     with scale 2, the width a spectral density of that window has by the
     uncertainty relation.  The moments are taken on 48 and on 96 nodes in
     both variables and the 96-node values returned; ``QuadratureError``
-    is raised when the two differ by more than ``PURE_STATE_TOL``.
+    is raised when the two differ by more than ``PURE_STATE_TOL``.  The
+    kernel J0(kappa u) comes from ``numerics.bessel_j0``; kappa u reaches
+    ~510 on the 96-node grid, and ~70 % of its points take Hankel's
+    expansion rather than Bessel's integral.
     """
     amp = math.sqrt(2.0 / math.pi)
     estimates = []

@@ -430,6 +430,23 @@ print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy
     assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 8} []"
 
 
+def test_importing_the_package_loads_no_process_pool():
+    """``run_trials`` imports the pool only on its ``workers > 1`` branch."""
+    script = (
+        "import sys, axialfisher, axialfisher.cli\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    src = str(Path(axialfisher.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_simulate_json_format(tmp_path):
     out = tmp_path / "run.json"
     argv = [
@@ -817,9 +834,14 @@ _TINY_FOCAL = ("--focal", "1e-300m", "--object-distance", "5m")
           "--n-per-trial", "10", "--trials", "2"],
          "--focal 1e-150 m is too short for double precision: the optimal planes "
          "f + f^2 / (s -+ z_R) round to the focal plane"),
+        (["optimal-plane", "--waist", "1e-80m", "--rayleigh-range", "1e-160m",
+          "--focal", "1m", "--object-distance", "5m"],
+         "--rayleigh-range 1e-160 m is too short for double precision behind this relay: "
+         "the optimal planes f + f^2 / (s -+ z_R) are 1.25 m and 1.25 m, where F/Q is 0.0 "
+         "and 0.0 instead of 1"),
     ],
     ids=["scan-past-double-range", "optimal-plane-tiny-focal", "fi-scan-tiny-focal",
-         "simulate-tiny-focal"],
+         "simulate-tiny-focal", "optimal-plane-tiny-rayleigh-range"],
 )
 def test_numerical_limits_exit_two_with_the_message(argv, message, tmp_path, monkeypatch,
                                                     capsys):
