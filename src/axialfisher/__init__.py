@@ -73,7 +73,6 @@ from .numerics import (
     NumericalLimitError,
     QuadratureError,
     central_derivative,
-    integral_to_infinity,
 )
 from .photon_sim import sample_radii
 
@@ -114,7 +113,6 @@ __all__ = [
     "image_fi",
     "info_boundary",
     "info_fraction_outside",
-    "integral_to_infinity",
     "intensity_pdf",
     "optimal_detection_planes",
     "point_source_range_std",

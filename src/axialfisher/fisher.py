@@ -43,12 +43,11 @@ from .beam_optics import (
     ray_width_sq,
 )
 from .numerics import (
-    DEFAULT_REL_TOL,
+    RULE_NODES,
     NumericalLimitError,
-    QuadratureError,
     bessel_j0,
     central_derivative,
-    integral_to_infinity,
+    check_rule_gap,
     radial_rule,
 )
 
@@ -58,17 +57,6 @@ FD_STEP_FRACTION = 1e-6
 
 #: Absolute floor for axial finite-difference steps [m].
 FD_STEP_FLOOR = 1e-12
-
-#: Gauss-Laguerre orders of the pure-state inner products: the answer
-#: comes from the finer rule, and the gap to the coarser one is its
-#: error estimate.
-PURE_STATE_NODES = (48, 96)
-
-#: Largest relative gap between the two pure-state rules.
-PURE_STATE_TOL = 1e-10
-
-#: Relative tolerance of the outside-fraction quadratures.
-FRACTION_QUAD_TOL = 1e-11
 
 #: |s -+ z_R| below this many Rayleigh ranges (s = object distance - f)
 #: puts one optimal plane at infinity.
@@ -166,14 +154,14 @@ def _waist_mode_spectral_moments() -> tuple[float, float, float]:
     with scale 2, the width a spectral density of that window has by the
     uncertainty relation.  The moments are taken on 48 and on 96 nodes in
     both variables and the 96-node values returned; ``QuadratureError``
-    is raised when the two differ by more than ``PURE_STATE_TOL``.  The
+    is raised when the two differ by more than ``numerics.RULE_TOL``.  The
     kernel J0(kappa u) comes from ``numerics.bessel_j0``; kappa u reaches
     ~510 on the 96-node grid, and ~70 % of its points take Hankel's
     expansion rather than Bessel's integral.
     """
     amp = math.sqrt(2.0 / math.pi)
     estimates = []
-    for nodes in PURE_STATE_NODES:
+    for nodes in RULE_NODES:
         u, u_weights = radial_rule(math.sqrt(2.0), nodes)
         kappa, kappa_weights = radial_rule(2.0, nodes)
         # radial_rule integrates against 2 pi u du; the transform wants u du.
@@ -181,15 +169,8 @@ def _waist_mode_spectral_moments() -> tuple[float, float, float]:
         density = (bessel_j0(np.multiply.outer(kappa, u)) @ mode) ** 2
         estimates.append([float(kappa_weights @ (kappa**power * density))
                           for power in (0, 2, 4)])
-    for coarse, fine in zip(*estimates):
-        if not abs(coarse - fine) <= PURE_STATE_TOL * abs(fine):
-            raise QuadratureError(
-                f"spectral moment differs by {abs(coarse - fine)!r} between "
-                f"{PURE_STATE_NODES[0]} and {PURE_STATE_NODES[1]} Gauss-Laguerre "
-                f"nodes (value={fine!r})",
-                estimate=abs(coarse - fine),
-            )
-    m0, m2, m4 = estimates[1]
+    m0, m2, m4 = (check_rule_gap(coarse, fine, 0.0, "spectral moment")
+                  for coarse, fine in zip(*estimates))
     return m0, m2, m4
 
 
@@ -241,56 +222,63 @@ def classical_fi_analytic(beam: BeamParams, z: float) -> float:
 
 
 def classical_fi_numeric(
-    width_fn: Callable[[float], float],
-    z: float,
-    step: float,
-    quad_tol: float = DEFAULT_REL_TOL,
+    width_sq_fn: Callable[[float], float], z: float, step: float
 ) -> float:
     """Classical information by direct radial quadrature of the score.
 
-    F(z) = 2 pi * integral r (d_z p)^2 / p dr  over r in [0, inf)
+    F(z) = integral (d_z p)^2 / p 2 pi r dr  over r in [0, inf)
 
-    with p the normalized intensity for the width law ``width_fn`` and
-    d_z p taken by Richardson-extrapolated central differences.  This is
-    the reference the closed form is validated against; it shares no
-    algebra with ``classical_fi_analytic``.
+    with p the normalized intensity of squared 1/e^2 width
+    ``width_sq_fn(z)`` and d_z p taken by Richardson-extrapolated central
+    differences.  This is the reference the closed form is validated
+    against; it shares no algebra with ``classical_fi_analytic``.
 
     ``step`` is the finite-difference step in meters; for a width law of
     axial scale ``scale``, ``max(1e-6 * scale, 1e-12)`` works.
+
+    The integral is a Gauss-Laguerre rule (``numerics.radial_rule``) of
+    scale w = sqrt(w^2(z)), taken on 48 and on 96 nodes.  Their gap is
+    the error estimate, checked by ``numerics.check_rule_gap`` above a
+    roundoff floor of 100 sqrt(F) eps / ``step``: each p carries a few
+    ulps, so d_z p carries ~eps p / step, and F = integral (d_z p)^2 / p
+    moves by ~eps sqrt(F) / step, differently on each node set.  A step
+    so large that a stencil width exceeds twice w^2(z) makes the integral
+    diverge, and the gap raises ``QuadratureError``.
     """
-    if not 0.0 < quad_tol <= 1e-4:
-        raise ValueError(f"quad_tol must lie in (0, 1e-4], got {quad_tol}")
-    w_center = width_fn(z)
-    if not (w_center > 0.0 and math.isfinite(w_center)):
-        raise ValueError(f"width_fn returned a non-positive width {w_center!r} at z={z!r}")
+    w_sq = width_sq_fn(z)
+    if not (w_sq > 0.0 and math.isfinite(w_sq)):
+        raise ValueError(
+            f"width_sq_fn returned a non-positive squared width {w_sq!r} at z={z!r}"
+        )
 
-    widths = {}
+    widths_sq = {}
     for offset in (step, -step, 0.5 * step, -0.5 * step):
-        w = width_fn(z + offset)
-        if not (w > 0.0 and math.isfinite(w)):
-            raise ValueError(f"width_fn returned {w!r} at z={z + offset!r}")
-        widths[offset] = w
+        value = width_sq_fn(z + offset)
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"width_sq_fn returned {value!r} at z={z + offset!r}")
+        widths_sq[offset] = value
 
-    def integrand(r: np.ndarray) -> np.ndarray:
-        p = intensity_pdf(w_center, r)
+    sums = []
+    for nodes in RULE_NODES:
+        radii, weights = radial_rule(math.sqrt(w_sq), nodes)
+        p = intensity_pdf(w_sq, radii)
         dp = central_derivative(
-            lambda offset: intensity_pdf(widths[offset], r), 0.0, step
+            lambda offset: intensity_pdf(widths_sq[offset], radii), 0.0, step
         )
         # Far tail: p has underflowed, and the score with it.
-        return np.divide(r * dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
+        score = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
+        sums.append(float(weights @ score))
+    coarse, fine = sums
+    floor = 100.0 * math.sqrt(abs(fine)) * np.finfo(float).eps / step
+    return check_rule_gap(coarse, fine, floor, "score integral")
 
-    return 2.0 * math.pi * integral_to_infinity(
-        integrand, scale=math.sqrt(w_center), rel_tol=quad_tol
-    )
 
-
-def beam_fi_numeric(beam: BeamParams, z: float, quad_tol: float = DEFAULT_REL_TOL) -> float:
+def beam_fi_numeric(beam: BeamParams, z: float) -> float:
     """``classical_fi_numeric`` for a free beam, with the step pinned to
     the beam's Rayleigh range."""
     return classical_fi_numeric(
         lambda zz: beam_width_sq(beam, zz),
         z,
-        quad_tol=quad_tol,
         step=max(FD_STEP_FRACTION * beam.rayleigh_range, FD_STEP_FLOOR),
     )
 
@@ -430,24 +418,27 @@ def info_boundary(width_sq: float) -> float:
 def info_fraction_outside(width_sq: float, r_b: float) -> float:
     """Fraction of the classical information carried by radii beyond r_b.
 
-    Quadrature ratio of the radial density; the slope factor cancels, so
-    the result depends only on r_b / w.
+    Ratio of two Gauss-Laguerre sums of the radial density
+    (``numerics.radial_rule``), over [r_b, inf) and over [0, inf); the
+    slope factor cancels, so the result depends only on r_b / w.  In
+    u = 2 (r^2 - r_b^2) / w^2 the density is e^{-u} times a quadratic in
+    u, which the rule integrates exactly, so the 48/96-node gap is
+    roundoff.
     """
     if width_sq <= 0.0:
         raise ValueError(f"width_sq must be positive, got {width_sq}")
     if r_b < 0.0:
         raise ValueError(f"boundary radius must be nonnegative, got {r_b}")
 
-    def shape(r: np.ndarray) -> np.ndarray:
-        t = 2.0 * r * r / width_sq - 1.0
-        return r * intensity_pdf(width_sq, r) * t * t
+    def integral(lower: float, what: str) -> float:
+        sums = []
+        for nodes in RULE_NODES:
+            radii, weights = radial_rule(math.sqrt(width_sq), nodes, lower)
+            t = 2.0 * radii * radii / width_sq - 1.0
+            sums.append(float(weights @ (intensity_pdf(width_sq, radii) * t * t)))
+        return check_rule_gap(*sums, 0.0, what)
 
-    scale = math.sqrt(width_sq)
-    total = integral_to_infinity(shape, scale=scale, rel_tol=FRACTION_QUAD_TOL)
-    outside = integral_to_infinity(
-        shape, scale=scale, lower=r_b, rel_tol=FRACTION_QUAD_TOL
-    )
-    return outside / total
+    return integral(r_b, "outside information") / integral(0.0, "total information")
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +489,7 @@ def qfi_pure_state(
     shape (``beam_optics.FieldProfile``); each is evaluated once on each
     node set.  Q is computed on 48 and on 96 nodes, and the 96-node value
     is returned.  Their gap is the error estimate: ``QuadratureError``
-    is raised when it exceeds ``PURE_STATE_TOL`` |Q| (plus a roundoff
+    is raised when it exceeds ``numerics.RULE_TOL`` |Q| (plus a roundoff
     floor that lets a frozen family return Q = 0), e.g. when
     ``transverse_scale`` is far from the field's actual width.
 
@@ -524,7 +515,7 @@ def qfi_pure_state(
         transverse_scale = _estimate_transverse_scale(center_raw)
     if transverse_scale <= 0.0:
         raise ValueError(f"transverse_scale must be positive, got {transverse_scale}")
-    rules = [radial_rule(transverse_scale, nodes) for nodes in PURE_STATE_NODES]
+    rules = [radial_rule(transverse_scale, nodes) for nodes in RULE_NODES]
 
     def normalized(profile: FieldProfile) -> list[np.ndarray]:
         """``profile`` on each rule's radii, scaled to unit norm there."""
@@ -570,19 +561,13 @@ def qfi_pure_state(
             grad_sq = np.dot(weights, dpsi.real**2 + dpsi.imag**2)
             overlap = np.dot(weights, psi_c[index].conj() * dpsi)
             values.append(float(4.0 * (grad_sq - abs(overlap) ** 2)))
-        coarse, fine = values
         # Differencing unit-norm states leaves roundoff of order eps / h in
         # d_z psi; a gap below that floor says nothing about the rule.
         floor = (1e3 * np.finfo(float).eps / h) ** 2
-        gap = abs(coarse - fine)
-        if not gap <= PURE_STATE_TOL * abs(fine) + floor:
-            raise QuadratureError(
-                f"pure-state information differs by {gap!r} between "
-                f"{PURE_STATE_NODES[0]} and {PURE_STATE_NODES[1]} Gauss-Laguerre "
-                f"nodes (value={fine!r}, transverse scale={transverse_scale!r})",
-                estimate=gap,
-            )
-        return fine
+        return check_rule_gap(
+            *values, floor,
+            f"pure-state information (transverse scale={transverse_scale!r})",
+        )
 
     result = evaluate(step)
     if refine and result > 0.0:

@@ -1,19 +1,18 @@
 """Shared numerical kernels.
 
 Four tools live here because several physics modules need them in the
-same form: an adaptive Gauss-Kronrod quadrature for radial integrals, a
-fixed Gauss-Laguerre rule for Gaussian-windowed radial inner products,
-the Bessel function J0, and a Richardson-extrapolated central difference
-for axial derivatives.
+same form: a fixed Gauss-Laguerre rule for radial integrals of a
+Gaussian-windowed integrand, with the check that takes the gap between
+two of its orders as the error estimate, the Bessel function J0, and a
+Richardson-extrapolated central difference for axial derivatives.
 
-The radial integrals all have the shape ``integral of f(r) dr from a to
-infinity`` with an integrand that decays on a known transverse length
-scale.  Mapping ``r = a + scale * t / (1 - t)`` compresses the half-line
-onto ``t in [0, 1)`` so that the integrand's mass lands at moderate ``t``
-and the adaptive rule can resolve it with a bounded number of panels.
-Integrands take an array of points and return an array of the same
-shape: each round of the adaptive rule evaluates them once on every
-panel it still has to resolve.
+Every radial integral of the package has the shape
+``integral f(r) 2 pi r dr`` from some radius to infinity, with f a
+Gaussian spot of known width times a factor smooth in u = 2 r^2 / w^2.
+In u that is e^{-u} times the smooth factor, which Gauss-Laguerre
+quadrature integrates on a fixed set of nodes.  Each integral is taken on
+``RULE_NODES`` = (48, 96) nodes and ``check_rule_gap`` accepts the finer
+value only when the coarser one agrees with it.
 
 The Gauss-Laguerre rule finds all its zeros at once, by Sturm counts on
 an array of points and Newton steps on the array of zeros; J0 is the
@@ -34,12 +33,13 @@ from typing import Callable
 
 import numpy as np
 
-#: Default relative tolerance for radial quadratures.
-DEFAULT_REL_TOL = 1e-9
+#: Gauss-Laguerre orders of every radial integral: the answer comes from
+#: the finer rule, and the gap to the coarser one is its error estimate.
+RULE_NODES = (48, 96)
 
-#: Hard cap on the adaptive rule's panels.  Hitting it raises
-#: QuadratureError instead of silently returning a degraded estimate.
-SUBDIVISION_CAP = 200
+#: Largest relative gap between the two rules that ``check_rule_gap``
+#: accepts, on top of the caller's roundoff floor.
+RULE_TOL = 1e-10
 
 #: ``bessel_j0`` takes Bessel's integral below this argument and Hankel's
 #: expansion from it up.
@@ -50,49 +50,6 @@ BESSEL_NODES = 96
 
 #: Coefficients a_0 ... a_39 of Hankel's expansion in ``bessel_j0``.
 HANKEL_TERMS = 40
-
-Integrand = Callable[[np.ndarray], np.ndarray]
-
-# QUADPACK's qk15 on [-1, 1]: the Kronrod abscissae from 1 down to 0 and
-# their weights, and the weights of the embedded 7-point Gauss rule,
-# whose nodes are every other abscissa (zero weight at the others).
-_XGK = (
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0,
-)
-_WGK = (
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-)
-_WG = (
-    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
-)
-
-
-def _mirrored(half: tuple[float, ...], sign: float = 1.0) -> np.ndarray:
-    """The 15 node values from the 8 given for x >= 0, ordered from -1."""
-    return np.array([sign * v for v in half[:-1]] + list(reversed(half)))
-
-
-_NODES = _mirrored(_XGK, -1.0)
-_KRONROD_WEIGHTS = _mirrored(_WGK)
-_GAUSS_WEIGHTS = _mirrored(_WG)
-
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-
-#: Equal panels the adaptive rule starts from.
-_INITIAL_PANELS = 16
-
-#: A panel narrower than this, relative to its endpoints, is not split:
-#: the nodes of its halves would round onto their ends.
-_NARROWEST_PANEL = 2000.0 * _EPS
-
 
 def __getattr__(name: str):
     # PEP 562: perfbench/tracer.py reads ``numerics.integrate`` when it
@@ -118,10 +75,11 @@ class NumericalLimitError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """A radial integral's two Gauss-Laguerre orders disagree beyond
+    their tolerance.
 
-    Carries the integrator's achieved error estimate so callers can report
-    how far the result was from the request.
+    Carries the gap between them, the error estimate, so callers can
+    report how far the result was from the request.
     """
 
     def __init__(self, message: str, estimate: float = float("nan")):
@@ -129,130 +87,24 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
-def integral_to_infinity(
-    fn: Integrand,
-    scale: float,
-    lower: float = 0.0,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = 0.0,
-) -> float:
-    """Integrate ``fn`` over ``[lower, inf)``.
+def check_rule_gap(coarse: float, fine: float, floor: float, what: str) -> float:
+    """``fine``, the value of ``what`` on the finer of ``RULE_NODES``,
+    once the coarser rule's value ``coarse`` is within
+    ``RULE_TOL |fine| + floor`` of it.
 
-    Parameters
-    ----------
-    fn : callable
-        Real-valued integrand: takes an array of points and returns the
-        values as an array of the same shape.
-    scale : float
-        Decay length of the integrand, used to condition the change of
-        variable.  Must be positive.
-    lower : float
-        Lower limit of integration.
-    rel_tol, abs_tol : float
-        Tolerances of the adaptive rule.  ``abs_tol`` defaults to zero so
-        the request is purely relative; pass a small floor when the
-        integrand itself can be tiny (oscillatory transforms).
+    ``floor`` is the roundoff the caller's integrand carries, which no
+    rule can resolve; a gap below it says nothing about the quadrature.
+    A larger gap, or a value that is not a number, raises
+    ``QuadratureError`` carrying the gap.
     """
-    if scale <= 0.0:
-        raise ValueError(f"quadrature scale must be positive, got {scale}")
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-
-    def mapped(t: np.ndarray) -> np.ndarray:
-        u = 1.0 - t
-        return fn(lower + scale * t / u) * scale / (u * u)
-
-    return _checked_quad(mapped, 0.0, 1.0, rel_tol, abs_tol, "semi-infinite")
-
-
-def _kronrod_panels(
-    fn: Integrand, lo: np.ndarray, hi: np.ndarray, kind: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integral and error estimate of the 15-point Kronrod rule on each
-    panel ``[lo[i], hi[i]]``, from one call of ``fn`` on all their nodes.
-
-    The error is QUADPACK's: the Kronrod-Gauss gap ``|K - G|``, scaled by
-    ``resasc * min(1, (200 |K - G| / resasc)^1.5)`` with ``resasc`` the
-    integral of ``|f - K / (hi - lo)|``, and never below 50 ulps of the
-    integral of ``|f|``.
-    """
-    half = 0.5 * (hi - lo)
-    points = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    values = np.asarray(fn(points), dtype=float)
-    if values.shape != points.shape:
-        raise ValueError(
-            f"integrand returned shape {values.shape} for points of shape "
-            f"{points.shape}; it must take and return arrays"
-        )
-    if not np.isfinite(values).all():
-        where = float(points[~np.isfinite(values)][0])
+    gap = abs(coarse - fine)
+    if not gap <= RULE_TOL * abs(fine) + floor:
         raise QuadratureError(
-            f"{kind} quadrature: the integrand is not finite at {where!r}"
+            f"{what} differs by {gap!r} between {RULE_NODES[0]} and "
+            f"{RULE_NODES[1]} Gauss-Laguerre nodes (value={fine!r})",
+            estimate=gap,
         )
-    kronrod = values @ _KRONROD_WEIGHTS
-    gap = np.abs(kronrod - values @ _GAUSS_WEIGHTS) * half
-    resabs = np.abs(values) @ _KRONROD_WEIGHTS * half
-    resasc = np.abs(values - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS * half
-    # resasc min(1, (200 gap / resasc)^1.5), read as 0 where resasc = 0
-    # (a constant integrand, whose gap is roundoff below the floor).
-    ratio = np.minimum(200.0 * gap, resasc) / np.maximum(resasc, _TINY)
-    error = np.maximum(resasc * ratio**1.5, 50.0 * _EPS * resabs)
-    return kronrod * half, error
-
-
-def _checked_quad(
-    fn: Integrand, lower: float, upper: float, rel_tol: float, abs_tol: float,
-    kind: str,
-) -> float:
-    """Globally adaptive Gauss-Kronrod 7/15 quadrature over
-    ``[lower, upper]`` that raises ``QuadratureError`` instead of
-    returning an unconverged value.  ``kind`` names the integral in the
-    message.
-
-    The rule starts from ``_INITIAL_PANELS`` equal panels, and each round
-    evaluates the integrand once on the nodes of every panel made in the
-    previous round.  It stops when the summed error
-    estimate is within ``max(abs_tol, rel_tol |integral|)``; otherwise it
-    bisects every panel whose error exceeds an equal share of that
-    tolerance (at least one does, the largest).
-    More than ``SUBDIVISION_CAP`` panels, a panel too narrow to split, or
-    an integrand that is not finite raises ``QuadratureError``.
-    """
-    edges = np.linspace(lower, upper, _INITIAL_PANELS + 1)
-    lo, hi = edges[:-1], edges[1:]
-    value, error = _kronrod_panels(fn, lo, hi, kind)
-    while True:
-        total = float(np.sum(value))
-        estimate = float(np.sum(error))
-        tolerance = max(abs_tol, rel_tol * abs(total))
-        if estimate <= tolerance:
-            return total
-        split = (error > tolerance / error.size) | (error == error.max())
-        if lo.size + np.count_nonzero(split) > SUBDIVISION_CAP:
-            raise QuadratureError(
-                f"{kind} quadrature did not converge within {SUBDIVISION_CAP} panels "
-                f"(value={total!r}, error estimate={estimate!r}, "
-                f"tolerance={tolerance!r})",
-                estimate=estimate,
-            )
-        a, b = lo[split], hi[split]
-        narrow = b - a <= _NARROWEST_PANEL * np.maximum(np.abs(a), np.abs(b))
-        if narrow.any():
-            raise QuadratureError(
-                f"{kind} quadrature cannot resolve the integrand near "
-                f"{float(a[narrow][0])!r} (value={total!r}, "
-                f"error estimate={estimate!r}, tolerance={tolerance!r})",
-                estimate=estimate,
-            )
-        mid = 0.5 * (a + b)
-        new_lo = np.concatenate([a, mid])
-        new_hi = np.concatenate([mid, b])
-        new_value, new_error = _kronrod_panels(fn, new_lo, new_hi, kind)
-        keep = ~split
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        value = np.concatenate([value[keep], new_value])
-        error = np.concatenate([error[keep], new_error])
+    return fine
 
 
 def _hankel_coefficients(terms: int) -> tuple[float, ...]:
@@ -411,23 +263,29 @@ def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return radii, weights
 
 
-def radial_rule(scale: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def radial_rule(
+    scale: float, nodes: int, lower: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Radii and weights of the ``nodes``-point Gauss-Laguerre rule for
-    ``integral f(r) 2 pi r dr`` over ``[0, inf)``.
+    ``integral f(r) 2 pi r dr`` over ``[lower, inf)``.
 
-    The map u = 2 r^2 / scale^2 turns the measure into
+    The map r^2 = lower^2 + scale^2 u / 2 turns the measure into
     (pi scale^2 / 2) du, so with Laguerre nodes u_i and weights w_i the
-    radii are scale sqrt(u_i / 2) and the weights (pi scale^2 / 2) w_i e^{u_i}.
-    The rule is exact when f(r) e^{2 r^2 / scale^2} is a polynomial of
-    degree below 2 ``nodes`` in u, and accurate when f is a Gaussian of
-    1/e^2 radius ``scale`` (|psi|^2 for a field whose amplitude falls to
-    1/e there) times a factor smooth in u.  The caller estimates the
-    error by comparing two orders.
+    radii are hypot(lower, scale sqrt(u_i / 2)) and the weights
+    (pi scale^2 / 2) w_i e^{u_i}, whatever ``lower`` is; at ``lower`` = 0
+    the radii are scale sqrt(u_i / 2) exactly.  The rule is exact when
+    f(r) e^{2 (r^2 - lower^2) / scale^2} is a polynomial of degree below
+    2 ``nodes`` in u, and accurate when f is a Gaussian of 1/e^2 radius
+    ``scale`` (|psi|^2 for a field whose amplitude falls to 1/e there)
+    times a factor smooth in u.  The caller estimates the error by
+    comparing the two orders of ``RULE_NODES`` (``check_rule_gap``).
     """
     if scale <= 0.0:
         raise ValueError(f"quadrature scale must be positive, got {scale}")
+    if not lower >= 0.0:
+        raise ValueError(f"lower radius must be nonnegative, got {lower}")
     radii, weights = _laguerre_rule(nodes)
-    return scale * radii, (scale * scale) * weights
+    return np.hypot(lower, scale * radii), (scale * scale) * weights
 
 
 def central_derivative(fn: Callable[[float], float], x: float, step: float):

@@ -1,12 +1,11 @@
 """Adaptive-quadrature route to the pure-state quantum information.
 
-This is the route ``fisher.qfi_pure_state`` took before it moved to a
-fixed Gauss-Laguerre rule: every inner product is two adaptive
-quadratures (``numerics.integral_to_infinity``) of the real and the
-imaginary part, each with its own error control.  It shares the
-Richardson stencil, the renormalization and the gauge alignment with the
-library, and nothing of the radial rule, so the tests use it as the
-oracle for that rule.
+Every inner product is an adaptive quadrature (``scipy.integrate.quad``)
+over [0, 20 s], with s the transverse scale, where a field whose
+amplitude falls to 1/e at s has |psi|^2 below e^-800 beyond.  It shares
+the Richardson stencil, the renormalization and the gauge alignment with
+``fisher.qfi_pure_state``, and nothing of its Gauss-Laguerre rule, so the
+tests use it as the oracle for that rule.
 """
 
 from __future__ import annotations
@@ -14,31 +13,21 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
+from scipy.integrate import quad
 
 from axialfisher.fisher import _estimate_transverse_scale
-from axialfisher.numerics import central_derivative, integral_to_infinity
+from axialfisher.numerics import central_derivative
 
 
-def _complex_radial_inner(
-    left: Callable[[np.ndarray], np.ndarray],
-    right: Callable[[np.ndarray], np.ndarray],
-    scale: float,
-    rel_tol: float,
-    abs_tol: float,
+def _radial_integral(
+    fn: Callable[[float], complex], scale: float, rel_tol: float, abs_tol: float = 0.0
 ) -> complex:
-    """<left|right> = integral conj(left) right 2 pi r dr."""
-
-    def real_part(r: np.ndarray) -> np.ndarray:
-        return (left(r).conjugate() * right(r)).real * 2.0 * math.pi * r
-
-    def imag_part(r: np.ndarray) -> np.ndarray:
-        return (left(r).conjugate() * right(r)).imag * 2.0 * math.pi * r
-
-    return complex(
-        integral_to_infinity(real_part, scale=scale, rel_tol=rel_tol, abs_tol=abs_tol),
-        integral_to_infinity(imag_part, scale=scale, rel_tol=rel_tol, abs_tol=abs_tol),
+    """integral fn(r) 2 pi r dr over [0, 20 scale]."""
+    value, _ = quad(
+        lambda r: fn(r) * 2.0 * math.pi * r, 0.0, 20.0 * scale,
+        epsabs=abs_tol, epsrel=rel_tol, limit=200, complex_func=True,
     )
+    return value
 
 
 def adaptive_qfi_pure_state(
@@ -59,11 +48,9 @@ def adaptive_qfi_pure_state(
         transverse_scale = _estimate_transverse_scale(center_raw)
 
     def normalized(profile):
-        norm_sq = integral_to_infinity(
-            lambda r: abs(profile(r)) ** 2 * 2.0 * math.pi * r,
-            scale=transverse_scale,
-            rel_tol=quad_tol,
-        )
+        norm_sq = _radial_integral(
+            lambda r: abs(profile(r)) ** 2, transverse_scale, quad_tol
+        ).real
         inv = 1.0 / math.sqrt(norm_sq)
         return lambda r: inv * profile(r)
 
@@ -71,8 +58,9 @@ def adaptive_qfi_pure_state(
 
     def aligned(offset: float):
         profile = normalized(field_family(z + offset))
-        overlap = _complex_radial_inner(
-            psi_c, profile, transverse_scale, quad_tol, abs_tol=quad_tol
+        overlap = _radial_integral(
+            lambda r: psi_c(r).conjugate() * profile(r), transverse_scale, quad_tol,
+            abs_tol=quad_tol,
         )
         gauge = overlap.conjugate() / abs(overlap)
         return lambda r: gauge * profile(r)
@@ -80,19 +68,18 @@ def adaptive_qfi_pure_state(
     def evaluate(h: float) -> float:
         stencil = {offset: aligned(offset) for offset in (h, -h, 0.5 * h, -0.5 * h)}
 
-        def dpsi(r: np.ndarray) -> np.ndarray:
+        def dpsi(r: float) -> complex:
             return central_derivative(lambda offset: stencil[offset](r), 0.0, h)
 
-        grad_sq = integral_to_infinity(
-            lambda r: abs(dpsi(r)) ** 2 * 2.0 * math.pi * r,
-            scale=transverse_scale,
-            rel_tol=quad_tol,
-        )
+        grad_sq = _radial_integral(
+            lambda r: abs(dpsi(r)) ** 2, transverse_scale, quad_tol
+        ).real
         # Absolute floors keep the adaptive rule from chasing pure
         # roundoff in components that vanish by symmetry.
         floor = quad_tol * (1.0 + math.sqrt(max(grad_sq, 0.0)))
-        overlap = _complex_radial_inner(
-            psi_c, dpsi, transverse_scale, quad_tol, abs_tol=floor
+        overlap = _radial_integral(
+            lambda r: psi_c(r).conjugate() * dpsi(r), transverse_scale, quad_tol,
+            abs_tol=floor,
         )
         return 4.0 * (grad_sq - abs(overlap) ** 2)
 

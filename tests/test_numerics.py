@@ -7,118 +7,32 @@ from scipy import integrate, special
 from axialfisher import numerics
 from axialfisher.numerics import (
     BESSEL_CROSSOVER,
-    DEFAULT_REL_TOL,
-    SUBDIVISION_CAP,
+    RULE_NODES,
+    RULE_TOL,
     QuadratureError,
     bessel_j0,
     central_derivative,
-    integral_to_infinity,
+    check_rule_gap,
     radial_rule,
 )
 
 
-def finite(fn, lower, upper, rel_tol=DEFAULT_REL_TOL, abs_tol=0.0):
-    """The adaptive rule itself on ``[lower, upper]``."""
-    return numerics._checked_quad(fn, lower, upper, rel_tol, abs_tol, "finite")
-
-
-def test_gaussian_integral():
-    value = integral_to_infinity(lambda r: np.exp(-r * r), scale=1.0)
-    assert value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
-
-
-def test_exponential_with_lower_limit():
-    value = integral_to_infinity(lambda r: np.exp(-r), scale=1.0, lower=1.0)
-    assert value == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-
-def test_scale_conditions_but_does_not_change_the_answer():
-    exact = math.sqrt(math.pi) / 2.0
-    for scale in (0.01, 0.3, 1.0, 7.0):
-        value = integral_to_infinity(lambda r: np.exp(-r * r), scale=scale)
-        assert value == pytest.approx(exact, rel=1e-10)
-
-
-def test_rejects_bad_scale_and_tolerance():
-    with pytest.raises(ValueError):
-        integral_to_infinity(lambda r: np.exp(-r), scale=0.0)
-    with pytest.raises(ValueError):
-        integral_to_infinity(lambda r: np.exp(-r), scale=1.0, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        integral_to_infinity(lambda r: np.exp(-r), scale=1.0, rel_tol=2.0)
-
-
 def test_divergent_integrand_raises_with_estimate():
-    with pytest.raises(QuadratureError) as excinfo:
-        integral_to_infinity(lambda r: np.ones_like(r), scale=1.0)
-    assert math.isfinite(excinfo.value.estimate) or excinfo.value.estimate > 0.0
+    """integral 2 pi r dr diverges; its two rule sums are finite but far
+    apart, and the gap check says so and carries the gap."""
+    coarse, fine = (float(np.sum(radial_rule(1.0, nodes)[1])) for nodes in RULE_NODES)
+    with pytest.raises(QuadratureError, match="between 48 and 96") as excinfo:
+        check_rule_gap(coarse, fine, 0.0, "area")
+    assert excinfo.value.estimate == abs(coarse - fine) > 0.0
 
 
-def test_kronrod_and_gauss_rules_are_exact_to_their_degrees():
-    """The 15-point Kronrod rule integrates x^d over [-1, 1] exactly for
-    d <= 22 and the embedded 7-point Gauss rule for d <= 13; neither is
-    exact one even degree further."""
-    nodes = numerics._NODES
-
-    def moment_error(weights, degree):
-        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
-        return abs(float(np.dot(weights, nodes**degree)) - exact)
-
-    for degree in range(23):
-        assert moment_error(numerics._KRONROD_WEIGHTS, degree) <= 1e-15
-    for degree in range(14):
-        assert moment_error(numerics._GAUSS_WEIGHTS, degree) <= 1e-15
-    assert moment_error(numerics._KRONROD_WEIGHTS, 24) > 1e-9
-    assert moment_error(numerics._GAUSS_WEIGHTS, 14) > 1e-6
-    assert numerics._GAUSS_WEIGHTS[::2].tolist() == [0.0] * 8
-
-
-@pytest.mark.parametrize("lower", [0.0, 1.0, 5.0, 30.0])
-def test_lower_limited_exponential_agrees_with_scipy_quad(lower):
-    value = integral_to_infinity(lambda r: np.exp(-r), scale=1.0, lower=lower, rel_tol=1e-12)
-    oracle, _ = integrate.quad(lambda r: math.exp(-r), lower, math.inf,
-                               epsabs=0.0, epsrel=1e-13, limit=200)
-    assert value == pytest.approx(oracle, rel=1e-12)
-    assert value == pytest.approx(math.exp(-lower), rel=1e-12)
-
-
-@pytest.mark.parametrize("frequency", [1.0, 10.0, 50.0])
-def test_oscillatory_finite_integral_agrees_with_scipy_quad(frequency):
-    value = finite(
-        lambda x: np.cos(frequency * x) * np.exp(-0.1 * x * x), 0.0, 10.0,
-        rel_tol=1e-10, abs_tol=1e-12,
-    )
-    oracle, _ = integrate.quad(
-        lambda x: math.cos(frequency * x) * math.exp(-0.1 * x * x), 0.0, 10.0,
-        epsabs=1e-13, epsrel=1e-12, limit=500,
-    )
-    assert abs(value - oracle) <= 1e-12 + 1e-10 * abs(oracle)
-
-
-def test_too_many_panels_raise_with_estimate():
-    """~320 oscillations need more than SUBDIVISION_CAP panels."""
-    with pytest.raises(QuadratureError, match=f"{SUBDIVISION_CAP} panels") as excinfo:
-        finite(lambda x: np.cos(200.0 * x), 0.0, 10.0, rel_tol=1e-10, abs_tol=1e-12)
-    assert excinfo.value.estimate > 0.0
-
-
-def test_unresolvable_jump_raises_with_estimate():
-    """A jump needs panels ~tolerance wide around it; below ~2000 ulps of
-    its position the rule stops splitting and says where."""
-    def step(x):
-        return (x > 1.0 / 3.0).astype(float)
-
-    assert finite(step, 0.0, 1.0, rel_tol=1e-13) == pytest.approx(2.0 / 3.0, rel=1e-13)
-    with pytest.raises(QuadratureError, match="cannot resolve the integrand near 0.333") as excinfo:
-        finite(step, 0.0, 1.0, rel_tol=5e-14)
-    assert excinfo.value.estimate > 0.0
-
-
-def test_integrand_must_take_and_return_arrays():
-    with pytest.raises(ValueError, match="must take and return arrays"):
-        finite(lambda x: 1.0, 0.0, 1.0)
-    with pytest.raises(QuadratureError, match="not finite at 0.5"):
-        finite(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+def test_rule_gap_check_accepts_within_tolerance_plus_floor():
+    assert check_rule_gap(1.0 + 0.5 * RULE_TOL, 1.0, 0.0, "x") == 1.0
+    assert check_rule_gap(1.0 + 1e-6, 1.0, 2e-6, "x") == 1.0
+    with pytest.raises(QuadratureError, match="x differs by"):
+        check_rule_gap(1.0 + 1e-6, 1.0, 0.5e-6, "x")
+    with pytest.raises(QuadratureError):
+        check_rule_gap(math.nan, 1.0, 1.0, "x")
 
 
 def test_bessel_j0_matches_scipy():
@@ -158,12 +72,31 @@ def test_unknown_module_attribute_raises_attribute_error():
 @pytest.mark.parametrize("nodes", [48, 96])
 @pytest.mark.parametrize("scale", [1.0, 3.7e-6])
 def test_radial_rule_is_exact_for_gaussian_times_polynomial(nodes, scale):
-    """integral exp(-2 r^2/s^2) (2 r^2/s^2)^m 2 pi r dr = (pi s^2 / 2) m!"""
-    radii, weights = radial_rule(scale, nodes)
-    u = 2.0 * radii**2 / scale**2
-    for m in range(6):
-        exact = 0.5 * math.pi * scale**2 * math.factorial(m)
-        assert np.dot(weights, np.exp(-u) * u**m) == pytest.approx(exact, rel=1e-13)
+    """integral exp(-u) u^m 2 pi r dr over u = 2 r^2 / s^2 >= c is
+    (pi s^2 / 2) e^{-c} sum_{k<=m} m! c^k / k!, the rule taken from the
+    lower radius s sqrt(c / 2)."""
+    for c in (0.0, 0.5, 1.0, 4.0):
+        radii, weights = radial_rule(scale, nodes, scale * math.sqrt(0.5 * c))
+        u = 2.0 * radii**2 / scale**2
+        for m in range(6):
+            exact = 0.5 * math.pi * scale**2 * math.exp(-c) * sum(
+                math.factorial(m) / math.factorial(k) * c**k for k in range(m + 1))
+            assert np.dot(weights, np.exp(-u) * u**m) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("nodes", [48, 96])
+def test_radial_rule_from_zero_is_the_plain_rule(nodes):
+    """hypot(0, x) is x, so the rule from r = 0 has the unit rule's radii
+    times the scale, bit for bit, and a negative lower radius is refused."""
+    unit_radii, unit_weights = numerics._laguerre_rule(nodes)
+    for scale in (1.0, 3.7e-6, 0.3):
+        radii, weights = radial_rule(scale, nodes)
+        assert np.array_equal(radii, scale * unit_radii)
+        assert np.array_equal(weights, (scale * scale) * unit_weights)
+        assert np.array_equal(radial_rule(scale, nodes, 0.0)[0], radii)
+    for lower in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="lower radius"):
+            radial_rule(1.0, nodes, lower)
 
 
 @pytest.mark.parametrize("nodes", [5, 24, 48, 96])
@@ -210,10 +143,6 @@ def test_radial_rule_is_cached_and_read_only():
         numerics._laguerre_rule(48)[0][0] = 1.0
     with pytest.raises(ValueError):
         radial_rule(0.0, 48)
-
-
-def test_finite_integral_basic():
-    assert finite(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_central_derivative_is_exact_for_cubics():
