@@ -251,16 +251,21 @@ def gaussian_field(beam: BeamParams, z: float) -> FieldProfile:
              * exp(-i (k z + k r^2 C(z) / 2 - gouy))
 
     normalized so that the integral of |psi|^2 * 2 pi r dr is one.
+
+    The piston k z - gouy is applied as one complex carrier.  Added to
+    each radius's phase it would round every radius by ulp(k z), ~4e-9
+    rad at z = 3 m and 1 um wavelength, which no later phase alignment
+    removes.
     """
     w_sq = beam_width_sq(beam, z)
     w = math.sqrt(w_sq)
-    amp = math.sqrt(2.0 / math.pi) / w
+    piston = beam.wavenumber * z - gouy_phase(beam, z)
+    carrier = math.sqrt(2.0 / math.pi) / w * complex(math.cos(piston), -math.sin(piston))
     curv = wavefront_curvature(beam, z)
     k = beam.wavenumber
-    piston = k * z - gouy_phase(beam, z)
 
     def profile(r):
-        return amp * np.exp(-r * r / w_sq - 1j * (piston + 0.5 * k * r * r * curv))
+        return carrier * np.exp(-r * r / w_sq - 1j * (0.5 * k * r * r * curv))
 
     return profile
 

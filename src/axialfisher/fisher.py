@@ -49,6 +49,7 @@ from .numerics import (
     central_derivative,
     check_rule_gap,
     radial_rule,
+    stacked_radial_rule,
 )
 
 #: Pinned relative step for axial finite differences, in units of the
@@ -236,14 +237,16 @@ def classical_fi_numeric(
     ``step`` is the finite-difference step in meters; for a width law of
     axial scale ``scale``, ``max(1e-6 * scale, 1e-12)`` works.
 
-    The integral is a Gauss-Laguerre rule (``numerics.radial_rule``) of
-    scale w = sqrt(w^2(z)), taken on 48 and on 96 nodes.  Their gap is
-    the error estimate, checked by ``numerics.check_rule_gap`` above a
-    roundoff floor of 100 sqrt(F) eps / ``step``: each p carries a few
-    ulps, so d_z p carries ~eps p / step, and F = integral (d_z p)^2 / p
-    moves by ~eps sqrt(F) / step, differently on each node set.  A step
-    so large that a stencil width exceeds twice w^2(z) makes the integral
-    diverge, and the gap raises ``QuadratureError``.
+    The integral is a Gauss-Laguerre rule of scale w = sqrt(w^2(z)),
+    taken on 48 and on 96 nodes, with each intensity of the stencil
+    evaluated once on both node sets (``numerics.stacked_radial_rule``).
+    Their gap is the error estimate, checked by
+    ``numerics.check_rule_gap`` above a roundoff floor of
+    100 sqrt(F) eps / ``step``: each p carries a few ulps, so d_z p
+    carries ~eps p / step, and F = integral (d_z p)^2 / p moves by
+    ~eps sqrt(F) / step, differently on each node set.  A step so large
+    that a stencil width exceeds twice w^2(z) makes the integral diverge,
+    and the gap raises ``QuadratureError``.
     """
     w_sq = width_sq_fn(z)
     if not (w_sq > 0.0 and math.isfinite(w_sq)):
@@ -258,17 +261,14 @@ def classical_fi_numeric(
             raise ValueError(f"width_sq_fn returned {value!r} at z={z + offset!r}")
         widths_sq[offset] = value
 
-    sums = []
-    for nodes in RULE_NODES:
-        radii, weights = radial_rule(math.sqrt(w_sq), nodes)
-        p = intensity_pdf(w_sq, radii)
-        dp = central_derivative(
-            lambda offset: intensity_pdf(widths_sq[offset], radii), 0.0, step
-        )
-        # Far tail: p has underflowed, and the score with it.
-        score = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
-        sums.append(float(weights @ score))
-    coarse, fine = sums
+    radii, rules = stacked_radial_rule(math.sqrt(w_sq))
+    p = intensity_pdf(w_sq, radii)
+    dp = central_derivative(
+        lambda offset: intensity_pdf(widths_sq[offset], radii), 0.0, step
+    )
+    # Far tail: p has underflowed, and the score with it.
+    score = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
+    coarse, fine = (float(score[part] @ weights) for part, weights in rules)
     floor = 100.0 * math.sqrt(abs(fine)) * np.finfo(float).eps / step
     return check_rule_gap(coarse, fine, floor, "score integral")
 
@@ -419,11 +419,11 @@ def info_fraction_outside(width_sq: float, r_b: float) -> float:
     """Fraction of the classical information carried by radii beyond r_b.
 
     Ratio of two Gauss-Laguerre sums of the radial density
-    (``numerics.radial_rule``), over [r_b, inf) and over [0, inf); the
-    slope factor cancels, so the result depends only on r_b / w.  In
-    u = 2 (r^2 - r_b^2) / w^2 the density is e^{-u} times a quadratic in
-    u, which the rule integrates exactly, so the 48/96-node gap is
-    roundoff.
+    (``numerics.stacked_radial_rule``), over [r_b, inf) and over
+    [0, inf); the slope factor cancels, so the result depends only on
+    r_b / w.  In u = 2 (r^2 - r_b^2) / w^2 the density is e^{-u} times a
+    quadratic in u, which the rule integrates exactly, so the 48/96-node
+    gap is roundoff.
     """
     if width_sq <= 0.0:
         raise ValueError(f"width_sq must be positive, got {width_sq}")
@@ -431,11 +431,10 @@ def info_fraction_outside(width_sq: float, r_b: float) -> float:
         raise ValueError(f"boundary radius must be nonnegative, got {r_b}")
 
     def integral(lower: float, what: str) -> float:
-        sums = []
-        for nodes in RULE_NODES:
-            radii, weights = radial_rule(math.sqrt(width_sq), nodes, lower)
-            t = 2.0 * radii * radii / width_sq - 1.0
-            sums.append(float(weights @ (intensity_pdf(width_sq, radii) * t * t)))
+        radii, rules = stacked_radial_rule(math.sqrt(width_sq), lower)
+        t = 2.0 * radii * radii / width_sq - 1.0
+        density = intensity_pdf(width_sq, radii) * t * t
+        sums = (float(density[part] @ weights) for part, weights in rules)
         return check_rule_gap(*sums, 0.0, what)
 
     return integral(r_b, "outside information") / integral(0.0, "total information")
@@ -446,22 +445,33 @@ def info_fraction_outside(width_sq: float, r_b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: Radii of ``_estimate_transverse_scale``'s search: 1e-12 m doubled up
+#: to 119 times, ~6.6e23 m at the top.
+_SCALE_LADDER = np.ldexp(1e-12, np.arange(120))
+_SCALE_LADDER.flags.writeable = False
+
+
 def _estimate_transverse_scale(profile: FieldProfile) -> float:
-    """Radius where |profile| falls to 1/e of its axis value, found by
-    geometric search.  Used only to condition quadrature maps."""
+    """Radius where |profile| falls to 1/e of its axis value: the first
+    radius of ``_SCALE_LADDER`` where it is below that, from one call of
+    the profile on the whole ladder.  Used only to condition quadrature
+    maps."""
     center = abs(profile(0.0))
     if not (center > 0.0 and math.isfinite(center)):
         raise ValueError(
             "cannot infer a transverse scale for a profile that vanishes "
             "on axis; pass transverse_scale explicitly"
         )
-    target = center / math.e
-    r = 1e-12
-    for _ in range(120):
-        if abs(profile(r)) < target:
-            return r
-        r *= 2.0
-    raise NumericalLimitError("field profile does not decay; cannot infer a transverse scale")
+    # Far out on the ladder a profile may overflow or lose its phase to
+    # nan; those radii lie past its scale or count as not decayed.
+    with np.errstate(all="ignore"):
+        below = np.abs(profile(_SCALE_LADDER)) < center / math.e
+    below = np.broadcast_to(below, _SCALE_LADDER.shape)
+    if not below.any():
+        raise NumericalLimitError(
+            "field profile does not decay; cannot infer a transverse scale"
+        )
+    return float(_SCALE_LADDER[np.argmax(below)])
 
 
 def qfi_pure_state(
@@ -482,14 +492,16 @@ def qfi_pure_state(
     gauge invariant, so this only improves conditioning.
 
     Every inner product is a fixed Gauss-Laguerre rule in
-    u = 2 r^2 / s^2 (``numerics.radial_rule``), where s is
-    ``transverse_scale`` or, by default, the radius where the central
-    profile's amplitude falls to 1/e.  The field profiles must therefore
-    accept an array of radii and return the complex field with the same
-    shape (``beam_optics.FieldProfile``); each is evaluated once on each
-    node set.  Q is computed on 48 and on 96 nodes, and the 96-node value
-    is returned.  Their gap is the error estimate: ``QuadratureError``
-    is raised when it exceeds ``numerics.RULE_TOL`` |Q| (plus a roundoff
+    u = 2 r^2 / s^2, where s is ``transverse_scale`` or, by default, the
+    radius where the central profile's amplitude falls to 1/e.  The field
+    profiles must therefore accept an array of radii and return the
+    complex field with the same shape (``beam_optics.FieldProfile``).
+    Each field is evaluated once, on both node sets at once
+    (``numerics.stacked_radial_rule``), and the four fields of a stencil
+    are normalized, aligned and differenced as the rows of one array.
+    Q is computed on 48 and on 96 nodes, and the 96-node value is
+    returned.  Their gap is the error estimate: ``QuadratureError`` is
+    raised when it exceeds ``numerics.RULE_TOL`` |Q| (plus a roundoff
     floor that lets a frozen family return Q = 0), e.g. when
     ``transverse_scale`` is far from the field's actual width.
 
@@ -515,57 +527,62 @@ def qfi_pure_state(
         transverse_scale = _estimate_transverse_scale(center_raw)
     if transverse_scale <= 0.0:
         raise ValueError(f"transverse_scale must be positive, got {transverse_scale}")
-    rules = [radial_rule(transverse_scale, nodes) for nodes in RULE_NODES]
+    radii, rules = stacked_radial_rule(transverse_scale)
+    # Rule j's weights in column j and zeros on the other rule's nodes, so
+    # one product gives every field's sums on both rules; ``node_rule``
+    # spreads a per-rule factor back over the nodes.
+    weights = np.zeros((radii.size, len(rules)))
+    node_rule = np.empty(radii.size, dtype=int)
+    for column, (part, rule_weights) in enumerate(rules):
+        weights[part, column] = rule_weights
+        node_rule[part] = column
 
-    def normalized(profile: FieldProfile) -> list[np.ndarray]:
-        """``profile`` on each rule's radii, scaled to unit norm there."""
-        samples = []
-        for radii, weights in rules:
-            values = np.asarray(profile(radii), dtype=complex)
-            norm_sq = float(np.dot(weights, values.real**2 + values.imag**2))
-            if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
-                raise NormalizationDriftError(
-                    f"field norm^2 = {norm_sq!r} is not a positive finite number",
-                    drift=float("inf"),
-                )
-            values = values / math.sqrt(norm_sq)
-            drift = abs(float(np.dot(weights, values.real**2 + values.imag**2)) - 1.0)
-            if drift > 1e-8:
-                raise NormalizationDriftError(
-                    f"renormalized field norm drifted by {drift!r} (tolerance 1e-8)",
-                    drift=drift,
-                )
-            samples.append(values)
-        return samples
+    def normalized(profiles: Sequence[FieldProfile]) -> np.ndarray:
+        """One row per profile: its field on ``radii``, scaled to unit
+        norm on each rule's nodes."""
+        fields = np.empty((len(profiles), radii.size), dtype=complex)
+        for row, profile in zip(fields, profiles):
+            row[...] = profile(radii)
+        norm_sq = (fields.real**2 + fields.imag**2) @ weights
+        if not 0.0 < norm_sq.min() <= norm_sq.max() < math.inf:
+            bad = next(v for v in norm_sq.flat if not 0.0 < v < math.inf)
+            raise NormalizationDriftError(
+                f"field norm^2 = {float(bad)!r} is not a positive finite number",
+                drift=float("inf"),
+            )
+        fields /= np.sqrt(norm_sq)[:, node_rule]
+        drift = float(np.abs((fields.real**2 + fields.imag**2) @ weights - 1.0).max())
+        if drift > 1e-8:
+            raise NormalizationDriftError(
+                f"renormalized field norm drifted by {drift!r} (tolerance 1e-8)",
+                drift=drift,
+            )
+        return fields
 
-    psi_c = normalized(center_raw)
-
-    def aligned(offset: float) -> list[np.ndarray]:
-        samples = normalized(field_family(z + offset))
-        for index, (_, weights) in enumerate(rules):
-            overlap = np.dot(weights, psi_c[index].conj() * samples[index])
-            mag = abs(overlap)
-            if mag < 1e-3:
-                raise NumericalLimitError(
-                    f"stencil field at offset {offset!r} nearly orthogonal to the "
-                    "center field; reduce the finite-difference step"
-                )
-            samples[index] = samples[index] * (overlap.conjugate() / mag)
-        return samples
+    psi_c_conj = normalized([center_raw])[0].conj()
 
     def evaluate(h: float) -> float:
-        stencil = {offset: aligned(offset) for offset in (h, -h, 0.5 * h, -0.5 * h)}
-        values = []
-        for index, (_, weights) in enumerate(rules):
-            dpsi = central_derivative(lambda offset: stencil[offset][index], 0.0, h)
-            grad_sq = np.dot(weights, dpsi.real**2 + dpsi.imag**2)
-            overlap = np.dot(weights, psi_c[index].conj() * dpsi)
-            values.append(float(4.0 * (grad_sq - abs(overlap) ** 2)))
+        offsets = (h, -h, 0.5 * h, -0.5 * h)
+        fields = normalized([field_family(z + offset) for offset in offsets])
+        overlap = (fields * psi_c_conj) @ weights
+        mag = np.abs(overlap)
+        if mag.min() < 1e-3:
+            offset = offsets[int(np.argmax(mag.min(axis=1) < 1e-3))]
+            raise NumericalLimitError(
+                f"stencil field at offset {offset!r} nearly orthogonal to the "
+                "center field; reduce the finite-difference step"
+            )
+        fields *= (overlap.conj() / mag)[:, node_rule]
+        stencil = dict(zip(offsets, fields))
+        dpsi = central_derivative(lambda offset: stencil[offset], 0.0, h)
+        grad_sq = (dpsi.real**2 + dpsi.imag**2) @ weights
+        overlap = (psi_c_conj * dpsi) @ weights
+        values = 4.0 * (grad_sq - np.abs(overlap) ** 2)
         # Differencing unit-norm states leaves roundoff of order eps / h in
         # d_z psi; a gap below that floor says nothing about the rule.
         floor = (1e3 * np.finfo(float).eps / h) ** 2
         return check_rule_gap(
-            *values, floor,
+            *values.tolist(), floor,
             f"pure-state information (transverse scale={transverse_scale!r})",
         )
 

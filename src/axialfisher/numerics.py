@@ -2,9 +2,10 @@
 
 Four tools live here because several physics modules need them in the
 same form: a fixed Gauss-Laguerre rule for radial integrals of a
-Gaussian-windowed integrand, with the check that takes the gap between
-two of its orders as the error estimate, the Bessel function J0, and a
-Richardson-extrapolated central difference for axial derivatives.
+Gaussian-windowed integrand, in one order or both orders at once, with
+the check that takes the gap between two of its orders as the error
+estimate, the Bessel function J0, and a Richardson-extrapolated central
+difference for axial derivatives.
 
 Every radial integral of the package has the shape
 ``integral f(r) 2 pi r dr`` from some radius to infinity, with f a
@@ -12,7 +13,9 @@ Gaussian spot of known width times a factor smooth in u = 2 r^2 / w^2.
 In u that is e^{-u} times the smooth factor, which Gauss-Laguerre
 quadrature integrates on a fixed set of nodes.  Each integral is taken on
 ``RULE_NODES`` = (48, 96) nodes and ``check_rule_gap`` accepts the finer
-value only when the coarser one agrees with it.
+value only when the coarser one agrees with it.  ``stacked_radial_rule``
+puts both node sets on one array of radii, so each integrand is
+evaluated once for the pair.
 
 The Gauss-Laguerre rule finds all its zeros at once, by Sturm counts on
 an array of points and Newton steps on the array of zeros; J0 is the
@@ -280,12 +283,49 @@ def radial_rule(
     times a factor smooth in u.  The caller estimates the error by
     comparing the two orders of ``RULE_NODES`` (``check_rule_gap``).
     """
+    return _mapped_rule(*_laguerre_rule(nodes), scale, lower)
+
+
+def _mapped_rule(
+    radii: np.ndarray, weights: np.ndarray, scale: float, lower: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-scale radii and weights mapped to ``scale`` and ``lower``."""
     if scale <= 0.0:
         raise ValueError(f"quadrature scale must be positive, got {scale}")
     if not lower >= 0.0:
         raise ValueError(f"lower radius must be nonnegative, got {lower}")
-    radii, weights = _laguerre_rule(nodes)
     return np.hypot(lower, scale * radii), (scale * scale) * weights
+
+
+@functools.cache
+def _stacked_laguerre_rules() -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
+    """The unit-scale rules of ``RULE_NODES`` end to end, read-only, and
+    the slice that picks each rule out of them."""
+    rules = [_laguerre_rule(nodes) for nodes in RULE_NODES]
+    radii = np.concatenate([rule_radii for rule_radii, _ in rules])
+    weights = np.concatenate([rule_weights for _, rule_weights in rules])
+    radii.flags.writeable = False
+    weights.flags.writeable = False
+    coarse = RULE_NODES[0]
+    return radii, weights, (slice(0, coarse), slice(coarse, None))
+
+
+def stacked_radial_rule(
+    scale: float, lower: float = 0.0
+) -> tuple[np.ndarray, tuple[tuple[slice, np.ndarray], ...]]:
+    """Both orders of ``RULE_NODES`` on one array of radii, so that an
+    integrand is evaluated once for the pair of sums ``check_rule_gap``
+    compares.
+
+    Returns the radii, the coarse rule's followed by the fine rule's, and
+    one ``(part, weights)`` pair per rule, coarse first: ``radii[part]``
+    and ``weights`` are bit for bit the radii and weights of
+    ``radial_rule(scale, nodes, lower)``.  A rule's sum of integrand
+    values ``f`` on these radii is ``f[..., part] @ weights``.
+    """
+    radii, weights, parts = _stacked_laguerre_rules()
+    radii, weights = _mapped_rule(radii, weights, scale, lower)
+    return radii, tuple((part, weights[part]) for part in parts)
 
 
 def central_derivative(fn: Callable[[float], float], x: float, step: float):

@@ -476,12 +476,16 @@ def test_fraction_outside_validates_inputs():
 
 
 def test_pure_state_route_is_flat_for_the_free_beam():
-    family = gaussian_field_family(HENE)
-    q = qfi_gaussian(HENE)
-    zr = HENE.rayleigh_range
-    for z in (0.0, zr, -zr, 3.0 * zr, -3.0 * zr):
-        step = 1e-3 * zr if z == 0.0 else None
-        assert qfi_pure_state(family, z, step=step) == pytest.approx(q, rel=1e-8)
+    """Also for 1 um beams whose piston k z reaches ~2e7 rad, where a
+    piston rounded into each radius's phase would open the rule gap."""
+    beams = [HENE] + [BeamParams.from_rayleigh_range(1e-6, zr) for zr in (1e-3, 1e-2, 1.0)]
+    for beam in beams:
+        family = gaussian_field_family(beam)
+        q = qfi_gaussian(beam)
+        zr = beam.rayleigh_range
+        for z in (0.0, zr, -zr, 3.0 * zr, -3.0 * zr, 0.37 * zr, -0.37 * zr):
+            step = 1e-3 * zr if z == 0.0 else None
+            assert qfi_pure_state(family, z, step=step) == pytest.approx(q, rel=1e-8)
 
 
 def test_pure_state_requires_explicit_step_at_origin():
@@ -603,6 +607,76 @@ def test_pure_state_rejects_a_mismatched_transverse_scale(factor):
     with pytest.raises(QuadratureError) as excinfo:
         qfi_pure_state(family, 10.0, transverse_scale=factor * 0.05)
     assert excinfo.value.estimate > 1e-3
+
+
+def _doubling_search(profile) -> float | None:
+    """The transverse-scale search as a loop of scalar calls: 1e-12 m,
+    doubled until |profile| falls below 1/e of its axis value."""
+    target = abs(profile(0.0)) / math.e
+    r = 1e-12
+    for _ in range(120):
+        if abs(profile(r)) < target:
+            return r
+        r *= 2.0
+    return None
+
+
+SCALE_CASES = [
+    gaussian_field(beam, n * beam.rayleigh_range)
+    for beam in (UNIT, HENE, BeamParams.from_rayleigh_range(1e-6, 1.0))
+    for n in (0.0, 1.0, -3.0, 0.37)
+] + [
+    pupil_field_family(width, wavenumber, focal_length)(distance)
+    for width, wavenumber, focal_length, distance in (
+        (1.0, 1e7, 0.0, 2e5), (2e-3, 2.0 * math.pi / 632.8e-9, 0.0, 0.5),
+        (0.05, 1e6, 2.0, 10.0), (3e-7, 1e7, 0.0, 1e-3), (40.0, 1e5, 0.0, 1e3),
+    )
+]
+
+
+@pytest.mark.parametrize("profile", SCALE_CASES)
+def test_transverse_scale_ladder_matches_the_doubling_search(profile):
+    assert fisher._estimate_transverse_scale(profile) == _doubling_search(profile)
+
+
+def test_transverse_scale_ladder_is_quiet_where_a_profile_overflows(recwarn):
+    """The ladder reaches ~6.6e23 m, far past any scale; a profile that
+    overflows out there gives no warning and the same radius."""
+
+    def overflowing(r):
+        r = np.asarray(r)
+        return np.exp(r - r * r) * np.exp(r) + 0j  # inf * 0 = nan beyond r ~ 710
+
+    def growing(r):
+        return np.exp(np.asarray(r, dtype=float) ** 2) + 0j
+
+    assert fisher._estimate_transverse_scale(overflowing) == _doubling_search(overflowing)
+    with pytest.raises(NumericalLimitError, match="does not decay"):
+        fisher._estimate_transverse_scale(growing)
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize(
+    "family,z", ORACLE_CASES,
+    ids=["orbit", "bench", "mid", "lens-offset", "hene+zR", "hene-zR", "hene+3zR", "hene-3zR"],
+)
+def test_pure_state_calls_each_profile_once_per_field(family, z):
+    """One call for the axis value, one on the scale ladder, one for the
+    central field and four per stencil, of which there are at most two."""
+    calls = 0
+
+    def counted(zz: float):
+        inner = family(zz)
+
+        def profile(r):
+            nonlocal calls
+            calls += 1
+            return inner(r)
+
+        return profile
+
+    qfi_pure_state(counted, z)
+    assert calls <= 11
 
 
 def test_normalization_drift_error_carries_drift():

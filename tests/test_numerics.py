@@ -14,6 +14,7 @@ from axialfisher.numerics import (
     central_derivative,
     check_rule_gap,
     radial_rule,
+    stacked_radial_rule,
 )
 
 
@@ -143,6 +144,24 @@ def test_radial_rule_is_cached_and_read_only():
         numerics._laguerre_rule(48)[0][0] = 1.0
     with pytest.raises(ValueError):
         radial_rule(0.0, 48)
+
+
+@pytest.mark.parametrize("scale,lower", [(1.0, 0.0), (3.7e-5, 0.0), (2.5, 0.8), (1e-3, 4e-3)])
+def test_stacked_rule_holds_each_rule_bit_for_bit(scale, lower):
+    radii, rules = stacked_radial_rule(scale, lower)
+    assert radii.shape == (sum(RULE_NODES),)
+    assert len(rules) == len(RULE_NODES)
+    for nodes, (part, weights) in zip(RULE_NODES, rules):
+        single_radii, single_weights = radial_rule(scale, nodes, lower)
+        assert radii[part].tobytes() == single_radii.tobytes()
+        assert weights.tobytes() == single_weights.tobytes()
+
+
+def test_stacked_rule_validates_its_map():
+    with pytest.raises(ValueError, match="scale"):
+        stacked_radial_rule(0.0)
+    with pytest.raises(ValueError, match="lower"):
+        stacked_radial_rule(1.0, -1.0)
 
 
 def test_central_derivative_is_exact_for_cubics():
