@@ -546,7 +546,7 @@ def test_pure_state_rejects_pathological_profiles():
         return profile
 
     assert qfi_pure_state(rotating, 0.0, step=1e-3) == pytest.approx(4.0, rel=1e-9)
-    with pytest.raises(NumericalLimitError, match="nearly orthogonal"):
+    with pytest.raises(NumericalLimitError, match=f"offset {math.pi / 2!r} nearly orthogonal"):
         qfi_pure_state(rotating, 0.0, step=math.pi / 2)
 
 
@@ -585,12 +585,10 @@ ORACLE_CASES = [
 ] + [
     (gaussian_field_family(HENE), n * HENE.rayleigh_range) for n in (1.0, -1.0, 3.0, -3.0)
 ]
+ORACLE_IDS = ["orbit", "bench", "mid", "lens-offset", "hene+zR", "hene-zR", "hene+3zR", "hene-3zR"]
 
 
-@pytest.mark.parametrize(
-    "family,z", ORACLE_CASES,
-    ids=["orbit", "bench", "mid", "lens-offset", "hene+zR", "hene-zR", "hene+3zR", "hene-3zR"],
-)
+@pytest.mark.parametrize("family,z", ORACLE_CASES, ids=ORACLE_IDS)
 def test_pure_state_rule_matches_adaptive_quadrature(family, z):
     """The fixed Gauss-Laguerre rule reproduces the adaptive route; both
     share the finite-difference stencil, so the gap is quadrature only."""
@@ -656,10 +654,7 @@ def test_transverse_scale_ladder_is_quiet_where_a_profile_overflows(recwarn):
     assert len(recwarn) == 0
 
 
-@pytest.mark.parametrize(
-    "family,z", ORACLE_CASES,
-    ids=["orbit", "bench", "mid", "lens-offset", "hene+zR", "hene-zR", "hene+3zR", "hene-3zR"],
-)
+@pytest.mark.parametrize("family,z", ORACLE_CASES, ids=ORACLE_IDS)
 def test_pure_state_calls_each_profile_once_per_field(family, z):
     """One call for the axis value, one on the scale ladder, one for the
     central field and four per stencil, of which there are at most two."""
@@ -677,6 +672,24 @@ def test_pure_state_calls_each_profile_once_per_field(family, z):
 
     qfi_pure_state(counted, z)
     assert calls <= 11
+
+
+@pytest.mark.parametrize(
+    "amplitude,message,drift",
+    [(1e-160, "drifted by", 1e-3), (1e-162, "is not a positive finite number", math.inf)],
+)
+def test_pure_state_rejects_fields_it_cannot_normalize(amplitude, message, drift):
+    """|psi|^2 of a field this faint is subnormal: at 1e-160 its norm
+    keeps too few digits to renormalize, at 1e-162 it underflows to 0."""
+    base = gaussian_field_family(UNIT)
+
+    def faint(z: float):
+        inner = base(z)
+        return lambda r: amplitude * inner(r)
+
+    with pytest.raises(NormalizationDriftError, match=message) as excinfo:
+        qfi_pure_state(faint, 1.0)
+    assert excinfo.value.drift >= drift
 
 
 def test_normalization_drift_error_carries_drift():
