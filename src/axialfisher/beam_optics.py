@@ -283,9 +283,12 @@ def pupil_field(pupil: PupilField) -> FieldProfile:
     """Complex pupil-plane profile for a point source at ``source_distance``."""
     w_sq = pupil.pupil_width**2
     amp = math.sqrt(2.0 / (math.pi * w_sq))
+    # -r^2 / w^2 - i pupil_phase(r), both quadratic in r: one complex
+    # factor of r^2, folded once per field.
+    exponent = complex(-1.0 / w_sq, -pupil_phase(pupil, 1.0))
 
     def profile(r):
-        return amp * np.exp(-r * r / w_sq - 1j * pupil_phase(pupil, r))
+        return amp * np.exp(exponent * (r * r))
 
     return profile
 

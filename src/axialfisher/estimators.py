@@ -321,6 +321,8 @@ def run_trials(config: TrialConfig) -> TrialReport:
         from concurrent.futures import ProcessPoolExecutor
         from itertools import repeat
 
+        # derive_trial_seeds above has loaded numpy's random package, so
+        # the forked workers inherit it rather than each importing it.
         # Every trial costs the same, so one chunk per worker balances the
         # load with the fewest round trips.
         parts = min(config.trials, config.workers)

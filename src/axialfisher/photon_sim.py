@@ -49,6 +49,11 @@ trial's state words straight to PCG64 instead of hashing its seed again.
 The part of the pool that depends on the base seed alone is numpy's own
 ``SeedSequence(base_seed)`` pool, taken once per run.  How a seed becomes
 a generator stays inside this module.
+
+numpy's random package, with the ``secrets`` and ``hashlib`` modules it
+loads, is imported by the first call that seeds or draws (numpy loads it
+on first access to ``np.random``), not with this module: the
+deterministic bound routes and commands never load it.
 """
 
 from __future__ import annotations
@@ -59,11 +64,6 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
-
-# This also loads numpy's random package, which numpy would otherwise load
-# on first attribute access: pool workers forked by ``run_trials`` then
-# find it already imported rather than each importing it again.
-from numpy.random.bit_generator import ISeedSequence
 
 from .numerics import NumericalLimitError
 
@@ -193,23 +193,31 @@ def _seed_states(seeds: np.ndarray) -> np.ndarray:
     return _output_words(pool, _POOL)
 
 
-class _StateWords(ISeedSequence):
-    """Seed sequence that hands PCG64 four precomputed seed words."""
+@functools.cache
+def _state_words_class() -> type:
+    """``_StateWords``, the seed sequence that hands PCG64 four
+    precomputed seed words, defined on first use: its base class lives in
+    numpy's random package, which only a draw needs."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class _StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (_POOL, np.uint64):
-            raise ValueError(f"holds 4 uint64 words, asked for {n_words} {dtype}")
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (_POOL, np.uint64):
+                raise ValueError(f"holds 4 uint64 words, asked for {n_words} {dtype}")
+            return self.words
+
+    return _StateWords
 
 
 def _generators(seeds) -> Iterator[np.random.Generator]:
     """``default_rng(seed)`` for each seed, built from the seeds'
     ``_seed_states`` rows, all hashed in one pass."""
+    state_words = _state_words_class()
     for words in _seed_states(np.asarray(seeds, dtype=np.uint64)):
-        yield np.random.Generator(np.random.PCG64(_StateWords(words)))
+        yield np.random.Generator(np.random.PCG64(state_words(words)))
 
 
 def sample_radii(width_sq: float, n: int, seed: int) -> np.ndarray:

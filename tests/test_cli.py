@@ -388,14 +388,22 @@ def test_simulate_names_n_per_trial_past_the_poisson_limit(tmp_path, monkeypatch
     assert main([*argv, str(9 * 10**18), "--out", "run.csv"]) == EXIT_OK
 
 
-def test_no_command_or_bound_route_imports_scipy(tmp_path):
-    """Every command, and the four quadrature routes to the bounds, run on
-    numpy alone: scipy is a test-only oracle."""
-    script = f"""
-import sys
+def _run_fresh(argv, timeout, cwd=None):
+    """Run ``python *argv`` in a fresh interpreter that imports the package
+    from this checkout; returns the completed process."""
+    src = str(Path(axialfisher.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=timeout, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+# The deterministic commands, and the four quadrature routes to the bounds.
+_DETERMINISTIC_ROUTES = """
 from axialfisher import beam_optics, fisher
 from axialfisher.cli import main
-out = {str(tmp_path)!r}
+out = {out!r}
 beam = ["--wavelength", "632.8nm", "--rayleigh-range", "18.9um"]
 relay = ["--focal", "10mm", "--object-distance", "12mm"]
 codes = [
@@ -406,6 +414,20 @@ codes = [
     main(["optimal-plane", *beam, *relay, "--out", out + "/planes.json"]),
     main(["point-source", "--wavenumber", "1e7", "--pupil-width", "2mm",
           "--distance", "1m", "--out", out + "/point.json"]),
+]
+hene = beam_optics.BeamParams.from_rayleigh_range(632.8e-9, 18.9e-6)
+fisher.info_fraction_outside(1e-12, fisher.info_boundary(1e-12))
+fisher.beam_fi_numeric(hene, hene.rayleigh_range)
+fisher.qfi_via_generator(hene)
+fisher.qfi_pure_state(beam_optics.pupil_field_family(2e-3, 1e7), 1.0)
+"""
+
+
+def test_no_command_or_bound_route_imports_scipy(tmp_path):
+    """Every command, and the four quadrature routes to the bounds, run on
+    numpy alone: scipy is a test-only oracle."""
+    script = "import sys\n" + _DETERMINISTIC_ROUTES.format(out=str(tmp_path)) + """
+codes += [
     main(["simulate", *beam, "--n-per-trial", "2000", "--trials", "4",
           "--out", out + "/free.csv"]),
     main(["simulate", *beam, *relay, "--estimator", "mle",
@@ -413,38 +435,51 @@ codes = [
     main(["reproduce-experiment", "--n-per-trial", "2000", "--trials", "4",
           "--out", out + "/preset.csv"]),
 ]
-hene = beam_optics.BeamParams.from_rayleigh_range(632.8e-9, 18.9e-6)
-fisher.info_fraction_outside(1e-12, fisher.info_boundary(1e-12))
-fisher.beam_fi_numeric(hene, hene.rayleigh_range)
-fisher.qfi_via_generator(hene)
-fisher.qfi_pure_state(beam_optics.pupil_field_family(2e-3, 1e7), 1.0)
 print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-    src = str(Path(axialfisher.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    done = _run_fresh(["-c", script], timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 8} []"
 
 
-def test_importing_the_package_loads_no_process_pool():
-    """``run_trials`` imports the pool only on its ``workers > 1`` branch."""
+def test_importing_the_package_loads_no_sampler_or_process_pool(tmp_path):
+    """Importing the package loads neither numpy's random package (with
+    the ``secrets`` and ``hashlib`` modules it brings) nor the process
+    pool's; the deterministic commands and bound routes still have not
+    loaded numpy's random package when they are done."""
     script = (
         "import sys, axialfisher, axialfisher.cli\n"
         "print(sorted(name for name in sys.modules\n"
-        "             if name.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        "             if name.split('.')[0] in ('secrets', '_hashlib', 'concurrent',\n"
+        "                                       'multiprocessing')\n"
+        "             or name.startswith('numpy.random')))\n"
     )
-    src = str(Path(axialfisher.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    done = _run_fresh(["-c", script], timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+    script = "import sys\n" + _DETERMINISTIC_ROUTES.format(out=str(tmp_path)) + (
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    done = _run_fresh(["-c", script], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 5} False"
+
+
+def test_pool_draws_the_same_trials_in_a_fresh_interpreter(tmp_path):
+    """A fresh interpreter imports numpy's random package on its first
+    draw, and a forked pool inherits it: two workers write the same CSV
+    and JSON, byte for byte, as one."""
+    argv = ["-m", "axialfisher", "simulate", *SMALL_BEAM, "--focal", "10mm",
+            "--object-distance", "12mm", "--poisson-total", "--estimator", "mle",
+            "--n-per-trial", "2000", "--trials", "9"]
+    for workers in ("1", "2"):
+        (tmp_path / workers).mkdir()
+        done = _run_fresh([*argv, "--workers", workers, "--out", "run.csv"], timeout=120,
+                          cwd=tmp_path / workers)
+        assert done.returncode == EXIT_OK, done.stderr
+    for name in ("run.csv", "run.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_simulate_json_format(tmp_path):
