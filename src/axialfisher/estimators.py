@@ -321,8 +321,9 @@ def run_trials(config: TrialConfig) -> TrialReport:
         from concurrent.futures import ProcessPoolExecutor
         from itertools import repeat
 
-        # derive_trial_seeds above has loaded numpy's random package, so
-        # the forked workers inherit it rather than each importing it.
+        # derive_trial_seeds above has loaded numpy's random package and
+        # photon_sim's seeding, so the forked workers inherit them rather
+        # than each setting them up again.
         # Every trial costs the same, so one chunk per worker balances the
         # load with the fewest round trips.
         parts = min(config.trials, config.workers)
