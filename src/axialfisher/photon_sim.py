@@ -200,9 +200,9 @@ def _seed_states(seeds: np.ndarray) -> np.ndarray:
 @functools.cache
 def _state_words_class() -> type:
     """``_StateWords``, the seed sequence that hands PCG64 four
-    precomputed seed words, defined once per process by the first call
-    that seeds or draws: its base class lives in numpy's random package,
-    which only those calls need."""
+    precomputed seed words, defined on first use, once per process: its
+    base class lives in numpy's random package, which only seeding and
+    drawing need."""
     from numpy.random.bit_generator import ISeedSequence
 
     class _StateWords(ISeedSequence):

@@ -401,6 +401,7 @@ def _run_fresh(argv, timeout, cwd=None):
 
 # The deterministic commands, and the four quadrature routes to the bounds.
 _DETERMINISTIC_ROUTES = """
+import sys
 from axialfisher import beam_optics, fisher
 from axialfisher.cli import main
 out = {out!r}
@@ -426,7 +427,7 @@ fisher.qfi_pure_state(beam_optics.pupil_field_family(2e-3, 1e7), 1.0)
 def test_no_command_or_bound_route_imports_scipy(tmp_path):
     """Every command, and the four quadrature routes to the bounds, run on
     numpy alone: scipy is a test-only oracle."""
-    script = "import sys\n" + _DETERMINISTIC_ROUTES.format(out=str(tmp_path)) + """
+    script = _DETERMINISTIC_ROUTES.format(out=str(tmp_path)) + """
 codes += [
     main(["simulate", *beam, "--n-per-trial", "2000", "--trials", "4",
           "--out", out + "/free.csv"]),
@@ -458,7 +459,7 @@ def test_importing_the_package_loads_no_sampler_or_process_pool(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
 
-    script = "import sys\n" + _DETERMINISTIC_ROUTES.format(out=str(tmp_path)) + (
+    script = _DETERMINISTIC_ROUTES.format(out=str(tmp_path)) + (
         "print(codes, 'numpy.random' in sys.modules)\n"
     )
     done = _run_fresh(["-c", script], timeout=120)
