@@ -26,6 +26,7 @@ import json
 import math
 import re
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,6 +37,7 @@ from .estimators import (
     TrialConfig,
     UninformativePlaneError,
     expected_fraction_estimate,
+    open_trial_pool,
     run_trials,
 )
 from .fisher import (
@@ -322,6 +324,16 @@ def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySyst
     return relay
 
 
+def _trial_pool(args):
+    """The one process pool that every ``run_trials`` call of a sampling
+    command borrows, as a context manager: leaving it joins the workers,
+    on the error path too.  None at one worker, so a serial run loads no
+    pool module."""
+    if args.workers == 1:
+        return nullcontext()
+    return open_trial_pool(args.workers, args.trials)
+
+
 def _beam_config(beam: BeamParams, relay: RelaySystem | None = None) -> dict:
     config = {"wavelength_m": beam.wavelength, "waist_m": beam.waist}
     if relay is not None:
@@ -514,7 +526,8 @@ def cmd_simulate(args) -> int:
         poisson_total=args.poisson_total,
         workers=args.workers,
     )
-    report = run_trials(config)
+    with _trial_pool(args) as pool:
+        report = run_trials(config, pool=pool)
 
     rows = [
         (index, int(seed), int(total), int(outside), float(estimate))
@@ -568,22 +581,28 @@ def cmd_reproduce_experiment(args) -> int:
         **_beam_config(beam),
     }
 
+    with _trial_pool(args) as pool:
+        reports = [
+            run_trials(
+                TrialConfig(
+                    beam=beam,
+                    detector_plane=plane,
+                    true_delta=delta,
+                    n_per_trial=args.n_per_trial,
+                    trials=args.trials,
+                    estimator="mle",
+                    base_seed=args.seed,
+                    workers=args.workers,
+                ),
+                pool=pool,
+            )
+            for delta in args.deltas
+        ]
+
     rows = []
     summaries = []
     failures = []
-    for delta in args.deltas:
-        mle = run_trials(
-            TrialConfig(
-                beam=beam,
-                detector_plane=plane,
-                true_delta=delta,
-                n_per_trial=args.n_per_trial,
-                trials=args.trials,
-                estimator="mle",
-                base_seed=args.seed,
-                workers=args.workers,
-            )
-        )
+    for delta, mle in zip(args.deltas, reports):
         fraction = mle.with_estimator("fraction")
         per_delta = {
             "true_delta_m": delta,

@@ -32,8 +32,10 @@ execution order and worker count.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Literal
+from itertools import repeat
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -41,6 +43,9 @@ from numpy.typing import ArrayLike
 from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
 from .fisher import info_boundary, qfi_gaussian, width_response
 from .photon_sim import _POISSON_LAM_MAX, derive_trial_seeds, poisson_counts, sample_trials
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 #: Slopes smaller than this (in units of 1 / z_R) mark a detection plane
 #: as carrying no usable first-order signal.
@@ -294,17 +299,32 @@ def _estimate(
     }
 
 
-def run_trials(config: TrialConfig) -> TrialReport:
+def open_trial_pool(workers: int, trials: int) -> Executor:
+    """A process pool for ``run_trials`` calls of ``trials`` trials on
+    ``workers`` workers: min(workers, trials) processes, one per chunk a
+    call splits into, so none sits idle.  Its processes fork at the first
+    ``map``; the caller shuts it down (it is a context manager)."""
+    # Imported here: the pool's modules cost every other run ~15 ms.
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=min(workers, trials))
+
+
+def run_trials(config: TrialConfig, pool: Executor | None = None) -> TrialReport:
     """Run the seeded benchmark described by ``config``.
 
     Each trial draws one exposure's statistics (n, k, w^2_hat) from its
     own stream: ``derive_trial_seeds`` gives every trial's seed in one
     pass (substream 1 seeds a Poisson total), and ``sample_trials`` draws
-    from each seed's ``default_rng``, in this process or split across the
-    worker pool.  The estimator then reads all trials at once.  Flagged
-    trials (saturated, empty or clamped) are excluded from the mean and
-    standard deviation but remain in the per-trial arrays; the flag count
-    is part of the report rather than silently dropped.
+    from each seed's ``default_rng``, in this process or, when
+    ``config.workers > 1``, split into min(workers, trials) chunks across
+    a process pool.  The pool is ``pool`` when the caller lends one (the
+    CLI opens one per command, ``open_trial_pool``, and joins it before
+    the command returns); otherwise this call opens its own and joins it
+    before returning.  The estimator then reads all trials at once.
+    Flagged trials (saturated, empty or clamped) are excluded from the
+    mean and standard deviation but remain in the per-trial arrays; the
+    flag count is part of the report rather than silently dropped.
     """
     cal = calibrate(config.beam, config.detector_plane, config.relay)
     width_sq_true = _true_width_sq(config)
@@ -317,17 +337,15 @@ def run_trials(config: TrialConfig) -> TrialReport:
     else:
         totals = np.full(config.trials, config.n_per_trial, dtype=np.int64)
     if config.workers > 1:
-        # Imported here: the pool's modules cost every other run ~15 ms.
-        from concurrent.futures import ProcessPoolExecutor
-        from itertools import repeat
-
         # derive_trial_seeds above has loaded numpy's random package and
-        # photon_sim's seeding, so the forked workers inherit them rather
-        # than each setting them up again.
+        # photon_sim's seeding, so workers forked at a pool's first map
+        # inherit them rather than each setting them up again.
         # Every trial costs the same, so one chunk per worker balances the
         # load with the fewest round trips.
         parts = min(config.trials, config.workers)
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # Only who owns the pool differs: a lent one stays open.
+        with (nullcontext(pool) if pool is not None
+              else open_trial_pool(config.workers, config.trials)) as pool:
             chunks = list(pool.map(
                 sample_trials,
                 repeat(width_sq_true),

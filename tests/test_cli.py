@@ -1,6 +1,7 @@
 import filecmp
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -467,20 +468,79 @@ def test_importing_the_package_loads_no_sampler_or_process_pool(tmp_path):
     assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 5} False"
 
 
+def _assert_two_workers_write_what_one_does(tmp_path, argv):
+    """Run ``python -m axialfisher *argv`` in fresh interpreters at one and
+    two workers and compare the CSV and JSON they write, byte for byte."""
+    for workers in ("1", "2"):
+        (tmp_path / workers).mkdir()
+        done = _run_fresh(["-m", "axialfisher", *argv, "--workers", workers,
+                           "--out", "run.csv"], timeout=120, cwd=tmp_path / workers)
+        assert done.returncode == EXIT_OK, done.stderr
+    for name in ("run.csv", "run.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_pool_draws_the_same_trials_in_a_fresh_interpreter(tmp_path):
     """A fresh interpreter imports numpy's random package on its first
     draw, and a forked pool inherits it: two workers write the same CSV
     and JSON, byte for byte, as one."""
-    argv = ["-m", "axialfisher", "simulate", *SMALL_BEAM, "--focal", "10mm",
-            "--object-distance", "12mm", "--poisson-total", "--estimator", "mle",
-            "--n-per-trial", "2000", "--trials", "9"]
-    for workers in ("1", "2"):
-        (tmp_path / workers).mkdir()
-        done = _run_fresh([*argv, "--workers", workers, "--out", "run.csv"], timeout=120,
-                          cwd=tmp_path / workers)
-        assert done.returncode == EXIT_OK, done.stderr
-    for name in ("run.csv", "run.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    _assert_two_workers_write_what_one_does(tmp_path, [
+        "simulate", *SMALL_BEAM, "--focal", "10mm", "--object-distance", "12mm",
+        "--poisson-total", "--estimator", "mle", "--n-per-trial", "2000", "--trials", "9",
+    ])
+
+
+def test_preset_pool_draws_the_same_trials_in_a_fresh_interpreter(tmp_path):
+    """The preset lends one pool to every displacement's ``run_trials``;
+    its workers fork during the first displacement and serve the rest.
+    Two workers still write the same CSV and JSON as one."""
+    _assert_two_workers_write_what_one_does(tmp_path, [
+        "reproduce-experiment", "--n-per-trial", "2000", "--trials", "9",
+        "--deltas", "100nm,400nm,1000nm", "--seed", "11",
+    ])
+
+
+def test_serial_sampling_commands_load_no_pool_module(tmp_path):
+    """At one worker neither sampling command opens a pool, so neither
+    loads ``concurrent`` or ``multiprocessing``."""
+    script = f"""
+import sys
+from axialfisher.cli import main
+out = {str(tmp_path)!r}
+codes = [
+    main(["simulate", {", ".join(map(repr, SMALL_BEAM))}, "--n-per-trial", "2000",
+          "--trials", "4", "--workers", "1", "--out", out + "/simulate.csv"]),
+    main(["reproduce-experiment", "--n-per-trial", "2000", "--trials", "4",
+          "--workers", "1", "--out", out + "/preset.csv"]),
+]
+print(codes, sorted(name for name in sys.modules
+                    if name.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+    done = _run_fresh(["-c", script], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 2} []"
+
+
+def test_preset_opens_one_pool_and_joins_it(tmp_path, built_pools):
+    """Three displacements share one pool of min(workers, trials)
+    processes, and no worker outlives the command."""
+    argv = ["reproduce-experiment", "--trials", "4", "--deltas", "100nm,400nm,1000nm",
+            "--workers", "2", "--seed", "3", "--out", str(tmp_path / "run.csv")]
+    assert main(argv) == EXIT_OK
+    assert built_pools == [[2, 2]]
+    assert multiprocessing.active_children() == []
+
+
+def test_preset_joins_its_pool_on_a_numerical_failure(tmp_path, built_pools, capsys):
+    """At 100 m the true width is so far from the calibrated one that the
+    sampler raises inside a worker: the command exits 2, and the pool it
+    opened is joined all the same."""
+    argv = ["reproduce-experiment", "--trials", "4", "--deltas", "100nm,100m",
+            "--workers", "2", "--out", str(tmp_path / "run.csv")]
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert len(built_pools) == 1 and built_pools[0][0] == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_simulate_json_format(tmp_path):

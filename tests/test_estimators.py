@@ -275,6 +275,14 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(serial.totals, parallel.totals)
 
 
+def test_run_trials_forks_no_idle_worker(built_pools):
+    """Lent no pool, ``run_trials`` opens its own of min(workers, trials)
+    processes for the call: one trial on two workers forks one."""
+    parallel = run_trials(_config(workers=2, trials=1))
+    assert built_pools == [[1, 1]]
+    assert np.array_equal(parallel.totals, run_trials(_config(trials=1)).totals)
+
+
 RELAY_20X = RelaySystem(0.1, 0.105)
 
 
