@@ -26,7 +26,6 @@ import json
 import math
 import re
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,7 +36,6 @@ from .estimators import (
     TrialConfig,
     UninformativePlaneError,
     expected_fraction_estimate,
-    open_trial_pool,
     run_trials,
 )
 from .fisher import (
@@ -113,20 +111,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_length(text: str) -> float:
-    """Parse a length with an optional unit suffix into meters."""
+    """Parse a length with an optional unit suffix into meters; one that
+    overflows a double is rejected here rather than failing downstream."""
     match = _LENGTH_RE.match(text)
     if not match:
         raise UsageError(f"cannot parse length {text!r}")
     value, unit = match.groups()
-    if unit == "":
-        return float(value)
     try:
-        return float(value) * _UNIT_FACTORS[unit]
+        meters = float(value) * _UNIT_FACTORS[unit] if unit else float(value)
     except KeyError:
         raise UsageError(
             f"unknown length unit {unit!r} in {text!r}; use one of "
             + ", ".join(sorted(set(_UNIT_FACTORS) - {"µm"}))
         ) from None
+    if not math.isfinite(meters):
+        raise UsageError(f"length {text!r} overflows a double")
+    return meters
 
 
 def parse_delta_list(text: str) -> list[float]:
@@ -324,16 +324,6 @@ def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySyst
     return relay
 
 
-def _trial_pool(args):
-    """The one process pool that every ``run_trials`` call of a sampling
-    command borrows, as a context manager: leaving it joins the workers,
-    on the error path too.  None at one worker, so a serial run loads no
-    pool module."""
-    if args.workers == 1:
-        return nullcontext()
-    return open_trial_pool(args.workers, args.trials)
-
-
 def _beam_config(beam: BeamParams, relay: RelaySystem | None = None) -> dict:
     config = {"wavelength_m": beam.wavelength, "waist_m": beam.waist}
     if relay is not None:
@@ -524,10 +514,8 @@ def cmd_simulate(args) -> int:
         base_seed=args.seed,
         relay=relay,
         poisson_total=args.poisson_total,
-        workers=args.workers,
     )
-    with _trial_pool(args) as pool:
-        report = run_trials(config, pool=pool)
+    report = run_trials(config)
 
     rows = [
         (index, int(seed), int(total), int(outside), float(estimate))
@@ -565,6 +553,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _displacement_summary(config: TrialConfig) -> dict:
+    """One displacement of the preset: the width MLE's report, the
+    fraction estimator read off the same exposures, and the fraction
+    estimator's exact mean response.  A module-level function, so that a
+    process pool pickles it by name."""
+    mle = run_trials(config)
+    fraction = mle.with_estimator("fraction")
+    return {
+        "true_delta_m": config.true_delta,
+        "mle_mean_m": mle.mean_estimate,
+        "mle_std_m": mle.empirical_std,
+        "mle_flagged": mle.flagged_count,
+        "fraction_mean_m": fraction.mean_estimate,
+        "fraction_std_m": fraction.empirical_std,
+        "fraction_flagged": fraction.flagged_count,
+        "fraction_response_m": expected_fraction_estimate(config),
+    }
+
+
 def cmd_reproduce_experiment(args) -> int:
     beam = BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
     plane = -beam.rayleigh_range
@@ -581,40 +588,36 @@ def cmd_reproduce_experiment(args) -> int:
         **_beam_config(beam),
     }
 
-    with _trial_pool(args) as pool:
-        reports = [
-            run_trials(
-                TrialConfig(
-                    beam=beam,
-                    detector_plane=plane,
-                    true_delta=delta,
-                    n_per_trial=args.n_per_trial,
-                    trials=args.trials,
-                    estimator="mle",
-                    base_seed=args.seed,
-                    workers=args.workers,
-                ),
-                pool=pool,
-            )
-            for delta in args.deltas
-        ]
+    configs = [
+        TrialConfig(
+            beam=beam,
+            detector_plane=plane,
+            true_delta=delta,
+            n_per_trial=args.n_per_trial,
+            trials=args.trials,
+            estimator="mle",
+            base_seed=args.seed,
+        )
+        for delta in args.deltas
+    ]
+    processes = min(args.workers, len(configs))
+    if processes == 1:
+        summaries = list(map(_displacement_summary, configs))
+    else:
+        # The workers fork at the pool's first map.  Importing numpy's
+        # random package here lets them inherit it; otherwise each worker
+        # imports it again before its first draw.
+        import numpy.random  # noqa: F401
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Leaving the block joins the workers, on the error path too.
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            summaries = list(pool.map(_displacement_summary, configs))
 
     rows = []
-    summaries = []
     failures = []
-    for delta, mle in zip(args.deltas, reports):
-        fraction = mle.with_estimator("fraction")
-        per_delta = {
-            "true_delta_m": delta,
-            "mle_mean_m": mle.mean_estimate,
-            "mle_std_m": mle.empirical_std,
-            "mle_flagged": mle.flagged_count,
-            "fraction_mean_m": fraction.mean_estimate,
-            "fraction_std_m": fraction.empirical_std,
-            "fraction_flagged": fraction.flagged_count,
-            "fraction_response_m": expected_fraction_estimate(mle.config),
-        }
-        summaries.append(per_delta)
+    for per_delta in summaries:
+        delta = per_delta["true_delta_m"]
         row = {**per_delta, "quantum_bound_m": quantum_bound,
                "fraction_bound_m": fraction_bound}
         rows.append(tuple(float(row[column]) for column in _REPRODUCE_COLUMNS))
@@ -725,7 +728,6 @@ def build_parser() -> _Parser:
                           default="fraction")
     simulate.add_argument("--poisson-total", action="store_true",
                           help="draw each exposure's photon number from a Poisson law")
-    simulate.add_argument("--workers", type=_positive_int, default=1)
     simulate.set_defaults(func=cmd_simulate)
 
     reproduce = sub.add_parser(

@@ -25,17 +25,15 @@ w^2_hat) per trial, applies the configured estimator to those arrays and
 reports the empirical spread next to the classical and quantum bounds.
 ``TrialReport.with_estimator`` reads another estimator off the same
 exposures without resampling.  Trials use independent derived streams,
-all derived up front in one pass, so the report is independent of
-execution order and worker count.
+all derived up front in one pass, so the report depends only on the
+configuration, not on which process runs it.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import TYPE_CHECKING, Literal
+from typing import Literal
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -43,9 +41,6 @@ from numpy.typing import ArrayLike
 from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
 from .fisher import info_boundary, qfi_gaussian, width_response
 from .photon_sim import _POISSON_LAM_MAX, derive_trial_seeds, poisson_counts, sample_trials
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 #: Slopes smaller than this (in units of 1 / z_R) mark a detection plane
 #: as carrying no usable first-order signal.
@@ -195,7 +190,6 @@ class TrialConfig:
     base_seed: int
     relay: RelaySystem | None = None
     poisson_total: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.n_per_trial < 2**63:
@@ -217,8 +211,6 @@ class TrialConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
-        if self.workers <= 0:
-            raise ValueError(f"workers must be positive, got {self.workers}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,29 +291,14 @@ def _estimate(
     }
 
 
-def open_trial_pool(workers: int, trials: int) -> Executor:
-    """A process pool for ``run_trials`` calls of ``trials`` trials on
-    ``workers`` workers: min(workers, trials) processes, one per chunk a
-    call splits into, so none sits idle.  Its processes fork at the first
-    ``map``; the caller shuts it down (it is a context manager)."""
-    # Imported here: the pool's modules cost every other run ~15 ms.
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=min(workers, trials))
-
-
-def run_trials(config: TrialConfig, pool: Executor | None = None) -> TrialReport:
-    """Run the seeded benchmark described by ``config``.
+def run_trials(config: TrialConfig) -> TrialReport:
+    """Run the seeded benchmark described by ``config``, in this process.
 
     Each trial draws one exposure's statistics (n, k, w^2_hat) from its
     own stream: ``derive_trial_seeds`` gives every trial's seed in one
     pass (substream 1 seeds a Poisson total), and ``sample_trials`` draws
-    from each seed's ``default_rng``, in this process or, when
-    ``config.workers > 1``, split into min(workers, trials) chunks across
-    a process pool.  The pool is ``pool`` when the caller lends one (the
-    CLI opens one per command, ``open_trial_pool``, and joins it before
-    the command returns); otherwise this call opens its own and joins it
-    before returning.  The estimator then reads all trials at once.
+    from each seed's ``default_rng``, all trials in one call.  The
+    estimator then reads all trials at once.
     Flagged trials (saturated, empty or clamped) are excluded from the
     mean and standard deviation but remain in the per-trial arrays; the
     flag count is part of the report rather than silently dropped.
@@ -336,26 +313,7 @@ def run_trials(config: TrialConfig, pool: Executor | None = None) -> TrialReport
         )
     else:
         totals = np.full(config.trials, config.n_per_trial, dtype=np.int64)
-    if config.workers > 1:
-        # derive_trial_seeds above has loaded numpy's random package and
-        # photon_sim's seeding, so workers forked at a pool's first map
-        # inherit them rather than each setting them up again.
-        # Every trial costs the same, so one chunk per worker balances the
-        # load with the fewest round trips.
-        parts = min(config.trials, config.workers)
-        # Only who owns the pool differs: a lent one stays open.
-        with (nullcontext(pool) if pool is not None
-              else open_trial_pool(config.workers, config.trials)) as pool:
-            chunks = list(pool.map(
-                sample_trials,
-                repeat(width_sq_true),
-                repeat(cal.r_b),
-                np.array_split(totals, parts),
-                np.array_split(seeds, parts),
-            ))
-        counts, stats = (np.concatenate(column) for column in zip(*chunks))
-    else:
-        counts, stats = sample_trials(width_sq_true, cal.r_b, totals, seeds)
+    counts, stats = sample_trials(width_sq_true, cal.r_b, totals, seeds)
     with np.errstate(divide="ignore", invalid="ignore"):  # empty exposures
         width_sq_hat = np.where(totals > 0, width_sq_true * stats / totals, math.nan)
 

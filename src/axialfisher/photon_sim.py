@@ -166,10 +166,6 @@ def derive_trial_seeds(base_seed: int, trials: int, substream: int = 0) -> np.nd
     if not 0 <= substream <= _MASK32:
         raise ValueError(f"substream must lie in [0, 2**32), got {substream}")
     later = max(0, -(-int(base_seed).bit_length() // 32) - _POOL)
-    # Loads numpy's random package and defines _StateWords here, because
-    # run_trials calls this before it forks its pool: the workers inherit
-    # both instead of each defining the class again.
-    _state_words_class()
     pool = np.random.SeedSequence(base_seed).pool[None, :]
     trial = np.arange(trials, dtype=np.uint32)[:, None]
     pool = _mix(pool, _hashmix(trial, *_absorbing_calls(later)))  # one row per trial

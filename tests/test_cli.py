@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,26 @@ def test_parse_delta_list():
     assert parse_delta_list("1um,") == pytest.approx([1e-6])
     with pytest.raises(UsageError):
         parse_delta_list(",")
+
+
+@pytest.mark.parametrize(("argv", "text"), [
+    (["simulate", "--delta", "1e400m"], "1e400m"),
+    (["fi-scan", "--focal", "10mm", "--object-distance", "12mm", "--zmin", "10mm",
+      "--zmax", "1e400"], "1e400"),
+    (["fi-density", "--plane", "1e308km"], "1e308km"),
+    (["reproduce-experiment", "--deltas", "10nm,1e400nm"], "1e400nm"),
+], ids=["simulate-delta", "fi-scan-zmax", "fi-density-plane", "reproduce-deltas"])
+def test_lengths_that_overflow_are_usage_errors(tmp_path, capsys, argv, text):
+    """A length past the largest double is rejected as it is parsed, with
+    its text in the message, before any arithmetic can warn about it."""
+    command, *flags = argv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, *SMALL_BEAM, *flags, "--out", str(tmp_path / "out.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: length {text!r} overflows a double\n"
+    assert caught == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def parse_run_header(line: str) -> dict:
@@ -480,20 +501,20 @@ def _assert_two_workers_write_what_one_does(tmp_path, argv):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
-def test_pool_draws_the_same_trials_in_a_fresh_interpreter(tmp_path):
-    """A fresh interpreter imports numpy's random package on its first
-    draw, and a forked pool inherits it: two workers write the same CSV
-    and JSON, byte for byte, as one."""
-    _assert_two_workers_write_what_one_does(tmp_path, [
-        "simulate", *SMALL_BEAM, "--focal", "10mm", "--object-distance", "12mm",
-        "--poisson-total", "--estimator", "mle", "--n-per-trial", "2000", "--trials", "9",
-    ])
+def test_simulate_has_no_workers_flag(tmp_path, capsys):
+    """``simulate`` runs its trials in one process; ``--workers`` is a
+    usage error that names the flag."""
+    argv = ["simulate", *SMALL_BEAM, "--n-per-trial", "2000", "--trials", "4",
+            "--workers", "2", "--out", str(tmp_path / "run.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_preset_pool_draws_the_same_trials_in_a_fresh_interpreter(tmp_path):
-    """The preset lends one pool to every displacement's ``run_trials``;
-    its workers fork during the first displacement and serve the rest.
-    Two workers still write the same CSV and JSON as one."""
+    """The preset spreads its displacements over one pool whose workers
+    fork after the parent has imported numpy's random package.  Two
+    workers write the same CSV and JSON, byte for byte, as one."""
     _assert_two_workers_write_what_one_does(tmp_path, [
         "reproduce-experiment", "--n-per-trial", "2000", "--trials", "9",
         "--deltas", "100nm,400nm,1000nm", "--seed", "11",
@@ -501,15 +522,15 @@ def test_preset_pool_draws_the_same_trials_in_a_fresh_interpreter(tmp_path):
 
 
 def test_serial_sampling_commands_load_no_pool_module(tmp_path):
-    """At one worker neither sampling command opens a pool, so neither
-    loads ``concurrent`` or ``multiprocessing``."""
+    """``simulate``, and the preset at one worker, open no pool, so
+    neither loads ``concurrent`` or ``multiprocessing``."""
     script = f"""
 import sys
 from axialfisher.cli import main
 out = {str(tmp_path)!r}
 codes = [
     main(["simulate", {", ".join(map(repr, SMALL_BEAM))}, "--n-per-trial", "2000",
-          "--trials", "4", "--workers", "1", "--out", out + "/simulate.csv"]),
+          "--trials", "4", "--out", out + "/simulate.csv"]),
     main(["reproduce-experiment", "--n-per-trial", "2000", "--trials", "4",
           "--workers", "1", "--out", out + "/preset.csv"]),
 ]
@@ -522,13 +543,25 @@ print(codes, sorted(name for name in sys.modules
 
 
 def test_preset_opens_one_pool_and_joins_it(tmp_path, built_pools):
-    """Three displacements share one pool of min(workers, trials)
+    """Three displacements share one pool of min(workers, displacements)
     processes, and no worker outlives the command."""
     argv = ["reproduce-experiment", "--trials", "4", "--deltas", "100nm,400nm,1000nm",
             "--workers", "2", "--seed", "3", "--out", str(tmp_path / "run.csv")]
     assert main(argv) == EXIT_OK
     assert built_pools == [[2, 2]]
     assert multiprocessing.active_children() == []
+
+
+def test_preset_runs_one_displacement_without_a_pool(tmp_path, built_pools):
+    """With one displacement there is nothing to spread: two workers
+    build no pool and write the same bytes as one."""
+    for workers in ("1", "2"):
+        argv = ["reproduce-experiment", "--trials", "4", "--deltas", "400nm",
+                "--workers", workers, "--seed", "3", "--out", str(tmp_path / f"{workers}.csv")]
+        assert main(argv) == EXIT_OK
+    assert built_pools == []
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"1{suffix}").read_bytes() == (tmp_path / f"2{suffix}").read_bytes()
 
 
 def test_preset_joins_its_pool_on_a_numerical_failure(tmp_path, built_pools, capsys):

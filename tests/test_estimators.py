@@ -236,8 +236,6 @@ def test_trial_config_validation():
         _config(estimator="median")
     with pytest.raises(ValueError):
         _config(base_seed=-1)
-    with pytest.raises(ValueError):
-        _config(workers=0)
 
 
 @pytest.mark.parametrize("trials", [2**32, 2**40])
@@ -268,28 +266,12 @@ def test_run_trials_is_reproducible():
     assert a.empirical_std == b.empirical_std
 
 
-def test_worker_count_does_not_change_results():
-    serial = run_trials(_config())
-    parallel = run_trials(_config(workers=2))
-    assert np.array_equal(serial.estimates, parallel.estimates)
-    assert np.array_equal(serial.totals, parallel.totals)
-
-
-def test_run_trials_forks_no_idle_worker(built_pools):
-    """Lent no pool, ``run_trials`` opens its own of min(workers, trials)
-    processes for the call: one trial on two workers forks one."""
-    parallel = run_trials(_config(workers=2, trials=1))
-    assert built_pools == [[1, 1]]
-    assert np.array_equal(parallel.totals, run_trials(_config(trials=1)).totals)
-
-
 RELAY_20X = RelaySystem(0.1, 0.105)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("poisson_total", [False, True], ids=["fixed", "poisson"])
 @pytest.mark.parametrize("relay", [None, RELAY_20X], ids=["free", "relayed"])
-def test_run_trials_matches_the_per_trial_route(relay, poisson_total, workers):
+def test_run_trials_matches_the_per_trial_route(relay, poisson_total):
     """Byte for byte the exposures drawn one trial at a time from numpy's
     own ``SeedSequence`` and ``default_rng`` (``tests/trial_stream_oracle.py``).
     The 8-photon Poisson run on seed 5 includes an empty exposure, which
@@ -297,7 +279,7 @@ def test_run_trials_matches_the_per_trial_route(relay, poisson_total, workers):
     plane = -ZR if relay is None else preferred_detection_plane(HENE, relay)
     for n_per_trial, base_seed in ((2000, 2**64 - 1), (8, 5)):
         config = _config(detector_plane=plane, relay=relay, poisson_total=poisson_total,
-                         workers=workers, trials=37, n_per_trial=n_per_trial,
+                         trials=37, n_per_trial=n_per_trial,
                          base_seed=base_seed, estimator="mle")
         report = run_trials(config)
         expected = trial_rows(config)
