@@ -489,18 +489,6 @@ def test_importing_the_package_loads_no_sampler_or_process_pool(tmp_path):
     assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 5} False"
 
 
-def _assert_two_workers_write_what_one_does(tmp_path, argv):
-    """Run ``python -m axialfisher *argv`` in fresh interpreters at one and
-    two workers and compare the CSV and JSON they write, byte for byte."""
-    for workers in ("1", "2"):
-        (tmp_path / workers).mkdir()
-        done = _run_fresh(["-m", "axialfisher", *argv, "--workers", workers,
-                           "--out", "run.csv"], timeout=120, cwd=tmp_path / workers)
-        assert done.returncode == EXIT_OK, done.stderr
-    for name in ("run.csv", "run.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-
-
 def test_simulate_has_no_workers_flag(tmp_path, capsys):
     """``simulate`` runs its trials in one process; ``--workers`` is a
     usage error that names the flag."""
@@ -515,10 +503,15 @@ def test_preset_pool_draws_the_same_trials_in_a_fresh_interpreter(tmp_path):
     """The preset spreads its displacements over one pool whose workers
     fork after the parent has imported numpy's random package.  Two
     workers write the same CSV and JSON, byte for byte, as one."""
-    _assert_two_workers_write_what_one_does(tmp_path, [
-        "reproduce-experiment", "--n-per-trial", "2000", "--trials", "9",
-        "--deltas", "100nm,400nm,1000nm", "--seed", "11",
-    ])
+    for workers in ("1", "2"):
+        (tmp_path / workers).mkdir()
+        done = _run_fresh(["-m", "axialfisher", "reproduce-experiment", "--n-per-trial", "2000",
+                           "--trials", "9", "--deltas", "100nm,400nm,1000nm", "--seed", "11",
+                           "--workers", workers, "--out", "run.csv"],
+                          timeout=120, cwd=tmp_path / workers)
+        assert done.returncode == EXIT_OK, done.stderr
+    for name in ("run.csv", "run.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_serial_sampling_commands_load_no_pool_module(tmp_path):
