@@ -17,17 +17,13 @@ of a focused beam with an ideal photon-counting camera:
 from .beam_optics import (
     BeamParams,
     ImageBeam,
-    PupilField,
     RelaySystem,
     beam_width_sq,
-    gaussian_field,
     gaussian_field_family,
     gouy_phase,
     image_beam_width_sq,
     intensity_pdf,
-    pupil_field,
     pupil_field_family,
-    pupil_phase,
     ray_matrix,
     ray_width_sq,
     relay_transform,
@@ -86,7 +82,6 @@ __all__ = [
     "NormalizationDriftError",
     "NumericalLimitError",
     "OptimalPlanes",
-    "PupilField",
     "QuadratureError",
     "RelaySystem",
     "TrialConfig",
@@ -104,7 +99,6 @@ __all__ = [
     "expected_fraction_estimate",
     "fi_density",
     "fraction_estimator_fi",
-    "gaussian_field",
     "gaussian_field_family",
     "generator_moments",
     "geometric_image_plane",
@@ -117,9 +111,7 @@ __all__ = [
     "optimal_detection_planes",
     "point_source_range_std",
     "preferred_detection_plane",
-    "pupil_field",
     "pupil_field_family",
-    "pupil_phase",
     "ray_matrix",
     "ray_width_sq",
     "qfi_gaussian",

@@ -91,33 +91,6 @@ class ImageBeam:
             raise ValueError("image waist and rayleigh range must be positive")
 
 
-@dataclass(frozen=True)
-class PupilField:
-    """Gaussian-apodized pupil illuminated by a point source.
-
-    The source sits a distance ``source_distance`` in front of the pupil;
-    ``focal_length`` shifts the origin of the quadratic phase, and zero is
-    a valid value (bare spherical wavefront).  The intensity profile is
-    independent of the source distance: all distance information lives in
-    the quadratic phase.
-    """
-
-    pupil_width: float
-    wavenumber: float
-    source_distance: float
-    focal_length: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.pupil_width <= 0.0:
-            raise ValueError(f"pupil width must be positive, got {self.pupil_width}")
-        if self.wavenumber <= 0.0:
-            raise ValueError(f"wavenumber must be positive, got {self.wavenumber}")
-        if self.source_distance == self.focal_length:
-            raise ValueError(
-                "source distance equal to focal length makes the quadratic phase diverge"
-            )
-
-
 def ray_matrix(relay: RelaySystem | None, plane: float) -> tuple[float, float]:
     """Elements (A, B) of the ray-transfer matrix from the beam waist to
     a detector plane.
@@ -223,32 +196,23 @@ def image_beam_width_sq(image: ImageBeam, z_prime: float) -> float:
     return image.waist**2 * (1.0 + tau * tau)
 
 
-def pupil_phase(pupil: PupilField, r: float) -> float:
-    """Quadratic phase k r^2 / (2 (z - f)) carried by the pupil field."""
-    return (
-        pupil.wavenumber
-        * r
-        * r
-        / (2.0 * (pupil.source_distance - pupil.focal_length))
-    )
-
-
 # ---------------------------------------------------------------------------
-# Complex field models.  Only the two places that need actual field values
-# (the pupil and the generator/derivative checks) use these; everything
-# else works with intensities.  A profile takes a radius or an array of
-# radii and returns the complex field with the same shape.
+# Complex field models, one constructor per physical field.  Only
+# ``fisher.qfi_pure_state`` reads field values; everything else works with
+# intensities.  A family maps an axial position to a profile, and a profile
+# takes a radius or an array of radii and returns the complex field with
+# the same shape.
 # ---------------------------------------------------------------------------
 
 FieldProfile = Callable[[float | np.ndarray], complex | np.ndarray]
 FieldFamily = Callable[[float], FieldProfile]
 
 
-def gaussian_field(beam: BeamParams, z: float) -> FieldProfile:
-    """Complex fundamental-mode profile at axial position z.
+def gaussian_field_family(beam: BeamParams) -> FieldFamily:
+    """z -> complex fundamental-mode profile at axial position z,
 
     psi(r) = sqrt(2/pi) / w * exp(-r^2 / w^2)
-             * exp(-i (k z + k r^2 C(z) / 2 - gouy))
+             * exp(-i (k z + k r^2 C(z) / 2 - gouy)),
 
     normalized so that the integral of |psi|^2 * 2 pi r dr is one.
 
@@ -257,55 +221,51 @@ def gaussian_field(beam: BeamParams, z: float) -> FieldProfile:
     rad at z = 3 m and 1 um wavelength, which no later phase alignment
     removes.
     """
-    w_sq = beam_width_sq(beam, z)
-    w = math.sqrt(w_sq)
-    piston = beam.wavenumber * z - gouy_phase(beam, z)
-    carrier = math.sqrt(2.0 / math.pi) / w * complex(math.cos(piston), -math.sin(piston))
-    curv = wavefront_curvature(beam, z)
     k = beam.wavenumber
 
-    def profile(r):
-        return carrier * np.exp(-r * r / w_sq - 1j * (0.5 * k * r * r * curv))
-
-    return profile
-
-
-def gaussian_field_family(beam: BeamParams) -> FieldFamily:
-    """z -> radial complex profile, for derivative-based information checks."""
-
     def family(z: float) -> FieldProfile:
-        return gaussian_field(beam, z)
+        w_sq = beam_width_sq(beam, z)
+        piston = k * z - gouy_phase(beam, z)
+        carrier = (math.sqrt(2.0 / math.pi) / math.sqrt(w_sq)
+                   * complex(math.cos(piston), -math.sin(piston)))
+        curv = wavefront_curvature(beam, z)
+
+        def profile(r):
+            return carrier * np.exp(-r * r / w_sq - 1j * (0.5 * k * r * r * curv))
+
+        return profile
 
     return family
 
 
-def pupil_field(pupil: PupilField) -> FieldProfile:
-    """Complex pupil-plane profile for a point source at ``source_distance``."""
-    w_sq = pupil.pupil_width**2
+def pupil_field_family(pupil_width: float, wavenumber: float) -> FieldFamily:
+    """z -> complex profile of a Gaussian-apodized pupil lit by a point
+    source a distance z in front of it,
+
+    psi(r) = sqrt(2 / (pi w^2)) * exp(-r^2 / w^2 - i k r^2 / (2 z)).
+
+    The intensity does not depend on z: all distance information lives in
+    the quadratic phase.  Width and wavenumber must be positive and
+    finite; a source in the pupil plane (z = 0) has no finite phase and
+    is rejected when its profile is asked for.
+    """
+    if not (pupil_width > 0.0 and math.isfinite(pupil_width)):
+        raise ValueError(f"pupil width must be positive and finite, got {pupil_width}")
+    if not (wavenumber > 0.0 and math.isfinite(wavenumber)):
+        raise ValueError(f"wavenumber must be positive and finite, got {wavenumber}")
+    w_sq = pupil_width**2
     amp = math.sqrt(2.0 / (math.pi * w_sq))
-    # -r^2 / w^2 - i pupil_phase(r), both quadratic in r: one complex
-    # factor of r^2, folded once per field.
-    exponent = complex(-1.0 / w_sq, -pupil_phase(pupil, 1.0))
-
-    def profile(r):
-        return amp * np.exp(exponent * (r * r))
-
-    return profile
-
-
-def pupil_field_family(
-    pupil_width: float, wavenumber: float, focal_length: float = 0.0
-) -> FieldFamily:
-    """z -> pupil profile with the source at distance z."""
 
     def family(z: float) -> FieldProfile:
-        return pupil_field(
-            PupilField(
-                pupil_width=pupil_width,
-                wavenumber=wavenumber,
-                source_distance=z,
-                focal_length=focal_length,
-            )
-        )
+        if z == 0.0:
+            raise ValueError("a source in the pupil plane makes the quadratic phase diverge")
+        # -r^2 / w^2 - i k r^2 / (2 z), both quadratic in r: one complex
+        # factor of r^2, folded once per field.
+        exponent = complex(-1.0 / w_sq, -wavenumber / (2.0 * z))
+
+        def profile(r):
+            return amp * np.exp(exponent * (r * r))
+
+        return profile
 
     return family

@@ -35,7 +35,9 @@ from .beam_optics import BeamParams, RelaySystem, intensity_pdf
 from .estimators import (
     TrialConfig,
     UninformativePlaneError,
+    calibrate,
     expected_fraction_estimate,
+    fraction_estimator_fi,
     run_trials,
 )
 from .fisher import (
@@ -112,27 +114,30 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_length(text: str) -> float:
     """Parse a length with an optional unit suffix into meters; one that
-    overflows a double is rejected here rather than failing downstream."""
+    overflows a double is rejected here rather than failing downstream.
+
+    This and the other ``type=`` functions raise
+    ``argparse.ArgumentTypeError``, so the usage error names the flag."""
     match = _LENGTH_RE.match(text)
     if not match:
-        raise UsageError(f"cannot parse length {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse length {text!r}")
     value, unit = match.groups()
     try:
         meters = float(value) * _UNIT_FACTORS[unit] if unit else float(value)
     except KeyError:
-        raise UsageError(
+        raise argparse.ArgumentTypeError(
             f"unknown length unit {unit!r} in {text!r}; use one of "
             + ", ".join(sorted(set(_UNIT_FACTORS) - {"µm"}))
         ) from None
     if not math.isfinite(meters):
-        raise UsageError(f"length {text!r} overflows a double")
+        raise argparse.ArgumentTypeError(f"length {text!r} overflows a double")
     return meters
 
 
 def parse_delta_list(text: str) -> list[float]:
     items = [piece for piece in text.split(",") if piece.strip()]
     if not items:
-        raise UsageError(f"empty displacement list {text!r}")
+        raise argparse.ArgumentTypeError(f"empty displacement list {text!r}")
     return [parse_length(piece) for piece in items]
 
 
@@ -140,9 +145,9 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise UsageError(f"expected an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value <= 0:
-        raise UsageError(f"expected a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
 
 
@@ -150,9 +155,9 @@ def _seed(text: str) -> int:
     try:
         value = int(text, 0)
     except ValueError:
-        raise UsageError(f"seed must be an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
     if not 0 <= value < 2**64:
-        raise UsageError(f"seed must fit in 64 bits, got {value}")
+        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {value}")
     return value
 
 
@@ -576,7 +581,8 @@ def cmd_reproduce_experiment(args) -> int:
     beam = BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
     plane = -beam.rayleigh_range
     quantum_bound = 1.0 / math.sqrt(args.n_per_trial * qfi_gaussian(beam))
-    fraction_bound = quantum_bound * math.sqrt(math.e - 1.0)
+    fraction_bound = 1.0 / math.sqrt(
+        args.n_per_trial * fraction_estimator_fi(calibrate(beam, plane)))
 
     config = {
         "command": "reproduce-experiment",

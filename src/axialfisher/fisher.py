@@ -43,12 +43,10 @@ from .beam_optics import (
     ray_width_sq,
 )
 from .numerics import (
-    RULE_NODES,
     NumericalLimitError,
     bessel_j0,
     central_derivative,
     check_rule_gap,
-    radial_rule,
     stacked_radial_rule,
 )
 
@@ -150,22 +148,25 @@ def _waist_mode_spectral_moments() -> tuple[float, float, float]:
     node of the outer moment integrals, so the momentum-space density is
     obtained numerically rather than from the known closed form.
 
-    Both integrals are Gauss-Laguerre rules (``numerics.radial_rule``):
-    in u with the mode's own window e^{-u^2} (scale sqrt 2), and in kappa
-    with scale 2, the width a spectral density of that window has by the
-    uncertainty relation.  The moments are taken on 48 and on 96 nodes in
-    both variables and the 96-node values returned; ``QuadratureError``
-    is raised when the two differ by more than ``numerics.RULE_TOL``.  The
-    kernel J0(kappa u) comes from ``numerics.bessel_j0``; kappa u reaches
-    ~510 on the 96-node grid, and ~70 % of its points take Hankel's
-    expansion rather than Bessel's integral.
+    Both integrals are Gauss-Laguerre rules
+    (``numerics.stacked_radial_rule``): in u with the mode's own window
+    e^{-u^2} (scale sqrt 2), and in kappa with scale 2, the width a
+    spectral density of that window has by the uncertainty relation.  The
+    moments are taken on 48 and on 96 nodes in both variables, each order
+    on its own slice of the stacked rules, and the 96-node values
+    returned; ``QuadratureError`` is raised when the two differ by more
+    than ``numerics.RULE_TOL``.  The kernel J0(kappa u) comes from
+    ``numerics.bessel_j0``; kappa u reaches ~510 on the 96-node grid, and
+    ~70 % of its points take Hankel's expansion rather than Bessel's
+    integral.
     """
     amp = math.sqrt(2.0 / math.pi)
+    u_radii, u_rules = stacked_radial_rule(math.sqrt(2.0))
+    kappa_radii, kappa_rules = stacked_radial_rule(2.0)
     estimates = []
-    for nodes in RULE_NODES:
-        u, u_weights = radial_rule(math.sqrt(2.0), nodes)
-        kappa, kappa_weights = radial_rule(2.0, nodes)
-        # radial_rule integrates against 2 pi u du; the transform wants u du.
+    for (part, u_weights), (_, kappa_weights) in zip(u_rules, kappa_rules):
+        u, kappa = u_radii[part], kappa_radii[part]
+        # The rules integrate against 2 pi u du; the transform wants u du.
         mode = u_weights * amp * np.exp(-u * u) / (2.0 * math.pi)
         density = (bessel_j0(np.multiply.outer(kappa, u)) @ mode) ** 2
         estimates.append([float(kappa_weights @ (kappa**power * density))

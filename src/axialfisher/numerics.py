@@ -1,11 +1,10 @@
 """Shared numerical kernels.
 
 Four tools live here because several physics modules need them in the
-same form: a fixed Gauss-Laguerre rule for radial integrals of a
-Gaussian-windowed integrand, in one order or both orders at once, with
-the check that takes the gap between two of its orders as the error
-estimate, the Bessel function J0, and a Richardson-extrapolated central
-difference for axial derivatives.
+same form: a fixed pair of Gauss-Laguerre rules for radial integrals of
+a Gaussian-windowed integrand, with the check that takes the gap between
+the two orders as the error estimate, the Bessel function J0, and a
+Richardson-extrapolated central difference for axial derivatives.
 
 Every radial integral of the package has the shape
 ``integral f(r) 2 pi r dr`` from some radius to infinity, with f a
@@ -229,8 +228,9 @@ _EIGHTHS = np.arange(1, 8) / 8
 
 @functools.cache
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-scale radii and weights of ``radial_rule``; read-only arrays
-    because the cache hands the same ones to every caller.
+    """Radii and weights of the ``nodes``-point rule at unit scale, from
+    which ``stacked_radial_rule`` maps its rules; read-only arrays because
+    the cache hands the same ones to every caller.
 
     All zeros u_i of L_n are found at once.  ``_isolate_zeros`` puts each
     in a cell of a grid with 8n cells; vectorized bisection on the Sturm
@@ -266,37 +266,6 @@ def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return radii, weights
 
 
-def radial_rule(
-    scale: float, nodes: int, lower: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and weights of the ``nodes``-point Gauss-Laguerre rule for
-    ``integral f(r) 2 pi r dr`` over ``[lower, inf)``.
-
-    The map r^2 = lower^2 + scale^2 u / 2 turns the measure into
-    (pi scale^2 / 2) du, so with Laguerre nodes u_i and weights w_i the
-    radii are hypot(lower, scale sqrt(u_i / 2)) and the weights
-    (pi scale^2 / 2) w_i e^{u_i}, whatever ``lower`` is; at ``lower`` = 0
-    the radii are scale sqrt(u_i / 2) exactly.  The rule is exact when
-    f(r) e^{2 (r^2 - lower^2) / scale^2} is a polynomial of degree below
-    2 ``nodes`` in u, and accurate when f is a Gaussian of 1/e^2 radius
-    ``scale`` (|psi|^2 for a field whose amplitude falls to 1/e there)
-    times a factor smooth in u.  The caller estimates the error by
-    comparing the two orders of ``RULE_NODES`` (``check_rule_gap``).
-    """
-    return _mapped_rule(*_laguerre_rule(nodes), scale, lower)
-
-
-def _mapped_rule(
-    radii: np.ndarray, weights: np.ndarray, scale: float, lower: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-scale radii and weights mapped to ``scale`` and ``lower``."""
-    if scale <= 0.0:
-        raise ValueError(f"quadrature scale must be positive, got {scale}")
-    if not lower >= 0.0:
-        raise ValueError(f"lower radius must be nonnegative, got {lower}")
-    return np.hypot(lower, scale * radii), (scale * scale) * weights
-
-
 @functools.cache
 def _stacked_laguerre_rules() -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
     """The unit-scale rules of ``RULE_NODES`` end to end, read-only, and
@@ -313,18 +282,32 @@ def _stacked_laguerre_rules() -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]
 def stacked_radial_rule(
     scale: float, lower: float = 0.0
 ) -> tuple[np.ndarray, tuple[tuple[slice, np.ndarray], ...]]:
-    """Both orders of ``RULE_NODES`` on one array of radii, so that an
-    integrand is evaluated once for the pair of sums ``check_rule_gap``
-    compares.
+    """Radii and weights of the Gauss-Laguerre rules of ``RULE_NODES``
+    for ``integral f(r) 2 pi r dr`` over ``[lower, inf)``, both orders on
+    one array of radii, so that an integrand is evaluated once for the
+    pair of sums ``check_rule_gap`` compares.
 
     Returns the radii, the coarse rule's followed by the fine rule's, and
     one ``(part, weights)`` pair per rule, coarse first: ``radii[part]``
-    and ``weights`` are bit for bit the radii and weights of
-    ``radial_rule(scale, nodes, lower)``.  A rule's sum of integrand
-    values ``f`` on these radii is ``f[..., part] @ weights``.
+    and ``weights`` are that rule's radii and weights.  A rule's sum of
+    integrand values ``f`` on these radii is ``f[..., part] @ weights``.
+
+    The map r^2 = lower^2 + scale^2 u / 2 turns the measure into
+    (pi scale^2 / 2) du, so with Laguerre nodes u_i and weights w_i the
+    radii are hypot(lower, scale sqrt(u_i / 2)) and the weights
+    (pi scale^2 / 2) w_i e^{u_i}, whatever ``lower`` is; at ``lower`` = 0
+    the radii are scale sqrt(u_i / 2) exactly.  A rule of n nodes is
+    exact when f(r) e^{2 (r^2 - lower^2) / scale^2} is a polynomial of
+    degree below 2n in u, and accurate when f is a Gaussian of 1/e^2
+    radius ``scale`` (|psi|^2 for a field whose amplitude falls to 1/e
+    there) times a factor smooth in u.
     """
+    if scale <= 0.0:
+        raise ValueError(f"quadrature scale must be positive, got {scale}")
+    if not lower >= 0.0:
+        raise ValueError(f"lower radius must be nonnegative, got {lower}")
     radii, weights, parts = _stacked_laguerre_rules()
-    radii, weights = _mapped_rule(radii, weights, scale, lower)
+    radii, weights = np.hypot(lower, scale * radii), (scale * scale) * weights
     return radii, tuple((part, weights[part]) for part in parts)
 
 

@@ -7,15 +7,13 @@ from scipy.integrate import quad
 
 from axialfisher.beam_optics import (
     BeamParams,
-    PupilField,
     RelaySystem,
     beam_width_sq,
-    gaussian_field,
+    gaussian_field_family,
     gouy_phase,
     image_beam_width_sq,
     intensity_pdf,
-    pupil_field,
-    pupil_phase,
+    pupil_field_family,
     ray_matrix,
     ray_width_sq,
     relay_transform,
@@ -156,46 +154,61 @@ def test_object_at_focal_plane_gives_unit_magnification_when_zr_matches():
 
 
 def test_pupil_phase_is_quadratic():
-    pupil = PupilField(pupil_width=0.05, wavenumber=1e6, source_distance=10.0)
-    r = 0.02
-    assert pupil_phase(pupil, r) == pytest.approx(1e6 * r * r / 20.0, rel=1e-15)
-    shifted = PupilField(0.05, 1e6, 10.0, focal_length=2.0)
-    assert pupil_phase(shifted, r) == pytest.approx(1e6 * r * r / 16.0, rel=1e-15)
+    """Relative to the axis the phase is -k r^2 / (2 z), on either side
+    of the pupil."""
+    for z in (10.0, -4.0):
+        profile = pupil_field_family(0.05, 1e6)(z)
+        for r in (0.005, 0.02):
+            relative = profile(r) / profile(0.0)
+            phase = 1e6 * r * r / (2.0 * z)
+            assert abs(relative) == pytest.approx(math.exp(-r * r / 0.05**2), rel=1e-14)
+            assert relative.real == pytest.approx(abs(relative) * math.cos(phase), abs=1e-12)
+            assert relative.imag == pytest.approx(-abs(relative) * math.sin(phase), abs=1e-12)
 
 
-def test_pupil_rejects_source_at_focal_plane():
-    with pytest.raises(ValueError):
-        PupilField(0.05, 1e6, 2.0, focal_length=2.0)
+def test_pupil_family_rejects_a_source_in_the_pupil_plane():
+    family = pupil_field_family(0.05, 1e6)
+    with pytest.raises(ValueError, match="pupil plane"):
+        family(0.0)
+
+
+@pytest.mark.parametrize("width,wavenumber,what", [
+    (0.0, 1e6, "pupil width"), (-0.05, 1e6, "pupil width"),
+    (math.inf, 1e6, "pupil width"), (math.nan, 1e6, "pupil width"),
+    (0.05, 0.0, "wavenumber"), (0.05, -1e6, "wavenumber"),
+    (0.05, math.inf, "wavenumber"), (0.05, math.nan, "wavenumber"),
+])
+def test_pupil_family_rejects_a_bad_width_or_wavenumber(width, wavenumber, what):
+    with pytest.raises(ValueError, match=what):
+        pupil_field_family(width, wavenumber)
 
 
 def test_pupil_intensity_does_not_depend_on_distance():
-    near = PupilField(0.05, 1e6, 3.0)
-    far = PupilField(0.05, 1e6, 3000.0)
+    family = pupil_field_family(0.05, 1e6)
+    near, far = family(3.0), family(3000.0)
     for r in (0.0, 0.01, 0.08):
         # |amp e^(-i phase)| rounds differently as the phase changes.
-        assert abs(pupil_field(near)(r)) ** 2 == pytest.approx(
-            abs(pupil_field(far)(r)) ** 2, rel=1e-15
-        )
+        assert abs(near(r)) ** 2 == pytest.approx(abs(far(r)) ** 2, rel=1e-15)
 
 
 def test_gaussian_field_matches_intensity():
     """|psi|^2 must reproduce the normalized intensity profile."""
     z = 0.7
     w_sq = beam_width_sq(UNIT, z)
-    profile = gaussian_field(UNIT, z)
+    profile = gaussian_field_family(UNIT)(z)
     for r in (0.0, 0.3, 1.0, 2.2):
         assert abs(profile(r)) ** 2 == pytest.approx(intensity_pdf(w_sq, r), rel=1e-13)
 
 
 def test_gaussian_field_is_normalized():
-    profile = gaussian_field(HENE, 2.0 * HENE.rayleigh_range)
+    profile = gaussian_field_family(HENE)(2.0 * HENE.rayleigh_range)
     w = math.sqrt(beam_width_sq(HENE, 2.0 * HENE.rayleigh_range))
     total = radial_integral(lambda r: abs(profile(r)) ** 2, w)
     assert total == pytest.approx(1.0, rel=1e-10)
 
 
 def test_gaussian_field_has_flat_wavefront_at_waist():
-    profile = gaussian_field(UNIT, 0.0)
+    profile = gaussian_field_family(UNIT)(0.0)
     reference = profile(0.0)
     for r in (0.2, 0.9, 1.7):
         relative = profile(r) / reference
@@ -204,26 +217,22 @@ def test_gaussian_field_has_flat_wavefront_at_waist():
 
 
 def test_pupil_field_magnitude_and_normalization():
-    pupil = PupilField(0.05, 1e6, 10.0)
-    profile = pupil_field(pupil)
+    profile = pupil_field_family(0.05, 1e6)(10.0)
     total = radial_integral(lambda r: abs(profile(r)) ** 2, 0.05)
     assert total == pytest.approx(1.0, rel=1e-10)
     for r in (0.0, 0.03, 0.09):
-        assert abs(profile(r)) ** 2 == pytest.approx(
-            intensity_pdf(pupil.pupil_width**2, r), rel=1e-13
-        )
+        assert abs(profile(r)) ** 2 == pytest.approx(intensity_pdf(0.05**2, r), rel=1e-13)
 
 
 @pytest.mark.parametrize(
     "profile,width",
     [
-        (gaussian_field(HENE, 0.0), HENE.waist),
-        (gaussian_field(HENE, -HENE.rayleigh_range), 2.0**0.5 * HENE.waist),
-        (gaussian_field(UNIT, 3.0), 10.0**0.5),
-        (pupil_field(PupilField(0.05, 1e6, 10.0)), 0.05),
-        (pupil_field(PupilField(2e-3, 2.0 * math.pi / 632.8e-9, 0.5, focal_length=0.1)), 2e-3),
+        (gaussian_field_family(HENE)(0.0), HENE.waist),
+        (gaussian_field_family(HENE)(-HENE.rayleigh_range), 2.0**0.5 * HENE.waist),
+        (gaussian_field_family(UNIT)(3.0), 10.0**0.5),
+        (pupil_field_family(0.05, 1e6)(10.0), 0.05),
     ],
-    ids=["hene-waist", "hene-zR", "unit-3zR", "pupil", "pupil-lens"],
+    ids=["hene-waist", "hene-zR", "unit-3zR", "pupil"],
 )
 def test_field_profiles_take_arrays_of_radii(profile, width):
     radii = np.linspace(0.0, 5.0 * width, 41)

@@ -1,18 +1,24 @@
 """Smoke tests of the benchmark entry point.
 
-``perfbench/run.py`` exits non-zero with no result line when its worker
-process dies, which happens when a package name the worker calls is
-renamed or removed, or when set-up raises; only query-time exceptions are
-counted as failed operations.  One short run per workload below catches
-all of these: the deterministic ``bounds``, and ``preset-mc-par`` traced,
-the only workload that runs the process pool, so that a function the pool
-cannot pickle or a missing ``--workers`` flag fails here.
+``perfbench/run.py`` exits non-zero with no result line in two cases:
+when its worker process dies, which happens when a package name the
+worker calls is renamed or removed or when set-up raises, and when a
+pooled gate fails.  Only query-time exceptions are counted as failed
+operations.  One short run per workload below catches all of these: the
+deterministic ``bounds``; the serial Monte Carlo runs ``preset-mc``
+(``reproduce-experiment`` through ``cli.main``) and ``relay-mc``
+(``calibrate``, ``TrialConfig`` and ``run_trials`` behind the 20x relay,
+read through the report's fields); and ``preset-mc-par`` traced, the only
+workload that runs the process pool, so that a function the pool cannot
+pickle or a missing ``--workers`` flag fails here.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,6 +36,11 @@ def _assert_runs_clean(*args):
 
 def test_bounds_workload_runs_clean():
     _assert_runs_clean("--workload", "bounds")
+
+
+@pytest.mark.parametrize("workload", ["preset-mc", "relay-mc"])
+def test_serial_monte_carlo_workload_runs_clean(workload):
+    _assert_runs_clean("--workload", workload)
 
 
 def test_traced_pool_workload_runs_clean():

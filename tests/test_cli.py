@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import json
 import math
@@ -28,7 +29,12 @@ from axialfisher.cli import (
     parse_length,
     render_header,
 )
-from axialfisher.estimators import TrialConfig, run_trials
+from axialfisher.estimators import (
+    TrialConfig,
+    calibrate,
+    fraction_estimator_fi,
+    run_trials,
+)
 from axialfisher.fisher import preferred_detection_plane
 from axialfisher.numerics import QuadratureError
 
@@ -59,14 +65,14 @@ def test_parse_length(text, meters):
 
 @pytest.mark.parametrize("text", ["", "nm", "5 parsecs", "5furlongs", "--3nm"])
 def test_parse_length_rejects_garbage(text):
-    with pytest.raises(UsageError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_length(text)
 
 
 def test_parse_delta_list():
     assert parse_delta_list("10nm,1650nm") == pytest.approx([10e-9, 1650e-9])
     assert parse_delta_list("1um,") == pytest.approx([1e-6])
-    with pytest.raises(UsageError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_delta_list(",")
 
 
@@ -79,13 +85,15 @@ def test_parse_delta_list():
 ], ids=["simulate-delta", "fi-scan-zmax", "fi-density-plane", "reproduce-deltas"])
 def test_lengths_that_overflow_are_usage_errors(tmp_path, capsys, argv, text):
     """A length past the largest double is rejected as it is parsed, with
-    its text in the message, before any arithmetic can warn about it."""
+    its flag and text in the message, before any arithmetic can warn
+    about it."""
     command, *flags = argv
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, *SMALL_BEAM, *flags, "--out", str(tmp_path / "out.csv")])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: length {text!r} overflows a double\n"
+    assert capsys.readouterr().err == (
+        f"error: argument {flags[-2]}: length {text!r} overflows a double\n")
     assert caught == []
     assert list(tmp_path.iterdir()) == []
 
@@ -635,6 +643,31 @@ def test_reproduce_experiment_row_layout(tmp_path):
     assert float(row[7]) == pytest.approx(bound * math.sqrt(math.e - 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize(("extra", "rayleigh_range", "n"), [
+    ((), 18.9e-6, 1_600_000),
+    (("--rayleigh-range", "25um", "--n-per-trial", "123457"), 25e-6, 123457),
+    (("--wavelength", "1064nm", "--rayleigh-range", "3mm", "--n-per-trial", "7"),
+     3e-3, 7),
+], ids=["preset", "zr25um", "nd-yag"])
+def test_reproduce_experiment_fraction_bound_is_the_binomial_bound(tmp_path, extra,
+                                                                  rayleigh_range, n):
+    """fraction_bound_m is the fraction estimator's own information at the
+    calibrated plane, 1 / sqrt(n F_frac); that is F / (e - 1), so the
+    bound sits within roundoff of the quantum bound times sqrt(e - 1)."""
+    out = tmp_path / "bound.csv"
+    argv = ["reproduce-experiment", "--trials", "2", "--deltas", "100nm",
+            *extra, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(out.with_suffix(".json").read_text())
+    wavelength = 1064e-9 if "--wavelength" in extra else 632.8e-9
+    beam = BeamParams.from_rayleigh_range(wavelength, rayleigh_range)
+    cal = calibrate(beam, -beam.rayleigh_range)
+    bound = payload["fraction_bound_m"]
+    assert bound == 1.0 / math.sqrt(n * fraction_estimator_fi(cal))
+    assert bound == pytest.approx(
+        payload["quantum_bound_m"] * math.sqrt(math.e - 1.0), rel=1e-15, abs=0.0)
+
+
 def _one_pass_argv(out):
     return [
         "reproduce-experiment",
@@ -865,11 +898,14 @@ _CONFIG_FILES = {
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (["simulate", *SMALL_BEAM, "--seed", "abc"], "seed must be an integer, got 'abc'"),
+        (["simulate", *SMALL_BEAM, "--seed", "abc"],
+         "argument --seed: seed must be an integer, got 'abc'"),
         (["simulate", *SMALL_BEAM, "--seed", str(2**64)],
-         f"seed must fit in 64 bits, got {2**64}"),
-        (["simulate", *SMALL_BEAM, "--trials", "x"], "expected an integer, got 'x'"),
-        (["simulate", *SMALL_BEAM, "--trials", "0"], "expected a positive integer, got 0"),
+         f"argument --seed: seed must fit in 64 bits, got {2**64}"),
+        (["simulate", *SMALL_BEAM, "--trials", "x"],
+         "argument --trials: expected an integer, got 'x'"),
+        (["simulate", *SMALL_BEAM, "--trials", "0"],
+         "argument --trials: expected a positive integer, got 0"),
         (["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "1m", "--zmax", "1m"],
          "--zmax must exceed --zmin"),
         (["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "0m", "--zmax", "1m", "--steps", "1"],

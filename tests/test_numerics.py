@@ -13,7 +13,6 @@ from axialfisher.numerics import (
     bessel_j0,
     central_derivative,
     check_rule_gap,
-    radial_rule,
     stacked_radial_rule,
 )
 
@@ -21,7 +20,7 @@ from axialfisher.numerics import (
 def test_divergent_integrand_raises_with_estimate():
     """integral 2 pi r dr diverges; its two rule sums are finite but far
     apart, and the gap check says so and carries the gap."""
-    coarse, fine = (float(np.sum(radial_rule(1.0, nodes)[1])) for nodes in RULE_NODES)
+    coarse, fine = (float(np.sum(weights)) for _, weights in stacked_radial_rule(1.0)[1])
     with pytest.raises(QuadratureError, match="between 48 and 96") as excinfo:
         check_rule_gap(coarse, fine, 0.0, "area")
     assert excinfo.value.estimate == abs(coarse - fine) > 0.0
@@ -70,6 +69,14 @@ def test_unknown_module_attribute_raises_attribute_error():
         numerics.not_a_name  # noqa: B018
 
 
+def _rule(scale: float, nodes: int, lower: float = 0.0):
+    """Radii and weights of the ``nodes``-point rule in
+    ``stacked_radial_rule(scale, lower)``."""
+    radii, rules = stacked_radial_rule(scale, lower)
+    part, weights = rules[RULE_NODES.index(nodes)]
+    return radii[part], weights
+
+
 @pytest.mark.parametrize("nodes", [48, 96])
 @pytest.mark.parametrize("scale", [1.0, 3.7e-6])
 def test_radial_rule_is_exact_for_gaussian_times_polynomial(nodes, scale):
@@ -77,7 +84,7 @@ def test_radial_rule_is_exact_for_gaussian_times_polynomial(nodes, scale):
     (pi s^2 / 2) e^{-c} sum_{k<=m} m! c^k / k!, the rule taken from the
     lower radius s sqrt(c / 2)."""
     for c in (0.0, 0.5, 1.0, 4.0):
-        radii, weights = radial_rule(scale, nodes, scale * math.sqrt(0.5 * c))
+        radii, weights = _rule(scale, nodes, scale * math.sqrt(0.5 * c))
         u = 2.0 * radii**2 / scale**2
         for m in range(6):
             exact = 0.5 * math.pi * scale**2 * math.exp(-c) * sum(
@@ -91,20 +98,25 @@ def test_radial_rule_from_zero_is_the_plain_rule(nodes):
     times the scale, bit for bit, and a negative lower radius is refused."""
     unit_radii, unit_weights = numerics._laguerre_rule(nodes)
     for scale in (1.0, 3.7e-6, 0.3):
-        radii, weights = radial_rule(scale, nodes)
+        radii, weights = _rule(scale, nodes)
         assert np.array_equal(radii, scale * unit_radii)
         assert np.array_equal(weights, (scale * scale) * unit_weights)
-        assert np.array_equal(radial_rule(scale, nodes, 0.0)[0], radii)
+        assert np.array_equal(_rule(scale, nodes, 0.0)[0], radii)
     for lower in (-1.0, math.nan):
         with pytest.raises(ValueError, match="lower radius"):
-            radial_rule(1.0, nodes, lower)
+            stacked_radial_rule(1.0, lower)
 
 
 @pytest.mark.parametrize("nodes", [5, 24, 48, 96])
 def test_radial_rule_has_the_laguerre_nodes(nodes):
-    radii, _ = radial_rule(1.0, nodes)
+    """The unit rule of any order, and each order the stacked rule
+    holds, puts its nodes at the zeros of L_n."""
     zeros, _ = np.polynomial.laguerre.laggauss(nodes)
-    assert 2.0 * radii**2 == pytest.approx(zeros, rel=1e-13)
+    unit_radii, _ = numerics._laguerre_rule(nodes)
+    assert 2.0 * unit_radii**2 == pytest.approx(zeros, rel=1e-13)
+    if nodes in RULE_NODES:
+        radii, _ = _rule(1.0, nodes)
+        assert 2.0 * radii**2 == pytest.approx(zeros, rel=1e-13)
 
 
 @pytest.mark.parametrize("nodes", [5, 24, 48, 96])
@@ -116,6 +128,8 @@ def test_radial_rule_has_the_laguerre_weights(nodes):
     zeros, laggauss_weights = np.polynomial.laguerre.laggauss(nodes)
     assert weights / (0.5 * math.pi) == pytest.approx(
         laggauss_weights * np.exp(zeros), rel=1e-11)
+    if nodes in RULE_NODES:
+        assert np.array_equal(_rule(1.0, nodes)[1], weights)
 
 
 @pytest.mark.parametrize("nodes", [5, 48, 96])
@@ -138,12 +152,14 @@ def test_sturm_count_counts_the_zeros_below():
 
 
 def test_radial_rule_is_cached_and_read_only():
-    first = radial_rule(1.0, 48)
-    assert radial_rule(2.0, 48)[0] == pytest.approx(2.0 * first[0], rel=1e-15)
+    first = _rule(1.0, 48)
+    assert _rule(2.0, 48)[0] == pytest.approx(2.0 * first[0], rel=1e-15)
     with pytest.raises(ValueError):
         numerics._laguerre_rule(48)[0][0] = 1.0
     with pytest.raises(ValueError):
-        radial_rule(0.0, 48)
+        numerics._stacked_laguerre_rules()[0][0] = 1.0
+    with pytest.raises(ValueError):
+        stacked_radial_rule(0.0)
 
 
 @pytest.mark.parametrize("scale,lower", [(1.0, 0.0), (3.7e-5, 0.0), (2.5, 0.8), (1e-3, 4e-3)])
@@ -152,9 +168,9 @@ def test_stacked_rule_holds_each_rule_bit_for_bit(scale, lower):
     assert radii.shape == (sum(RULE_NODES),)
     assert len(rules) == len(RULE_NODES)
     for nodes, (part, weights) in zip(RULE_NODES, rules):
-        single_radii, single_weights = radial_rule(scale, nodes, lower)
-        assert radii[part].tobytes() == single_radii.tobytes()
-        assert weights.tobytes() == single_weights.tobytes()
+        unit_radii, unit_weights = numerics._laguerre_rule(nodes)
+        assert radii[part].tobytes() == np.hypot(lower, scale * unit_radii).tobytes()
+        assert weights.tobytes() == ((scale * scale) * unit_weights).tobytes()
 
 
 def test_stacked_rule_validates_its_map():
