@@ -643,14 +643,14 @@ def test_reproduce_experiment_row_layout(tmp_path):
     assert float(row[7]) == pytest.approx(bound * math.sqrt(math.e - 1.0), rel=1e-12)
 
 
-@pytest.mark.parametrize(("extra", "rayleigh_range", "n"), [
-    ((), 18.9e-6, 1_600_000),
-    (("--rayleigh-range", "25um", "--n-per-trial", "123457"), 25e-6, 123457),
+@pytest.mark.parametrize(("extra", "wavelength", "rayleigh_range", "n"), [
+    ((), 632.8e-9, 18.9e-6, 1_600_000),
+    (("--rayleigh-range", "25um", "--n-per-trial", "123457"), 632.8e-9, 25e-6, 123457),
     (("--wavelength", "1064nm", "--rayleigh-range", "3mm", "--n-per-trial", "7"),
-     3e-3, 7),
+     1064e-9, 3e-3, 7),
 ], ids=["preset", "zr25um", "nd-yag"])
-def test_reproduce_experiment_fraction_bound_is_the_binomial_bound(tmp_path, extra,
-                                                                  rayleigh_range, n):
+def test_reproduce_experiment_fraction_bound_is_the_binomial_bound(
+        tmp_path, extra, wavelength, rayleigh_range, n):
     """fraction_bound_m is the fraction estimator's own information at the
     calibrated plane, 1 / sqrt(n F_frac); that is F / (e - 1), so the
     bound sits within roundoff of the quantum bound times sqrt(e - 1)."""
@@ -659,7 +659,6 @@ def test_reproduce_experiment_fraction_bound_is_the_binomial_bound(tmp_path, ext
             *extra, "--out", str(out)]
     assert main(argv) == EXIT_OK
     payload = json.loads(out.with_suffix(".json").read_text())
-    wavelength = 1064e-9 if "--wavelength" in extra else 632.8e-9
     beam = BeamParams.from_rayleigh_range(wavelength, rayleigh_range)
     cal = calibrate(beam, -beam.rayleigh_range)
     bound = payload["fraction_bound_m"]

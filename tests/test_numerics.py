@@ -109,14 +109,11 @@ def test_radial_rule_from_zero_is_the_plain_rule(nodes):
 
 @pytest.mark.parametrize("nodes", [5, 24, 48, 96])
 def test_radial_rule_has_the_laguerre_nodes(nodes):
-    """The unit rule of any order, and each order the stacked rule
-    holds, puts its nodes at the zeros of L_n."""
+    """On the unit rule, which ``stacked_radial_rule`` maps bit for bit
+    (``test_stacked_rule_holds_each_rule_bit_for_bit``)."""
+    radii, _ = numerics._laguerre_rule(nodes)
     zeros, _ = np.polynomial.laguerre.laggauss(nodes)
-    unit_radii, _ = numerics._laguerre_rule(nodes)
-    assert 2.0 * unit_radii**2 == pytest.approx(zeros, rel=1e-13)
-    if nodes in RULE_NODES:
-        radii, _ = _rule(1.0, nodes)
-        assert 2.0 * radii**2 == pytest.approx(zeros, rel=1e-13)
+    assert 2.0 * radii**2 == pytest.approx(zeros, rel=1e-13)
 
 
 @pytest.mark.parametrize("nodes", [5, 24, 48, 96])
@@ -128,8 +125,6 @@ def test_radial_rule_has_the_laguerre_weights(nodes):
     zeros, laggauss_weights = np.polynomial.laguerre.laggauss(nodes)
     assert weights / (0.5 * math.pi) == pytest.approx(
         laggauss_weights * np.exp(zeros), rel=1e-11)
-    if nodes in RULE_NODES:
-        assert np.array_equal(_rule(1.0, nodes)[1], weights)
 
 
 @pytest.mark.parametrize("nodes", [5, 48, 96])
