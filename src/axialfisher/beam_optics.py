@@ -40,7 +40,7 @@ class BeamParams:
         Convenience for configurations quoted as (wavelength, z_R); the
         waist is w0 = sqrt(z_R * wavelength / pi).
         """
-        if rayleigh_range <= 0.0:
+        if not (rayleigh_range > 0.0 and math.isfinite(rayleigh_range)):
             raise ValueError(f"rayleigh range must be positive, got {rayleigh_range}")
         return cls(wavelength, math.sqrt(rayleigh_range * wavelength / math.pi))
 

@@ -87,7 +87,7 @@ _PRESET_DELTAS = "10nm,100nm,400nm,1000nm,1650nm"
 
 _STD_CHECK_REL_TOL = 0.10
 _BIAS_CHECK_REL_TOL = 0.05
-#: ``optimal-plane`` fails when F/Q at a reported plane is further below 1.
+#: A relay fails when F/Q at one of its optimal planes is further below 1.
 _PLANE_FI_TOL = 1e-6
 
 _TRIAL_COLUMNS = ("trial_index", "seed", "n", "count_outside", "delta_hat_m")
@@ -307,10 +307,10 @@ def beam_from_args(args) -> BeamParams:
 
 
 def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySystem | None:
-    """The relay of --focal and --object-distance, if given.  A focal
-    length so short that its optimal planes f + f^2 / (s -+ z_R) round
-    to the focal plane, where the ray matrix has A = 0 and carries no
-    information, is a numerical limit."""
+    """The relay of --focal and --object-distance, if given.  It is a
+    numerical limit when its optimal planes f + f^2 / (s -+ z_R) round to
+    the focal plane (A = 0: no information), collapse onto one plane out
+    of the degenerate geometry, or miss F/Q = 1 by ``_PLANE_FI_TOL``."""
     if args.focal is None and args.object_distance is None:
         if required:
             raise UsageError(
@@ -321,12 +321,27 @@ def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySyst
         raise UsageError("--focal and --object-distance must be given together")
     relay = RelaySystem(args.focal, args.object_distance)
     planes = optimal_detection_planes(beam, relay)
-    if relay.focal_length in (planes.plane_plus, planes.plane_minus):
+    plus, minus = planes.plane_plus, planes.plane_minus
+    if relay.focal_length in (plus, minus):
         raise NumericalLimitError(
             f"--focal {args.focal!r} m is too short for double precision: the "
             "optimal planes f + f^2 / (s -+ z_R) round to the focal plane"
         )
+    ratio_plus, ratio_minus = _fi_over_qfi(beam, relay, plus, minus)
+    collapsed = plus == minus and not math.isnan(planes.alpha)
+    if collapsed or not (ratio_plus >= 1.0 - _PLANE_FI_TOL and ratio_minus >= 1.0 - _PLANE_FI_TOL):
+        raise NumericalLimitError(
+            f"--rayleigh-range {beam.rayleigh_range!r} m is too short for double precision "
+            f"behind this relay: the optimal planes f + f^2 / (s -+ z_R) are {plus!r} m "
+            f"and {minus!r} m, where F/Q is {ratio_plus!r} and {ratio_minus!r} instead of 1"
+        )
     return relay
+
+
+def _fi_over_qfi(beam: BeamParams, relay: RelaySystem, *planes: float) -> list[float]:
+    """F/Q at each of ``planes`` behind ``relay``."""
+    qfi = qfi_gaussian(beam)
+    return [image_fi(beam, relay, plane) / qfi for plane in planes]
 
 
 def _beam_config(beam: BeamParams, relay: RelaySystem | None = None) -> dict:
@@ -386,12 +401,7 @@ def cmd_fi_scan(args) -> int:
 def cmd_fi_density(args) -> int:
     beam = beam_from_args(args)
     relay = relay_from_args(args, beam)
-    if args.plane is not None:
-        plane = args.plane
-    elif relay is not None:
-        plane = preferred_detection_plane(beam, relay)
-    else:
-        plane = beam.rayleigh_range
+    plane = args.plane if args.plane is not None else preferred_detection_plane(beam, relay)
     w_sq, log_slope = width_response(beam, relay, plane)
     dw_sq = w_sq * log_slope
     if dw_sq == 0.0:
@@ -439,26 +449,17 @@ def cmd_optimal_plane(args) -> int:
         "command": "optimal-plane",
         **_beam_config(beam, relay),
     }
-    qfi = qfi_gaussian(beam)
     markers = _plane_markers(beam, relay)
     plus, minus = markers["plane_plus_m"], markers["plane_minus_m"]
     geometric = markers["geometric_image_plane_m"]
-    ratio_plus = image_fi(beam, relay, plus) / qfi
-    ratio_minus = image_fi(beam, relay, minus) / qfi
-    collapsed = plus == minus and not markers["fallback"]
-    if collapsed or not (ratio_plus >= 1.0 - _PLANE_FI_TOL and ratio_minus >= 1.0 - _PLANE_FI_TOL):
-        raise NumericalLimitError(
-            f"--rayleigh-range {beam.rayleigh_range!r} m is too short for double precision "
-            f"behind this relay: the optimal planes f + f^2 / (s -+ z_R) are {plus!r} m "
-            f"and {minus!r} m, where F/Q is {ratio_plus!r} and {ratio_minus!r} instead of 1"
-        )
+    ratio_plus, ratio_minus = _fi_over_qfi(beam, relay, plus, minus)
     payload = {
         "config": config,
         **markers,
         "fi_over_qfi_plus": ratio_plus,
         "fi_over_qfi_minus": ratio_minus,
         "preferred_plane_m": preferred_detection_plane(beam, relay),
-        "qfi_per_m2": qfi,
+        "qfi_per_m2": qfi_gaussian(beam),
     }
     if not math.isinf(geometric):
         payload["defocus_plus_m"] = plus - geometric
@@ -503,12 +504,7 @@ def cmd_point_source(args) -> int:
 def cmd_simulate(args) -> int:
     beam = beam_from_args(args)
     relay = relay_from_args(args, beam)
-    if args.plane is not None:
-        plane = args.plane
-    elif relay is not None:
-        plane = preferred_detection_plane(beam, relay)
-    else:
-        plane = -beam.rayleigh_range
+    plane = args.plane if args.plane is not None else preferred_detection_plane(beam, relay)
     config = TrialConfig(
         beam=beam,
         detector_plane=plane,
@@ -579,7 +575,7 @@ def _displacement_summary(config: TrialConfig) -> dict:
 
 def cmd_reproduce_experiment(args) -> int:
     beam = BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
-    plane = -beam.rayleigh_range
+    plane = preferred_detection_plane(beam, None)
     quantum_bound = 1.0 / math.sqrt(args.n_per_trial * qfi_gaussian(beam))
     fraction_bound = 1.0 / math.sqrt(
         args.n_per_trial * fraction_estimator_fi(calibrate(beam, plane)))
@@ -697,7 +693,8 @@ def build_parser() -> _Parser:
     _add_beam(density)
     _add_relay(density)
     density.add_argument("--plane", type=parse_length, default=None,
-                         help="detector plane (default: preferred optimal plane)")
+                         help="detector plane (default: -z_R, or the preferred "
+                         "optimal plane behind a relay)")
     density.add_argument("--rmax", type=parse_length, default=None,
                          help="largest radius (default: 3 beam widths)")
     density.add_argument("--steps", type=_positive_int, default=400)

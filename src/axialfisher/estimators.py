@@ -192,6 +192,9 @@ class TrialConfig:
     poisson_total: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("detector_plane", "true_delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.n_per_trial < 2**63:
             raise ValueError(
                 f"n_per_trial must be positive and below 2**63 (numpy draws a photon "

@@ -351,18 +351,15 @@ def optimal_detection_planes(beam: BeamParams, relay: RelaySystem) -> OptimalPla
         z'_+ = f + f^2 / (s - z_R),    z'_- = f + f^2 / (s + z_R),
 
     with alpha = (s + z_R) / (s - z_R) the asymmetry of the pair about
-    the image waist.  When |s -+ z_R| is within ``ALPHA_DEGENERACY_TOL``
-    Rayleigh ranges of zero one plane is at infinity; the reachable
+    the image waist.  When |s| is within ``ALPHA_DEGENERACY_TOL``
+    Rayleigh ranges of z_R one plane is at infinity; the reachable
     plane is then reported in both fields and alpha is NaN.
     """
     f = relay.focal_length
     s = relay.object_distance - f
     zr = beam.rayleigh_range
-    if abs(s - zr) <= ALPHA_DEGENERACY_TOL * zr:
-        reachable = f + f * f / (s + zr)
-        return OptimalPlanes(alpha=math.nan, plane_plus=reachable, plane_minus=reachable)
-    if abs(s + zr) <= ALPHA_DEGENERACY_TOL * zr:
-        reachable = f + f * f / (s - zr)
+    if abs(abs(s) - zr) <= ALPHA_DEGENERACY_TOL * zr:
+        reachable = f + f * f / (s + math.copysign(zr, s))
         return OptimalPlanes(alpha=math.nan, plane_plus=reachable, plane_minus=reachable)
     return OptimalPlanes(
         alpha=(s + zr) / (s - zr),
@@ -371,14 +368,16 @@ def optimal_detection_planes(beam: BeamParams, relay: RelaySystem) -> OptimalPla
     )
 
 
-def preferred_detection_plane(beam: BeamParams, relay: RelaySystem) -> float:
-    """Single default detector plane for downstream consumers.
-
-    Of the two optimal planes, prefer the one farther from the geometric
-    image plane (more defocus, which tolerates camera-placement error
-    better).  If the geometric image does not exist, take the plane
-    farther from the lens.
+def preferred_detection_plane(beam: BeamParams, relay: RelaySystem | None) -> float:
+    """The one default detector plane.  In free space (``relay`` None):
+    -z_R, a convention, as the windows of F/Q >= 0.99 around +-z_R are
+    equally wide.  Behind a relay: the optimal plane farther from the
+    geometric image plane (from the lens if there is no image), whose
+    window is never the narrower; ``tests/test_fisher.py`` measures both
+    by bisection on ``image_fi`` over seeded relays.
     """
+    if relay is None:
+        return -beam.rayleigh_range
     planes = optimal_detection_planes(beam, relay)
     anchor = geometric_image_plane(relay)
     if math.isinf(anchor):

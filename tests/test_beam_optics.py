@@ -46,6 +46,12 @@ def test_from_rayleigh_range_round_trips():
     assert beam.wavelength == 632.8e-9
 
 
+@pytest.mark.parametrize("rayleigh_range", [math.nan, math.inf])
+def test_from_rayleigh_range_names_a_bad_rayleigh_range(rayleigh_range):
+    with pytest.raises(ValueError, match=f"rayleigh range must be positive, got {rayleigh_range}"):
+        BeamParams.from_rayleigh_range(632.8e-9, rayleigh_range)
+
+
 @pytest.mark.parametrize("wavelength,waist", [(0.0, 1.0), (-1e-6, 1.0), (1e-6, 0.0), (1e-6, -1.0)])
 def test_rejects_nonpositive_parameters(wavelength, waist):
     with pytest.raises(ValueError):

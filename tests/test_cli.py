@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -291,7 +292,7 @@ def test_fi_density_summary(tmp_path):
     sidecar = json.loads(out.with_suffix(".json").read_text())
     assert "seed" not in sidecar["config"]
     summary = sidecar["summary"]
-    # Default plane is +z_R where w^2 = 2 w0^2; the boundary sits at w/sqrt(2).
+    # Default plane is -z_R where w^2 = 2 w0^2; the boundary sits at w/sqrt(2).
     assert summary["width_sq_m2"] == pytest.approx(2.0, rel=1e-12)
     assert summary["boundary_radius_m"] == pytest.approx(1.0, rel=1e-12)
     assert summary["fraction_outside"] == pytest.approx(2.0 / math.e, rel=1e-9)
@@ -973,6 +974,13 @@ def test_deterministic_commands_reject_unused_flags(argv, capsys, tmp_path, monk
 
 
 _TINY_FOCAL = ("--focal", "1e-300m", "--object-distance", "5m")
+_TINY_RAYLEIGH = ("--waist", "1e-80m", "--rayleigh-range", "1e-160m",
+                  "--focal", "1m", "--object-distance", "5m")
+_TINY_RAYLEIGH_MESSAGE = (
+    "--rayleigh-range 1e-160 m is too short for double precision behind this relay: "
+    "the optimal planes f + f^2 / (s -+ z_R) are 1.25 m and 1.25 m, where F/Q is 0.0 "
+    "and 0.0 instead of 1"
+)
 
 
 @pytest.mark.parametrize(
@@ -991,14 +999,17 @@ _TINY_FOCAL = ("--focal", "1e-300m", "--object-distance", "5m")
           "--n-per-trial", "10", "--trials", "2"],
          "--focal 1e-150 m is too short for double precision: the optimal planes "
          "f + f^2 / (s -+ z_R) round to the focal plane"),
-        (["optimal-plane", "--waist", "1e-80m", "--rayleigh-range", "1e-160m",
-          "--focal", "1m", "--object-distance", "5m"],
-         "--rayleigh-range 1e-160 m is too short for double precision behind this relay: "
-         "the optimal planes f + f^2 / (s -+ z_R) are 1.25 m and 1.25 m, where F/Q is 0.0 "
-         "and 0.0 instead of 1"),
+        (["optimal-plane", *_TINY_RAYLEIGH], _TINY_RAYLEIGH_MESSAGE),
+        (["fi-scan", *_TINY_RAYLEIGH, "--zmin", "0.5m", "--zmax", "2m"],
+         _TINY_RAYLEIGH_MESSAGE),
+        (["fi-density", *_TINY_RAYLEIGH], _TINY_RAYLEIGH_MESSAGE),
+        (["simulate", *_TINY_RAYLEIGH, "--n-per-trial", "10", "--trials", "2"],
+         _TINY_RAYLEIGH_MESSAGE),
     ],
     ids=["scan-past-double-range", "optimal-plane-tiny-focal", "fi-scan-tiny-focal",
-         "simulate-tiny-focal", "optimal-plane-tiny-rayleigh-range"],
+         "simulate-tiny-focal", "optimal-plane-tiny-rayleigh-range",
+         "fi-scan-tiny-rayleigh-range", "fi-density-tiny-rayleigh-range",
+         "simulate-tiny-rayleigh-range"],
 )
 def test_numerical_limits_exit_two_with_the_message(argv, message, tmp_path, monkeypatch,
                                                     capsys):
@@ -1016,3 +1027,47 @@ def test_numerical_failures_exit_two(monkeypatch, capsys):
     code = main(["fi-scan", *UNIT_BEAM, "--zmin", "0m", "--zmax", "1m"])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The documented commands
+# ---------------------------------------------------------------------------
+
+
+def _readme_examples() -> list[list[str]]:
+    """Every ``axialfisher ...`` command of README's command-line section,
+    as the argument list after the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("```sh\n")[1:]:
+        command = block.split("```", 1)[0].replace("\\\n", " ")
+        tokens = shlex.split(command)
+        if tokens and tokens[0] == "axialfisher":
+            examples.append(tokens[1:])
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+def test_readme_documents_every_subcommand():
+    assert sorted(argv[0] for argv in _README_EXAMPLES) == [
+        "fi-density", "fi-scan", "optimal-plane", "point-source", "reproduce-experiment",
+        "simulate"]
+
+
+@pytest.mark.parametrize("argv", _README_EXAMPLES, ids=[a[0] for a in _README_EXAMPLES])
+def test_readme_examples_run_as_written(argv, tmp_path, monkeypatch, capsys):
+    """Each documented command exits 0 and writes its named file: --out,
+    or the command's default name, with a JSON sidecar beside a CSV."""
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == EXIT_OK
+    if "--out" in argv:
+        out = Path(argv[argv.index("--out") + 1])
+    else:
+        suffix = ".json" if argv[0] in ("optimal-plane", "point-source") else ".csv"
+        out = Path(argv[0].replace("-", "_") + suffix)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {out.name, out.with_suffix(".json").name})
+    assert capsys.readouterr().out.startswith(f"wrote {out}")

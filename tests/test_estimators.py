@@ -236,6 +236,10 @@ def test_trial_config_validation():
         _config(estimator="median")
     with pytest.raises(ValueError):
         _config(base_seed=-1)
+    for name in ("detector_plane", "true_delta"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+                _config(**{name: value})
 
 
 @pytest.mark.parametrize("trials", [2**32, 2**40])

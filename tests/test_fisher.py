@@ -346,6 +346,74 @@ def test_preferred_plane_without_a_geometric_image_is_the_one_farther_from_the_l
     assert preferred_detection_plane(UNIT, relay) == 2.0
 
 
+def _window_width(beam, relay, plane):
+    """Width in z' of the window of F/Q >= 0.99 around ``plane``, each
+    edge found by bisection on ``image_fi``: toward the nearest zero of F
+    (the waist in free space, else the focal plane or the geometric
+    image), F/Q falls monotonically, and with no zero ahead the bracket is
+    doubled outward.  ``math.inf`` when the window never closes."""
+    q = qfi_gaussian(beam)
+
+    def inside(offset):
+        return image_fi(beam, relay, plane + offset) >= 0.99 * q
+
+    zeros = [0.0] if relay is None else [relay.focal_length, geometric_image_plane(relay)]
+    width = 0.0
+    for direction in (-1.0, 1.0):
+        ahead = [direction * (z - plane) for z in zeros
+                 if math.isfinite(z) and direction * (z - plane) > 0.0]
+        inner, outer = 0.0, min(ahead, default=1e-6 * abs(plane))
+        while not ahead and inside(direction * outer):
+            inner, outer = outer, 2.0 * outer
+            if outer > 1e15 * abs(plane):
+                return math.inf
+        while inner < (mid := 0.5 * (inner + outer)) < outer:
+            if inside(direction * mid):
+                inner = mid
+            else:
+                outer = mid
+        width += inner
+    return width
+
+
+def test_preferred_plane_has_the_wider_window_of_near_optimal_planes():
+    """Over seeded relays of both lens signs, with the object on either
+    side of the front focal plane at 0.01 to 100 Rayleigh ranges from it,
+    the preferred plane's window of F/Q >= 0.99 is never the narrower.
+
+    Why: F/Q depends on z' only through t = B / (A z_R), which is +-1 at
+    the planes, and a <= +-t <= 1/a spans f^2 z_R (1/a - a) /
+    |(s -+ a z_R)(s -+ z_R / a)| of z'.  The plane farther from the
+    geometric image has the smaller |s -+ z_R|, and with it the smaller
+    denominator."""
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    for f_sign in (-1.0, 1.0):
+        for s_sign in (-1.0, 1.0):
+            for _ in range(60):
+                beam = BeamParams.from_rayleigh_range(632.8e-9, 10.0 ** rng.uniform(-5.0, -1.0))
+                zr = beam.rayleigh_range
+                f = f_sign * 10.0 ** rng.uniform(-2.0, 1.0)
+                relay = RelaySystem(f, f + s_sign * zr * 10.0 ** rng.uniform(-2.0, 2.0))
+                planes = optimal_detection_planes(beam, relay)
+                if math.isnan(planes.alpha):
+                    continue
+                preferred = preferred_detection_plane(beam, relay)
+                other = planes.plane_minus if preferred == planes.plane_plus else planes.plane_plus
+                assert _window_width(beam, relay, preferred) >= _window_width(beam, relay, other)
+                checked += 1
+    assert checked >= 200
+
+
+def test_free_space_preferred_plane_is_minus_zr_by_convention():
+    """In free space the windows around +-z_R are equally wide, so -z_R is
+    a convention, the one the preset's detector plane uses."""
+    zr = HENE.rayleigh_range
+    assert preferred_detection_plane(HENE, None) == -zr
+    assert _window_width(HENE, None, -zr) == pytest.approx(
+        _window_width(HENE, None, zr), rel=1e-12)
+
+
 def test_scan_shape_and_structure():
     image = relay_transform(UNIT, RELAY)
     grid = np.linspace(
