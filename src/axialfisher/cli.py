@@ -293,7 +293,17 @@ def beam_from_args(args) -> BeamParams:
             f"(got {sorted(given) or 'none'})"
         )
     if "rayleigh-range" not in given:
-        return BeamParams(args.wavelength, args.waist)
+        beam = BeamParams(args.wavelength, args.waist)
+        try:
+            rayleigh_range = beam.rayleigh_range
+        except OverflowError:  # w0^2 overflows
+            rayleigh_range = math.inf
+        if math.isinf(rayleigh_range):
+            raise NumericalLimitError(
+                f"--waist {args.waist!r} m is too wide for double precision at --wavelength "
+                f"{args.wavelength!r} m: the Rayleigh range pi w0^2 / lambda overflows"
+            )
+        return beam
     if "wavelength" in given:
         return BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
     wavelength = math.pi * args.waist**2 / args.rayleigh_range
@@ -308,26 +318,38 @@ def beam_from_args(args) -> BeamParams:
 
 def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySystem | None:
     """The relay of --focal and --object-distance, if given.  It is a
-    numerical limit when its optimal planes f + f^2 / (s -+ z_R) round to
-    the focal plane (A = 0: no information), collapse onto one plane out
-    of the degenerate geometry, or miss F/Q = 1 by ``_PLANE_FI_TOL``."""
+    numerical limit when its optimal planes f + f^2 / (s -+ z_R) overflow,
+    round to the focal plane (A = 0: no information), collapse onto one
+    plane out of the degenerate geometry, or miss F/Q = 1 by
+    ``_PLANE_FI_TOL``.  In free space the beam's information 1 / z_R^2
+    must stay in double range."""
     if args.focal is None and args.object_distance is None:
         if required:
             raise UsageError(
                 f"{args.command} needs a relay: --focal and --object-distance"
             )
+        _check_free_beam(beam)
         return None
     if args.focal is None or args.object_distance is None:
         raise UsageError("--focal and --object-distance must be given together")
     relay = RelaySystem(args.focal, args.object_distance)
-    planes = optimal_detection_planes(beam, relay)
+    try:
+        planes = optimal_detection_planes(beam, relay)
+    except ValueError:  # OptimalPlanes rejects planes that are not finite
+        raise NumericalLimitError(
+            f"--focal {args.focal!r} m is too long for double precision: the optimal "
+            "planes f + f^2 / (s -+ z_R) overflow"
+        ) from None
     plus, minus = planes.plane_plus, planes.plane_minus
     if relay.focal_length in (plus, minus):
         raise NumericalLimitError(
             f"--focal {args.focal!r} m is too short for double precision: the "
             "optimal planes f + f^2 / (s -+ z_R) round to the focal plane"
         )
-    ratio_plus, ratio_minus = _fi_over_qfi(beam, relay, plus, minus)
+    try:
+        ratio_plus, ratio_minus = _fi_over_qfi(beam, relay, plus, minus)
+    except ZeroDivisionError:  # z_R^2 underflows to 0
+        ratio_plus = ratio_minus = math.nan
     collapsed = plus == minus and not math.isnan(planes.alpha)
     if collapsed or not (ratio_plus >= 1.0 - _PLANE_FI_TOL and ratio_minus >= 1.0 - _PLANE_FI_TOL):
         raise NumericalLimitError(
@@ -336,6 +358,34 @@ def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySyst
             f"and {minus!r} m, where F/Q is {ratio_plus!r} and {ratio_minus!r} instead of 1"
         )
     return relay
+
+
+def _check_free_beam(beam: BeamParams) -> None:
+    """In free space the information is at most 1 / z_R^2, which must be
+    positive and finite, so that no plane's information overflows."""
+    rayleigh_sq = beam.rayleigh_range * beam.rayleigh_range
+    if not (rayleigh_sq > 0.0 and 1.0 / rayleigh_sq < math.inf):
+        raise NumericalLimitError(
+            f"--rayleigh-range {beam.rayleigh_range!r} m is too short for double precision: "
+            "the information 1 / z_R^2 overflows"
+        )
+
+
+def plane_from_args(args, beam: BeamParams, relay: RelaySystem | None) -> float:
+    """--plane, whose squared beam width must stay in double range, or
+    else ``preferred_detection_plane``."""
+    if args.plane is None:
+        return preferred_detection_plane(beam, relay)
+    try:
+        width_sq = width_response(beam, relay, args.plane)[0]
+    except OverflowError:
+        width_sq = math.inf
+    if not math.isfinite(width_sq):
+        raise NumericalLimitError(
+            f"--plane {args.plane!r} m is too far for double precision: the squared "
+            "beam width there overflows"
+        )
+    return args.plane
 
 
 def _fi_over_qfi(beam: BeamParams, relay: RelaySystem, *planes: float) -> list[float]:
@@ -401,7 +451,7 @@ def cmd_fi_scan(args) -> int:
 def cmd_fi_density(args) -> int:
     beam = beam_from_args(args)
     relay = relay_from_args(args, beam)
-    plane = args.plane if args.plane is not None else preferred_detection_plane(beam, relay)
+    plane = plane_from_args(args, beam, relay)
     w_sq, log_slope = width_response(beam, relay, plane)
     dw_sq = w_sq * log_slope
     if dw_sq == 0.0:
@@ -504,7 +554,7 @@ def cmd_point_source(args) -> int:
 def cmd_simulate(args) -> int:
     beam = beam_from_args(args)
     relay = relay_from_args(args, beam)
-    plane = args.plane if args.plane is not None else preferred_detection_plane(beam, relay)
+    plane = plane_from_args(args, beam, relay)
     config = TrialConfig(
         beam=beam,
         detector_plane=plane,
@@ -575,6 +625,7 @@ def _displacement_summary(config: TrialConfig) -> dict:
 
 def cmd_reproduce_experiment(args) -> int:
     beam = BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
+    _check_free_beam(beam)
     plane = preferred_detection_plane(beam, None)
     quantum_bound = 1.0 / math.sqrt(args.n_per_trial * qfi_gaussian(beam))
     fraction_bound = 1.0 / math.sqrt(
@@ -778,17 +829,14 @@ def _config_file_tokens(path: str) -> list[str]:
     return tokens
 
 
+_CONFIG_FINDER = _Parser(add_help=False)  # --config, or any abbreviation argparse accepts
+_CONFIG_FINDER.add_argument("--config")
+
+
 def _inject_config(argv: list[str]) -> list[str]:
-    """Splice config-file tokens in right after the subcommand, so that
-    explicitly passed flags still win (they come later)."""
-    path = None
-    for index, token in enumerate(argv):
-        if token == "--config" and index + 1 < len(argv):
-            path = argv[index + 1]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            break
+    """Splice the --config file's tokens in right after the subcommand, so
+    that explicitly passed flags still win (they come later)."""
+    path = _CONFIG_FINDER.parse_known_args(argv)[0].config
     if path is None:
         return argv
     if not argv or argv[0].startswith("-"):

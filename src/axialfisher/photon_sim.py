@@ -42,13 +42,12 @@ and ``default_rng(seed)`` is PCG64 seeded with the four words
 ``SeedSequence(seed).generate_state(4, uint64)``.  So trials are
 independent of execution order, and re-running any trial reproduces it
 bit for bit.  Both hashes run once per call over all trials:
-``derive_trial_seeds`` and the private ``_seed_states`` are
-numpy-vectorized copies of ``numpy.random.SeedSequence``'s hash (pool of
-four 32-bit words) that equal it bit for bit, and the samplers hand each
-trial's state words straight to PCG64 instead of hashing its seed again.
-The part of the pool that depends on the base seed alone is numpy's own
-``SeedSequence(base_seed)`` pool, taken once per run.  How a seed becomes
-a generator stays inside this module.
+``derive_trial_seeds`` and the private ``_seed_states`` share one
+numpy-vectorized port of ``numpy.random.SeedSequence``'s entropy hash
+(``_pool``, a pool of four 32-bit words) that equals it bit for bit, and
+the samplers hand each trial's state words straight to PCG64 instead of
+hashing its seed again.  How a seed becomes a generator stays inside this
+module.
 
 numpy's random package, with the ``secrets`` and ``hashlib`` modules it
 loads, is imported by the first call that seeds or draws (numpy loads it
@@ -90,34 +89,28 @@ _SHIFT = np.uint32(16)
 
 
 def _hash_calls(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiply) constants of the given hash calls, as read-only
-    uint32 rows."""
+    """The (xor, multiply) constants of the given hash calls, read-only."""
     xor = np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in calls], dtype=np.uint32)
     mul = xor * np.uint32(mult)
     xor.flags.writeable = mul.flags.writeable = False
     return xor, mul
 
 
-def _mixing_calls(src: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constants that mix pool word ``src`` into each other pool word, in
-    one row; column ``src`` is a placeholder whose result is discarded."""
-    first = _POOL + (_POOL - 1) * src
-    calls = [first + dst - (dst > src) for dst in range(_POOL)]
-    return _hash_calls(_INIT_A, _MULT_A, calls)
+@functools.lru_cache(maxsize=16)
+def _entropy_calls(n_tail: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``mix_entropy``'s constants, one row per step, its hash calls
+    numbered as numpy numbers them: 0-3 fill the pool; 4-15 mix each
+    source word into the other three (its own column a placeholder whose
+    result is discarded); then four absorb each of ``n_tail`` later words."""
+    rows = [range(_POOL)]
+    rows += [[_POOL + (_POOL - 1) * src + dst - (dst > src) for dst in range(_POOL)]
+             for src in range(_POOL)]
+    rows += [range(_POOL * (_POOL + w), _POOL * (_POOL + w + 1)) for w in range(n_tail)]
+    return [_hash_calls(_INIT_A, _MULT_A, calls) for calls in rows]
 
 
-_FILL_CALLS = _hash_calls(_INIT_A, _MULT_A, range(_POOL))
-_MIXING_CALLS = [_mixing_calls(src) for src in range(_POOL)]
 _OUTPUT_CALLS = _hash_calls(_INIT_B, _MULT_B, range(2 * _POOL))
 _OUTPUT_SOURCES = np.arange(2 * _POOL) % _POOL
-
-
-@functools.lru_cache(maxsize=16)
-def _absorbing_calls(word: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constants that absorb entropy word ``word`` (counted from 0) past
-    the first four into the four pool words."""
-    first = _POOL * (_POOL + word)  # after the 4 filling and 12 mixing calls
-    return _hash_calls(_INIT_A, _MULT_A, range(first, first + _POOL))
 
 
 def _hashmix(value, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -136,6 +129,23 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result
 
 
+def _pool(head: np.ndarray, tail=()) -> np.ndarray:
+    """SeedSequence's ``mix_entropy``, one pool per row: fill it from a row
+    of ``head`` (at most four uint32 words, padded with zeros), mix it, then
+    absorb each ``tail`` word (an int, or uint32 words broadcast over rows)."""
+    fill, *rows = _entropy_calls(len(tail))
+    words = np.zeros((head.shape[0], _POOL), dtype=np.uint32)
+    words[:, : head.shape[1]] = head
+    pool = _hashmix(words, *fill)
+    for src, (xor, mul) in enumerate(rows[:_POOL]):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], xor, mul))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for word, (xor, mul) in zip(tail, rows[_POOL:]):
+        pool = _mix(pool, _hashmix(word, xor, mul))
+    return pool
+
+
 def _output_words(pool: np.ndarray, n_words: int) -> np.ndarray:
     """``generate_state(n_words, uint64)`` of each row of ``pool``."""
     sources = _OUTPUT_SOURCES[: 2 * n_words]
@@ -152,12 +162,9 @@ def derive_trial_seeds(base_seed: int, trials: int, substream: int = 0) -> np.nd
     Distinct (base, trial, substream) triples give independent streams,
     and the mapping never changes between runs; ``substream`` separates
     the random purposes of one trial (statistics, fluctuating totals).
-    Trial t's entropy is the base seed's words, padded with zeros to four,
-    then t and ``substream``.  Padding hashes like the zeros that fill a
-    short pool, so the pool before t is ``SeedSequence(base_seed)``'s,
-    taken once per call; t and ``substream`` are then absorbed for every
-    trial at once.  Each must fit one 32-bit word, so ``trials`` is at
-    most 2^32.
+    The entropy is the base seed's 32-bit words, padded with zeros to
+    four, then t and ``substream``, one word each: ``trials`` is at most
+    2^32.
     """
     if base_seed < 0:
         raise ValueError(f"base_seed must be nonnegative, got {base_seed}")
@@ -165,11 +172,10 @@ def derive_trial_seeds(base_seed: int, trials: int, substream: int = 0) -> np.nd
         raise ValueError(f"trials must lie in [0, 2**32], got {trials}")
     if not 0 <= substream <= _MASK32:
         raise ValueError(f"substream must lie in [0, 2**32), got {substream}")
-    later = max(0, -(-int(base_seed).bit_length() // 32) - _POOL)
-    pool = np.random.SeedSequence(base_seed).pool[None, :]
-    trial = np.arange(trials, dtype=np.uint32)[:, None]
-    pool = _mix(pool, _hashmix(trial, *_absorbing_calls(later)))  # one row per trial
-    pool = _mix(pool, _hashmix(np.uint32(substream), *_absorbing_calls(later + 1)))
+    words = [int(base_seed) >> shift & _MASK32
+             for shift in range(0, max(32, int(base_seed).bit_length()), 32)]
+    trial = np.arange(trials, dtype=np.uint32)[:, None]  # one pool row per trial
+    pool = _pool(np.array([words[:_POOL]], dtype=np.uint32), [*words[_POOL:], trial, substream])
     return _output_words(pool, 1)[:, 0]
 
 
@@ -179,18 +185,10 @@ def _seed_states(seeds: np.ndarray) -> np.ndarray:
     that ``default_rng(seeds[i])`` seeds its PCG64 with.
 
     A seed below 2^32 is one entropy word, and its missing second word
-    hashes exactly as the zero that fills a short pool, so every seed
-    below 2^64 is hashed as its two 32-bit words.
+    hashes as the zero that pads a short pool: every seed is two words.
     """
-    seeds = seeds.reshape(-1, 1)
-    head = np.zeros((seeds.shape[0], _POOL), dtype=np.uint32)
-    head[:, :2] = seeds.astype("<u8", copy=False).view("<u4")
-    pool = _hashmix(head, *_FILL_CALLS)
-    for src, (xor, mul) in enumerate(_MIXING_CALLS):
-        mixed = _mix(pool, _hashmix(pool[:, src, None], xor, mul))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    return _output_words(pool, _POOL)
+    head = seeds.astype("<u8", copy=False).reshape(-1, 1).view("<u4")
+    return _output_words(_pool(head), _POOL)
 
 
 @functools.cache

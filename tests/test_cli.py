@@ -831,6 +831,8 @@ def test_json_format_is_the_csv_sidecar_plus_the_table(tmp_path, argv, table_key
 
 
 def test_config_file_supplies_defaults(tmp_path):
+    """argparse finds the file under ``--config PATH``, ``--config=PATH``
+    or any abbreviation it accepts, such as ``--conf``."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# reduced benchmark\n"
@@ -840,17 +842,13 @@ def test_config_file_supplies_defaults(tmp_path):
         "seed = 3\n"
     )
     out = tmp_path / "out.csv"
-    argv = [
-        "reproduce-experiment",
-        "--config", str(cfg),
-        "--trials", "7",
-        "--out", str(out),
-    ]
-    assert main(argv) == EXIT_OK
-    config = json.loads(out.with_suffix(".json").read_text())["config"]
-    assert config["n_per_trial"] == 1000  # from the file
-    assert config["trials"] == 7  # explicit flag wins
-    assert config["seed"] == 3
+    for form in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+        argv = ["reproduce-experiment", *form, "--trials", "7", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        config = json.loads(out.with_suffix(".json").read_text())["config"]
+        assert config["n_per_trial"] == 1000  # from the file
+        assert config["trials"] == 7  # explicit flag wins
+        assert config["seed"] == 3
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
@@ -937,11 +935,14 @@ _CONFIG_FILES = {
          "unrecognized arguments: --check"),
         (["simulate", *SMALL_BEAM, "--config=bad.cfg"],
          "bad.cfg:2: expected key=value, got 'n_per_trial 1000'"),
+        (["--config", "check.cfg", "simulate", *SMALL_BEAM],
+         "--config requires a subcommand"),
     ],
     ids=["seed-text", "seed-range", "int-text", "int-zero", "zmax", "scan-steps",
          "density-steps", "rmax", "one-relay-flag", "scan-without-relay", "wavelength",
          "rayleigh-range", "waist-underflow", "focal", "wavenumber", "wavenumber-nan", "wavenumber-inf",
-         "uninformative-plane", "config-true-line", "config-malformed"],
+         "uninformative-plane", "config-true-line", "config-malformed",
+         "config-before-subcommand"],
 )
 def test_usage_errors_exit_one_with_the_message(argv, message, tmp_path, monkeypatch,
                                                 capsys):
@@ -981,6 +982,25 @@ _TINY_RAYLEIGH_MESSAGE = (
     "the optimal planes f + f^2 / (s -+ z_R) are 1.25 m and 1.25 m, where F/Q is 0.0 "
     "and 0.0 instead of 1"
 )
+_LONG_FOCAL = ("--wavelength", "1um", "--waist", "1mm", "--object-distance", "5m",
+               "--focal", "1e200m")
+_LONG_FOCAL_MESSAGE = (
+    "--focal 1e+200 m is too long for double precision: the optimal planes "
+    "f + f^2 / (s -+ z_R) overflow"
+)
+_FREE_TINY_RAYLEIGH_MESSAGE = (
+    "--rayleigh-range {} m is too short for double precision: the information "
+    "1 / z_R^2 overflows"
+)
+_WIDE_WAIST = ("--wavelength", "1um", "--waist", "1e160m")
+_WIDE_WAIST_MESSAGE = (
+    "--waist 1e+160 m is too wide for double precision at --wavelength 1e-06 m: the "
+    "Rayleigh range pi w0^2 / lambda overflows"
+)
+_FAR_PLANE_MESSAGE = (
+    "--plane 1e+200 m is too far for double precision: the squared beam width there "
+    "overflows"
+)
 
 
 @pytest.mark.parametrize(
@@ -1005,11 +1025,44 @@ _TINY_RAYLEIGH_MESSAGE = (
         (["fi-density", *_TINY_RAYLEIGH], _TINY_RAYLEIGH_MESSAGE),
         (["simulate", *_TINY_RAYLEIGH, "--n-per-trial", "10", "--trials", "2"],
          _TINY_RAYLEIGH_MESSAGE),
+        (["fi-scan", *_LONG_FOCAL, "--zmin", "0m", "--zmax", "1m"], _LONG_FOCAL_MESSAGE),
+        (["fi-density", *_LONG_FOCAL], _LONG_FOCAL_MESSAGE),
+        (["optimal-plane", *_LONG_FOCAL], _LONG_FOCAL_MESSAGE),
+        (["simulate", *_LONG_FOCAL, "--n-per-trial", "10", "--trials", "2"],
+         _LONG_FOCAL_MESSAGE),
+        (["optimal-plane", "--waist", "1e-85m", "--rayleigh-range", "1e-170m", *RELAY],
+         "--rayleigh-range 1e-170 m is too short for double precision behind this relay: "
+         "the optimal planes f + f^2 / (s -+ z_R) are 1.25 m and 1.25 m, where F/Q is nan "
+         "and nan instead of 1"),
+        (["fi-density", "--waist", "1e-80m", "--rayleigh-range", "1e-160m"],
+         _FREE_TINY_RAYLEIGH_MESSAGE.format("1e-160")),
+        (["fi-density", "--waist", "1e-85m", "--rayleigh-range", "1e-170m"],
+         _FREE_TINY_RAYLEIGH_MESSAGE.format("1e-170")),
+        (["simulate", "--waist", "1e-80m", "--rayleigh-range", "1e-160m",
+          "--n-per-trial", "10", "--trials", "2"],
+         _FREE_TINY_RAYLEIGH_MESSAGE.format("1e-160")),
+        (["reproduce-experiment", "--rayleigh-range", "1e-170m", "--trials", "2"],
+         _FREE_TINY_RAYLEIGH_MESSAGE.format("1.0000000000000002e-170")),
+        (["fi-density", *_WIDE_WAIST], _WIDE_WAIST_MESSAGE),
+        (["simulate", *_WIDE_WAIST, "--n-per-trial", "10", "--trials", "2"],
+         _WIDE_WAIST_MESSAGE),
+        (["optimal-plane", *_WIDE_WAIST, *RELAY], _WIDE_WAIST_MESSAGE),
+        (["fi-density", "--wavelength", "1um", "--waist", "1mm", "--plane", "1e200m"],
+         _FAR_PLANE_MESSAGE),
+        (["simulate", "--wavelength", "1um", "--waist", "1mm", *RELAY, "--plane", "1e200m",
+          "--n-per-trial", "10", "--trials", "2"], _FAR_PLANE_MESSAGE),
     ],
     ids=["scan-past-double-range", "optimal-plane-tiny-focal", "fi-scan-tiny-focal",
          "simulate-tiny-focal", "optimal-plane-tiny-rayleigh-range",
          "fi-scan-tiny-rayleigh-range", "fi-density-tiny-rayleigh-range",
-         "simulate-tiny-rayleigh-range"],
+         "simulate-tiny-rayleigh-range", "fi-scan-long-focal", "fi-density-long-focal",
+         "optimal-plane-long-focal", "simulate-long-focal",
+         "optimal-plane-rayleigh-range-squared-underflows",
+         "free-fi-density-tiny-rayleigh-range",
+         "free-fi-density-rayleigh-range-squared-underflows",
+         "free-simulate-tiny-rayleigh-range", "reproduce-tiny-rayleigh-range",
+         "fi-density-wide-waist", "simulate-wide-waist", "optimal-plane-wide-waist",
+         "fi-density-far-plane", "simulate-relayed-far-plane"],
 )
 def test_numerical_limits_exit_two_with_the_message(argv, message, tmp_path, monkeypatch,
                                                     capsys):

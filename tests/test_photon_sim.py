@@ -57,6 +57,23 @@ def test_vectorized_streams_equal_seed_sequence(base_seed, trials, substream, ex
         assert words.tolist() == reference.tolist(), seed
 
 
+def test_vectorized_streams_use_no_seed_sequence(monkeypatch):
+    """The seeds and states come from the module's own port of the hash,
+    not from numpy's ``SeedSequence``: with it raising they are unchanged."""
+    base_seeds = [0, 2**32, 2**64 - 1, 2**130 + 5, 0xA71A10C]
+    expected = [[trial_seed(base, t, 1) for t in range(3)] for base in base_seeds]
+    extra = [0, 2**32 - 1, 2**64 - 1]
+    expected_states = [np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+                       for seed in extra]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.random.SeedSequence called")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    assert [derive_trial_seeds(base, 3, 1).tolist() for base in base_seeds] == expected
+    assert _seed_states(np.array(extra, dtype=np.uint64)).tolist() == expected_states
+
+
 def test_vectorized_streams_reject_what_one_word_cannot_hold():
     with pytest.raises(ValueError, match="trials"):
         derive_trial_seeds(0, 2**32 + 1)
