@@ -306,7 +306,10 @@ def beam_from_args(args) -> BeamParams:
         return beam
     if "wavelength" in given:
         return BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
-    wavelength = math.pi * args.waist**2 / args.rayleigh_range
+    try:
+        wavelength = math.pi * args.waist**2 / args.rayleigh_range
+    except OverflowError:  # w0^2 overflows; w0 * w0 would move some wavelengths by an ulp
+        wavelength = math.inf
     if not (wavelength > 0.0 and math.isfinite(wavelength)):
         raise UsageError(
             f"--waist {args.waist!r} m and --rayleigh-range {args.rayleigh_range!r} m "
@@ -463,9 +466,24 @@ def cmd_fi_density(args) -> int:
     rmax = args.rmax if args.rmax is not None else 3.0 * math.sqrt(w_sq)
     if rmax <= 0.0:
         raise UsageError("--rmax must be positive")
+    if not 2.0 * rmax * rmax / w_sq < math.inf:
+        raise NumericalLimitError(
+            f"--rmax {rmax!r} m is too large for double precision: 2 r^2 / w^2 overflows"
+        )
 
     radii = np.linspace(0.0, rmax, args.steps)
-    density = fi_density(w_sq, dw_sq, radii)
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = fi_density(w_sq, dw_sq, radii)
+    if not np.isfinite(density).all():
+        raise NumericalLimitError(
+            f"--rayleigh-range {beam.rayleigh_range!r} m is too short for double precision "
+            "at this plane: the information density r p(r) (d ln w^2 / dz)^2 overflows"
+        )
+    if not density.max() > 0.0:
+        raise NumericalLimitError(
+            f"--rmax {rmax!r} m is too large for --steps {args.steps}: the information "
+            "density underflows to 0 at every radius sampled"
+        )
     intensity = intensity_pdf(w_sq, radii)
     r_b = info_boundary(w_sq)
 
@@ -663,9 +681,13 @@ def cmd_reproduce_experiment(args) -> int:
         import numpy.random  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor
 
-        # Leaving the block joins the workers, on the error path too.
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            summaries = list(pool.map(_displacement_summary, configs))
+        # This process is one of the workers: it computes the first share
+        # while the pool computes the rest.  Leaving the block joins the
+        # pool's processes, on the error path too.
+        share = -(-len(configs) // processes)
+        with ProcessPoolExecutor(max_workers=processes - 1) as pool:
+            rest = pool.map(_displacement_summary, configs[share:])
+            summaries = [*map(_displacement_summary, configs[:share]), *rest]
 
     rows = []
     failures = []
@@ -692,10 +714,14 @@ def cmd_reproduce_experiment(args) -> int:
                     f"{_BIAS_CHECK_REL_TOL:.0%} of the displacement"
                 )
 
+    depth_of_focus = 2.0 * beam.rayleigh_range
+    resolved = depth_of_focus / quantum_bound  # 2 sqrt(n): the paper's headline
     payload = {
         "config": config,
         "quantum_bound_m": quantum_bound,
         "fraction_bound_m": fraction_bound,
+        "depth_of_focus_m": depth_of_focus,
+        "depth_of_focus_over_quantum_bound": resolved,
         "per_delta": summaries,
         "checks": {
             "enabled": bool(args.check),
@@ -705,6 +731,7 @@ def cmd_reproduce_experiment(args) -> int:
     _write_table(args, "reproduce_experiment", config, _REPRODUCE_COLUMNS, rows,
                  payload, full=payload)
     print(f"quantum bound: {quantum_bound!r} m per exposure")
+    print(f"depth of focus 2 z_R: {depth_of_focus!r} m, {resolved!r} quantum bounds")
 
     if args.check and failures:
         for failure in failures:

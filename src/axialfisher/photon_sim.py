@@ -44,10 +44,12 @@ independent of execution order, and re-running any trial reproduces it
 bit for bit.  Both hashes run once per call over all trials:
 ``derive_trial_seeds`` and the private ``_seed_states`` share one
 numpy-vectorized port of ``numpy.random.SeedSequence``'s entropy hash
-(``_pool``, a pool of four 32-bit words) that equals it bit for bit, and
-the samplers hand each trial's state words straight to PCG64 instead of
-hashing its seed again.  How a seed becomes a generator stays inside this
-module.
+(``_pool`` fills and mixes a pool of four 32-bit words, ``_absorb`` takes
+in the later words) that equals it bit for bit, and the samplers hand each
+trial's state words straight to PCG64 instead of hashing its seed again.
+A base seed's mixed pool is kept (``_base_pool``), so each call with a
+recent base seed absorbs only t and ``substream``.  How a seed becomes a
+generator stays inside this module.
 
 numpy's random package, with the ``secrets`` and ``hashlib`` modules it
 loads, is imported by the first call that seeds or draws (numpy loads it
@@ -129,21 +131,39 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result
 
 
-def _pool(head: np.ndarray, tail=()) -> np.ndarray:
-    """SeedSequence's ``mix_entropy``, one pool per row: fill it from a row
-    of ``head`` (at most four uint32 words, padded with zeros), mix it, then
-    absorb each ``tail`` word (an int, or uint32 words broadcast over rows)."""
-    fill, *rows = _entropy_calls(len(tail))
+def _pool(head: np.ndarray) -> np.ndarray:
+    """The first part of SeedSequence's ``mix_entropy``, one pool per row:
+    fill it from a row of ``head`` (at most four uint32 words, padded with
+    zeros) and mix it."""
+    fill, *rows = _entropy_calls(0)
     words = np.zeros((head.shape[0], _POOL), dtype=np.uint32)
     words[:, : head.shape[1]] = head
     pool = _hashmix(words, *fill)
-    for src, (xor, mul) in enumerate(rows[:_POOL]):
+    for src, (xor, mul) in enumerate(rows):
         mixed = _mix(pool, _hashmix(pool[:, src, None], xor, mul))
         mixed[:, src] = pool[:, src]
         pool = mixed
-    for word, (xor, mul) in zip(tail, rows[_POOL:]):
+    return pool
+
+
+def _absorb(pool: np.ndarray, tail) -> np.ndarray:
+    """The rest of ``mix_entropy``: absorb each ``tail`` word (an int, or
+    uint32 words broadcast over rows) into a new copy of ``pool``."""
+    for word, (xor, mul) in zip(tail, _entropy_calls(len(tail))[1 + _POOL:]):
         pool = _mix(pool, _hashmix(word, xor, mul))
     return pool
+
+
+@functools.lru_cache(maxsize=64)
+def _base_pool(base_seed: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The filled and mixed pool of ``base_seed``'s first four 32-bit words
+    (read-only, one row), and its further words, which come before t and
+    ``substream`` in the tail."""
+    words = [base_seed >> shift & _MASK32
+             for shift in range(0, max(32, base_seed.bit_length()), 32)]
+    pool = _pool(np.array([words[:_POOL]], dtype=np.uint32))
+    pool.flags.writeable = False
+    return pool, tuple(words[_POOL:])
 
 
 def _output_words(pool: np.ndarray, n_words: int) -> np.ndarray:
@@ -172,11 +192,9 @@ def derive_trial_seeds(base_seed: int, trials: int, substream: int = 0) -> np.nd
         raise ValueError(f"trials must lie in [0, 2**32], got {trials}")
     if not 0 <= substream <= _MASK32:
         raise ValueError(f"substream must lie in [0, 2**32), got {substream}")
-    words = [int(base_seed) >> shift & _MASK32
-             for shift in range(0, max(32, int(base_seed).bit_length()), 32)]
+    pool, extra = _base_pool(int(base_seed))
     trial = np.arange(trials, dtype=np.uint32)[:, None]  # one pool row per trial
-    pool = _pool(np.array([words[:_POOL]], dtype=np.uint32), [*words[_POOL:], trial, substream])
-    return _output_words(pool, 1)[:, 0]
+    return _output_words(_absorb(pool, [*extra, trial, substream]), 1)[:, 0]
 
 
 def _seed_states(seeds: np.ndarray) -> np.ndarray:

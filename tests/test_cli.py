@@ -545,12 +545,13 @@ print(codes, sorted(name for name in sys.modules
 
 
 def test_preset_opens_one_pool_and_joins_it(tmp_path, built_pools):
-    """Three displacements share one pool of min(workers, displacements)
-    processes, and no worker outlives the command."""
+    """Three displacements on two workers: the command's own process is one
+    of them, so its pool holds min(workers, displacements) - 1 = 1 process,
+    and no worker outlives the command."""
     argv = ["reproduce-experiment", "--trials", "4", "--deltas", "100nm,400nm,1000nm",
             "--workers", "2", "--seed", "3", "--out", str(tmp_path / "run.csv")]
     assert main(argv) == EXIT_OK
-    assert built_pools == [[2, 2]]
+    assert built_pools == [[1, 1]]
     assert multiprocessing.active_children() == []
 
 
@@ -568,14 +569,46 @@ def test_preset_runs_one_displacement_without_a_pool(tmp_path, built_pools):
 
 def test_preset_joins_its_pool_on_a_numerical_failure(tmp_path, built_pools, capsys):
     """At 100 m the true width is so far from the calibrated one that the
-    sampler raises inside a worker: the command exits 2, and the pool it
-    opened is joined all the same."""
+    sampler raises inside the pool's worker: the command exits 2, and the
+    pool it opened is joined all the same."""
     argv = ["reproduce-experiment", "--trials", "4", "--deltas", "100nm,100m",
             "--workers", "2", "--out", str(tmp_path / "run.csv")]
     assert main(argv) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure: ")
-    assert len(built_pools) == 1 and built_pools[0][0] == 2
+    assert len(built_pools) == 1 and built_pools[0][0] == 1
     assert multiprocessing.active_children() == []
+
+
+def test_preset_joins_its_pool_on_a_failure_in_its_own_share(tmp_path, built_pools, capsys):
+    """The first displacement is the command's own share: when the sampler
+    raises there, the command exits 2 and still joins the pool's worker."""
+    argv = ["reproduce-experiment", "--trials", "4", "--deltas", "100m,100nm",
+            "--workers", "2", "--out", str(tmp_path / "run.csv")]
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert built_pools == [[1, 1]]
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("deltas", ["100nm,1650nm", "10nm,400nm,1000nm",
+                                    "10nm,100nm,400nm,1000nm,1650nm"])
+def test_preset_runs_min_workers_displacements_processes(tmp_path, built_pools, deltas):
+    """``--workers N`` over D displacements runs min(N, D) processes, this
+    one included: a pool of min(N, D) - 1, or none at all.  Every split
+    writes the serial run's bytes."""
+    count = len(deltas.split(","))
+    for workers in (1, 2, 3, 5, 8):
+        built_pools.clear()
+        argv = ["reproduce-experiment", "--trials", "4", "--deltas", deltas, "--seed", "5",
+                "--workers", str(workers), "--out", str(tmp_path / f"{workers}.csv")]
+        assert main(argv) == EXIT_OK
+        processes = min(workers, count)
+        assert built_pools == ([[processes - 1] * 2] if processes > 1 else [])
+        assert multiprocessing.active_children() == []
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"{workers}{suffix}").read_bytes()
+                    == (tmp_path / f"1{suffix}").read_bytes())
 
 
 def test_simulate_json_format(tmp_path):
@@ -666,6 +699,22 @@ def test_reproduce_experiment_fraction_bound_is_the_binomial_bound(
     assert bound == 1.0 / math.sqrt(n * fraction_estimator_fi(cal))
     assert bound == pytest.approx(
         payload["quantum_bound_m"] * math.sqrt(math.e - 1.0), rel=1e-15, abs=0.0)
+
+
+def test_reproduce_experiment_states_the_headline(tmp_path, capsys):
+    """The preset's depth of focus 2 z_R is 2 sqrt(n) quantum bounds z_R /
+    sqrt(n): at 1.6e6 detections, over three orders of magnitude."""
+    out = tmp_path / "headline.csv"
+    argv = ["reproduce-experiment", "--trials", "2", "--deltas", "100nm", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(out.with_suffix(".json").read_text())
+    ratio = payload["depth_of_focus_over_quantum_bound"]
+    assert payload["depth_of_focus_m"] == pytest.approx(37.8e-6, rel=1e-12)
+    assert ratio == pytest.approx(2.0 * math.sqrt(1.6e6), rel=1e-12, abs=0.0)
+    assert ratio > 1e3
+    assert ratio == payload["depth_of_focus_m"] / payload["quantum_bound_m"]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"depth of focus 2 z_R: {payload['depth_of_focus_m']!r} m, {ratio!r} quantum bounds")
 
 
 def _one_pass_argv(out):
@@ -921,6 +970,9 @@ _CONFIG_FILES = {
         (["fi-density", "--waist", "1e-200m", "--rayleigh-range", "1e-200m"],
          "--waist 1e-200 m and --rayleigh-range 1e-200 m give the wavelength "
          "pi w0^2 / z_R = 0.0 m, which is not positive and finite"),
+        (["fi-density", "--waist", "1e160m", "--rayleigh-range", "1m"],
+         "--waist 1e+160 m and --rayleigh-range 1.0 m give the wavelength "
+         "pi w0^2 / z_R = inf m, which is not positive and finite"),
         (["optimal-plane", *UNIT_BEAM, "--focal", "0m", "--object-distance", "1m"],
          "focal length must be finite and nonzero, got 0.0"),
         (["point-source", "--wavenumber", "-1", "--pupil-width", "1m", "--distance", "1km"],
@@ -940,7 +992,7 @@ _CONFIG_FILES = {
     ],
     ids=["seed-text", "seed-range", "int-text", "int-zero", "zmax", "scan-steps",
          "density-steps", "rmax", "one-relay-flag", "scan-without-relay", "wavelength",
-         "rayleigh-range", "waist-underflow", "focal", "wavenumber", "wavenumber-nan", "wavenumber-inf",
+         "rayleigh-range", "waist-underflow", "waist-overflow", "focal", "wavenumber", "wavenumber-nan", "wavenumber-inf",
          "uninformative-plane", "config-true-line", "config-malformed",
          "config-before-subcommand"],
 )
@@ -1051,6 +1103,14 @@ _FAR_PLANE_MESSAGE = (
          _FAR_PLANE_MESSAGE),
         (["simulate", "--wavelength", "1um", "--waist", "1mm", *RELAY, "--plane", "1e200m",
           "--n-per-trial", "10", "--trials", "2"], _FAR_PLANE_MESSAGE),
+        (["fi-density", "--wavelength", "1um", "--rayleigh-range", "1e-150m"],
+         "--rayleigh-range 9.999999999999997e-151 m is too short for double precision at "
+         "this plane: the information density r p(r) (d ln w^2 / dz)^2 overflows"),
+        (["fi-density", "--wavelength", "1um", "--waist", "1mm", "--rmax", "1e200m"],
+         "--rmax 1e+200 m is too large for double precision: 2 r^2 / w^2 overflows"),
+        (["fi-density", "--wavelength", "1um", "--waist", "1mm", "--rmax", "1km"],
+         "--rmax 1000.0 m is too large for --steps 400: the information density "
+         "underflows to 0 at every radius sampled"),
     ],
     ids=["scan-past-double-range", "optimal-plane-tiny-focal", "fi-scan-tiny-focal",
          "simulate-tiny-focal", "optimal-plane-tiny-rayleigh-range",
@@ -1062,7 +1122,9 @@ _FAR_PLANE_MESSAGE = (
          "free-fi-density-rayleigh-range-squared-underflows",
          "free-simulate-tiny-rayleigh-range", "reproduce-tiny-rayleigh-range",
          "fi-density-wide-waist", "simulate-wide-waist", "optimal-plane-wide-waist",
-         "fi-density-far-plane", "simulate-relayed-far-plane"],
+         "fi-density-far-plane", "simulate-relayed-far-plane",
+         "fi-density-information-density-overflows", "fi-density-huge-rmax",
+         "fi-density-rmax-past-the-beam"],
 )
 def test_numerical_limits_exit_two_with_the_message(argv, message, tmp_path, monkeypatch,
                                                     capsys):

@@ -74,6 +74,22 @@ def test_vectorized_streams_use_no_seed_sequence(monkeypatch):
     assert _seed_states(np.array(extra, dtype=np.uint64)).tolist() == expected_states
 
 
+def test_warm_base_seeds_still_equal_seed_sequence():
+    """A base seed's mixed pool is kept between calls: repeated and
+    interleaved base seeds, more of them than the cache holds, still give
+    numpy's seeds, and each call returns a fresh, writeable array."""
+    base_seeds = [0, 2**32, 2**64 - 1, 2**130 + 5, 0xA71A10C, *range(100, 170)]
+    for base in [*base_seeds, *reversed(base_seeds), *base_seeds[:5]]:
+        seeds = derive_trial_seeds(base, 3, 2**32 - 1)
+        assert seeds.tolist() == [trial_seed(base, t, 2**32 - 1) for t in range(3)], base
+        assert seeds.flags.writeable
+        seeds[:] = 0
+    for _ in range(3):
+        seeds = derive_trial_seeds(0xA71A10C, 4, 1)
+        assert seeds.tolist() == [trial_seed(0xA71A10C, t, 1) for t in range(4)]
+        seeds += np.uint64(1)
+
+
 def test_vectorized_streams_reject_what_one_word_cannot_hold():
     with pytest.raises(ValueError, match="trials"):
         derive_trial_seeds(0, 2**32 + 1)
