@@ -148,7 +148,7 @@ def _pool(head: np.ndarray) -> np.ndarray:
 
 def _absorb(pool: np.ndarray, tail) -> np.ndarray:
     """The rest of ``mix_entropy``: absorb each ``tail`` word (an int, or
-    uint32 words broadcast over rows) into a new copy of ``pool``."""
+    uint32 words broadcast over rows); ``pool`` itself is never written."""
     for word, (xor, mul) in zip(tail, _entropy_calls(len(tail))[1 + _POOL:]):
         pool = _mix(pool, _hashmix(word, xor, mul))
     return pool
