@@ -52,7 +52,7 @@ class BeamParams:
     @property
     def rayleigh_range(self) -> float:
         """z_R = pi * waist^2 / wavelength."""
-        return math.pi * self.waist**2 / self.wavelength
+        return math.pi * (self.waist * self.waist) / self.wavelength
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ def ray_width_sq(beam: BeamParams, a: float, b: float) -> float:
 
     w^2 = w0^2 * (A^2 + (B / z_R)^2)  (Kogelnik & Li, Appl. Opt. 1966)
     """
-    zr = beam.rayleigh_range
-    return beam.waist**2 * (a * a + (b / zr) ** 2)
+    b_zr = b / beam.rayleigh_range
+    return beam.waist * beam.waist * (a * a + b_zr * b_zr)
 
 
 def beam_width_sq(beam: BeamParams, z: float) -> float:
@@ -193,7 +193,7 @@ def relay_transform(beam: BeamParams, relay: RelaySystem) -> ImageBeam:
 def image_beam_width_sq(image: ImageBeam, z_prime: float) -> float:
     """Squared width of the relayed beam at image-side position z'."""
     tau = (z_prime - image.waist_position) / image.rayleigh_range
-    return image.waist**2 * (1.0 + tau * tau)
+    return image.waist * image.waist * (1.0 + tau * tau)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def pupil_field_family(pupil_width: float, wavenumber: float) -> FieldFamily:
         raise ValueError(f"pupil width must be positive and finite, got {pupil_width}")
     if not (wavenumber > 0.0 and math.isfinite(wavenumber)):
         raise ValueError(f"wavenumber must be positive and finite, got {wavenumber}")
-    w_sq = pupil_width**2
+    w_sq = pupil_width * pupil_width
     amp = math.sqrt(2.0 / (math.pi * w_sq))
 
     def family(z: float) -> FieldProfile:

@@ -294,11 +294,7 @@ def beam_from_args(args) -> BeamParams:
         )
     if "rayleigh-range" not in given:
         beam = BeamParams(args.wavelength, args.waist)
-        try:
-            rayleigh_range = beam.rayleigh_range
-        except OverflowError:  # w0^2 overflows
-            rayleigh_range = math.inf
-        if math.isinf(rayleigh_range):
+        if math.isinf(beam.rayleigh_range):
             raise NumericalLimitError(
                 f"--waist {args.waist!r} m is too wide for double precision at --wavelength "
                 f"{args.wavelength!r} m: the Rayleigh range pi w0^2 / lambda overflows"
@@ -306,10 +302,7 @@ def beam_from_args(args) -> BeamParams:
         return beam
     if "wavelength" in given:
         return BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
-    try:
-        wavelength = math.pi * args.waist**2 / args.rayleigh_range
-    except OverflowError:  # w0^2 overflows; w0 * w0 would move some wavelengths by an ulp
-        wavelength = math.inf
+    wavelength = math.pi * (args.waist * args.waist) / args.rayleigh_range
     if not (wavelength > 0.0 and math.isfinite(wavelength)):
         raise UsageError(
             f"--waist {args.waist!r} m and --rayleigh-range {args.rayleigh_range!r} m "
@@ -379,11 +372,7 @@ def plane_from_args(args, beam: BeamParams, relay: RelaySystem | None) -> float:
     else ``preferred_detection_plane``."""
     if args.plane is None:
         return preferred_detection_plane(beam, relay)
-    try:
-        width_sq = width_response(beam, relay, args.plane)[0]
-    except OverflowError:
-        width_sq = math.inf
-    if not math.isfinite(width_sq):
+    if not math.isfinite(width_response(beam, relay, args.plane)[0]):
         raise NumericalLimitError(
             f"--plane {args.plane!r} m is too far for double precision: the squared "
             "beam width there overflows"

@@ -139,7 +139,8 @@ def fraction_estimator_fi(cal: EstimatorCalibration) -> float:
     (f0 s)^2 / (f0 (1 - f0)): the binomial information of the outside
     count under the linearized response.
     """
-    return (cal.f0 * cal.slope) ** 2 / (cal.f0 * (1.0 - cal.f0))
+    gain = cal.f0 * cal.slope
+    return gain * gain / (cal.f0 * (1.0 - cal.f0))
 
 
 def estimate_mle_width(
@@ -169,7 +170,7 @@ def estimate_mle_width(
         raise ValueError("nominal plane at the back focal plane: the width does not "
                          "depend on the object distance")
     w_hat_sq = np.asarray(width_sq_hat, dtype=float)
-    w0_sq = beam.waist**2
+    w0_sq = beam.waist * beam.waist
     clamped = w_hat_sq < w0_sq * a * a
     with np.errstate(invalid="ignore"):
         root = np.copysign(beam.rayleigh_range * np.sqrt(w_hat_sq / w0_sq - a * a), b)
@@ -343,5 +344,5 @@ def expected_fraction_estimate(config: TrialConfig) -> float:
     """
     cal = calibrate(config.beam, config.detector_plane, config.relay)
     width_sq_true = _true_width_sq(config)
-    f_out = math.exp(-2.0 * cal.r_b**2 / width_sq_true)
+    f_out = math.exp(-2.0 * (cal.r_b * cal.r_b) / width_sq_true)
     return (f_out - cal.f0) / (cal.f0 * cal.slope)

@@ -186,9 +186,9 @@ def generator_moments(beam: BeamParams) -> tuple[float, float]:
     """
     m0, m2, m4 = _waist_mode_spectral_moments()
     k = beam.wavenumber
-    w0_sq = beam.waist**2
-    mean = -(m2 / m0) / (2.0 * k * w0_sq)
-    second = (m4 / m0) / (4.0 * (k * w0_sq) ** 2)
+    kw0_sq = k * (beam.waist * beam.waist)
+    mean = -(m2 / m0) / (2.0 * kw0_sq)
+    second = (m4 / m0) / (4.0 * (kw0_sq * kw0_sq))
     return mean, second
 
 
@@ -239,8 +239,9 @@ def classical_fi_numeric(
     axial scale ``scale``, ``max(1e-6 * scale, 1e-12)`` works.
 
     The integral is a Gauss-Laguerre rule of scale w = sqrt(w^2(z)),
-    taken on 48 and on 96 nodes, with each intensity of the stencil
-    evaluated once on both node sets (``numerics.stacked_radial_rule``).
+    taken on 48 and on 96 nodes, with the five intensities (the centre and
+    the stencil) evaluated once on both node sets
+    (``numerics.stacked_radial_rule``), as the rows of one array.
     Their gap is the error estimate, checked by
     ``numerics.check_rule_gap`` above a roundoff floor of
     100 sqrt(F) eps / ``step``: each p carries a few ulps, so d_z p
@@ -255,18 +256,21 @@ def classical_fi_numeric(
             f"width_sq_fn returned a non-positive squared width {w_sq!r} at z={z!r}"
         )
 
-    widths_sq = {}
-    for offset in (step, -step, 0.5 * step, -0.5 * step):
+    offsets = (step, -step, 0.5 * step, -0.5 * step)
+    widths_sq = [w_sq]
+    for offset in offsets:
         value = width_sq_fn(z + offset)
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"width_sq_fn returned {value!r} at z={z + offset!r}")
-        widths_sq[offset] = value
+        widths_sq.append(value)
 
     radii, rules = stacked_radial_rule(math.sqrt(w_sq))
-    p = intensity_pdf(w_sq, radii)
-    dp = central_derivative(
-        lambda offset: intensity_pdf(widths_sq[offset], radii), 0.0, step
-    )
+    # The centre and stencil intensities as the rows of one array: the
+    # arithmetic of ``intensity_pdf``, row by row.
+    column = np.array(widths_sq)[:, np.newaxis]
+    p, *rows = 2.0 / (math.pi * column) * np.exp(-2.0 * radii * radii / column)
+    stencil = dict(zip(offsets, rows))
+    dp = central_derivative(lambda offset: stencil[offset], 0.0, step)
     # Far tail: p has underflowed, and the score with it.
     score = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
     coarse, fine = (float(score[part] @ weights) for part, weights in rules)
@@ -505,14 +509,17 @@ def qfi_pure_state(
     floor that lets a frozen family return Q = 0), e.g. when
     ``transverse_scale`` is far from the field's actual width.
 
-    ``step`` defaults to 1e-3 |z| (an explicit value is required at
-    z = 0) and is then refined once against the result: sqrt(Q) is the
-    state's rate of change, so the truncation error scales like
-    (sqrt(Q) step)^4 and a first estimate of Q tells us the step that
-    meets the tolerance.  An explicitly passed step is used as given.
-    A stencil field nearly orthogonal to the central one (the step is too
-    large) or, with no ``transverse_scale``, a profile that does not decay
-    raises ``NumericalLimitError``.
+    By default the step is chosen from one probe field at h0 = 1e-3 |z|
+    (an explicit step is required at z = 0): sqrt(Q) is the state's rate
+    of change, so the truncation error scales like (sqrt(Q) step)^4, and
+    the probe's overlap with the central field on the 96-node rule gives
+    that rate as speed = 2 arccos |overlap| / h0, the Bures angle being
+    sqrt(Q) h0 / 2 to second order.  The one stencil then runs at
+    0.01 / speed when speed h0 > 0.02, and at h0 otherwise.  An
+    explicitly passed step is used as given.  A probe or stencil field
+    nearly orthogonal to the central one (|overlap| < 1e-3: the step is
+    too large) or, with no ``transverse_scale``, a profile that does not
+    decay raises ``NumericalLimitError``.
     """
     refine = step is None
     if step is None:
@@ -561,18 +568,23 @@ def qfi_pure_state(
 
     psi_c_conj = normalized([center_raw])[0].conj()
 
-    def evaluate(h: float) -> float:
-        offsets = (h, -h, 0.5 * h, -0.5 * h)
+    def fields_and_overlaps(offsets: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """The normalized fields at ``offsets`` and their overlaps with
+        the central field on each rule."""
         fields = normalized([field_family(z + offset) for offset in offsets])
         overlap = (fields * psi_c_conj) @ weights
-        mag = np.abs(overlap)
-        if mag.min() < 1e-3:
-            offset = offsets[int(np.argmax(mag.min(axis=1) < 1e-3))]
+        too_small = np.abs(overlap).min(axis=1) < 1e-3
+        if too_small.any():
             raise NumericalLimitError(
-                f"stencil field at offset {offset!r} nearly orthogonal to the "
-                "center field; reduce the finite-difference step"
+                f"field at offset {offsets[int(np.argmax(too_small))]!r} nearly "
+                "orthogonal to the center field; reduce the finite-difference step"
             )
-        fields *= (overlap.conj() / mag)[:, node_rule]
+        return fields, overlap
+
+    def evaluate(h: float) -> float:
+        offsets = (h, -h, 0.5 * h, -0.5 * h)
+        fields, overlap = fields_and_overlaps(offsets)
+        fields *= (overlap.conj() / np.abs(overlap))[:, node_rule]
         stencil = dict(zip(offsets, fields))
         dpsi = central_derivative(lambda offset: stencil[offset], 0.0, h)
         grad_sq = (dpsi.real**2 + dpsi.imag**2) @ weights
@@ -586,12 +598,13 @@ def qfi_pure_state(
             f"pure-state information (transverse scale={transverse_scale!r})",
         )
 
-    result = evaluate(step)
-    if refine and result > 0.0:
-        speed = math.sqrt(result)
-        if speed * step > 0.02:
-            result = evaluate(0.01 / speed)
-    return result
+    if not refine:
+        return evaluate(step)
+    # The Bures angle arccos |<psi(z) | psi(z + h)>| is sqrt(Q) h / 2 to
+    # second order, so one probe field gives the state's speed sqrt(Q).
+    overlap = fields_and_overlaps([step])[1][0, -1]
+    speed = 2.0 * math.acos(min(abs(overlap), 1.0)) / step
+    return evaluate(0.01 / speed if speed * step > 0.02 else step)
 
 
 def qfi_point_source(wavenumber: float, pupil_width: float, z: float) -> float:
@@ -607,7 +620,8 @@ def qfi_point_source(wavenumber: float, pupil_width: float, z: float) -> float:
                         ("source distance", z)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    return (wavenumber * pupil_width * pupil_width) ** 2 / (4.0 * z**4)
+    phase = wavenumber * pupil_width * pupil_width
+    return phase * phase / (4.0 * z**4)
 
 
 def point_source_range_std(

@@ -3,9 +3,10 @@
 Every inner product is an adaptive quadrature (``scipy.integrate.quad``)
 over [0, 20 s], with s the transverse scale, where a field whose
 amplitude falls to 1/e at s has |psi|^2 below e^-800 beyond.  It shares
-the Richardson stencil, the renormalization and the gauge alignment with
-``fisher.qfi_pure_state``, and nothing of its Gauss-Laguerre rule, so the
-tests use it as the oracle for that rule.
+the Richardson stencil, the renormalization, the gauge alignment and the
+probe that picks the default step with ``fisher.qfi_pure_state``, and
+nothing of its Gauss-Laguerre rule, so the tests use it as the oracle for
+that rule.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ def adaptive_qfi_pure_state(
     transverse_scale: float | None = None,
 ) -> float:
     """Q = 4 (<d_z psi|d_z psi> - |<psi|d_z psi>|^2) by adaptive radial
-    quadrature, with the same step default and refinement as
-    ``fisher.qfi_pure_state``."""
+    quadrature, with the same step rule as ``fisher.qfi_pure_state``: by
+    default one probe field at 1e-3 |z| gives the speed sqrt(Q) from its
+    Bures angle, and the stencil runs at 0.01 / speed when that step is
+    the shorter."""
     refine = step is None
     if step is None:
         step = 1e-3 * abs(z)
@@ -56,12 +59,15 @@ def adaptive_qfi_pure_state(
 
     psi_c = normalized(center_raw)
 
-    def aligned(offset: float):
-        profile = normalized(field_family(z + offset))
-        overlap = _radial_integral(
+    def center_overlap(profile) -> complex:
+        return _radial_integral(
             lambda r: psi_c(r).conjugate() * profile(r), transverse_scale, quad_tol,
             abs_tol=quad_tol,
         )
+
+    def aligned(offset: float):
+        profile = normalized(field_family(z + offset))
+        overlap = center_overlap(profile)
         gauge = overlap.conjugate() / abs(overlap)
         return lambda r: gauge * profile(r)
 
@@ -83,9 +89,8 @@ def adaptive_qfi_pure_state(
         )
         return 4.0 * (grad_sq - abs(overlap) ** 2)
 
-    result = evaluate(step)
-    if refine and result > 0.0:
-        speed = math.sqrt(result)
-        if speed * step > 0.02:
-            result = evaluate(0.01 / speed)
-    return result
+    if not refine:
+        return evaluate(step)
+    probe = normalized(field_family(z + step))
+    speed = 2.0 * math.acos(min(abs(center_overlap(probe)), 1.0)) / step
+    return evaluate(0.01 / speed if speed * step > 0.02 else step)

@@ -40,6 +40,17 @@ def test_derived_quantities():
     assert HENE.rayleigh_range == pytest.approx(18.9e-6, rel=1e-12)
 
 
+def test_rayleigh_range_squares_the_waist_by_multiplication():
+    """pi w0^2 / lambda with w0^2 = w0 * w0, the correctly rounded square,
+    bit for bit on seeded waists; on some of them libm's pow (``**``)
+    rounds the square differently."""
+    rng = np.random.default_rng(54)
+    waists = 10.0 ** rng.uniform(-150.0, 150.0, 20_000)
+    assert any(float(w) ** 2 != float(w) * float(w) for w in waists)
+    for w in waists.tolist():
+        assert BeamParams(632.8e-9, w).rayleigh_range == math.pi * (w * w) / 632.8e-9
+
+
 def test_from_rayleigh_range_round_trips():
     beam = BeamParams.from_rayleigh_range(632.8e-9, 18.9e-6)
     assert beam.rayleigh_range == pytest.approx(18.9e-6, rel=1e-15)

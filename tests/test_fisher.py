@@ -12,7 +12,10 @@ from axialfisher.beam_optics import (
     beam_width_sq,
     gaussian_field_family,
     image_beam_width_sq,
+    intensity_pdf,
     pupil_field_family,
+    ray_matrix,
+    ray_width_sq,
     relay_transform,
     wavefront_curvature,
 )
@@ -44,6 +47,8 @@ from axialfisher.numerics import (
     NumericalLimitError,
     QuadratureError,
     central_derivative,
+    check_rule_gap,
+    stacked_radial_rule,
 )
 from pure_state_oracle import adaptive_qfi_pure_state
 
@@ -140,6 +145,50 @@ def test_score_integral_raises_when_the_step_makes_it_diverge():
 def test_quadrature_route_rejects_bad_width_function():
     with pytest.raises(ValueError, match="non-positive squared width"):
         classical_fi_numeric(lambda z: -1.0, 1.0, 1e-6)
+
+
+def _per_row_classical_fi(width_sq_fn, z: float, step: float) -> float:
+    """``classical_fi_numeric`` with one ``intensity_pdf`` call per
+    intensity, the centre and each stencil offset."""
+    w_sq = width_sq_fn(z)
+    offsets = (step, -step, 0.5 * step, -0.5 * step)
+    widths_sq = {offset: width_sq_fn(z + offset) for offset in offsets}
+    radii, rules = stacked_radial_rule(math.sqrt(w_sq))
+    p = intensity_pdf(w_sq, radii)
+    dp = central_derivative(
+        lambda offset: intensity_pdf(widths_sq[offset], radii), 0.0, step
+    )
+    score = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
+    coarse, fine = (float(score[part] @ weights) for part, weights in rules)
+    floor = 100.0 * math.sqrt(abs(fine)) * np.finfo(float).eps / step
+    return check_rule_gap(coarse, fine, floor, "score integral")
+
+
+def test_classical_stencil_array_matches_the_per_row_route_bit_for_bit():
+    """The five intensities as rows of one array do the arithmetic of five
+    ``intensity_pdf`` calls, on 100 seeded free beams and 100 relayed
+    ones (the width as a function of the object displacement)."""
+    rng = np.random.default_rng(30)
+    cases = []
+    for _ in range(100):
+        beam = BeamParams.from_rayleigh_range(
+            10.0 ** rng.uniform(-6.5, -5.8), 10.0 ** rng.uniform(-6.0, -1.0)
+        )
+        zr = beam.rayleigh_range
+        step = max(fisher.FD_STEP_FRACTION * zr, fisher.FD_STEP_FLOOR)
+        cases.append((lambda zz, beam=beam: beam_width_sq(beam, zz),
+                      float(rng.uniform(-4.0, 4.0) * zr), step))
+        focal = 10.0 ** rng.uniform(-3.0, 0.0)
+        relay = RelaySystem(focal, focal + float(rng.uniform(-5.0, 5.0)) * zr)
+        image = relay_transform(beam, relay)
+        plane = image.waist_position + float(rng.uniform(-4.0, 4.0)) * image.rayleigh_range
+        a, b = ray_matrix(relay, plane)
+        cases.append((lambda delta, beam=beam, a=a, b=b: ray_width_sq(beam, a, b + a * delta),
+                      0.0, step))
+    for width_sq_fn, z, step in cases:
+        assert classical_fi_numeric(width_sq_fn, z, step) == _per_row_classical_fi(
+            width_sq_fn, z, step
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +664,10 @@ def test_pure_state_rejects_pathological_profiles():
     assert qfi_pure_state(rotating, 0.0, step=1e-3) == pytest.approx(4.0, rel=1e-9)
     with pytest.raises(NumericalLimitError, match=f"offset {math.pi / 2!r} nearly orthogonal"):
         qfi_pure_state(rotating, 0.0, step=math.pi / 2)
+    # The default step's probe, 1e-3 z ~ pi / 2 away, is nearly orthogonal.
+    z = 500.0 * math.pi
+    with pytest.raises(NumericalLimitError, match=f"offset {1e-3 * z!r} nearly orthogonal"):
+        qfi_pure_state(rotating, z)
 
 
 def test_pure_state_accepts_explicit_transverse_scale():
@@ -623,6 +676,20 @@ def test_pure_state_accepts_explicit_transverse_scale():
     assert qfi_pure_state(family, 1.0, transverse_scale=w) == pytest.approx(
         qfi_gaussian(UNIT), rel=1e-8
     )
+
+
+@pytest.mark.parametrize("wavenumber,pupil_width", [(1e7, 2e-3), (2.0 * math.pi / 632.8e-9, 5e-4),
+                                                  (2.0 * math.pi / 1.064e-6, 5e-3)])
+def test_pure_state_step_rule_meets_the_point_source_closed_form(wavenumber, pupil_width):
+    """Over pupil phases k w^2 / 2z from 15 to 150 rad, with the probe's
+    speed h0 on either side of 0.02 (at phase 20 rad), Q stays within
+    1e-8 of k^2 w^4 / (4 z^4)."""
+    family = pupil_field_family(pupil_width, wavenumber)
+    for phase in [*np.geomspace(15.0, 150.0, 11), 19.9, 20.1]:
+        distance = wavenumber * pupil_width * pupil_width / (2.0 * phase)
+        assert qfi_pure_state(family, distance) == pytest.approx(
+            qfi_point_source(wavenumber, pupil_width, distance), rel=1e-8
+        )
 
 
 @pytest.mark.parametrize(
@@ -718,7 +785,8 @@ def test_transverse_scale_ladder_is_quiet_where_a_profile_overflows(recwarn):
 @pytest.mark.parametrize("family,z", ORACLE_CASES, ids=ORACLE_IDS)
 def test_pure_state_calls_each_profile_once_per_field(family, z):
     """One call for the axis value, one on the scale ladder, one for the
-    central field and four per stencil, of which there are at most two."""
+    central field, one for the default step's probe and four for the one
+    stencil."""
     calls = 0
 
     def counted(zz: float):
@@ -732,7 +800,10 @@ def test_pure_state_calls_each_profile_once_per_field(family, z):
         return profile
 
     qfi_pure_state(counted, z)
-    assert calls <= 11
+    assert calls <= 8
+    calls = 0
+    qfi_pure_state(counted, z, step=1e-3 * abs(z))
+    assert calls == 7
 
 
 @pytest.mark.parametrize(
