@@ -54,6 +54,7 @@ from .fisher import (
     geometric_image_plane,
     image_fi,
     info_boundary,
+    info_fraction_beyond,
     info_fraction_outside,
     optimal_detection_planes,
     point_source_range_std,
@@ -106,6 +107,7 @@ __all__ = [
     "image_beam_width_sq",
     "image_fi",
     "info_boundary",
+    "info_fraction_beyond",
     "info_fraction_outside",
     "intensity_pdf",
     "optimal_detection_planes",

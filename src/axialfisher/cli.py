@@ -31,9 +31,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .beam_optics import BeamParams, RelaySystem, intensity_pdf
+from .beam_optics import BeamParams, RelaySystem, intensity_pdf, ray_matrix, ray_width_sq
 from .estimators import (
     TrialConfig,
+    TrialReport,
     UninformativePlaneError,
     calibrate,
     expected_fraction_estimate,
@@ -46,7 +47,7 @@ from .fisher import (
     geometric_image_plane,
     image_fi,
     info_boundary,
-    info_fraction_outside,
+    info_fraction_beyond,
     optimal_detection_planes,
     point_source_range_std,
     preferred_detection_plane,
@@ -282,7 +283,7 @@ def beam_from_args(args) -> BeamParams:
         name: value
         for name, value in (
             ("wavelength", args.wavelength),
-            ("waist", args.waist),
+            ("waist", getattr(args, "waist", None)),
             ("rayleigh-range", args.rayleigh_range),
         )
         if value is not None
@@ -301,6 +302,13 @@ def beam_from_args(args) -> BeamParams:
             )
         return beam
     if "wavelength" in given:
+        waist_sq = args.rayleigh_range * args.wavelength / math.pi
+        if args.wavelength > 0.0 and args.rayleigh_range > 0.0 and not 0.0 < waist_sq < math.inf:
+            raise NumericalLimitError(
+                f"--wavelength {args.wavelength!r} m and --rayleigh-range "
+                f"{args.rayleigh_range!r} m give the waist sqrt(lambda z_R / pi) = "
+                f"{math.sqrt(waist_sq)!r} m, which is out of double range"
+            )
         return BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
     wavelength = math.pi * (args.waist * args.waist) / args.rayleigh_range
     if not (wavelength > 0.0 and math.isfinite(wavelength)):
@@ -324,7 +332,7 @@ def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySyst
             raise UsageError(
                 f"{args.command} needs a relay: --focal and --object-distance"
             )
-        _check_free_beam(beam)
+        _check_free_beam(args, beam)
         return None
     if args.focal is None or args.object_distance is None:
         raise UsageError("--focal and --object-distance must be given together")
@@ -349,21 +357,29 @@ def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySyst
     collapsed = plus == minus and not math.isnan(planes.alpha)
     if collapsed or not (ratio_plus >= 1.0 - _PLANE_FI_TOL and ratio_minus >= 1.0 - _PLANE_FI_TOL):
         raise NumericalLimitError(
-            f"--rayleigh-range {beam.rayleigh_range!r} m is too short for double precision "
+            f"{_rayleigh_flags(args, beam)} is too short for double precision "
             f"behind this relay: the optimal planes f + f^2 / (s -+ z_R) are {plus!r} m "
             f"and {minus!r} m, where F/Q is {ratio_plus!r} and {ratio_minus!r} instead of 1"
         )
     return relay
 
 
-def _check_free_beam(beam: BeamParams) -> None:
+def _rayleigh_flags(args, beam: BeamParams) -> str:
+    """z_R as a message names it: by its flag, or by the two it comes from."""
+    if args.rayleigh_range is not None:
+        return f"--rayleigh-range {beam.rayleigh_range!r} m"
+    return f"the Rayleigh range {beam.rayleigh_range!r} m of --waist and --wavelength"
+
+
+def _check_free_beam(args, beam: BeamParams) -> None:
     """In free space the information is at most 1 / z_R^2, which must be
-    positive and finite, so that no plane's information overflows."""
+    positive and finite: no plane's information overflows, nor the bound 0."""
     rayleigh_sq = beam.rayleigh_range * beam.rayleigh_range
-    if not (rayleigh_sq > 0.0 and 1.0 / rayleigh_sq < math.inf):
+    if not (0.0 < rayleigh_sq < math.inf and 1.0 / rayleigh_sq < math.inf):
+        short = rayleigh_sq < 1.0
         raise NumericalLimitError(
-            f"--rayleigh-range {beam.rayleigh_range!r} m is too short for double precision: "
-            "the information 1 / z_R^2 overflows"
+            f"{_rayleigh_flags(args, beam)} is too {'short' if short else 'long'} for double "
+            f"precision: the information 1 / z_R^2 {'overflows' if short else 'underflows'}"
         )
 
 
@@ -378,6 +394,16 @@ def plane_from_args(args, beam: BeamParams, relay: RelaySystem | None) -> float:
             "beam width there overflows"
         )
     return args.plane
+
+
+def _plane_flags(args) -> str:
+    """--plane when the run passed it, else the flags that set the
+    default plane."""
+    if getattr(args, "plane", None) is not None:
+        return "--plane"
+    setters = ("wavelength", "waist", "rayleigh_range", "focal", "object_distance")
+    return ", ".join("--" + name.replace("_", "-") for name in setters
+                     if getattr(args, name, None) is not None)
 
 
 def _fi_over_qfi(beam: BeamParams, relay: RelaySystem, *planes: float) -> list[float]:
@@ -422,7 +448,10 @@ def cmd_fi_scan(args) -> int:
         raise UsageError("--steps must be at least 2")
 
     planes = np.linspace(args.zmin, args.zmax, args.steps)
-    scan = scan_image_fi(beam, relay, planes)
+    try:
+        scan = scan_image_fi(beam, relay, planes)
+    except NumericalLimitError as fault:
+        raise NumericalLimitError(f"--zmin {args.zmin!r} m to --zmax {args.zmax!r} m: {fault}") from None
     config = {
         "command": "fi-scan",
         "steps": args.steps,
@@ -465,7 +494,7 @@ def cmd_fi_density(args) -> int:
         density = fi_density(w_sq, dw_sq, radii)
     if not np.isfinite(density).all():
         raise NumericalLimitError(
-            f"--rayleigh-range {beam.rayleigh_range!r} m is too short for double precision "
+            f"{_rayleigh_flags(args, beam)} is too short for double precision "
             "at this plane: the information density r p(r) (d ln w^2 / dz)^2 overflows"
         )
     if not density.max() > 0.0:
@@ -486,7 +515,7 @@ def cmd_fi_density(args) -> int:
 
     summary = {
         "boundary_radius_m": r_b,
-        "fraction_outside": info_fraction_outside(w_sq, r_b),
+        "fraction_outside": info_fraction_beyond(2.0 * r_b * r_b / w_sq),
         "width_sq_m2": w_sq,
         "dwidth_sq_dz_m": dw_sq,
     }
@@ -538,6 +567,12 @@ def cmd_point_source(args) -> int:
     sigma_n = point_source_range_std(
         args.wavenumber, args.pupil_width, args.distance, args.detections
     )
+    if not all(sys.float_info.min <= value < math.inf for value in (qfi, sigma_one, sigma_n)):
+        raise NumericalLimitError(
+            f"--distance {args.distance!r} m is out of double range for this pupil: "
+            f"Q = k^2 w_l^4 / (4 z^4) = {qfi!r} /m^2, and the precision 1 / sqrt(n Q) = "
+            f"{sigma_one!r} m at n = 1 and {sigma_n!r} m at --detections {args.detections}"
+        )
     config = {
         "command": "point-source",
         "detections": args.detections,
@@ -573,7 +608,7 @@ def cmd_simulate(args) -> int:
         relay=relay,
         poisson_total=args.poisson_total,
     )
-    report = run_trials(config)
+    report = _run_displaced(config, "--delta")
 
     rows = [
         (index, int(seed), int(total), int(outside), float(estimate))
@@ -611,12 +646,28 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _run_displaced(config: TrialConfig, flag: str) -> TrialReport:
+    """``run_trials``, once the squared width at the displaced object is in
+    double range; a draw past the sampler's range, which only a far
+    displacement causes, names ``flag`` too."""
+    a, b = ray_matrix(config.relay, config.detector_plane)
+    if not math.isfinite(ray_width_sq(config.beam, a, b + a * config.true_delta)):
+        raise NumericalLimitError(
+            f"{flag} {config.true_delta!r} m is too far for double precision: the squared "
+            "beam width at the displaced object overflows"
+        )
+    try:
+        return run_trials(config)
+    except NumericalLimitError as fault:
+        raise NumericalLimitError(f"{flag} {config.true_delta!r} m: {fault}") from None
+
+
 def _displacement_summary(config: TrialConfig) -> dict:
     """One displacement of the preset: the width MLE's report, the
     fraction estimator read off the same exposures, and the fraction
     estimator's exact mean response.  A module-level function, so that a
     process pool pickles it by name."""
-    mle = run_trials(config)
+    mle = _run_displaced(config, "--deltas")
     fraction = mle.with_estimator("fraction")
     return {
         "true_delta_m": config.true_delta,
@@ -631,8 +682,8 @@ def _displacement_summary(config: TrialConfig) -> dict:
 
 
 def cmd_reproduce_experiment(args) -> int:
-    beam = BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
-    _check_free_beam(beam)
+    beam = beam_from_args(args)
+    _check_free_beam(args, beam)
     plane = preferred_detection_plane(beam, None)
     quantum_bound = 1.0 / math.sqrt(args.n_per_trial * qfi_gaussian(beam))
     fraction_bound = 1.0 / math.sqrt(
@@ -870,6 +921,9 @@ def main(argv: list[str] | None = None) -> int:
             ArithmeticError) as numerical:
         print(f"numerical failure: {numerical}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except UninformativePlaneError as flat:
+        print(f"error: {flat} (the plane is set by {_plane_flags(args)})", file=sys.stderr)
+        return EXIT_USAGE
     except (UsageError, ValueError, FileNotFoundError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_USAGE

@@ -44,7 +44,6 @@ from .beam_optics import (
 )
 from .numerics import (
     NumericalLimitError,
-    bessel_j0,
     central_derivative,
     check_rule_gap,
     stacked_radial_rule,
@@ -56,6 +55,12 @@ FD_STEP_FRACTION = 1e-6
 
 #: Absolute floor for axial finite-difference steps [m].
 FD_STEP_FLOOR = 1e-12
+
+#: Steps of the two uniform grids, in x = r / w0 and in kappa = q w0, on
+#: which ``_waist_mode_spectral_moments`` takes the spectral moments.
+#: Both grids end below 10, where e^{-x^2} and kappa^4 e^{-kappa^2 / 2}
+#: are below 1e-17 of their peaks.
+SPECTRAL_STEPS = (0.3, 0.15)
 
 #: |s -+ z_R| below this many Rayleigh ranges (s = object distance - f)
 #: puts one optimal plane at infinity.
@@ -139,41 +144,39 @@ def qfi_gaussian(beam: BeamParams) -> float:
 
 
 @functools.cache
-def _waist_mode_spectral_moments() -> tuple[float, float, float]:
-    """Moments (M0, M2, M4) of the waist mode's spatial-frequency density.
+def _waist_mode_spectral_moments() -> tuple[float, float]:
+    """Moments <q^2> and <q^4> of the waist mode's spatial-frequency
+    density, in units of 1/w0^2 and 1/w0^4.
 
-    Works in dimensionless variables u = r / w0, kappa = q * w0.  The
-    transform g~(kappa) = integral g(u) J0(kappa u) u du of the mode
-    g(u) = sqrt(2 / pi) e^{-u^2} is evaluated by quadrature at each kappa
-    node of the outer moment integrals, so the momentum-space density is
-    obtained numerically rather than from the known closed form.
-
-    Both integrals are Gauss-Laguerre rules
-    (``numerics.stacked_radial_rule``): in u with the mode's own window
-    e^{-u^2} (scale sqrt 2), and in kappa with scale 2, the width a
-    spectral density of that window has by the uncertainty relation.  The
-    moments are taken on 48 and on 96 nodes in both variables, each order
-    on its own slice of the stacked rules, and the 96-node values
-    returned; ``QuadratureError`` is raised when the two differ by more
-    than ``numerics.RULE_TOL``.  The kernel J0(kappa u) comes from
-    ``numerics.bessel_j0``; kappa u reaches ~510 on the 96-node grid, and
-    ~70 % of its points take Hankel's expansion rather than Bessel's
-    integral.
+    The mode is separable, h(x) h(y) with h(x) = (2 / pi)^{1/4} e^{-x^2}
+    in x = r / w0, so with H the cosine transform of h and
+    m_p = sum kappa^p H^2 / sum H^2, <q^2> = 2 m_2 and
+    <q^4> = 2 m_4 + 2 m_2^2.  H(kappa) is the sum of h(x) cos(kappa x)
+    over a uniform grid in x, and m_p a sum over the same grid in kappa
+    (constant factors cancel in the ratios): the trapezoid rule on the
+    whole line, the origin counted once and the other nodes (up to 10)
+    twice, which converges geometrically for these
+    entire, fast-decaying integrands.  Nothing here uses the transform's
+    closed form.  The moments are taken at both ``SPECTRAL_STEPS``, with
+    fixed-order ``np.sum`` reductions (no BLAS product), and the finer
+    grid's returned; ``QuadratureError`` is raised when the two differ by
+    more than ``numerics.RULE_TOL``.
     """
-    amp = math.sqrt(2.0 / math.pi)
-    u_radii, u_rules = stacked_radial_rule(math.sqrt(2.0))
-    kappa_radii, kappa_rules = stacked_radial_rule(2.0)
     estimates = []
-    for (part, u_weights), (_, kappa_weights) in zip(u_rules, kappa_rules):
-        u, kappa = u_radii[part], kappa_radii[part]
-        # The rules integrate against 2 pi u du; the transform wants u du.
-        mode = u_weights * amp * np.exp(-u * u) / (2.0 * math.pi)
-        density = (bessel_j0(np.multiply.outer(kappa, u)) @ mode) ** 2
-        estimates.append([float(kappa_weights @ (kappa**power * density))
-                          for power in (0, 2, 4)])
-    m0, m2, m4 = (check_rule_gap(coarse, fine, 0.0, "spectral moment")
-                  for coarse, fine in zip(*estimates))
-    return m0, m2, m4
+    for step in SPECTRAL_STEPS:
+        grid = step * np.arange(int(10.0 / step) + 1)  # x and kappa
+        weights = np.where(grid > 0.0, 2.0, 1.0)
+        sq = grid * grid
+        spectrum = np.sum(np.cos(np.multiply.outer(grid, grid)) * (weights * np.exp(-sq)),
+                          axis=1)
+        density = weights * spectrum * spectrum
+        total = np.sum(density)
+        m2 = float(np.sum(density * sq) / total)
+        m4 = float(np.sum(density * (sq * sq)) / total)
+        estimates.append((2.0 * m2, 2.0 * m4 + 2.0 * m2 * m2))
+    between = f"grid steps {SPECTRAL_STEPS[0]!r} and {SPECTRAL_STEPS[1]!r}"
+    return tuple(check_rule_gap(coarse, fine, 0.0, "spectral moment", between)
+                 for coarse, fine in zip(*estimates))
 
 
 def generator_moments(beam: BeamParams) -> tuple[float, float]:
@@ -184,11 +187,11 @@ def generator_moments(beam: BeamParams) -> tuple[float, float]:
     domain with eigenvalue -q^2 / (2k); the moments are taken against
     the numerically transformed mode.
     """
-    m0, m2, m4 = _waist_mode_spectral_moments()
+    q2, q4 = _waist_mode_spectral_moments()
     k = beam.wavenumber
     kw0_sq = k * (beam.waist * beam.waist)
-    mean = -(m2 / m0) / (2.0 * kw0_sq)
-    second = (m4 / m0) / (4.0 * (kw0_sq * kw0_sq))
+    mean = -q2 / (2.0 * kw0_sq)
+    second = q4 / (4.0 * (kw0_sq * kw0_sq))
     return mean, second
 
 
@@ -199,11 +202,6 @@ def qfi_via_generator(beam: BeamParams) -> float:
     1 / z_R^2 form, it emerges from the frequency-domain moments.
     """
     mean, second = generator_moments(beam)
-    if not mean < 0.0:
-        raise ArithmeticError(
-            f"generator mean should be negative, got {mean!r}; "
-            "spectral quadrature is inconsistent"
-        )
     return 4.0 * (second - mean * mean)
 
 
@@ -444,6 +442,15 @@ def info_fraction_outside(width_sq: float, r_b: float) -> float:
     return integral(r_b, "outside information") / integral(0.0, "total information")
 
 
+def info_fraction_beyond(c: float) -> float:
+    """``info_fraction_outside`` in closed form, at the boundary
+    c = 2 r_b^2 / w^2: integral over u > c of (u - 1)^2 e^{-u} du is
+    (1 + c^2) e^{-c}, and the total is 1."""
+    if not c >= 0.0:
+        raise ValueError(f"boundary 2 r_b^2 / w^2 must be nonnegative, got {c}")
+    return (1.0 + c * c) * math.exp(-c)
+
+
 # ---------------------------------------------------------------------------
 # Derivative-based information for arbitrary pure radial fields
 # ---------------------------------------------------------------------------
@@ -607,9 +614,7 @@ def qfi_pure_state(
     return evaluate(0.01 / speed if speed * step > 0.02 else step)
 
 
-def qfi_point_source(wavenumber: float, pupil_width: float, z: float) -> float:
-    """Per-detection quantum information for ranging a point source
-    through a Gaussian pupil: Q = k^2 w_l^4 / (4 z^4)."""
+def _check_point_source(wavenumber: float, pupil_width: float, z: float) -> None:
     if wavenumber <= 0.0:
         raise ValueError(f"wavenumber must be positive, got {wavenumber}")
     if pupil_width <= 0.0:
@@ -620,14 +625,27 @@ def qfi_point_source(wavenumber: float, pupil_width: float, z: float) -> float:
                         ("source distance", z)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    phase = wavenumber * pupil_width * pupil_width
-    return phase * phase / (4.0 * z**4)
+
+
+def qfi_point_source(wavenumber: float, pupil_width: float, z: float) -> float:
+    """Per-detection quantum information for ranging a point source
+    through a Gaussian pupil: Q = k^2 w_l^4 / (4 z^4), taken as
+    ((k w_l / z)(w_l / z))^2 / 4, so that no step leaves double range
+    before Q does."""
+    _check_point_source(wavenumber, pupil_width, z)
+    ratio = pupil_width / z
+    root = wavenumber * ratio * ratio
+    return root * root / 4.0
 
 
 def point_source_range_std(
     wavenumber: float, pupil_width: float, z: float, detections: int
 ) -> float:
-    """Quantum-limited ranging precision 2 z^2 / (k w_l^2 sqrt(n))."""
+    """Quantum-limited ranging precision 1 / sqrt(n Q) = 2 z^2 / (k w_l^2
+    sqrt(n)), taken as 2 (z / w_l)((z / w_l) / k) / sqrt(n), so that it
+    leaves double range only where the precision does, not where Q does."""
     if detections <= 0:
         raise ValueError(f"detections must be positive, got {detections}")
-    return 1.0 / math.sqrt(detections * qfi_point_source(wavenumber, pupil_width, z))
+    _check_point_source(wavenumber, pupil_width, z)
+    ratio = abs(z) / pupil_width
+    return 2.0 * ratio * (ratio / wavenumber) / math.sqrt(detections)

@@ -1,10 +1,11 @@
 """Shared numerical kernels.
 
-Four tools live here because several physics modules need them in the
+Three tools live here because several physics modules need them in the
 same form: a fixed pair of Gauss-Laguerre rules for radial integrals of
-a Gaussian-windowed integrand, with the check that takes the gap between
-the two orders as the error estimate, the Bessel function J0, and a
-Richardson-extrapolated central difference for axial derivatives.
+a Gaussian-windowed integrand, the check that takes the gap between two
+estimates of an integral (the two orders, or two grids) as its error
+estimate, and a Richardson-extrapolated central difference for axial
+derivatives.
 
 Every radial integral of the package has the shape
 ``integral f(r) 2 pi r dr`` from some radius to infinity, with f a
@@ -17,9 +18,8 @@ puts both node sets on one array of radii, so each integrand is
 evaluated once for the pair.
 
 The Gauss-Laguerre rule finds all its zeros at once, by Sturm counts on
-an array of points and Newton steps on the array of zeros; J0 is the
-midpoint rule on Bessel's integral below x = 30 and Hankel's asymptotic
-expansion above.  Neither calls LAPACK.
+an array of points and Newton steps on the array of zeros, without
+LAPACK.
 
 Everything here is numpy; scipy is not imported.  The module still
 resolves ``numerics.integrate`` to ``scipy.integrate`` on first access,
@@ -30,7 +30,6 @@ when it installs; no library code reads it.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable
 
 import numpy as np
@@ -43,15 +42,6 @@ RULE_NODES = (48, 96)
 #: accepts, on top of the caller's roundoff floor.
 RULE_TOL = 1e-10
 
-#: ``bessel_j0`` takes Bessel's integral below this argument and Hankel's
-#: expansion from it up.
-BESSEL_CROSSOVER = 30.0
-
-#: Midpoint nodes of Bessel's integral in ``bessel_j0`` over [0, pi].
-BESSEL_NODES = 96
-
-#: Coefficients a_0 ... a_39 of Hankel's expansion in ``bessel_j0``.
-HANKEL_TERMS = 40
 
 def __getattr__(name: str):
     # PEP 562: perfbench/tracer.py reads ``numerics.integrate`` when it
@@ -77,8 +67,8 @@ class NumericalLimitError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """A radial integral's two Gauss-Laguerre orders disagree beyond
-    their tolerance.
+    """Two estimates of an integral (two Gauss-Laguerre orders, or two
+    grids) disagree beyond their tolerance.
 
     Carries the gap between them, the error estimate, so callers can
     report how far the result was from the request.
@@ -89,10 +79,13 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
-def check_rule_gap(coarse: float, fine: float, floor: float, what: str) -> float:
-    """``fine``, the value of ``what`` on the finer of ``RULE_NODES``,
-    once the coarser rule's value ``coarse`` is within
-    ``RULE_TOL |fine| + floor`` of it.
+def check_rule_gap(
+    coarse: float, fine: float, floor: float, what: str,
+    between: str = f"{RULE_NODES[0]} and {RULE_NODES[1]} Gauss-Laguerre nodes",
+) -> float:
+    """``fine``, the value of ``what`` on the finer of ``RULE_NODES``
+    (or of the two estimates that ``between`` names), once the coarser
+    value ``coarse`` is within ``RULE_TOL |fine| + floor`` of it.
 
     ``floor`` is the roundoff the caller's integrand carries, which no
     rule can resolve; a gap below it says nothing about the quadrature.
@@ -102,81 +95,10 @@ def check_rule_gap(coarse: float, fine: float, floor: float, what: str) -> float
     gap = abs(coarse - fine)
     if not gap <= RULE_TOL * abs(fine) + floor:
         raise QuadratureError(
-            f"{what} differs by {gap!r} between {RULE_NODES[0]} and "
-            f"{RULE_NODES[1]} Gauss-Laguerre nodes (value={fine!r})",
+            f"{what} differs by {gap!r} between {between} (value={fine!r})",
             estimate=gap,
         )
     return fine
-
-
-def _hankel_coefficients(terms: int) -> tuple[float, ...]:
-    """|a_k(0)| of Hankel's expansion of J0 for k < ``terms``:
-    1, 1/8, 9/128, ..., by a_k = a_{k-1} (2k - 1)^2 / (8k)."""
-    coefficients = [1.0]
-    for k in range(1, terms):
-        coefficients.append(coefficients[-1] * (2 * k - 1) ** 2 / (8 * k))
-    return tuple(coefficients)
-
-
-_HANKEL = _hankel_coefficients(HANKEL_TERMS)
-
-
-def bessel_j0(x) -> np.ndarray:
-    """Bessel function J0 of an array (or a scalar), elementwise.
-
-    Below ``BESSEL_CROSSOVER`` = 30 it takes Bessel's integral
-    J0(x) = (1/pi) integral cos(x sin theta) over theta in [0, pi].  The
-    integrand is periodic and entire, so the midpoint rule on
-    ``BESSEL_NODES`` = 96 nodes converges geometrically: its error is of
-    order J_192(x), below roundoff for |x| < 30.  What is left is the
-    rounding of x sin(theta), a few ulps of |x|.  The nodes at theta and
-    pi - theta share sin(theta), so half of them are evaluated, one node
-    at a time: memory stays at a few arrays the size of x.
-
-    From the crossover up it sums Hankel's expansion
-    J0(x) = sqrt(2 / (pi x)) (P cos chi + Q sin chi), chi = x - pi/4,
-    with P = sum_k (-1)^k a_{2k} / x^{2k} and
-    Q = sum_k (-1)^k a_{2k+1} / x^{2k+1} over the first ``HANKEL_TERMS``
-    coefficients.  For real x each remainder is bounded by its first
-    omitted term (DLMF 10.17(iii)), a_40 / x^40 < 5e-26 at x = 30.
-    cos chi and sin chi are taken as (cos x +- sin x) / sqrt 2, so x is
-    never rounded by the shift.  Against scipy's J0 on [0, 600] the two
-    branches agree within 2e-15.
-    """
-    x = np.abs(np.asarray(x, dtype=float))
-    total = np.empty_like(x)
-    near = x < BESSEL_CROSSOVER
-    xs = x[near]
-    midpoint = np.zeros_like(xs)
-    half = BESSEL_NODES // 2
-    for k in range(half):
-        midpoint += np.cos(xs * math.sin(math.pi * (k + 0.5) / BESSEL_NODES))
-    total[near] = midpoint / half
-    far = ~near
-    xs = x[far]
-    inv_sq = 1.0 / (xs * xs)
-    p = np.zeros_like(xs)
-    q = np.zeros_like(xs)
-    for k in reversed(range(HANKEL_TERMS // 2)):  # Horner in 1/x^2
-        sign = -1.0 if k % 2 else 1.0
-        p *= inv_sq
-        p += sign * _HANKEL[2 * k]
-        q *= inv_sq
-        q += sign * _HANKEL[2 * k + 1]
-    del inv_sq
-    # P cos chi + Q sin chi = ((P - Q) cos x + (P + Q) sin x) / sqrt 2,
-    # built in place to keep the working set at a few arrays.
-    q /= xs
-    p -= q
-    q *= 2.0
-    q += p
-    p *= np.cos(xs)
-    q *= np.sin(xs)
-    p += q
-    xs *= math.pi
-    p /= np.sqrt(xs, out=xs)
-    total[far] = p
-    return total
 
 
 def _laguerre(n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,6 +4,8 @@ import json
 import math
 import multiprocessing
 import os
+import random
+import re
 import shlex
 import subprocess
 import sys
@@ -310,6 +312,17 @@ def test_fi_density_rejects_the_waist_plane(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_USAGE
     assert "zero axial sensitivity" in capsys.readouterr().err
+
+
+def test_zero_sensitivity_at_the_default_plane_names_the_flags_that_set_it(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "preferred_detection_plane", lambda beam, relay: 0.0)
+    for command in ("fi-density", "simulate"):
+        assert main([command, *UNIT_BEAM]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "(the plane is set by --waist, --rayleigh-range)\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_point_source_ranging(tmp_path):
@@ -982,7 +995,8 @@ _CONFIG_FILES = {
         (["point-source", "--wavenumber", "inf", "--pupil-width", "1m",
           "--distance", "200km"], "wavenumber must be finite, got inf"),
         (["simulate", *UNIT_BEAM, "--plane", "0m", "--n-per-trial", "10", "--trials", "2"],
-         "plane 0.0 has |d ln f_out / dz| = 0.0; no usable axial signal"),
+         "plane 0.0 has |d ln f_out / dz| = 0.0; no usable axial signal (the plane is set "
+         "by --plane)"),
         (["simulate", *SMALL_BEAM, "--config", "check.cfg"],
          "unrecognized arguments: --check"),
         (["simulate", *SMALL_BEAM, "--config=bad.cfg"],
@@ -1049,6 +1063,14 @@ _WIDE_WAIST_MESSAGE = (
     "--waist 1e+160 m is too wide for double precision at --wavelength 1e-06 m: the "
     "Rayleigh range pi w0^2 / lambda overflows"
 )
+_POINT_SOURCE_MESSAGE = (
+    "--distance {0} m is out of double range for this pupil: Q = k^2 w_l^4 / (4 z^4) = {1} "
+    "/m^2, and the precision 1 / sqrt(n Q) = {2} m at n = 1 and {2} m at --detections 1"
+)
+_DERIVED_WAIST_MESSAGE = (
+    "--wavelength {} m and --rayleigh-range {} m give the waist sqrt(lambda z_R / pi) = "
+    "{} m, which is out of double range"
+)
 _FAR_PLANE_MESSAGE = (
     "--plane 1e+200 m is too far for double precision: the squared beam width there "
     "overflows"
@@ -1059,8 +1081,8 @@ _FAR_PLANE_MESSAGE = (
     ("argv", "message"),
     [
         (["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "0m", "--zmax", "1e308m", "--steps", "3"],
-         "classical information is not finite at 2 of 3 planes, from 5e+307 m to "
-         "1e+308 m: the ray matrix is out of double range there"),
+         "--zmin 0.0 m to --zmax 1e+308 m: classical information is not finite at 2 of 3 "
+         "planes, from 5e+307 m to 1e+308 m: the ray matrix is out of double range there"),
         (["optimal-plane", *UNIT_BEAM, *_TINY_FOCAL],
          "--focal 1e-300 m is too short for double precision: the optimal planes "
          "f + f^2 / (s -+ z_R) round to the focal plane"),
@@ -1111,6 +1133,32 @@ _FAR_PLANE_MESSAGE = (
         (["fi-density", "--wavelength", "1um", "--waist", "1mm", "--rmax", "1km"],
          "--rmax 1000.0 m is too large for --steps 400: the information density "
          "underflows to 0 at every radius sampled"),
+        (["point-source", "--wavenumber", "1e7", "--pupil-width", "1mm", "--distance", "1e80m"],
+         _POINT_SOURCE_MESSAGE.format("1e+80", "2.49997e-319", "2.0000000000000002e+159")),
+        (["point-source", "--wavenumber", "1e7", "--pupil-width", "1mm",
+          "--distance", "1e-90m"],
+         _POINT_SOURCE_MESSAGE.format("1e-90", "inf", "1.9999999999999998e-181")),
+        (["fi-density", "--wavelength", "1e-200m", "--rayleigh-range", "1e-200m"],
+         _DERIVED_WAIST_MESSAGE.format("1e-200", "1e-200", "0.0")),
+        (["simulate", "--wavelength", "1e200m", "--rayleigh-range", "1e200m"],
+         _DERIVED_WAIST_MESSAGE.format("1e+200", "1e+200", "inf")),
+        (["reproduce-experiment", "--wavelength", "1e-200m", "--rayleigh-range", "1e-200m"],
+         _DERIVED_WAIST_MESSAGE.format("1e-200", "1e-200", "0.0")),
+        (["fi-density", "--wavelength", "1um", "--waist", "1e-81m"],
+         "the Rayleigh range 3.1415926535897934e-156 m of --waist and --wavelength is too "
+         "short for double precision: the information 1 / z_R^2 overflows"),
+        (["reproduce-experiment", "--rayleigh-range", "1e300m", "--trials", "2"],
+         "--rayleigh-range 9.999999999999999e+299 m is too long for double precision: "
+         "the information 1 / z_R^2 underflows"),
+        (["simulate", "--wavelength", "1um", "--waist", "1mm", "--delta", "1e300m",
+          "--trials", "2"],
+         "--delta 1e+300 m is too far for double precision: the squared beam width at the "
+         "displaced object overflows"),
+        (["simulate", "--wavelength", "1um", "--waist", "1mm", "--delta", "1e10m",
+          "--n-per-trial", "1000", "--trials", "2"],
+         "--delta 10000000000.0 m: boundary radius r_b=0.001 at width_sq=10132118357867.578 "
+         "gives c = 2 r_b^2 / width_sq = 1.973920881458123e-19, too small to draw 1000 "
+         "photons beyond r_b: the true width is far wider than the calibrated one"),
     ],
     ids=["scan-past-double-range", "optimal-plane-tiny-focal", "fi-scan-tiny-focal",
          "simulate-tiny-focal", "optimal-plane-tiny-rayleigh-range",
@@ -1124,7 +1172,11 @@ _FAR_PLANE_MESSAGE = (
          "fi-density-wide-waist", "simulate-wide-waist", "optimal-plane-wide-waist",
          "fi-density-far-plane", "simulate-relayed-far-plane",
          "fi-density-information-density-overflows", "fi-density-huge-rmax",
-         "fi-density-rmax-past-the-beam"],
+         "fi-density-rmax-past-the-beam", "point-source-far", "point-source-near",
+         "fi-density-derived-waist-underflows", "simulate-derived-waist-overflows",
+         "reproduce-derived-waist-underflows", "free-derived-rayleigh-range-too-short",
+         "reproduce-rayleigh-range-too-long", "simulate-delta-past-double-range",
+         "simulate-delta-past-the-sampler"],
 )
 def test_numerical_limits_exit_two_with_the_message(argv, message, tmp_path, monkeypatch,
                                                     capsys):
@@ -1186,3 +1238,103 @@ def test_readme_examples_run_as_written(argv, tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         {out.name, out.with_suffix(".json").name})
     assert capsys.readouterr().out.startswith(f"wrote {out}")
+
+
+# ---------------------------------------------------------------------------
+# Seeded sweep over every command's numerical limits
+# ---------------------------------------------------------------------------
+
+
+def _sweep_argv(rng: random.Random) -> list[str]:
+    """One command line: every length log-uniform on 1e-300 ... 1e300 m,
+    signed where a negative value has a meaning, and every flag written
+    as ``--flag=value`` so that a negative value parses as a value."""
+
+    def length(signed=False):
+        value = 10.0 ** rng.uniform(-300.0, 300.0)
+        return -value if signed and rng.random() < 0.5 else value
+
+    def flag(name, value, unit="m"):
+        return [f"--{name}={value!r}{unit}"]
+
+    def beam():
+        names = rng.sample(["wavelength", "waist", "rayleigh-range"], 2)
+        return [token for name in names for token in flag(name, length())]
+
+    def relay(required=False):
+        if required or rng.random() < 0.5:
+            return flag("focal", length()) + flag("object-distance", length(signed=True))
+        return []
+
+    def maybe(name, signed=False):
+        return flag(name, length(signed)) if rng.random() < 0.5 else []
+
+    command = rng.choice(["fi-scan", "fi-density", "optimal-plane", "point-source",
+                          "simulate", "reproduce-experiment"])
+    if command == "fi-scan":
+        zmin, zmax = sorted([length(signed=True), length(signed=True)])
+        return [command, *beam(), *relay(required=True), *flag("zmin", zmin),
+                *flag("zmax", zmax), f"--steps={rng.randint(2, 6)}"]
+    if command == "fi-density":
+        return [command, *beam(), *relay(), *maybe("plane", signed=True), *maybe("rmax"),
+                f"--steps={rng.randint(2, 50)}"]
+    if command == "optimal-plane":
+        return [command, *beam(), *relay(required=True)]
+    if command == "point-source":
+        return [command, *flag("wavenumber", 10.0 ** rng.uniform(-300.0, 300.0), unit=""),
+                *flag("pupil-width", length()), *flag("distance", length()),
+                f"--detections={rng.randint(1, 10**6)}"]
+    small = [f"--n-per-trial={rng.randint(1, 1000)}", f"--trials={rng.randint(2, 4)}"]
+    if command == "simulate":
+        return [command, *beam(), *relay(), *maybe("plane", signed=True),
+                *maybe("delta", signed=True), *small,
+                f"--estimator={rng.choice(['fraction', 'fraction-absolute', 'mle'])}",
+                *(["--poisson-total"] if rng.random() < 0.5 else [])]
+    deltas = ",".join(f"{length(signed=True)!r}m" for _ in range(rng.randint(1, 2)))
+    return [command, *maybe("wavelength"), *maybe("rayleigh-range"), *small,
+            f"--deltas={deltas}"]
+
+
+_SWEEP = [_sweep_argv(random.Random(f"sweep-{case}")) for case in range(300)]
+
+#: Flags whose default a sweep case may leave at fault.
+_SWEEP_DEFAULTS = {"reproduce-experiment": {"--wavelength", "--rayleigh-range"}}
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    if isinstance(value, (int, float)):
+        return math.isfinite(value)
+    return value is not None
+
+
+def test_sweep_exits_cleanly_with_finite_artifacts_or_a_named_flag(tmp_path, capsys):
+    """300 fixed command lines, over all six commands, with lengths across
+    the double range.  Each exits 0, 1 or 2; an exit-0 run writes only
+    finite values (JSON writes a non-finite value as null); any other exit
+    names a flag the run passed, or one whose default was at fault."""
+    faults = []
+    for case, argv in enumerate(_SWEEP):
+        out = tmp_path / f"case{case}"
+        code = main([*argv, f"--out={out}.{'json' if argv[0] in ('optimal-plane', 'point-source') else 'csv'}"])
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            for path in tmp_path.glob(f"case{case}.*"):
+                if path.suffix == ".json":
+                    finite = _all_finite(json.loads(path.read_text()))
+                else:
+                    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+                    finite = all(math.isfinite(float(item)) for row in rows for item in row)
+                if not finite:
+                    faults.append((argv, f"non-finite value in {path.suffix}"))
+            continue
+        passed = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
+        named = set(re.findall(r"--[a-z][a-z-]*", err))
+        if code not in (EXIT_USAGE, EXIT_NUMERICAL):
+            faults.append((argv, f"exit {code}: {err}"))
+        elif not named & (passed | _SWEEP_DEFAULTS.get(argv[0], set())):
+            faults.append((argv, err.strip()))
+    assert not faults, f"{len(faults)} faults, first ones: {faults[:5]}"

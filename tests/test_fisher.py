@@ -87,6 +87,19 @@ def test_generator_moments_against_closed_forms():
     assert mean < 0.0
 
 
+def test_generator_route_two_grid_check_raises_on_a_coarse_grid(monkeypatch):
+    """At a step of 0.4 w0 the grid's Nyquist frequency falls inside the
+    kappa grid, and the gap to the 0.3 grid is ~7e-5 relative, far above
+    ``RULE_TOL``; the error names the two steps."""
+    monkeypatch.setattr(fisher, "SPECTRAL_STEPS", (0.4, 0.3))
+    fisher._waist_mode_spectral_moments.cache_clear()
+    try:
+        with pytest.raises(QuadratureError, match="between grid steps 0.4 and 0.3"):
+            qfi_via_generator(HENE)
+    finally:
+        fisher._waist_mode_spectral_moments.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # Classical information, free beam
 # ---------------------------------------------------------------------------
@@ -535,6 +548,17 @@ def test_fraction_outside_matches_closed_form(r_over_w):
     x_b = 2.0 * r_b * r_b / w_sq
     closed = math.exp(-x_b) * (1.0 + x_b * x_b)
     assert info_fraction_outside(w_sq, r_b) == pytest.approx(closed, rel=1e-13)
+
+
+def test_closed_form_fraction_matches_the_quadrature():
+    """``info_fraction_beyond`` (what ``fi-density`` writes) against the
+    Gauss-Laguerre ratio of ``info_fraction_outside`` over c in [0, 30]."""
+    for c in np.linspace(0.0, 30.0, 301):
+        r_b = math.sqrt(0.5 * c)
+        closed = fisher.info_fraction_beyond(2.0 * r_b * r_b)
+        assert closed == pytest.approx(info_fraction_outside(1.0, r_b), rel=1e-13)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fisher.info_fraction_beyond(-1.0)
 
 
 def _scalar_intensity(width_sq: float, r: float) -> float:

@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from axialfisher import numerics
 from axialfisher.numerics import (
-    BESSEL_CROSSOVER,
     RULE_NODES,
     RULE_TOL,
     QuadratureError,
-    bessel_j0,
     central_derivative,
     check_rule_gap,
     stacked_radial_rule,
@@ -33,29 +31,6 @@ def test_rule_gap_check_accepts_within_tolerance_plus_floor():
         check_rule_gap(1.0 + 1e-6, 1.0, 0.5e-6, "x")
     with pytest.raises(QuadratureError):
         check_rule_gap(math.nan, 1.0, 1.0, "x")
-
-
-def test_bessel_j0_matches_scipy():
-    """Both branches, and densely across the crossover between them."""
-    crossing = np.linspace(BESSEL_CROSSOVER - 1.0, BESSEL_CROSSOVER + 1.0, 20_001)
-    x = np.concatenate([np.linspace(0.0, 600.0, 600_001), crossing])
-    assert np.max(np.abs(bessel_j0(x) - special.j0(x))) <= 2e-15
-    assert bessel_j0(0.0) == 1.0
-    sample = x[::6000]
-    assert np.array_equal(bessel_j0(-sample), bessel_j0(sample))
-
-
-def test_hankel_coefficients_follow_the_recurrence():
-    """a_k = (1^2 3^2 ... (2k-1)^2) / (k! 8^k), and the first omitted
-    term bounds the expansion's remainder far below roundoff at the
-    crossover."""
-    coefficients = numerics._HANKEL
-    for k in (0, 1, 2, 5, 17):
-        exact = math.prod((2 * j - 1) ** 2 for j in range(1, k + 1)) / (
-            math.factorial(k) * 8**k)
-        assert coefficients[k] == pytest.approx(exact, rel=1e-14)
-    omitted = coefficients[-1] * (2 * len(coefficients) - 1) ** 2 / (8 * len(coefficients))
-    assert omitted / BESSEL_CROSSOVER ** len(coefficients) < 1e-25
 
 
 def test_integrate_hook_still_resolves_to_scipy():
