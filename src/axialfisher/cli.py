@@ -451,7 +451,8 @@ def cmd_fi_scan(args) -> int:
     try:
         scan = scan_image_fi(beam, relay, planes)
     except NumericalLimitError as fault:
-        raise NumericalLimitError(f"--zmin {args.zmin!r} m to --zmax {args.zmax!r} m: {fault}") from None
+        raise NumericalLimitError(
+            f"--zmin {args.zmin!r} m to --zmax {args.zmax!r} m: {fault}") from None
     config = {
         "command": "fi-scan",
         "steps": args.steps,

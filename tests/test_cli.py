@@ -1318,8 +1318,8 @@ def test_sweep_exits_cleanly_with_finite_artifacts_or_a_named_flag(tmp_path, cap
     names a flag the run passed, or one whose default was at fault."""
     faults = []
     for case, argv in enumerate(_SWEEP):
-        out = tmp_path / f"case{case}"
-        code = main([*argv, f"--out={out}.{'json' if argv[0] in ('optimal-plane', 'point-source') else 'csv'}"])
+        suffix = "json" if argv[0] in ("optimal-plane", "point-source") else "csv"
+        code = main([*argv, f"--out={tmp_path / f'case{case}.{suffix}'}"])
         err = capsys.readouterr().err
         if code == EXIT_OK:
             for path in tmp_path.glob(f"case{case}.*"):
