@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .beam_optics import BeamParams, RelaySystem, intensity_pdf, ray_matrix, ray_width_sq
+from .beam_optics import BeamParams, RelaySystem, intensity_pdf
 from .estimators import (
     TrialConfig,
     TrialReport,
@@ -149,7 +149,22 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if value > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"integer {text!r} overflows a double")
     return value
+
+
+def _restricted(parse, signed: bool = False):
+    """``parse`` restricted to finite values that are positive, or with
+    ``signed`` nonzero: the domain of a flag, decided as it is parsed."""
+    def restricted(text: str) -> float:
+        value = parse(text)
+        if not (math.isfinite(value) and (value != 0.0 if signed else value > 0.0)):
+            kind = "nonzero" if signed else "positive"
+            raise argparse.ArgumentTypeError(f"expected a {kind} finite value, got {text!r}")
+        return value
+    restricted.__name__ = parse.__name__  # argparse's "invalid float value: 'x'"
+    return restricted
 
 
 def _seed(text: str) -> int:
@@ -263,61 +278,60 @@ def _add_common(
 
 
 def _add_beam(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--wavelength", type=parse_length, default=None,
+    parser.add_argument("--wavelength", type=_restricted(parse_length), default=None,
                         help="vacuum wavelength, e.g. 632.8nm")
-    parser.add_argument("--waist", type=parse_length, default=None,
+    parser.add_argument("--waist", type=_restricted(parse_length), default=None,
                         help="beam waist radius, e.g. 1.95um")
-    parser.add_argument("--rayleigh-range", type=parse_length, default=None,
+    parser.add_argument("--rayleigh-range", type=_restricted(parse_length), default=None,
                         help="Rayleigh range, e.g. 18.9um")
 
 
 def _add_relay(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--focal", type=parse_length, default=None,
+    parser.add_argument("--focal", type=_restricted(parse_length, signed=True), default=None,
                         help="relay focal length")
     parser.add_argument("--object-distance", type=parse_length, default=None,
                         help="waist-to-lens distance")
 
 
+_BEAM_FLAGS = ("wavelength", "waist", "rayleigh_range")
+
+
 def beam_from_args(args) -> BeamParams:
-    given = {
-        name: value
-        for name, value in (
-            ("wavelength", args.wavelength),
-            ("waist", getattr(args, "waist", None)),
-            ("rayleigh-range", args.rayleigh_range),
-        )
-        if value is not None
-    }
+    """The beam of the two beam flags given.  It is a numerical limit,
+    naming the two, unless lambda, w0, z_R and 1 / z_R^2, as ``BeamParams``
+    and ``qfi_gaussian`` compute them, all lie in (0, inf)."""
+    values = [getattr(args, name, None) for name in _BEAM_FLAGS]
+    given = [name.replace("_", "-") for name, value in zip(_BEAM_FLAGS, values)
+             if value is not None]
     if len(given) != 2:
         raise UsageError(
             "specify exactly two of --wavelength/--waist/--rayleigh-range "
             f"(got {sorted(given) or 'none'})"
         )
-    if "rayleigh-range" not in given:
-        beam = BeamParams(args.wavelength, args.waist)
-        if math.isinf(beam.rayleigh_range):
-            raise NumericalLimitError(
-                f"--waist {args.waist!r} m is too wide for double precision at --wavelength "
-                f"{args.wavelength!r} m: the Rayleigh range pi w0^2 / lambda overflows"
-            )
-        return beam
-    if "wavelength" in given:
-        waist_sq = args.rayleigh_range * args.wavelength / math.pi
-        if args.wavelength > 0.0 and args.rayleigh_range > 0.0 and not 0.0 < waist_sq < math.inf:
-            raise NumericalLimitError(
-                f"--wavelength {args.wavelength!r} m and --rayleigh-range "
-                f"{args.rayleigh_range!r} m give the waist sqrt(lambda z_R / pi) = "
-                f"{math.sqrt(waist_sq)!r} m, which is out of double range"
-            )
-        return BeamParams.from_rayleigh_range(args.wavelength, args.rayleigh_range)
-    wavelength = math.pi * (args.waist * args.waist) / args.rayleigh_range
-    if not (wavelength > 0.0 and math.isfinite(wavelength)):
-        raise UsageError(
-            f"--waist {args.waist!r} m and --rayleigh-range {args.rayleigh_range!r} m "
-            f"give the wavelength pi w0^2 / z_R = {wavelength!r} m, which is not "
-            "positive and finite"
-        )
-    return BeamParams(wavelength, args.waist)
+    wavelength, waist, rayleigh = values
+    if waist is None:
+        waist = math.sqrt(rayleigh * wavelength / math.pi)
+    elif wavelength is None:
+        wavelength = math.pi * (waist * waist) / rayleigh
+    # A derived wavelength of 0 is reported before the z_R it would divide.
+    rayleigh = math.pi * (waist * waist) / wavelength if wavelength else math.inf
+    rayleigh_sq = rayleigh * rayleigh
+    for name, value, unit in (
+        ("the wavelength lambda", wavelength, "m"),
+        ("the waist w0", waist, "m"),
+        ("the Rayleigh range z_R", rayleigh, "m"),
+        ("the information 1 / z_R^2", 1.0 / rayleigh_sq if rayleigh_sq else math.inf, "/m^2"),
+    ):
+        if not 0.0 < value < math.inf:
+            raise NumericalLimitError(f"{_beam_flags(args)} give {name} = {value!r} {unit}, "
+                                      "which is out of double range")
+    return BeamParams(wavelength, waist)
+
+
+def _beam_flags(args) -> str:
+    """The two beam flags the run gave, with their values."""
+    return " and ".join(f"--{name.replace('_', '-')} {getattr(args, name)!r} m"
+                        for name in _BEAM_FLAGS if getattr(args, name, None) is not None)
 
 
 def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySystem | None:
@@ -325,14 +339,12 @@ def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySyst
     numerical limit when its optimal planes f + f^2 / (s -+ z_R) overflow,
     round to the focal plane (A = 0: no information), collapse onto one
     plane out of the degenerate geometry, or miss F/Q = 1 by
-    ``_PLANE_FI_TOL``.  In free space the beam's information 1 / z_R^2
-    must stay in double range."""
+    ``_PLANE_FI_TOL``."""
     if args.focal is None and args.object_distance is None:
         if required:
             raise UsageError(
                 f"{args.command} needs a relay: --focal and --object-distance"
             )
-        _check_free_beam(args, beam)
         return None
     if args.focal is None or args.object_distance is None:
         raise UsageError("--focal and --object-distance must be given together")
@@ -352,35 +364,16 @@ def relay_from_args(args, beam: BeamParams, required: bool = False) -> RelaySyst
         )
     try:
         ratio_plus, ratio_minus = _fi_over_qfi(beam, relay, plus, minus)
-    except ZeroDivisionError:  # z_R^2 underflows to 0
+    except ZeroDivisionError:  # A^2 z_R^2 + B^2 underflows to 0 at a plane
         ratio_plus = ratio_minus = math.nan
     collapsed = plus == minus and not math.isnan(planes.alpha)
     if collapsed or not (ratio_plus >= 1.0 - _PLANE_FI_TOL and ratio_minus >= 1.0 - _PLANE_FI_TOL):
         raise NumericalLimitError(
-            f"{_rayleigh_flags(args, beam)} is too short for double precision "
-            f"behind this relay: the optimal planes f + f^2 / (s -+ z_R) are {plus!r} m "
-            f"and {minus!r} m, where F/Q is {ratio_plus!r} and {ratio_minus!r} instead of 1"
+            f"{_beam_flags(args)} give z_R = {beam.rayleigh_range!r} m, too short for double "
+            f"precision behind this relay: the optimal planes f + f^2 / (s -+ z_R) are {plus!r} "
+            f"m and {minus!r} m, where F/Q is {ratio_plus!r} and {ratio_minus!r} instead of 1"
         )
     return relay
-
-
-def _rayleigh_flags(args, beam: BeamParams) -> str:
-    """z_R as a message names it: by its flag, or by the two it comes from."""
-    if args.rayleigh_range is not None:
-        return f"--rayleigh-range {beam.rayleigh_range!r} m"
-    return f"the Rayleigh range {beam.rayleigh_range!r} m of --waist and --wavelength"
-
-
-def _check_free_beam(args, beam: BeamParams) -> None:
-    """In free space the information is at most 1 / z_R^2, which must be
-    positive and finite: no plane's information overflows, nor the bound 0."""
-    rayleigh_sq = beam.rayleigh_range * beam.rayleigh_range
-    if not (0.0 < rayleigh_sq < math.inf and 1.0 / rayleigh_sq < math.inf):
-        short = rayleigh_sq < 1.0
-        raise NumericalLimitError(
-            f"{_rayleigh_flags(args, beam)} is too {'short' if short else 'long'} for double "
-            f"precision: the information 1 / z_R^2 {'overflows' if short else 'underflows'}"
-        )
 
 
 def plane_from_args(args, beam: BeamParams, relay: RelaySystem | None) -> float:
@@ -401,7 +394,7 @@ def _plane_flags(args) -> str:
     default plane."""
     if getattr(args, "plane", None) is not None:
         return "--plane"
-    setters = ("wavelength", "waist", "rayleigh_range", "focal", "object_distance")
+    setters = (*_BEAM_FLAGS, "focal", "object_distance")
     return ", ".join("--" + name.replace("_", "-") for name in setters
                      if getattr(args, name, None) is not None)
 
@@ -483,8 +476,6 @@ def cmd_fi_density(args) -> int:
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
     rmax = args.rmax if args.rmax is not None else 3.0 * math.sqrt(w_sq)
-    if rmax <= 0.0:
-        raise UsageError("--rmax must be positive")
     if not 2.0 * rmax * rmax / w_sq < math.inf:
         raise NumericalLimitError(
             f"--rmax {rmax!r} m is too large for double precision: 2 r^2 / w^2 overflows"
@@ -495,8 +486,8 @@ def cmd_fi_density(args) -> int:
         density = fi_density(w_sq, dw_sq, radii)
     if not np.isfinite(density).all():
         raise NumericalLimitError(
-            f"{_rayleigh_flags(args, beam)} is too short for double precision "
-            "at this plane: the information density r p(r) (d ln w^2 / dz)^2 overflows"
+            f"{_beam_flags(args)} give z_R = {beam.rayleigh_range!r} m, too short for double "
+            "precision at this plane: the information density r p(r) (d ln w^2 / dz)^2 overflows"
         )
     if not density.max() > 0.0:
         raise NumericalLimitError(
@@ -609,7 +600,7 @@ def cmd_simulate(args) -> int:
         relay=relay,
         poisson_total=args.poisson_total,
     )
-    report = _run_displaced(config, "--delta")
+    report, = _run_displaced(config, "--delta")
 
     rows = [
         (index, int(seed), int(total), int(outside), float(estimate))
@@ -647,18 +638,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _run_displaced(config: TrialConfig, flag: str) -> TrialReport:
-    """``run_trials``, once the squared width at the displaced object is in
-    double range; a draw past the sampler's range, which only a far
-    displacement causes, names ``flag`` too."""
-    a, b = ray_matrix(config.relay, config.detector_plane)
-    if not math.isfinite(ray_width_sq(config.beam, a, b + a * config.true_delta)):
-        raise NumericalLimitError(
-            f"{flag} {config.true_delta!r} m is too far for double precision: the squared "
-            "beam width at the displaced object overflows"
-        )
+def _run_displaced(config: TrialConfig, flag: str, *more: str) -> list[TrialReport]:
+    """``run_trials``, and its exposures read by the ``more`` estimators.
+    Their numerical limits, which only a far displacement causes, name
+    ``flag``: a displaced width past double range, a draw past the
+    sampler's range, or fewer than min(2, trials) unflagged trials."""
     try:
-        return run_trials(config)
+        first = run_trials(config)
+        reports = [first, *(first.with_estimator(name) for name in more)]
+        for report in reports:
+            if report.flagged_count > max(config.trials - 2, 0):
+                raise NumericalLimitError(
+                    f"the {report.config.estimator} estimator flags {report.flagged_count} "
+                    f"of --trials {config.trials}, too many for a mean and std")
+        return reports
     except NumericalLimitError as fault:
         raise NumericalLimitError(f"{flag} {config.true_delta!r} m: {fault}") from None
 
@@ -668,8 +661,7 @@ def _displacement_summary(config: TrialConfig) -> dict:
     fraction estimator read off the same exposures, and the fraction
     estimator's exact mean response.  A module-level function, so that a
     process pool pickles it by name."""
-    mle = _run_displaced(config, "--deltas")
-    fraction = mle.with_estimator("fraction")
+    mle, fraction = _run_displaced(config, "--deltas", "fraction")
     return {
         "true_delta_m": config.true_delta,
         "mle_mean_m": mle.mean_estimate,
@@ -684,7 +676,6 @@ def _displacement_summary(config: TrialConfig) -> dict:
 
 def cmd_reproduce_experiment(args) -> int:
     beam = beam_from_args(args)
-    _check_free_beam(args, beam)
     plane = preferred_detection_plane(beam, None)
     quantum_bound = 1.0 / math.sqrt(args.n_per_trial * qfi_gaussian(beam))
     fraction_bound = 1.0 / math.sqrt(
@@ -814,7 +805,7 @@ def build_parser() -> _Parser:
     density.add_argument("--plane", type=parse_length, default=None,
                          help="detector plane (default: -z_R, or the preferred "
                          "optimal plane behind a relay)")
-    density.add_argument("--rmax", type=parse_length, default=None,
+    density.add_argument("--rmax", type=_restricted(parse_length), default=None,
                          help="largest radius (default: 3 beam widths)")
     density.add_argument("--steps", type=_positive_int, default=400)
     density.set_defaults(func=cmd_fi_density)
@@ -827,10 +818,10 @@ def build_parser() -> _Parser:
 
     point = sub.add_parser("point-source", help="quantum ranging limit")
     _add_common(point)
-    point.add_argument("--wavenumber", type=float, required=True,
+    point.add_argument("--wavenumber", type=_restricted(float), required=True,
                        help="wavenumber k in 1/m")
-    point.add_argument("--pupil-width", type=parse_length, required=True)
-    point.add_argument("--distance", type=parse_length, required=True)
+    point.add_argument("--pupil-width", type=_restricted(parse_length), required=True)
+    point.add_argument("--distance", type=_restricted(parse_length, signed=True), required=True)
     point.add_argument("--detections", type=_positive_int, default=1)
     point.set_defaults(func=cmd_point_source)
 
@@ -857,9 +848,9 @@ def build_parser() -> _Parser:
         help="preset benchmark: 632.8nm beam, z_R=18.9um, 1.6e6 detections",
     )
     _add_common(reproduce, seed=True, tabular=True)
-    reproduce.add_argument("--wavelength", type=parse_length,
+    reproduce.add_argument("--wavelength", type=_restricted(parse_length),
                            default=_PRESET_WAVELENGTH)
-    reproduce.add_argument("--rayleigh-range", type=parse_length,
+    reproduce.add_argument("--rayleigh-range", type=_restricted(parse_length),
                            default=_PRESET_RAYLEIGH)
     reproduce.add_argument("--n-per-trial", type=_positive_int,
                            default=_PRESET_N_PER_TRIAL)

@@ -21,10 +21,10 @@ The Gauss-Laguerre rule finds all its zeros at once, by Sturm counts on
 an array of points and Newton steps on the array of zeros, without
 LAPACK.
 
-Everything here is numpy; scipy is not imported.  The module still
-resolves ``numerics.integrate`` to ``scipy.integrate`` on first access,
-because the benchmark's tracer (``perfbench/tracer.py``) reads that name
-when it installs; no library code reads it.
+Everything here is numpy.  Only the benchmark tracer's hook needs scipy,
+a test dependency: ``numerics.integrate`` resolves to ``scipy.integrate``
+on first access, because ``perfbench/tracer.py`` reads that name when it
+installs; no library code reads it.
 """
 
 from __future__ import annotations

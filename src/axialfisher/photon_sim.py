@@ -266,7 +266,9 @@ class _ExposureLaw(NamedTuple):
 def _exposure_law(width_sq: float, r_b: float) -> _ExposureLaw:
     """c = 2 r_b^2 / width_sq, P(F >= 1) = exp(-c), p = 1 - exp(-c) and
     the 64 digit probabilities, checked."""
-    if not (width_sq > 0.0 and math.isfinite(width_sq)):
+    if width_sq == math.inf:
+        raise NumericalLimitError("the true squared width width_sq overflows a double")
+    if not width_sq > 0.0:
         raise ValueError(f"width_sq must be positive, got {width_sq}")
     c = 2.0 * r_b * r_b / width_sq
     if not (r_b > 0.0 and 0.0 < c < math.inf):

@@ -39,7 +39,7 @@ from axialfisher.estimators import (
     run_trials,
 )
 from axialfisher.fisher import preferred_detection_plane
-from axialfisher.numerics import QuadratureError
+from axialfisher.numerics import NumericalLimitError, QuadratureError
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,30 @@ def test_beam_from_waist_and_rayleigh_range():
     beam = beam_from_args(_scan_args("--waist", "1m", "--rayleigh-range", "1m"))
     assert beam.wavelength == pytest.approx(math.pi, rel=1e-15)
     assert beam.rayleigh_range == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(("given", "construct"), [
+    (("--wavelength", "--waist"), lambda wavelength, waist: BeamParams(wavelength, waist)),
+    (("--wavelength", "--rayleigh-range"), BeamParams.from_rayleigh_range),
+    (("--waist", "--rayleigh-range"),
+     lambda waist, rayleigh: BeamParams(math.pi * (waist * waist) / rayleigh, waist)),
+], ids=["wavelength-waist", "wavelength-rayleigh-range", "waist-rayleigh-range"])
+def test_valid_beams_are_bit_identical_to_the_direct_constructions(given, construct):
+    """Wherever the beam check passes, ``beam_from_args`` builds the beam
+    that each parameterization built directly before the check, bit for
+    bit: over seeded log-uniform pairs on 1e-200 ... 1e200 m."""
+    rng = random.Random(f"beam-{'-'.join(given)}")
+    passed = 0
+    for _ in range(400):
+        first, second = (10.0 ** rng.uniform(-200.0, 200.0) for _ in range(2))
+        args = _scan_args(f"{given[0]}={first!r}m", f"{given[1]}={second!r}m")
+        try:
+            beam = beam_from_args(args)
+        except NumericalLimitError:
+            continue
+        assert beam == construct(first, second)
+        passed += 1
+    assert passed >= 100
 
 
 @pytest.mark.parametrize(
@@ -971,29 +995,33 @@ _CONFIG_FILES = {
         (["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "0m", "--zmax", "1m", "--steps", "1"],
          "--steps must be at least 2"),
         (["fi-density", *UNIT_BEAM, "--steps", "1"], "--steps must be at least 2"),
-        (["fi-density", *UNIT_BEAM, "--rmax", "0m"], "--rmax must be positive"),
+        (["fi-density", *UNIT_BEAM, "--rmax", "0m"],
+         "argument --rmax: expected a positive finite value, got '0m'"),
         (["simulate", *SMALL_BEAM, "--focal", "1m"],
          "--focal and --object-distance must be given together"),
         (["fi-scan", *UNIT_BEAM, "--zmin", "0m", "--zmax", "1m"],
          "fi-scan needs a relay: --focal and --object-distance"),
         (["fi-scan", "--wavelength=-1nm", "--waist", "1um", *RELAY, "--zmin", "0m",
-          "--zmax", "1m"], "wavelength must be positive, got -1e-09"),
+          "--zmax", "1m"], "argument --wavelength: expected a positive finite value, got '-1nm'"),
+        (["fi-density", "--wavelength=-1nm", "--rayleigh-range", "1um"],
+         "argument --wavelength: expected a positive finite value, got '-1nm'"),
         (["simulate", "--wavelength", "1nm", "--rayleigh-range=-1um"],
-         "rayleigh range must be positive, got -1e-06"),
-        (["fi-density", "--waist", "1e-200m", "--rayleigh-range", "1e-200m"],
-         "--waist 1e-200 m and --rayleigh-range 1e-200 m give the wavelength "
-         "pi w0^2 / z_R = 0.0 m, which is not positive and finite"),
-        (["fi-density", "--waist", "1e160m", "--rayleigh-range", "1m"],
-         "--waist 1e+160 m and --rayleigh-range 1.0 m give the wavelength "
-         "pi w0^2 / z_R = inf m, which is not positive and finite"),
+         "argument --rayleigh-range: expected a positive finite value, got '-1um'"),
         (["optimal-plane", *UNIT_BEAM, "--focal", "0m", "--object-distance", "1m"],
-         "focal length must be finite and nonzero, got 0.0"),
+         "argument --focal: expected a nonzero finite value, got '0m'"),
+        (["point-source", "--wavenumber", "1e7", "--pupil-width", "1m", "--distance", "0m"],
+         "argument --distance: expected a nonzero finite value, got '0m'"),
         (["point-source", "--wavenumber", "-1", "--pupil-width", "1m", "--distance", "1km"],
-         "wavenumber must be positive, got -1.0"),
+         "argument --wavenumber: expected a positive finite value, got '-1'"),
         (["point-source", "--wavenumber", "nan", "--pupil-width", "1m",
-          "--distance", "200km"], "wavenumber must be finite, got nan"),
+          "--distance", "200km"],
+         "argument --wavenumber: expected a positive finite value, got 'nan'"),
         (["point-source", "--wavenumber", "inf", "--pupil-width", "1m",
-          "--distance", "200km"], "wavenumber must be finite, got inf"),
+          "--distance", "200km"],
+         "argument --wavenumber: expected a positive finite value, got 'inf'"),
+        (["point-source", "--wavenumber", "1e7", "--pupil-width", "1m", "--distance", "1km",
+          "--detections", "1" + "0" * 400],
+         f"argument --detections: integer {'1' + '0' * 400!r} overflows a double"),
         (["simulate", *UNIT_BEAM, "--plane", "0m", "--n-per-trial", "10", "--trials", "2"],
          "plane 0.0 has |d ln f_out / dz| = 0.0; no usable axial signal (the plane is set "
          "by --plane)"),
@@ -1006,7 +1034,9 @@ _CONFIG_FILES = {
     ],
     ids=["seed-text", "seed-range", "int-text", "int-zero", "zmax", "scan-steps",
          "density-steps", "rmax", "one-relay-flag", "scan-without-relay", "wavelength",
-         "rayleigh-range", "waist-underflow", "waist-overflow", "focal", "wavenumber", "wavenumber-nan", "wavenumber-inf",
+         "negative-wavelength-with-rayleigh-range", "rayleigh-range", "focal",
+         "zero-distance", "wavenumber", "wavenumber-nan", "wavenumber-inf",
+         "detections-past-a-double",
          "uninformative-plane", "config-true-line", "config-malformed",
          "config-before-subcommand"],
 )
@@ -1043,10 +1073,16 @@ def test_deterministic_commands_reject_unused_flags(argv, capsys, tmp_path, monk
 _TINY_FOCAL = ("--focal", "1e-300m", "--object-distance", "5m")
 _TINY_RAYLEIGH = ("--waist", "1e-80m", "--rayleigh-range", "1e-160m",
                   "--focal", "1m", "--object-distance", "5m")
-_TINY_RAYLEIGH_MESSAGE = (
-    "--rayleigh-range 1e-160 m is too short for double precision behind this relay: "
-    "the optimal planes f + f^2 / (s -+ z_R) are 1.25 m and 1.25 m, where F/Q is 0.0 "
-    "and 0.0 instead of 1"
+_INFORMATION_MESSAGE = (
+    "{} give the information 1 / z_R^2 = {} /m^2, which is out of double range"
+)
+_TINY_RAYLEIGH_MESSAGE = _INFORMATION_MESSAGE.format(
+    "--waist 1e-80 m and --rayleigh-range 1e-160 m", "inf")
+_RELAY_RAYLEIGH = ("--wavelength", "1um", "--rayleigh-range", "1e-150m", *RELAY)
+_RELAY_RAYLEIGH_MESSAGE = (
+    "--wavelength 1e-06 m and --rayleigh-range {} m give z_R = {} m, too short for double "
+    "precision behind this relay: the optimal planes f + f^2 / (s -+ z_R) are {} m and {} m, "
+    "where F/Q is {} and {} instead of 1"
 )
 _LONG_FOCAL = ("--wavelength", "1um", "--waist", "1mm", "--object-distance", "5m",
                "--focal", "1e200m")
@@ -1054,22 +1090,22 @@ _LONG_FOCAL_MESSAGE = (
     "--focal 1e+200 m is too long for double precision: the optimal planes "
     "f + f^2 / (s -+ z_R) overflow"
 )
-_FREE_TINY_RAYLEIGH_MESSAGE = (
-    "--rayleigh-range {} m is too short for double precision: the information "
-    "1 / z_R^2 overflows"
-)
 _WIDE_WAIST = ("--wavelength", "1um", "--waist", "1e160m")
 _WIDE_WAIST_MESSAGE = (
-    "--waist 1e+160 m is too wide for double precision at --wavelength 1e-06 m: the "
-    "Rayleigh range pi w0^2 / lambda overflows"
+    "--wavelength 1e-06 m and --waist 1e+160 m give the Rayleigh range z_R = inf m, "
+    "which is out of double range"
 )
 _POINT_SOURCE_MESSAGE = (
     "--distance {0} m is out of double range for this pupil: Q = k^2 w_l^4 / (4 z^4) = {1} "
     "/m^2, and the precision 1 / sqrt(n Q) = {2} m at n = 1 and {2} m at --detections 1"
 )
 _DERIVED_WAIST_MESSAGE = (
-    "--wavelength {} m and --rayleigh-range {} m give the waist sqrt(lambda z_R / pi) = "
-    "{} m, which is out of double range"
+    "--wavelength {} m and --rayleigh-range {} m give the waist w0 = {} m, which is out "
+    "of double range"
+)
+_DERIVED_WAVELENGTH_MESSAGE = (
+    "--waist {} m and --rayleigh-range {} m give the wavelength lambda = {} m, which is "
+    "out of double range"
 )
 _FAR_PLANE_MESSAGE = (
     "--plane 1e+200 m is too far for double precision: the squared beam width there "
@@ -1105,18 +1141,26 @@ _FAR_PLANE_MESSAGE = (
         (["simulate", *_LONG_FOCAL, "--n-per-trial", "10", "--trials", "2"],
          _LONG_FOCAL_MESSAGE),
         (["optimal-plane", "--waist", "1e-85m", "--rayleigh-range", "1e-170m", *RELAY],
-         "--rayleigh-range 1e-170 m is too short for double precision behind this relay: "
-         "the optimal planes f + f^2 / (s -+ z_R) are 1.25 m and 1.25 m, where F/Q is nan "
-         "and nan instead of 1"),
+         _INFORMATION_MESSAGE.format("--waist 1e-85 m and --rayleigh-range 1e-170 m", "inf")),
+        (["optimal-plane", *_RELAY_RAYLEIGH],
+         _RELAY_RAYLEIGH_MESSAGE.format("1e-150", "9.999999999999997e-151", "1.25", "1.25",
+                                        "0.0", "0.0")),
+        (["fi-scan", *_RELAY_RAYLEIGH, "--zmin", "0.5m", "--zmax", "2m"],
+         _RELAY_RAYLEIGH_MESSAGE.format("1e-150", "9.999999999999997e-151", "1.25", "1.25",
+                                        "0.0", "0.0")),
+        (["optimal-plane", "--wavelength", "1um", "--rayleigh-range", "1e-153m",
+          "--focal=-3e-161m", "--object-distance", "6e-152m"],
+         _RELAY_RAYLEIGH_MESSAGE.format("1e-153", "1e-153", "-2.999999998475933e-161",
+                                        "-2.9999999985259023e-161", "nan", "nan")),
         (["fi-density", "--waist", "1e-80m", "--rayleigh-range", "1e-160m"],
-         _FREE_TINY_RAYLEIGH_MESSAGE.format("1e-160")),
+         _TINY_RAYLEIGH_MESSAGE),
         (["fi-density", "--waist", "1e-85m", "--rayleigh-range", "1e-170m"],
-         _FREE_TINY_RAYLEIGH_MESSAGE.format("1e-170")),
+         _INFORMATION_MESSAGE.format("--waist 1e-85 m and --rayleigh-range 1e-170 m", "inf")),
         (["simulate", "--waist", "1e-80m", "--rayleigh-range", "1e-160m",
-          "--n-per-trial", "10", "--trials", "2"],
-         _FREE_TINY_RAYLEIGH_MESSAGE.format("1e-160")),
+          "--n-per-trial", "10", "--trials", "2"], _TINY_RAYLEIGH_MESSAGE),
         (["reproduce-experiment", "--rayleigh-range", "1e-170m", "--trials", "2"],
-         _FREE_TINY_RAYLEIGH_MESSAGE.format("1.0000000000000002e-170")),
+         _INFORMATION_MESSAGE.format("--wavelength 6.328e-07 m and --rayleigh-range 1e-170 m",
+                                     "inf")),
         (["fi-density", *_WIDE_WAIST], _WIDE_WAIST_MESSAGE),
         (["simulate", *_WIDE_WAIST, "--n-per-trial", "10", "--trials", "2"],
          _WIDE_WAIST_MESSAGE),
@@ -1126,8 +1170,9 @@ _FAR_PLANE_MESSAGE = (
         (["simulate", "--wavelength", "1um", "--waist", "1mm", *RELAY, "--plane", "1e200m",
           "--n-per-trial", "10", "--trials", "2"], _FAR_PLANE_MESSAGE),
         (["fi-density", "--wavelength", "1um", "--rayleigh-range", "1e-150m"],
-         "--rayleigh-range 9.999999999999997e-151 m is too short for double precision at "
-         "this plane: the information density r p(r) (d ln w^2 / dz)^2 overflows"),
+         "--wavelength 1e-06 m and --rayleigh-range 1e-150 m give z_R = "
+         "9.999999999999997e-151 m, too short for double precision at this plane: the "
+         "information density r p(r) (d ln w^2 / dz)^2 overflows"),
         (["fi-density", "--wavelength", "1um", "--waist", "1mm", "--rmax", "1e200m"],
          "--rmax 1e+200 m is too large for double precision: 2 r^2 / w^2 overflows"),
         (["fi-density", "--wavelength", "1um", "--waist", "1mm", "--rmax", "1km"],
@@ -1144,16 +1189,26 @@ _FAR_PLANE_MESSAGE = (
          _DERIVED_WAIST_MESSAGE.format("1e+200", "1e+200", "inf")),
         (["reproduce-experiment", "--wavelength", "1e-200m", "--rayleigh-range", "1e-200m"],
          _DERIVED_WAIST_MESSAGE.format("1e-200", "1e-200", "0.0")),
+        (["fi-density", "--waist", "1e-200m", "--rayleigh-range", "1e-200m"],
+         _DERIVED_WAVELENGTH_MESSAGE.format("1e-200", "1e-200", "0.0")),
+        (["fi-density", "--waist", "1e160m", "--rayleigh-range", "1m"],
+         _DERIVED_WAVELENGTH_MESSAGE.format("1e+160", "1.0", "inf")),
         (["fi-density", "--wavelength", "1um", "--waist", "1e-81m"],
-         "the Rayleigh range 3.1415926535897934e-156 m of --waist and --wavelength is too "
-         "short for double precision: the information 1 / z_R^2 overflows"),
+         _INFORMATION_MESSAGE.format("--wavelength 1e-06 m and --waist 1e-81 m", "inf")),
         (["reproduce-experiment", "--rayleigh-range", "1e300m", "--trials", "2"],
-         "--rayleigh-range 9.999999999999999e+299 m is too long for double precision: "
-         "the information 1 / z_R^2 underflows"),
+         _INFORMATION_MESSAGE.format("--wavelength 6.328e-07 m and --rayleigh-range 1e+300 m",
+                                     "0.0")),
         (["simulate", "--wavelength", "1um", "--waist", "1mm", "--delta", "1e300m",
           "--trials", "2"],
-         "--delta 1e+300 m is too far for double precision: the squared beam width at the "
-         "displaced object overflows"),
+         "--delta 1e+300 m: the true squared width width_sq overflows a double"),
+        (["simulate", "--wavelength", "1um", "--waist", "1mm", "--delta", "1e6m",
+          "--n-per-trial", "1000", "--trials", "3"],
+         "--delta 1000000.0 m: the fraction estimator flags 3 of --trials 3, too many for a "
+         "mean and std"),
+        (["reproduce-experiment", "--n-per-trial", "573", "--trials", "2",
+          "--deltas=-0.050660106091398135m"],
+         "--deltas -0.050660106091398135 m: the fraction estimator flags 2 of --trials 2, "
+         "too many for a mean and std"),
         (["simulate", "--wavelength", "1um", "--waist", "1mm", "--delta", "1e10m",
           "--n-per-trial", "1000", "--trials", "2"],
          "--delta 10000000000.0 m: boundary radius r_b=0.001 at width_sq=10132118357867.578 "
@@ -1166,6 +1221,8 @@ _FAR_PLANE_MESSAGE = (
          "simulate-tiny-rayleigh-range", "fi-scan-long-focal", "fi-density-long-focal",
          "optimal-plane-long-focal", "simulate-long-focal",
          "optimal-plane-rayleigh-range-squared-underflows",
+         "optimal-plane-relay-rayleigh-range-too-short",
+         "fi-scan-relay-rayleigh-range-too-short", "optimal-plane-relay-width-law-underflows",
          "free-fi-density-tiny-rayleigh-range",
          "free-fi-density-rayleigh-range-squared-underflows",
          "free-simulate-tiny-rayleigh-range", "reproduce-tiny-rayleigh-range",
@@ -1174,8 +1231,10 @@ _FAR_PLANE_MESSAGE = (
          "fi-density-information-density-overflows", "fi-density-huge-rmax",
          "fi-density-rmax-past-the-beam", "point-source-far", "point-source-near",
          "fi-density-derived-waist-underflows", "simulate-derived-waist-overflows",
-         "reproduce-derived-waist-underflows", "free-derived-rayleigh-range-too-short",
+         "reproduce-derived-waist-underflows", "fi-density-derived-wavelength-underflows",
+         "fi-density-derived-wavelength-overflows", "free-derived-rayleigh-range-too-short",
          "reproduce-rayleigh-range-too-long", "simulate-delta-past-double-range",
+         "simulate-every-trial-flagged", "reproduce-every-trial-flagged",
          "simulate-delta-past-the-sampler"],
 )
 def test_numerical_limits_exit_two_with_the_message(argv, message, tmp_path, monkeypatch,
@@ -1295,7 +1354,33 @@ def _sweep_argv(rng: random.Random) -> list[str]:
             f"--deltas={deltas}"]
 
 
-_SWEEP = [_sweep_argv(random.Random(f"sweep-{case}")) for case in range(300)]
+#: The flags whose values ``_edge_argv`` replaces.
+_EDGE_FLAGS = {"--wavelength", "--waist", "--rayleigh-range", "--focal", "--object-distance",
+               "--zmin", "--zmax", "--plane", "--rmax", "--wavenumber", "--pupil-width",
+               "--distance", "--detections", "--delta", "--deltas"}
+
+
+def _edge_argv(rng: random.Random) -> list[str]:
+    """A ``_sweep_argv`` command line with one to three of its lengths,
+    wavenumbers or detection counts replaced by a value at or past the
+    edge of its domain: zero, negative, unparseable as a length (nan,
+    inf) or past double range, and detection counts up to 10^400."""
+    argv = _sweep_argv(rng)
+    slots = [i for i, token in enumerate(argv) if token.split("=", 1)[0] in _EDGE_FLAGS]
+    for i in rng.sample(slots, min(len(slots), rng.randint(1, 3))):
+        name = argv[i].split("=", 1)[0]
+        if name == "--detections":
+            value = str(rng.randint(1, 10 ** rng.randint(1, 400)))
+        else:
+            unit = "" if name == "--wavenumber" else "m"
+            negative = f"-{10.0 ** rng.uniform(-300.0, 300.0)!r}{unit}"
+            value = rng.choice([f"0{unit}", f"-0{unit}", negative, "nan", "inf", f"1e400{unit}"])
+        argv[i] = f"{name}={value}"
+    return argv
+
+
+_SWEEP = ([_sweep_argv(random.Random(f"sweep-{case}")) for case in range(300)]
+          + [_edge_argv(random.Random(f"sweep-edge-{case}")) for case in range(100)])
 
 #: Flags whose default a sweep case may leave at fault.
 _SWEEP_DEFAULTS = {"reproduce-experiment": {"--wavelength", "--rayleigh-range"}}
@@ -1312,8 +1397,9 @@ def _all_finite(value) -> bool:
 
 
 def test_sweep_exits_cleanly_with_finite_artifacts_or_a_named_flag(tmp_path, capsys):
-    """300 fixed command lines, over all six commands, with lengths across
-    the double range.  Each exits 0, 1 or 2; an exit-0 run writes only
+    """400 fixed command lines, over all six commands, with lengths across
+    the double range, and in the last 100 of them values at or past the
+    edges of their flags' domains.  Each exits 0, 1 or 2; an exit-0 run writes only
     finite values (JSON writes a non-finite value as null); any other exit
     names a flag the run passed, or one whose default was at fault."""
     faults = []

@@ -307,6 +307,18 @@ def test_statistics_sampler_empty_exposure_and_validation():
         _one_exposure(1.0, -1, 0.5, seed=0)
 
 
+def test_statistics_sampler_names_a_width_past_double_range():
+    """A positive width that overflowed is a numerical limit, which the
+    CLI reports with the displacement that caused it; a width that is not
+    positive stays a plain ValueError."""
+    with pytest.raises(NumericalLimitError, match="width_sq overflows a double"):
+        _one_exposure(math.inf, 10, 0.5, seed=0)
+    for width_sq in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="width_sq must be positive") as caught:
+            _one_exposure(width_sq, 10, 0.5, seed=0)
+        assert not isinstance(caught.value, NumericalLimitError)
+
+
 def test_statistics_sampler_names_r_b_past_the_outside_sum_limit():
     # c = 1e-13 at 10^6 photons: the outside sum G would exceed numpy's
     # negative-binomial range.
