@@ -142,16 +142,21 @@ def parse_delta_list(text: str) -> list[float]:
     return [parse_length(piece) for piece in items]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    if value > sys.float_info.max:
-        raise argparse.ArgumentTypeError(f"integer {text!r} overflows a double")
-    return value
+def _at_least(minimum: int):
+    """The domain of an integer flag: integers from ``minimum`` up that
+    fit in a double, decided as the flag is parsed."""
+    def at_least(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            kind = "a positive integer" if minimum == 1 else f"an integer of at least {minimum}"
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {value}")
+        if value > sys.float_info.max:
+            raise argparse.ArgumentTypeError(f"integer {text!r} overflows a double")
+        return value
+    return at_least
 
 
 def _restricted(parse, signed: bool = False):
@@ -437,9 +442,6 @@ def cmd_fi_scan(args) -> int:
     relay = relay_from_args(args, beam, required=True)
     if not args.zmax > args.zmin:
         raise UsageError("--zmax must exceed --zmin")
-    if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
-
     planes = np.linspace(args.zmin, args.zmax, args.steps)
     try:
         scan = scan_image_fi(beam, relay, planes)
@@ -473,8 +475,6 @@ def cmd_fi_density(args) -> int:
         raise UninformativePlaneError(
             f"plane {plane!r} has zero axial sensitivity; no information density"
         )
-    if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
     rmax = args.rmax if args.rmax is not None else 3.0 * math.sqrt(w_sq)
     if not 2.0 * rmax * rmax / w_sq < math.inf:
         raise NumericalLimitError(
@@ -642,12 +642,12 @@ def _run_displaced(config: TrialConfig, flag: str, *more: str) -> list[TrialRepo
     """``run_trials``, and its exposures read by the ``more`` estimators.
     Their numerical limits, which only a far displacement causes, name
     ``flag``: a displaced width past double range, a draw past the
-    sampler's range, or fewer than min(2, trials) unflagged trials."""
+    sampler's range, or fewer than two unflagged trials."""
     try:
         first = run_trials(config)
         reports = [first, *(first.with_estimator(name) for name in more)]
         for report in reports:
-            if report.flagged_count > max(config.trials - 2, 0):
+            if report.flagged_count > config.trials - 2:
                 raise NumericalLimitError(
                     f"the {report.config.estimator} estimator flags {report.flagged_count} "
                     f"of --trials {config.trials}, too many for a mean and std")
@@ -795,7 +795,7 @@ def build_parser() -> _Parser:
                       help="first detector plane (from the lens)")
     scan.add_argument("--zmax", type=parse_length, required=True,
                       help="last detector plane (from the lens)")
-    scan.add_argument("--steps", type=_positive_int, default=201)
+    scan.add_argument("--steps", type=_at_least(2), default=201)
     scan.set_defaults(func=cmd_fi_scan)
 
     density = sub.add_parser("fi-density", help="radial information density")
@@ -807,7 +807,7 @@ def build_parser() -> _Parser:
                          "optimal plane behind a relay)")
     density.add_argument("--rmax", type=_restricted(parse_length), default=None,
                          help="largest radius (default: 3 beam widths)")
-    density.add_argument("--steps", type=_positive_int, default=400)
+    density.add_argument("--steps", type=_at_least(2), default=400)
     density.set_defaults(func=cmd_fi_density)
 
     optimal = sub.add_parser("optimal-plane", help="optimal detector planes")
@@ -822,7 +822,7 @@ def build_parser() -> _Parser:
                        help="wavenumber k in 1/m")
     point.add_argument("--pupil-width", type=_restricted(parse_length), required=True)
     point.add_argument("--distance", type=_restricted(parse_length, signed=True), required=True)
-    point.add_argument("--detections", type=_positive_int, default=1)
+    point.add_argument("--detections", type=_at_least(1), default=1)
     point.set_defaults(func=cmd_point_source)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo estimator benchmark")
@@ -834,8 +834,8 @@ def build_parser() -> _Parser:
                           "optimal plane behind a relay)")
     simulate.add_argument("--delta", type=parse_length, default=0.0,
                           help="true displacement from the nominal plane")
-    simulate.add_argument("--n-per-trial", type=_positive_int, default=100_000)
-    simulate.add_argument("--trials", type=_positive_int, default=200)
+    simulate.add_argument("--n-per-trial", type=_at_least(1), default=100_000)
+    simulate.add_argument("--trials", type=_at_least(2), default=200)
     simulate.add_argument("--estimator",
                           choices=("fraction", "fraction-absolute", "mle"),
                           default="fraction")
@@ -852,13 +852,13 @@ def build_parser() -> _Parser:
                            default=_PRESET_WAVELENGTH)
     reproduce.add_argument("--rayleigh-range", type=_restricted(parse_length),
                            default=_PRESET_RAYLEIGH)
-    reproduce.add_argument("--n-per-trial", type=_positive_int,
+    reproduce.add_argument("--n-per-trial", type=_at_least(1),
                            default=_PRESET_N_PER_TRIAL)
-    reproduce.add_argument("--trials", type=_positive_int, default=_PRESET_TRIALS)
+    reproduce.add_argument("--trials", type=_at_least(2), default=_PRESET_TRIALS)
     reproduce.add_argument("--deltas", type=parse_delta_list,
                            default=_PRESET_DELTAS,
                            help="comma-separated displacements, e.g. 10nm,1650nm")
-    reproduce.add_argument("--workers", type=_positive_int, default=1)
+    reproduce.add_argument("--workers", type=_at_least(1), default=1)
     reproduce.add_argument("--check", action="store_true",
                            help="verify stds and bias against the bounds; "
                            "exit 3 on failure")

@@ -236,9 +236,9 @@ def classical_fi_numeric(
     ``step`` is the finite-difference step in meters; for a width law of
     axial scale ``scale``, ``max(1e-6 * scale, 1e-12)`` works.
 
-    The integral is a Gauss-Laguerre rule of scale w = sqrt(w^2(z)),
-    taken on 48 and on 96 nodes, with the five intensities (the centre and
-    the stencil) evaluated once on both node sets
+    The integral is taken on both radial rules of ``numerics.RULES`` at
+    scale w = sqrt(w^2(z)), with the five intensities (the centre and the
+    stencil) evaluated once on both node sets
     (``numerics.stacked_radial_rule``), as the rows of one array.
     Their gap is the error estimate, checked by
     ``numerics.check_rule_gap`` above a roundoff floor of
@@ -420,12 +420,13 @@ def info_boundary(width_sq: float) -> float:
 def info_fraction_outside(width_sq: float, r_b: float) -> float:
     """Fraction of the classical information carried by radii beyond r_b.
 
-    Ratio of two Gauss-Laguerre sums of the radial density
+    Ratio of two sums of the radial density on the fine radial rule
     (``numerics.stacked_radial_rule``), over [r_b, inf) and over
     [0, inf); the slope factor cancels, so the result depends only on
     r_b / w.  In u = 2 (r^2 - r_b^2) / w^2 the density is e^{-u} times a
-    quadratic in u, which the rule integrates exactly, so the 48/96-node
-    gap is roundoff.
+    quadratic in u, which the fine rule integrates within 4e-15 and the
+    coarse one within 4e-13 (relative, for 2 r_b^2 / w^2 up to 30), so
+    the gap check passes with a wide margin.
     """
     if width_sq <= 0.0:
         raise ValueError(f"width_sq must be positive, got {width_sq}")
@@ -502,16 +503,17 @@ def qfi_pure_state(
     which removes any piston phase before differencing; the result is
     gauge invariant, so this only improves conditioning.
 
-    Every inner product is a fixed Gauss-Laguerre rule in
-    u = 2 r^2 / s^2, where s is ``transverse_scale`` or, by default, the
-    radius where the central profile's amplitude falls to 1/e.  The field
+    Every inner product is taken on the fixed radial rules of
+    ``numerics.RULES`` in u = 2 r^2 / s^2, where s is
+    ``transverse_scale`` or, by default, the radius where the central
+    profile's amplitude falls to 1/e.  The field
     profiles must therefore accept an array of radii and return the
     complex field with the same shape (``beam_optics.FieldProfile``).
     Each field is evaluated once, on both node sets at once
     (``numerics.stacked_radial_rule``), and the four fields of a stencil
     are normalized, aligned and differenced as the rows of one array.
-    Q is computed on 48 and on 96 nodes, and the 96-node value is
-    returned.  Their gap is the error estimate: ``QuadratureError`` is
+    Q is computed on the coarse and on the fine rule, and the fine value
+    is returned.  Their gap is the error estimate: ``QuadratureError`` is
     raised when it exceeds ``numerics.RULE_TOL`` |Q| (plus a roundoff
     floor that lets a frozen family return Q = 0), e.g. when
     ``transverse_scale`` is far from the field's actual width.
@@ -519,7 +521,7 @@ def qfi_pure_state(
     By default the step is chosen from one probe field at h0 = 1e-3 |z|
     (an explicit step is required at z = 0): sqrt(Q) is the state's rate
     of change, so the truncation error scales like (sqrt(Q) step)^4, and
-    the probe's overlap with the central field on the 96-node rule gives
+    the probe's overlap with the central field on the fine rule gives
     that rate as speed = 2 arccos |overlap| / h0, the Bures angle being
     sqrt(Q) h0 / 2 to second order.  The one stencil then runs at
     0.01 / speed when speed h0 > 0.02, and at h0 otherwise.  An

@@ -5,8 +5,8 @@ over [0, 20 s], with s the transverse scale, where a field whose
 amplitude falls to 1/e at s has |psi|^2 below e^-800 beyond.  It shares
 the Richardson stencil, the renormalization, the gauge alignment and the
 probe that picks the default step with ``fisher.qfi_pure_state``, and
-nothing of its Gauss-Laguerre rule, so the tests use it as the oracle for
-that rule.
+nothing of its fixed radial rules (``numerics.RULES``), so the tests use
+it as the oracle for those rules.
 """
 
 from __future__ import annotations

@@ -989,12 +989,19 @@ _CONFIG_FILES = {
         (["simulate", *SMALL_BEAM, "--trials", "x"],
          "argument --trials: expected an integer, got 'x'"),
         (["simulate", *SMALL_BEAM, "--trials", "0"],
-         "argument --trials: expected a positive integer, got 0"),
+         "argument --trials: expected an integer of at least 2, got 0"),
+        (["simulate", *SMALL_BEAM, "--n-per-trial", "0"],
+         "argument --n-per-trial: expected a positive integer, got 0"),
         (["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "1m", "--zmax", "1m"],
          "--zmax must exceed --zmin"),
+        (["simulate", *SMALL_BEAM, "--trials", "1"],
+         "argument --trials: expected an integer of at least 2, got 1"),
+        (["reproduce-experiment", "--trials", "1"],
+         "argument --trials: expected an integer of at least 2, got 1"),
         (["fi-scan", *UNIT_BEAM, *RELAY, "--zmin", "0m", "--zmax", "1m", "--steps", "1"],
-         "--steps must be at least 2"),
-        (["fi-density", *UNIT_BEAM, "--steps", "1"], "--steps must be at least 2"),
+         "argument --steps: expected an integer of at least 2, got 1"),
+        (["fi-density", *UNIT_BEAM, "--steps", "1"],
+         "argument --steps: expected an integer of at least 2, got 1"),
         (["fi-density", *UNIT_BEAM, "--rmax", "0m"],
          "argument --rmax: expected a positive finite value, got '0m'"),
         (["simulate", *SMALL_BEAM, "--focal", "1m"],
@@ -1032,7 +1039,9 @@ _CONFIG_FILES = {
         (["--config", "check.cfg", "simulate", *SMALL_BEAM],
          "--config requires a subcommand"),
     ],
-    ids=["seed-text", "seed-range", "int-text", "int-zero", "zmax", "scan-steps",
+    ids=["seed-text", "seed-range", "int-text", "int-zero", "n-per-trial-zero",
+         "simulate-trials-one",
+         "reproduce-trials-one", "zmax", "scan-steps",
          "density-steps", "rmax", "one-relay-flag", "scan-without-relay", "wavelength",
          "negative-wavelength-with-rayleigh-range", "rayleigh-range", "focal",
          "zero-distance", "wavenumber", "wavenumber-nan", "wavenumber-inf",

@@ -128,9 +128,10 @@ def test_quadrature_route_matches_closed_form_on_a_grid():
 
 
 def test_score_integral_gap_is_well_inside_its_roundoff_floor(monkeypatch):
-    """On criterion 1's 61 planes the 48/96-node gap of the score integral
-    stays within a quarter of its floor 100 sqrt(F) eps / step, while it
-    exceeds 1e-10 F, the rule tolerance alone, on some of them."""
+    """On criterion 1's 61 planes the gap between the two radial rules of
+    the score integral stays within a quarter of its floor
+    100 sqrt(F) eps / step, while it exceeds 1e-10 F, the rule tolerance
+    alone, on some of them."""
     gaps = []
     check = fisher.check_rule_gap
 
@@ -552,7 +553,7 @@ def test_fraction_outside_matches_closed_form(r_over_w):
 
 def test_closed_form_fraction_matches_the_quadrature():
     """``info_fraction_beyond`` (what ``fi-density`` writes) against the
-    Gauss-Laguerre ratio of ``info_fraction_outside`` over c in [0, 30]."""
+    quadrature ratio of ``info_fraction_outside`` over c in [0, 30]."""
     for c in np.linspace(0.0, 30.0, 301):
         r_b = math.sqrt(0.5 * c)
         closed = fisher.info_fraction_beyond(2.0 * r_b * r_b)
@@ -742,7 +743,7 @@ ORACLE_IDS = ["orbit", "bench", "mid", "mid-z8", "hene+zR", "hene-zR", "hene+3zR
 
 @pytest.mark.parametrize("family,z", ORACLE_CASES, ids=ORACLE_IDS)
 def test_pure_state_rule_matches_adaptive_quadrature(family, z):
-    """The fixed Gauss-Laguerre rule reproduces the adaptive route; both
+    """The fixed radial rule reproduces the adaptive route; both
     share the finite-difference stencil, so the gap is quadrature only."""
     fixed = qfi_pure_state(family, z)
     oracle = adaptive_qfi_pure_state(family, z)
@@ -752,7 +753,7 @@ def test_pure_state_rule_matches_adaptive_quadrature(family, z):
 @pytest.mark.parametrize("factor", [10.0, 0.1])
 def test_pure_state_rejects_a_mismatched_transverse_scale(factor):
     """A rule sized 10x too wide or too narrow for the pupil cannot
-    resolve its inner products, and the 48/96-node gap says so."""
+    resolve its inner products, and the gap between the two rules says so."""
     family = pupil_field_family(0.05, 1e6)
     with pytest.raises(QuadratureError) as excinfo:
         qfi_pure_state(family, 10.0, transverse_scale=factor * 0.05)
