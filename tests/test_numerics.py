@@ -86,6 +86,30 @@ def test_radial_rules_are_accurate_for_gaussian_windowed_integrands(scale):
                     exact, rel=EXPONENTIAL_TOL[which])
 
 
+@pytest.mark.parametrize("seed", [48, 96])
+@pytest.mark.parametrize("scale", [1.0, 3.7e-6])
+def test_radial_rule_is_exact_for_gaussian_times_polynomial(seed, scale):
+    """integral exp(-u) p(u) 2 pi r dr over u >= c, for p of degree 5
+    with positive coefficients a_m drawn from ``seed``, is sum_m a_m
+    times the monomial integral above, and each rule reaches it within
+    its polynomial tolerance: positive coefficients keep the relative
+    error within the largest monomial's."""
+    rng = np.random.default_rng(seed)
+    for c in (0.0, 0.5, 1.0, 4.0):
+        monomials = [0.5 * math.pi * scale**2 * math.exp(-c) * sum(
+            math.factorial(m) / math.factorial(k) * c**k for k in range(m + 1))
+            for m in range(6)]
+        for _ in range(5):
+            coefficients = rng.uniform(0.0, 1.0, 6)
+            exact = float(np.dot(coefficients, monomials))
+            for which in (0, 1):
+                radii, weights = _rule(scale, which, scale * math.sqrt(0.5 * c))
+                u = 2.0 * radii**2 / scale**2
+                polynomial = np.polynomial.polynomial.polyval(u, coefficients)
+                value = np.dot(weights, np.exp(-u) * polynomial)
+                assert value == pytest.approx(exact, rel=POLYNOMIAL_TOL[which])
+
+
 def test_unit_rules_are_their_formula_correctly_rounded():
     """Every unit radius and weight is within half an ulp of its formula,
     taken here in 50-digit decimal arithmetic and arranged differently:
@@ -108,12 +132,15 @@ def test_unit_rules_are_their_formula_correctly_rounded():
                     assert abs(decimal.Decimal(value) - exact) <= half_ulp
 
 
-def test_radial_rule_from_zero_is_the_plain_rule():
+@pytest.mark.parametrize("seed", [48, 96])
+def test_radial_rule_from_zero_is_the_plain_rule(seed):
     """hypot(0, x) is x, so the rule from r = 0 has the unit rule's radii
-    times the scale, bit for bit, and a negative lower radius is refused."""
+    times the scale, bit for bit, at fixed scales and at scales drawn
+    log-uniformly from ``seed``, and a negative lower radius is refused."""
     unit_radii, unit_weights, parts = numerics._unit_rules()
+    drawn = 10.0 ** np.random.default_rng(seed).uniform(-9.0, 3.0, 8)
     for which, part in enumerate(parts):
-        for scale in (1.0, 3.7e-6, 0.3):
+        for scale in (1.0, 3.7e-6, 0.3, *drawn):
             radii, weights = _rule(scale, which)
             assert np.array_equal(radii, scale * unit_radii[part])
             assert np.array_equal(weights, (scale * scale) * unit_weights[part])
