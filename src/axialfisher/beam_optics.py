@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .numerics import libm_exp
+
 
 @dataclass(frozen=True)
 class BeamParams:
@@ -152,13 +154,14 @@ def intensity_pdf(width_sq: float, r):
     of radii) for a beam of squared width ``width_sq``.
 
     p(r) = 2 / (pi w^2) * exp(-2 r^2 / w^2), with
-    integral of p(r) * 2 pi r dr over [0, inf) equal to one.
+    integral of p(r) * 2 pi r dr over [0, inf) equal to one.  The
+    exponential is ``numerics.libm_exp``, the same bits on every CPU.
     """
     if width_sq <= 0.0:
         raise ValueError(f"width_sq must be positive, got {width_sq}")
     if np.any(np.asarray(r) < 0.0):
         raise ValueError(f"radius must be nonnegative, got {np.min(r)}")
-    return 2.0 / (math.pi * width_sq) * np.exp(-2.0 * r * r / width_sq)
+    return 2.0 / (math.pi * width_sq) * libm_exp(-2.0 * r * r / width_sq)
 
 
 def relay_transform(beam: BeamParams, relay: RelaySystem) -> ImageBeam:

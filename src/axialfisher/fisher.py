@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,7 +47,11 @@ from .numerics import (
     NumericalLimitError,
     central_derivative,
     check_rule_gap,
+    libm_exp,
+    on_rule_nodes,
     stacked_radial_rule,
+    unit_rule_norms_sq,
+    unit_rule_sums,
 )
 
 #: Pinned relative step for axial finite differences, in units of the
@@ -239,7 +244,10 @@ def classical_fi_numeric(
     The integral is taken on both radial rules of ``numerics.RULES`` at
     scale w = sqrt(w^2(z)), with the five intensities (the centre and the
     stencil) evaluated once on both node sets
-    (``numerics.stacked_radial_rule``), as the rows of one array.
+    (``numerics.stacked_radial_rule``), as the rows of one array, with
+    one ``numerics.libm_exp`` call; the score is reduced once
+    (``numerics.unit_rule_sums``) and its two unit sums times w^2 are the
+    integral on each rule, the same bits on every CPU.
     Their gap is the error estimate, checked by
     ``numerics.check_rule_gap`` above a roundoff floor of
     100 sqrt(F) eps / ``step``: each p carries a few ulps, so d_z p
@@ -262,17 +270,17 @@ def classical_fi_numeric(
             raise ValueError(f"width_sq_fn returned {value!r} at z={z + offset!r}")
         widths_sq.append(value)
 
-    radii, rules = stacked_radial_rule(math.sqrt(w_sq))
+    radii = stacked_radial_rule(math.sqrt(w_sq))
     # The centre and stencil intensities as the rows of one array: the
     # arithmetic of ``intensity_pdf``, row by row.
     column = np.array(widths_sq)[:, np.newaxis]
-    p, *rows = 2.0 / (math.pi * column) * np.exp(-2.0 * radii * radii / column)
+    p, *rows = 2.0 / (math.pi * column) * libm_exp(-2.0 * radii * radii / column)
     stencil = dict(zip(offsets, rows))
     dp = central_derivative(lambda offset: stencil[offset], 0.0, step)
     # Far tail: p has underflowed, and the score with it.
     score = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
-    coarse, fine = (float(score[part] @ weights) for part, weights in rules)
-    floor = 100.0 * math.sqrt(abs(fine)) * np.finfo(float).eps / step
+    coarse, fine = (w_sq * unit_rule_sums(score)).tolist()
+    floor = 100.0 * math.sqrt(abs(fine)) * sys.float_info.epsilon / step
     return check_rule_gap(coarse, fine, floor, "score integral")
 
 
@@ -420,27 +428,37 @@ def info_boundary(width_sq: float) -> float:
 def info_fraction_outside(width_sq: float, r_b: float) -> float:
     """Fraction of the classical information carried by radii beyond r_b.
 
-    Ratio of two sums of the radial density on the fine radial rule
-    (``numerics.stacked_radial_rule``), over [r_b, inf) and over
-    [0, inf); the slope factor cancels, so the result depends only on
-    r_b / w.  In u = 2 (r^2 - r_b^2) / w^2 the density is e^{-u} times a
-    quadratic in u, which the fine rule integrates within 4e-15 and the
-    coarse one within 4e-13 (relative, for 2 r_b^2 / w^2 up to 30), so
-    the gap check passes with a wide margin.
+    Ratio of two sums of the radial density on the fine radial rule,
+    over [r_b, inf) and over [0, inf), taken as the two rows of one array
+    of radii (``numerics.stacked_radial_rule``) with one
+    ``numerics.libm_exp`` call and one reduction
+    (``numerics.unit_rule_sums``); the slope factor cancels, so the
+    result depends only on r_b / w.  In u = 2 (r^2 - r_b^2) / w^2 the
+    density is e^{-u} times a quadratic in u, which the fine rule
+    integrates within 4e-15 and the coarse one within 4e-13 (relative,
+    for 2 r_b^2 / w^2 up to 30), so the gap check passes with a wide
+    margin.  A ``width_sq`` or ``r_b`` that is not a finite number raises
+    ``ValueError``.
     """
-    if width_sq <= 0.0:
+    if not width_sq > 0.0:
         raise ValueError(f"width_sq must be positive, got {width_sq}")
-    if r_b < 0.0:
+    if not math.isfinite(width_sq):
+        raise ValueError(f"width_sq must be finite, got {width_sq}")
+    if not r_b >= 0.0:
         raise ValueError(f"boundary radius must be nonnegative, got {r_b}")
-
-    def integral(lower: float, what: str) -> float:
-        radii, rules = stacked_radial_rule(math.sqrt(width_sq), lower)
-        t = 2.0 * radii * radii / width_sq - 1.0
-        density = intensity_pdf(width_sq, radii) * t * t
-        sums = (float(density[part] @ weights) for part, weights in rules)
-        return check_rule_gap(*sums, 0.0, what)
-
-    return integral(r_b, "outside information") / integral(0.0, "total information")
+    if not math.isfinite(r_b):
+        raise ValueError(f"boundary radius must be finite, got {r_b}")
+    # The integrals over [r_b, inf) and over [0, inf) as the two rows of
+    # one array: one exp and one reduction for both.  With u = 2 r^2 / w^2
+    # the density is 2 / (pi w^2) e^{-u} (u - 1)^2, and the rules' weights
+    # carry w^2.
+    scale = math.sqrt(width_sq)
+    radii = np.array((stacked_radial_rule(scale, r_b), stacked_radial_rule(scale)))
+    u = 2.0 * radii * radii / width_sq
+    t = u - 1.0
+    outside, total = ((2.0 / math.pi) * unit_rule_sums(libm_exp(-u) * (t * t))).tolist()
+    return (check_rule_gap(*outside, 0.0, "outside information")
+            / check_rule_gap(*total, 0.0, "total information"))
 
 
 def info_fraction_beyond(c: float) -> float:
@@ -475,15 +493,70 @@ def _estimate_transverse_scale(profile: FieldProfile) -> float:
             "on axis; pass transverse_scale explicitly"
         )
     # Far out on the ladder a profile may overflow or lose its phase to
-    # nan; those radii lie past its scale or count as not decayed.
+    # nan; those radii lie past its scale or count as not decayed.  A
+    # profile that ignores r gives one value for the whole ladder.
     with np.errstate(all="ignore"):
-        below = np.abs(profile(_SCALE_LADDER)) < center / math.e
-    below = np.broadcast_to(below, _SCALE_LADDER.shape)
-    if not below.any():
+        below = (np.abs(profile(_SCALE_LADDER)) < center / math.e).ravel()
+    first = int(below.argmax())
+    if not below[first]:
         raise NumericalLimitError(
             "field profile does not decay; cannot infer a transverse scale"
         )
-    return float(_SCALE_LADDER[np.argmax(below)])
+    return float(_SCALE_LADDER[first])
+
+
+# qfi_pure_state's fields are rows on the stacked radii of both rules,
+# and every inner product is on the rules' unit weights, so the common
+# scale^2 of the weights cancels from the normalized fields and from Q.
+# The few values each reduction gives are checked and combined as Python
+# numbers.
+
+
+def _fields_on(profiles: Sequence[FieldProfile], radii: np.ndarray):
+    """One row per profile, its field on ``radii``, and the squared norm
+    of each row on each rule, checked positive and finite."""
+    fields = np.empty((len(profiles), radii.size), dtype=complex)
+    for row, profile in zip(fields, profiles):
+        row[...] = profile(radii)
+    norm_sq = unit_rule_norms_sq(fields)
+    for value in norm_sq.ravel().tolist():
+        if not 0.0 < value < math.inf:
+            raise NormalizationDriftError(
+                f"field norm^2 = {value!r} is not a positive finite number",
+                drift=float("inf"),
+            )
+    return fields, norm_sq
+
+
+def _check_drift(norm_sq: np.ndarray) -> None:
+    """``norm_sq``, renormalized fields' squared norms on each rule, are 1
+    within the tolerance."""
+    drift = max(abs(value - 1.0) for value in norm_sq.ravel().tolist())
+    if drift > 1e-8:
+        raise NormalizationDriftError(
+            f"renormalized field norm drifted by {drift!r} (tolerance 1e-8)",
+            drift=drift,
+        )
+
+
+def _normalized(profiles: Sequence[FieldProfile], radii: np.ndarray) -> np.ndarray:
+    """One row per profile: its field on ``radii``, scaled to unit norm on
+    each rule."""
+    fields, norm_sq = _fields_on(profiles, radii)
+    fields /= on_rule_nodes(np.sqrt(norm_sq))
+    _check_drift(unit_rule_norms_sq(fields))
+    return fields
+
+
+def _check_overlaps(overlaps: list, offsets: Sequence[float]) -> None:
+    """Each row of ``overlaps`` (<psi_c | psi(z + offset)> on each rule,
+    one row per offset) is far from orthogonal."""
+    for offset, row in zip(offsets, overlaps):
+        if min(abs(value) for value in row) < 1e-3:
+            raise NumericalLimitError(
+                f"field at offset {offset!r} nearly orthogonal to the center "
+                "field; reduce the finite-difference step"
+            )
 
 
 def qfi_pure_state(
@@ -512,6 +585,16 @@ def qfi_pure_state(
     Each field is evaluated once, on both node sets at once
     (``numerics.stacked_radial_rule``), and the four fields of a stencil
     are normalized, aligned and differenced as the rows of one array.
+    Every inner product is one fixed-order reduction on the rules' unit
+    weights (``numerics.unit_rule_sums`` and
+    ``numerics.unit_rule_norms_sq``), whose common scale^2 the
+    normalization cancels, so no BLAS kernel reaches Q.  Its complex
+    products are numpy's, fused multiply-adds wherever numpy dispatches
+    AVX2 or AVX-512: Q is the same bits with the AVX-512 loops off, not
+    on a CPU without AVX2.  The centre is normalized together with the
+    probe below; each stencil field is normalized and turned onto the
+    centre's phase by one factor per rule, from its squared norm and its
+    overlap with the centre.
     Q is computed on the coarse and on the fine rule, and the fine value
     is returned.  Their gap is the error estimate: ``QuadratureError`` is
     raised when it exceeds ``numerics.RULE_TOL`` |Q| (plus a roundoff
@@ -528,92 +611,71 @@ def qfi_pure_state(
     explicitly passed step is used as given.  A probe or stencil field
     nearly orthogonal to the central one (|overlap| < 1e-3: the step is
     too large) or, with no ``transverse_scale``, a profile that does not
-    decay raises ``NumericalLimitError``.
+    decay raises ``NumericalLimitError``; a ``z``, ``step`` or
+    ``transverse_scale`` that is not a finite number raises
+    ``ValueError``.
     """
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     refine = step is None
     if step is None:
         if z == 0.0:
             raise ValueError("at z = 0 an explicit finite-difference step is required")
         step = 1e-3 * abs(z)
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
+    if not math.isfinite(step):
+        raise ValueError(f"step must be finite, got {step}")
 
     center_raw = field_family(z)
     if transverse_scale is None:
         transverse_scale = _estimate_transverse_scale(center_raw)
-    if transverse_scale <= 0.0:
+    if not transverse_scale > 0.0:
         raise ValueError(f"transverse_scale must be positive, got {transverse_scale}")
-    radii, rules = stacked_radial_rule(transverse_scale)
-    # Rule j's weights in column j and zeros on the other rule's nodes, so
-    # one product gives every field's sums on both rules; ``node_rule``
-    # spreads a per-rule factor back over the nodes.
-    weights = np.zeros((radii.size, len(rules)))
-    node_rule = np.empty(radii.size, dtype=int)
-    for column, (part, rule_weights) in enumerate(rules):
-        weights[part, column] = rule_weights
-        node_rule[part] = column
+    if not math.isfinite(transverse_scale):
+        raise ValueError(f"transverse_scale must be finite, got {transverse_scale}")
+    radii = stacked_radial_rule(transverse_scale)
 
-    def normalized(profiles: Sequence[FieldProfile]) -> np.ndarray:
-        """One row per profile: its field on ``radii``, scaled to unit
-        norm on each rule's nodes."""
-        fields = np.empty((len(profiles), radii.size), dtype=complex)
-        for row, profile in zip(fields, profiles):
-            row[...] = profile(radii)
-        norm_sq = (fields.real**2 + fields.imag**2) @ weights
-        if not 0.0 < norm_sq.min() <= norm_sq.max() < math.inf:
-            bad = next(v for v in norm_sq.flat if not 0.0 < v < math.inf)
-            raise NormalizationDriftError(
-                f"field norm^2 = {float(bad)!r} is not a positive finite number",
-                drift=float("inf"),
-            )
-        fields /= np.sqrt(norm_sq)[:, node_rule]
-        drift = float(np.abs((fields.real**2 + fields.imag**2) @ weights - 1.0).max())
-        if drift > 1e-8:
-            raise NormalizationDriftError(
-                f"renormalized field norm drifted by {drift!r} (tolerance 1e-8)",
-                drift=drift,
-            )
-        return fields
-
-    psi_c_conj = normalized([center_raw])[0].conj()
-
-    def fields_and_overlaps(offsets: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """The normalized fields at ``offsets`` and their overlaps with
-        the central field on each rule."""
-        fields = normalized([field_family(z + offset) for offset in offsets])
-        overlap = (fields * psi_c_conj) @ weights
-        too_small = np.abs(overlap).min(axis=1) < 1e-3
-        if too_small.any():
-            raise NumericalLimitError(
-                f"field at offset {offsets[int(np.argmax(too_small))]!r} nearly "
-                "orthogonal to the center field; reduce the finite-difference step"
-            )
-        return fields, overlap
-
-    def evaluate(h: float) -> float:
-        offsets = (h, -h, 0.5 * h, -0.5 * h)
-        fields, overlap = fields_and_overlaps(offsets)
-        fields *= (overlap.conj() / np.abs(overlap))[:, node_rule]
-        stencil = dict(zip(offsets, fields))
-        dpsi = central_derivative(lambda offset: stencil[offset], 0.0, h)
-        grad_sq = (dpsi.real**2 + dpsi.imag**2) @ weights
-        overlap = (psi_c_conj * dpsi) @ weights
-        values = 4.0 * (grad_sq - np.abs(overlap) ** 2)
-        # Differencing unit-norm states leaves roundoff of order eps / h in
-        # d_z psi; a gap below that floor says nothing about the rule.
-        floor = (1e3 * np.finfo(float).eps / h) ** 2
-        return check_rule_gap(
-            *values.tolist(), floor,
-            f"pure-state information (transverse scale={transverse_scale!r})",
-        )
-
-    if not refine:
-        return evaluate(step)
-    # The Bures angle arccos |<psi(z) | psi(z + h)>| is sqrt(Q) h / 2 to
-    # second order, so one probe field gives the state's speed sqrt(Q).
-    overlap = fields_and_overlaps([step])[1][0, -1]
-    speed = 2.0 * math.acos(min(abs(overlap), 1.0)) / step
-    return evaluate(0.01 / speed if speed * step > 0.02 else step)
+    if refine:
+        # The Bures angle arccos |<psi(z) | psi(z + h)>| is sqrt(Q) h / 2 to
+        # second order, so one probe field, normalized together with the
+        # centre, gives the state's speed sqrt(Q).
+        psi_c, probe = _normalized([center_raw, field_family(z + step)], radii)
+        psi_c_conj = psi_c.conj()
+        overlap = unit_rule_sums(probe * psi_c_conj).tolist()
+        _check_overlaps([overlap], [step])
+        speed = 2.0 * math.acos(min(abs(overlap[-1]), 1.0)) / step
+        if speed * step > 0.02:
+            step = 0.01 / speed
+    else:
+        psi_c_conj = _normalized([center_raw], radii)[0].conj()
+    offsets = (step, -step, 0.5 * step, -0.5 * step)
+    fields, norm_sq = _fields_on([field_family(z + offset) for offset in offsets], radii)
+    # Normalize each stencil field and turn it by the conjugate phase of its
+    # overlap with the centre, which removes any piston phase: one factor
+    # conj(o) / (|o| |f|) per field and rule, o = <psi_c | f> / |f|.
+    norms = np.sqrt(norm_sq).tolist()
+    overlaps = [[value / norm for value, norm in zip(row, row_norms)]
+                for row, row_norms in zip(unit_rule_sums(fields * psi_c_conj).tolist(), norms)]
+    _check_overlaps(overlaps, offsets)
+    fields *= on_rule_nodes(np.array(
+        [[value.conjugate() / (abs(value) * norm) for value, norm in zip(row, row_norms)]
+         for row, row_norms in zip(overlaps, norms)]))
+    stencil = dict(zip(offsets, fields))
+    dpsi = central_derivative(lambda offset: stencil[offset], 0.0, step)
+    # The stencil fields' squared norms and d_z psi's, in one reduction.
+    norm_sq = unit_rule_norms_sq(np.vstack((fields, dpsi)))
+    _check_drift(norm_sq[:-1])
+    grad_sq = norm_sq[-1].tolist()
+    overlap = unit_rule_sums(psi_c_conj * dpsi).tolist()
+    values = [4.0 * (g - abs(o) * abs(o)) for g, o in zip(grad_sq, overlap)]
+    # Differencing unit-norm states leaves roundoff of order eps / h in
+    # d_z psi; a gap below that floor says nothing about the rule.
+    floor = (1e3 * sys.float_info.epsilon / step) ** 2
+    return check_rule_gap(
+        *values, floor,
+        f"pure-state information (transverse scale={transverse_scale!r})",
+    )
 
 
 def _check_point_source(wavenumber: float, pupil_width: float, z: float) -> None:

@@ -1,11 +1,12 @@
 """Shared numerical kernels.
 
-Three tools live here because several physics modules need them in the
+Four tools live here because several physics modules need them in the
 same form: a fixed pair of trapezoid rules for radial integrals of a
 Gaussian-windowed integrand, the check that takes the gap between two
 estimates of an integral (the two rules, or two grids) as its error
-estimate, and a Richardson-extrapolated central difference for axial
-derivatives.
+estimate, a Richardson-extrapolated central difference for axial
+derivatives, and an exponential that is the same bits at every numpy
+SIMD level (``libm_exp``).
 
 Every radial integral of the package has the shape
 ``integral f(r) 2 pi r dr`` from some radius to infinity, with f a
@@ -17,8 +18,11 @@ a fixed set of nodes.  Each integral is taken on the two rules of
 ``RULES`` and ``check_rule_gap`` accepts the fine rule's value only when
 the coarse one agrees with it.  ``stacked_radial_rule`` puts both node
 sets on one array of radii, so each integrand is evaluated once for the
-pair.  The rules have no zeros to find: each node and weight is one
-closed-form expression, rounded once to a double.
+pair, and ``unit_rule_sums`` (``unit_rule_norms_sq`` for |f|^2 of complex
+fields) reduces the values to both rules' sums on the unit weights in one
+fixed-order numpy reduction, never a BLAS product, so an integral is the
+same bits on every CPU.  The rules have no zeros to find: each node
+and weight is one closed-form expression, rounded once to a double.
 
 Everything here is numpy, and the standard library's ``decimal`` for the
 rules.  Only the benchmark tracer's hook needs scipy, a test dependency:
@@ -30,7 +34,8 @@ library code reads it.
 from __future__ import annotations
 
 import functools
-from typing import Callable
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,10 +109,25 @@ def check_rule_gap(
     return fine
 
 
+class _UnitRules(NamedTuple):
+    """The unit-scale rules of ``RULES`` end to end, read-only."""
+
+    #: The coarse rule's radii followed by the fine rule's.
+    radii: np.ndarray
+    #: The weight of each radius in its own rule.
+    weights: np.ndarray
+    #: The first index of each rule, for ``np.add.reduceat``.
+    starts: np.ndarray
+    #: The number of radii of each rule, for ``np.repeat``.
+    sizes: np.ndarray
+    #: Each weight twice, for the real and imaginary parts of a complex
+    #: value side by side.
+    pair_weights: np.ndarray
+
+
 @functools.cache
-def _unit_rules() -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
-    """The unit-scale rules of ``RULES`` end to end, read-only, and the
-    slice that picks each rule out of them.
+def _unit_rules() -> _UnitRules:
+    """The unit-scale rules of ``RULES``, built once per process.
 
     A rule of step h over [t_lo, t_hi] has the nodes t = t_lo + k h, each
     with u = exp(t - e^{-t}), radius sqrt(u / 2) and weight
@@ -122,36 +142,33 @@ def _unit_rules() -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
     import decimal  # only the rules need it, once per process
 
     pi = decimal.Decimal("3.141592653589793238462643383279502884197")
-    radii, weights, parts = [], [], []
+    radii, weights, starts = [], [], []
     with decimal.localcontext() as context:
         context.prec = 40
         for step, t_lo, t_hi in RULES:
-            start, h = len(radii), decimal.Decimal(step)
+            starts.append(len(radii))
+            h = decimal.Decimal(step)
             for k in range(round((t_hi - t_lo) / step) + 1):
                 t = decimal.Decimal(t_lo + k * step)  # exact: a multiple of 1/8
                 decay = (-t).exp()
                 u = (t - decay).exp()
                 radii.append(float((u / 2).sqrt()))
                 weights.append(float(pi / 2 * h * u * (1 + decay)))
-            parts.append(slice(start, len(radii)))
-    radii, weights = np.array(radii), np.array(weights)
-    radii.flags.writeable = False
-    weights.flags.writeable = False
-    return radii, weights, tuple(parts)
+    weights = np.array(weights)
+    rules = _UnitRules(np.array(radii), weights, np.array(starts),
+                       np.diff(starts, append=len(radii)), weights.repeat(2))
+    for array in rules:
+        array.flags.writeable = False
+    return rules
 
 
-def stacked_radial_rule(
-    scale: float, lower: float = 0.0
-) -> tuple[np.ndarray, tuple[tuple[slice, np.ndarray], ...]]:
-    """Radii and weights of the two rules of ``RULES`` for
-    ``integral f(r) 2 pi r dr`` over ``[lower, inf)``, both on one array
-    of radii, so that an integrand is evaluated once for the pair of sums
-    ``check_rule_gap`` compares.
-
-    Returns the radii, the coarse rule's followed by the fine rule's, and
-    one ``(part, weights)`` pair per rule, coarse first: ``radii[part]``
-    and ``weights`` are that rule's radii and weights.  A rule's sum of
-    integrand values ``f`` on these radii is ``f[..., part] @ weights``.
+def stacked_radial_rule(scale: float, lower: float = 0.0) -> np.ndarray:
+    """Radii of the two rules of ``RULES`` for ``integral f(r) 2 pi r dr``
+    over ``[lower, inf)``, the coarse rule's followed by the fine rule's,
+    so that an integrand is evaluated once for the pair of sums
+    ``check_rule_gap`` compares.  ``unit_rule_sums`` reduces integrand
+    values on these radii to the two rules' sums, and the integral is
+    ``scale**2`` times them.
 
     The map r^2 = lower^2 + scale^2 u / 2 turns the measure into
     (pi scale^2 / 2) du, so with unit radii rho_i and weights w_i the
@@ -170,13 +187,62 @@ def stacked_radial_rule(
     reaches further out (u up to ~400, against ~89), so the gap checks the
     truncated tail as well as the coarse step.
     """
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ValueError(f"quadrature scale must be positive, got {scale}")
+    if not math.isfinite(scale):
+        raise ValueError(f"quadrature scale must be finite, got {scale}")
     if not lower >= 0.0:
         raise ValueError(f"lower radius must be nonnegative, got {lower}")
-    radii, weights, parts = _unit_rules()
-    radii, weights = np.hypot(lower, scale * radii), (scale * scale) * weights
-    return radii, tuple((part, weights[part]) for part in parts)
+    if not math.isfinite(lower):
+        raise ValueError(f"lower radius must be finite, got {lower}")
+    radii = scale * _unit_rules().radii
+    return np.hypot(lower, radii) if lower else radii
+
+
+def unit_rule_sums(values: np.ndarray) -> np.ndarray:
+    """The two rules' unit-weight sums of ``values``, integrand values on
+    the radii of ``stacked_radial_rule`` along the last axis: an array of
+    the leading shape with the coarse and the fine sum on its last axis.
+
+    Each sum is one fixed-order numpy reduction (``np.add.reduceat`` of
+    the products with the unit weights), whose order of additions is
+    numpy's and not the CPU's, and no BLAS kernel reaches it, so it is
+    the same bits on every CPU.  Complex values are summed alike, their
+    real and imaginary parts each times the weight.  The weights do not
+    depend on ``lower``, so every integral on the radii of scale s is s^2
+    times its unit sum.
+    """
+    rules = _unit_rules()
+    return np.add.reduceat(values * rules.weights, rules.starts, axis=-1)
+
+
+def unit_rule_norms_sq(fields: np.ndarray) -> np.ndarray:
+    """``unit_rule_sums`` of |f|^2 for complex ``fields`` on the radii of
+    ``stacked_radial_rule`` (the last axis, C-contiguous): the squares of
+    the real and imaginary parts, side by side, times each weight twice,
+    in one fixed-order reduction."""
+    rules = _unit_rules()
+    parts = fields.view(float)
+    return np.add.reduceat(parts * parts * rules.pair_weights, 2 * rules.starts, axis=-1)
+
+
+def on_rule_nodes(per_rule: np.ndarray) -> np.ndarray:
+    """Per-rule values (the last axis, coarse then fine, as
+    ``unit_rule_sums`` returns them) spread over the radii of
+    ``stacked_radial_rule``: each radius gets its own rule's value."""
+    return np.asarray(per_rule).repeat(_unit_rules().sizes, axis=-1)
+
+
+def libm_exp(x) -> np.ndarray:
+    """e^x for every element of ``x``, as the C library's ``exp`` (and
+    ``math.exp``) gives it, the same bits at every numpy SIMD level.
+
+    numpy's real ``exp`` has an AVX-512 loop that differs from the C
+    library in the last bit of ~5 % of doubles; its complex ``exp`` runs
+    the C library per element at every level, and e^{x + 0i} is
+    e^x (cos 0 + i sin 0) = e^x exactly.
+    """
+    return np.exp(np.asarray(x, dtype=complex)).real
 
 
 def central_derivative(fn: Callable[[float], float], x: float, step: float):
@@ -187,8 +253,10 @@ def central_derivative(fn: Callable[[float], float], x: float, step: float):
     cancel the leading O(step^2) error, leaving O(step^4).  Works
     unchanged for complex-valued ``fn``.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {step}")
+    if not math.isfinite(step):
+        raise ValueError(f"finite-difference step must be finite, got {step}")
     coarse = (fn(x + step) - fn(x - step)) / (2.0 * step)
     half = 0.5 * step
     fine = (fn(x + half) - fn(x - half)) / (2.0 * half)

@@ -49,6 +49,7 @@ from axialfisher.numerics import (
     central_derivative,
     check_rule_gap,
     stacked_radial_rule,
+    unit_rule_sums,
 )
 from pure_state_oracle import adaptive_qfi_pure_state
 
@@ -163,17 +164,18 @@ def test_quadrature_route_rejects_bad_width_function():
 
 def _per_row_classical_fi(width_sq_fn, z: float, step: float) -> float:
     """``classical_fi_numeric`` with one ``intensity_pdf`` call per
-    intensity, the centre and each stencil offset."""
+    intensity, the centre and each stencil offset, and the score reduced
+    by the same ``unit_rule_sums``."""
     w_sq = width_sq_fn(z)
     offsets = (step, -step, 0.5 * step, -0.5 * step)
     widths_sq = {offset: width_sq_fn(z + offset) for offset in offsets}
-    radii, rules = stacked_radial_rule(math.sqrt(w_sq))
+    radii = stacked_radial_rule(math.sqrt(w_sq))
     p = intensity_pdf(w_sq, radii)
     dp = central_derivative(
         lambda offset: intensity_pdf(widths_sq[offset], radii), 0.0, step
     )
     score = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
-    coarse, fine = (float(score[part] @ weights) for part, weights in rules)
+    coarse, fine = (w_sq * unit_rule_sums(score)).tolist()
     floor = 100.0 * math.sqrt(abs(fine)) * np.finfo(float).eps / step
     return check_rule_gap(coarse, fine, floor, "score integral")
 
@@ -609,6 +611,43 @@ def test_fraction_outside_validates_inputs():
         info_fraction_outside(-1.0, 0.5)
     with pytest.raises(ValueError):
         info_fraction_outside(1.0, -0.5)
+
+
+_PUPIL = pupil_field_family(1e-3, 1e7)
+
+
+@pytest.mark.parametrize("call,names", [
+    (lambda: qfi_pure_state(_PUPIL, 0.1, step=math.inf), "step must be finite"),
+    (lambda: qfi_pure_state(_PUPIL, 0.1, step=math.nan), "step must be positive"),
+    (lambda: qfi_pure_state(_PUPIL, 0.1, transverse_scale=math.nan),
+     "transverse_scale must be positive"),
+    (lambda: qfi_pure_state(_PUPIL, 0.1, transverse_scale=math.inf),
+     "transverse_scale must be finite"),
+    (lambda: qfi_pure_state(_PUPIL, math.nan), "z must be finite"),
+    (lambda: qfi_pure_state(_PUPIL, math.inf, step=1e-4), "z must be finite"),
+    (lambda: stacked_radial_rule(math.nan), "quadrature scale must be positive"),
+    (lambda: stacked_radial_rule(math.inf), "quadrature scale must be finite"),
+    (lambda: stacked_radial_rule(1.0, math.inf), "lower radius must be finite"),
+    (lambda: central_derivative(math.sin, 0.0, math.nan),
+     "finite-difference step must be positive"),
+    (lambda: central_derivative(math.sin, 0.0, math.inf),
+     "finite-difference step must be finite"),
+    (lambda: info_fraction_outside(math.nan, 0.5), "width_sq must be positive"),
+    (lambda: info_fraction_outside(math.inf, 0.5), "width_sq must be finite"),
+    (lambda: info_fraction_outside(1.0, math.nan), "boundary radius must be nonnegative"),
+    (lambda: info_fraction_outside(1.0, math.inf), "boundary radius must be finite"),
+], ids=["qfi-step-inf", "qfi-step-nan", "qfi-scale-nan", "qfi-scale-inf", "qfi-z-nan",
+        "qfi-z-inf", "rule-scale-nan", "rule-scale-inf", "rule-lower-inf",
+        "derivative-step-nan", "derivative-step-inf", "fraction-width-nan",
+        "fraction-width-inf", "fraction-boundary-nan", "fraction-boundary-inf"])
+def test_radial_routes_reject_non_finite_arguments_by_name(call, names):
+    """A NaN or infinite argument is refused up front with a plain
+    ``ValueError`` that names it, not answered (``step=inf`` gave Q = 0)
+    or reported as a normalization drift, a quadrature gap or a profile
+    that vanishes on axis."""
+    with pytest.raises(ValueError, match=names) as excinfo:
+        call()
+    assert type(excinfo.value) is ValueError
 
 
 # ---------------------------------------------------------------------------
