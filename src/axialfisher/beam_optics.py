@@ -155,11 +155,15 @@ def intensity_pdf(width_sq: float, r):
 
     p(r) = 2 / (pi w^2) * exp(-2 r^2 / w^2), with
     integral of p(r) * 2 pi r dr over [0, inf) equal to one.  The
-    exponential is ``numerics.libm_exp``, the same bits on every CPU.
+    exponential is ``numerics.libm_exp``, the same bits on every CPU.  A
+    ``width_sq`` that is not a positive finite number, or a radius that
+    is negative or NaN, raises ``ValueError``.
     """
-    if width_sq <= 0.0:
+    if not width_sq > 0.0:
         raise ValueError(f"width_sq must be positive, got {width_sq}")
-    if np.any(np.asarray(r) < 0.0):
+    if not math.isfinite(width_sq):
+        raise ValueError(f"width_sq must be finite, got {width_sq}")
+    if not np.all(np.asarray(r) >= 0.0):
         raise ValueError(f"radius must be nonnegative, got {np.min(r)}")
     return 2.0 / (math.pi * width_sq) * libm_exp(-2.0 * r * r / width_sq)
 

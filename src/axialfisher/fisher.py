@@ -52,6 +52,7 @@ from .numerics import (
     stacked_radial_rule,
     unit_rule_norms_sq,
     unit_rule_sums,
+    unit_rule_window,
 )
 
 #: Pinned relative step for axial finite differences, in units of the
@@ -313,15 +314,22 @@ def width_response(
     which in free space is the curvature identity 2 z / (z^2 + z_R^2).
     """
     a, b = ray_matrix(relay, plane)
+    return ray_width_sq(beam, a, b), _log_width_slope(beam, a, b)
+
+
+def _log_width_slope(beam: BeamParams, a, b):
+    """d/d delta ln w^2 = 2 A B / (A^2 z_R^2 + B^2) behind the ray matrix
+    (A, B): ``width_response``'s slope, without the width."""
     zr = beam.rayleigh_range
-    return ray_width_sq(beam, a, b), 2.0 * a * b / (a * a * zr * zr + b * b)
+    return 2.0 * a * b / (a * a * zr * zr + b * b)
 
 
 def image_fi(beam: BeamParams, relay: RelaySystem, z_prime: float) -> float:
     """Classical information about the object distance available from
     the intensity profile at detector plane z' (a float or an array of
-    planes)."""
-    slope = width_response(beam, relay, z_prime)[1]
+    planes): the square of ``width_response``'s slope, which alone is
+    computed."""
+    slope = _log_width_slope(beam, *ray_matrix(relay, z_prime))
     return slope * slope
 
 
@@ -419,26 +427,32 @@ def fi_density(width_sq: float, dwidth_sq_dz: float, r):
 
 
 def info_boundary(width_sq: float) -> float:
-    """Radius w / sqrt(2) of the information-free circle."""
-    if width_sq <= 0.0:
+    """Radius w / sqrt(2) of the information-free circle.  A ``width_sq``
+    that is not a positive finite number raises ``ValueError``."""
+    if not width_sq > 0.0:
         raise ValueError(f"width_sq must be positive, got {width_sq}")
+    if not math.isfinite(width_sq):
+        raise ValueError(f"width_sq must be finite, got {width_sq}")
     return math.sqrt(0.5 * width_sq)
 
 
 def info_fraction_outside(width_sq: float, r_b: float) -> float:
     """Fraction of the classical information carried by radii beyond r_b.
 
-    Ratio of two sums of the radial density on the fine radial rule,
-    over [r_b, inf) and over [0, inf), taken as the two rows of one array
-    of radii (``numerics.stacked_radial_rule``) with one
-    ``numerics.libm_exp`` call and one reduction
-    (``numerics.unit_rule_sums``); the slope factor cancels, so the
-    result depends only on r_b / w.  In u = 2 (r^2 - r_b^2) / w^2 the
-    density is e^{-u} times a quadratic in u, which the fine rule
-    integrates within 4e-15 and the coarse one within 4e-13 (relative,
-    for 2 r_b^2 / w^2 up to 30), so the gap check passes with a wide
-    margin.  A ``width_sq`` or ``r_b`` that is not a finite number raises
-    ``ValueError``.
+    Ratio of two integrals of the radial density on the fine radial rule,
+    over [r_b, inf) and over [0, inf); the slope factor cancels, so the
+    result depends only on c = 2 r_b^2 / w^2.  In u = 2 (r^2 - r_b^2) / w^2
+    the density over [r_b, inf) is 2 / (pi w^2) e^{-c} e^{-u}
+    (c + u - 1)^2, and over [0, inf) (c = 0) 2 / (pi w^2) e^{-u} (u - 1)^2,
+    so both integrands are the rules' cached window e^{-u} times a
+    quadratic in the cached u (``numerics.unit_rule_window``), taken as
+    the two rows of one array and reduced once
+    (``numerics.unit_rule_sums``).  No radius is built and no exponential
+    is taken on the nodes: e^{-c} is one ``math.exp``, and the result is
+    the same bits on every CPU.  The fine rule integrates each within
+    4e-15 and the coarse one within 4e-13 (relative, for c up to 30), so
+    the gap check passes with a wide margin.  A ``width_sq`` or ``r_b``
+    that is not a finite number raises ``ValueError``.
     """
     if not width_sq > 0.0:
         raise ValueError(f"width_sq must be positive, got {width_sq}")
@@ -449,14 +463,13 @@ def info_fraction_outside(width_sq: float, r_b: float) -> float:
     if not math.isfinite(r_b):
         raise ValueError(f"boundary radius must be finite, got {r_b}")
     # The integrals over [r_b, inf) and over [0, inf) as the two rows of
-    # one array: one exp and one reduction for both.  With u = 2 r^2 / w^2
-    # the density is 2 / (pi w^2) e^{-u} (u - 1)^2, and the rules' weights
-    # carry w^2.
-    scale = math.sqrt(width_sq)
-    radii = np.array((stacked_radial_rule(scale, r_b), stacked_radial_rule(scale)))
-    u = 2.0 * radii * radii / width_sq
-    t = u - 1.0
-    outside, total = ((2.0 / math.pi) * unit_rule_sums(libm_exp(-u) * (t * t))).tolist()
+    # one array, with c - 1 and -1 added to u; the rules' weights carry
+    # the w^2 of the density's 2 / (pi w^2).
+    c = 2.0 * r_b * r_b / width_sq
+    u, window = unit_rule_window()
+    t = u + np.array(((c - 1.0,), (-1.0,)))
+    factors = np.array(((2.0 / math.pi * math.exp(-c),), (2.0 / math.pi,)))
+    outside, total = (factors * unit_rule_sums(window * (t * t))).tolist()
     return (check_rule_gap(*outside, 0.0, "outside information")
             / check_rule_gap(*total, 0.0, "total information"))
 
@@ -480,12 +493,19 @@ def info_fraction_beyond(c: float) -> float:
 _SCALE_LADDER = np.ldexp(1e-12, np.arange(120))
 _SCALE_LADDER.flags.writeable = False
 
+#: The ladder in blocks of 48 radii (up to ~1.4e2 m, ~4e16 m and the
+#: top), each one call of the profile.
+_SCALE_BLOCKS = tuple(_SCALE_LADDER[start:start + 48]
+                      for start in range(0, _SCALE_LADDER.size, 48))
+
 
 def _estimate_transverse_scale(profile: FieldProfile) -> float:
     """Radius where |profile| falls to 1/e of its axis value: the first
-    radius of ``_SCALE_LADDER`` where it is below that, from one call of
-    the profile on the whole ladder.  Used only to condition quadrature
-    maps."""
+    radius of ``_SCALE_LADDER`` where it is below that.  The profile is
+    called on ``_SCALE_BLOCKS`` in turn, and the walk stops at the first
+    block that holds such a radius, so a field of any scale below ~140 m
+    takes one call and no radius past its own block is asked for.  Used
+    only to condition quadrature maps."""
     center = abs(profile(0.0))
     if not (center > 0.0 and math.isfinite(center)):
         raise ValueError(
@@ -494,15 +514,17 @@ def _estimate_transverse_scale(profile: FieldProfile) -> float:
         )
     # Far out on the ladder a profile may overflow or lose its phase to
     # nan; those radii lie past its scale or count as not decayed.  A
-    # profile that ignores r gives one value for the whole ladder.
-    with np.errstate(all="ignore"):
-        below = (np.abs(profile(_SCALE_LADDER)) < center / math.e).ravel()
-    first = int(below.argmax())
-    if not below[first]:
-        raise NumericalLimitError(
-            "field profile does not decay; cannot infer a transverse scale"
-        )
-    return float(_SCALE_LADDER[first])
+    # profile that ignores r gives one value for the whole block.
+    target = center / math.e
+    for block in _SCALE_BLOCKS:
+        with np.errstate(all="ignore"):
+            below = (np.abs(profile(block)) < target).ravel()
+        first = int(below.argmax())
+        if below[first]:
+            return float(block[first])
+    raise NumericalLimitError(
+        "field profile does not decay; cannot infer a transverse scale"
+    )
 
 
 # qfi_pure_state's fields are rows on the stacked radii of both rules,

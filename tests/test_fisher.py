@@ -636,13 +636,22 @@ _PUPIL = pupil_field_family(1e-3, 1e7)
     (lambda: info_fraction_outside(math.inf, 0.5), "width_sq must be finite"),
     (lambda: info_fraction_outside(1.0, math.nan), "boundary radius must be nonnegative"),
     (lambda: info_fraction_outside(1.0, math.inf), "boundary radius must be finite"),
+    (lambda: info_boundary(math.nan), "width_sq must be positive"),
+    (lambda: info_boundary(math.inf), "width_sq must be finite"),
+    (lambda: intensity_pdf(math.nan, 1.0), "width_sq must be positive"),
+    (lambda: intensity_pdf(math.inf, 1.0), "width_sq must be finite"),
+    (lambda: intensity_pdf(1.0, math.nan), "radius must be nonnegative"),
+    (lambda: intensity_pdf(1.0, np.array([0.5, math.nan])), "radius must be nonnegative"),
 ], ids=["qfi-step-inf", "qfi-step-nan", "qfi-scale-nan", "qfi-scale-inf", "qfi-z-nan",
         "qfi-z-inf", "rule-scale-nan", "rule-scale-inf", "rule-lower-inf",
         "derivative-step-nan", "derivative-step-inf", "fraction-width-nan",
-        "fraction-width-inf", "fraction-boundary-nan", "fraction-boundary-inf"])
+        "fraction-width-inf", "fraction-boundary-nan", "fraction-boundary-inf",
+        "boundary-width-nan", "boundary-width-inf", "pdf-width-nan", "pdf-width-inf",
+        "pdf-radius-nan", "pdf-radii-nan"])
 def test_radial_routes_reject_non_finite_arguments_by_name(call, names):
     """A NaN or infinite argument is refused up front with a plain
-    ``ValueError`` that names it, not answered (``step=inf`` gave Q = 0)
+    ``ValueError`` that names it, not answered (``step=inf`` gave Q = 0,
+    ``info_boundary`` and ``intensity_pdf`` passed NaN and inf through)
     or reported as a normalization drift, a quadrature gap or a profile
     that vanishes on axis."""
     with pytest.raises(ValueError, match=names) as excinfo:
@@ -820,6 +829,9 @@ SCALE_CASES = [
     for width, wavenumber, distance in (
         (1.0, 1e7, 2e5), (2e-3, 2.0 * math.pi / 632.8e-9, 0.5),
         (0.05, 1e6, 8.0), (3e-7, 1e7, 1e-3), (40.0, 1e5, 1e3),
+        # Scales past the first block of the ladder (~1.4e2 m), in the
+        # second and in the third.
+        (1e3, 1e5, 1e4), (1e20, 1e-3, 1e25),
     )
 ]
 
@@ -827,6 +839,23 @@ SCALE_CASES = [
 @pytest.mark.parametrize("profile", SCALE_CASES)
 def test_transverse_scale_ladder_matches_the_doubling_search(profile):
     assert fisher._estimate_transverse_scale(profile) == _doubling_search(profile)
+
+
+@pytest.mark.parametrize("profile", SCALE_CASES)
+def test_transverse_scale_ladder_asks_for_no_radius_past_the_answers_block(profile):
+    """The ladder is walked in blocks and stops at the first block that
+    holds a decayed radius: every radius the profile is asked for lies in
+    that block or before it."""
+    asked = []
+
+    def recording(r):
+        asked.append(np.asarray(r))
+        return profile(r)
+
+    scale = fisher._estimate_transverse_scale(recording)
+    blocks = [block.tolist() for block in fisher._SCALE_BLOCKS]
+    last = next(index for index, block in enumerate(blocks) if scale in block)
+    assert [r.tolist() for r in asked] == [0.0, *blocks[:last + 1]]
 
 
 def test_transverse_scale_ladder_is_quiet_where_a_profile_overflows(recwarn):

@@ -130,24 +130,30 @@ def test_radial_rule_is_exact_for_gaussian_times_polynomial(seed, scale):
 
 
 def test_unit_rules_are_their_formula_correctly_rounded():
-    """Every unit radius and weight is within half an ulp of its formula,
-    taken here in 50-digit decimal arithmetic and arranged differently:
-    radius e^{(t - e^{-t}) / 2} / sqrt(2) and weight pi h (1 + e^{-t}) r^2
-    at t = t_lo + k h."""
+    """Every unit radius, u, window and weight is within half an ulp of
+    its formula, taken here in 50-digit decimal arithmetic and arranged
+    differently: radius e^{(t - e^{-t}) / 2} / sqrt(2), u = 2 r^2,
+    window e^{-u} and weight pi h (1 + e^{-t}) r^2 at t = t_lo + k h;
+    ``unit_rule_window`` hands out the cached u and window."""
     pi = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
-    radii, weights, starts, sizes, pair_weights = numerics._unit_rules()
+    radii, us, windows, weights, starts, sizes, pair_weights = numerics._unit_rules()
     assert starts.tolist() == [0, 37] and sizes.tolist() == [37, 89]
     assert pair_weights.tolist() == [w for weight in weights.tolist() for w in (weight, weight)]
+    u_window = numerics.unit_rule_window()
+    assert u_window[0] is us and u_window[1] is windows
     parts = _rule_parts()
     with decimal.localcontext() as context:
         context.prec = 50
         for (step, t_lo, _), part in zip(RULES, parts):
-            for k, (radius, weight) in enumerate(zip(radii[part], weights[part])):
+            nodes = zip(radii[part], us[part], windows[part], weights[part])
+            for k, (radius, u, window, weight) in enumerate(nodes):
                 t = decimal.Decimal(t_lo) + k * decimal.Decimal(step)
                 decay = (-t).exp()
                 exact_radius = ((t - decay) / 2).exp() / decimal.Decimal(2).sqrt()
+                exact_u = 2 * exact_radius**2
                 exact_weight = pi * decimal.Decimal(step) * (1 + decay) * exact_radius**2
-                for value, exact in ((radius, exact_radius), (weight, exact_weight)):
+                for value, exact in ((radius, exact_radius), (u, exact_u),
+                                     (window, (-exact_u).exp()), (weight, exact_weight)):
                     value = float(value)
                     half_ulp = decimal.Decimal(math.ulp(value)) / 2
                     assert abs(decimal.Decimal(value) - exact) <= half_ulp
@@ -171,7 +177,8 @@ def test_radial_rule_from_zero_is_the_plain_rule(seed):
 
 
 def test_unit_rules_are_built_on_first_use_not_on_import():
-    """Importing the package and its CLI builds no rule: the ~5 ms
+    """Importing the package and its CLI builds no rule and no node
+    constant (u and the window are built with the rules): the ~5 ms
     ``decimal`` build stays off the import path."""
     src = str(Path(numerics.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -185,8 +192,12 @@ def test_unit_rules_are_built_on_first_use_not_on_import():
 
 
 def test_radial_rule_is_cached_and_read_only():
+    """Every array of the rules, the node constants u and e^{-u} among
+    them, is built once and cannot be written."""
     assert numerics._unit_rules() is numerics._unit_rules()
     rules = numerics._unit_rules()
+    assert rules._fields == ("radii", "u", "window", "weights", "starts", "sizes",
+                             "pair_weights")
     for array in rules:
         with pytest.raises(ValueError):
             array[0] = 1
@@ -207,15 +218,15 @@ _AVX512 = sorted(name for name, present in __cpu_features__.items()
 _DUMP_UNIT_RULES = """
 from axialfisher import numerics
 rules = numerics._unit_rules()
-print((rules.radii.tobytes() + rules.weights.tobytes()).hex())
+print(b"".join(array.tobytes() for array in rules).hex())
 """
 
 
 @pytest.mark.skipif(not _AVX512, reason="the host has no AVX-512 features")
 def test_unit_rules_do_not_depend_on_numpy_simd_level():
     """Built in a fresh interpreter with numpy's AVX-512 loops off, the
-    unit rules are the default build's, byte for byte: no numpy kernel
-    reaches them."""
+    unit rules (radii, u, window, weights and index arrays) are the
+    default build's, byte for byte: no numpy kernel reaches them."""
     src = str(Path(numerics.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     dumps = []
@@ -226,7 +237,7 @@ def test_unit_rules_do_not_depend_on_numpy_simd_level():
         assert done.returncode == 0, done.stderr
         dumps.append(done.stdout)
     rules = numerics._unit_rules()
-    assert dumps == [(rules.radii.tobytes() + rules.weights.tobytes()).hex() + "\n"] * 2
+    assert dumps == [b"".join(array.tobytes() for array in rules).hex() + "\n"] * 2
 
 
 #: The three radial routes to the bounds on seeded free beams and point
@@ -287,29 +298,50 @@ def default_routes_and_commands(tmp_path_factory):
 
 _X86 = platform.machine().lower() in ("x86_64", "amd64")
 
+#: numpy's AVX2 dispatch (AVX2, FMA3 and X86_V3, its numpy 2.4 level)
+#: and every AVX-512 feature of this host.
+_AVX2_AND_UP = sorted({"AVX2", "FMA3", "X86_V3", *_AVX512})
 
-@pytest.mark.parametrize("knobs", [
-    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="openblas-haswell",
+
+def _without_qfis(output: str) -> str:
+    """``output`` of ``_ROUTES_AND_COMMANDS`` with the 12 QFIs of its
+    first line (the first two of each group of four values) blanked."""
+    values, rest = output.split("\n", 1)
+    kept = [value if index % 4 >= 2 else "-" for index, value in enumerate(values.split())]
+    return " ".join(kept) + "\n" + rest
+
+
+@pytest.mark.parametrize("knobs,same_qfis", [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, True, id="openblas-haswell",
                  marks=pytest.mark.skipif(
                      not (_X86 and __cpu_features__.get("AVX2") and __cpu_features__.get("FMA3")),
                      reason="OpenBLAS's Haswell kernels need an x86-64 host with AVX2 and FMA3")),
-    pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="openblas-prescott",
+    pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, True, id="openblas-prescott",
                  marks=pytest.mark.skipif(
                      not _X86, reason="OpenBLAS's Prescott kernels need an x86-64 host")),
-    pytest.param({"NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)}, id="avx512-off",
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)}, True, id="avx512-off",
                  marks=pytest.mark.skipif(not _AVX512, reason="the host has no AVX-512 features")),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": " ".join(_AVX2_AND_UP)}, False, id="avx2-off",
+                 marks=pytest.mark.skipif(not __cpu_features__.get("AVX2"),
+                                          reason="the host has no AVX2")),
 ])
 def test_bound_routes_and_artifacts_are_the_same_bits_on_every_cpu(
-        knobs, default_routes_and_commands, tmp_path):
+        knobs, same_qfis, default_routes_and_commands, tmp_path):
     """``qfi_pure_state``, ``beam_fi_numeric`` and ``info_fraction_outside``
     give the same bits (``float.hex``), and the six commands the same
     output, exit codes and artifact bytes, under another OpenBLAS kernel
     or with numpy's AVX-512 loops off as under the default set-up: no
     BLAS call reaches them, and no numpy loop whose AVX-512 form rounds
-    differently."""
+    differently.  With the AVX2 loops off as well, everything but the 12
+    QFIs is still the same bits: ``qfi_pure_state``'s complex products
+    are fused multiply-adds only where numpy dispatches AVX2 or AVX-512
+    (ROADMAP item 7)."""
     output, artifacts = _routes_and_commands(tmp_path / "knobs", **knobs)
     default_output, default_artifacts = default_routes_and_commands
-    assert output == default_output
+    if same_qfis:
+        assert output == default_output
+    else:
+        assert _without_qfis(output) == _without_qfis(default_output)
     assert output.splitlines()[-1] == "0 0 0 0 0 0"
     assert sorted(artifacts) == sorted(default_artifacts)
     for name, data in artifacts.items():
