@@ -45,13 +45,16 @@ from .beam_optics import (
 )
 from .numerics import (
     NumericalLimitError,
-    central_derivative,
     check_rule_gap,
+    libm_cos,
     libm_exp,
     on_rule_nodes,
+    rule_sums,
     stacked_radial_rule,
+    stencil_derivative,
     unit_rule_norms_sq,
     unit_rule_sums,
+    unit_rule_weights,
     unit_rule_window,
 )
 
@@ -101,21 +104,23 @@ class FisherScan:
             )
         if not (self.qfi > 0.0 and math.isfinite(self.qfi)):
             raise ValueError(f"qfi must be positive and finite, got {self.qfi}")
-        if not np.isfinite(values).all():
+        if not values.size:
+            return
+        low, high = values.min(), values.max()  # a NaN reaches both, an inf one
+        if not (math.isfinite(low) and math.isfinite(high)):
             bad = planes[~np.isfinite(values)]
             raise NumericalLimitError(
                 f"classical information is not finite at {bad.size} of {planes.size} "
                 f"planes, from {float(bad.min())!r} m to {float(bad.max())!r} m: the "
                 "ray matrix is out of double range there"
             )
-        if values.size:
-            if values.min() < 0.0:
-                raise ValueError("classical information cannot be negative")
-            if values.max() > self.qfi * (1.0 + 1e-9):
-                raise ValueError(
-                    "classical information exceeds the quantum bound: "
-                    f"max F = {values.max()!r} > Q = {self.qfi!r}"
-                )
+        if low < 0.0:
+            raise ValueError("classical information cannot be negative")
+        if high > self.qfi * (1.0 + 1e-9):
+            raise ValueError(
+                "classical information exceeds the quantum bound: "
+                f"max F = {high!r} > Q = {self.qfi!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -164,16 +169,18 @@ def _waist_mode_spectral_moments() -> tuple[float, float]:
     twice, which converges geometrically for these
     entire, fast-decaying integrands.  Nothing here uses the transform's
     closed form.  The moments are taken at both ``SPECTRAL_STEPS``, with
-    fixed-order ``np.sum`` reductions (no BLAS product), and the finer
-    grid's returned; ``QuadratureError`` is raised when the two differ by
-    more than ``numerics.RULE_TOL``.
+    fixed-order ``np.sum`` reductions (no BLAS product) and e^{-x^2} and
+    cos(kappa x) from libm (``numerics.libm_exp``, ``numerics.libm_cos``),
+    so they are the same bits on every CPU, and the finer grid's returned;
+    ``QuadratureError`` is raised when the two differ by more than
+    ``numerics.RULE_TOL``.
     """
     estimates = []
     for step in SPECTRAL_STEPS:
         grid = step * np.arange(int(10.0 / step) + 1)  # x and kappa
         weights = np.where(grid > 0.0, 2.0, 1.0)
         sq = grid * grid
-        spectrum = np.sum(np.cos(np.multiply.outer(grid, grid)) * (weights * np.exp(-sq)),
+        spectrum = np.sum(libm_cos(np.multiply.outer(grid, grid)) * (weights * libm_exp(-sq)),
                           axis=1)
         density = weights * spectrum * spectrum
         total = np.sum(density)
@@ -246,7 +253,8 @@ def classical_fi_numeric(
     scale w = sqrt(w^2(z)), with the five intensities (the centre and the
     stencil) evaluated once on both node sets
     (``numerics.stacked_radial_rule``), as the rows of one array, with
-    one ``numerics.libm_exp`` call; the score is reduced once
+    one ``numerics.libm_exp`` call, and the stencil rows differenced
+    directly (``numerics.stencil_derivative``); the score is reduced once
     (``numerics.unit_rule_sums``) and its two unit sums times w^2 are the
     integral on each rule, the same bits on every CPU.
     Their gap is the error estimate, checked by
@@ -276,8 +284,7 @@ def classical_fi_numeric(
     # arithmetic of ``intensity_pdf``, row by row.
     column = np.array(widths_sq)[:, np.newaxis]
     p, *rows = 2.0 / (math.pi * column) * libm_exp(-2.0 * radii * radii / column)
-    stencil = dict(zip(offsets, rows))
-    dp = central_derivative(lambda offset: stencil[offset], 0.0, step)
+    dp = stencil_derivative(rows, step)
     # Far tail: p has underflowed, and the score with it.
     score = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
     coarse, fine = (w_sq * unit_rule_sums(score)).tolist()
@@ -530,16 +537,12 @@ def _estimate_transverse_scale(profile: FieldProfile) -> float:
 # qfi_pure_state's fields are rows on the stacked radii of both rules,
 # and every inner product is on the rules' unit weights, so the common
 # scale^2 of the weights cancels from the normalized fields and from Q.
-# The few values each reduction gives are checked and combined as Python
-# numbers.
 
 
 def _fields_on(profiles: Sequence[FieldProfile], radii: np.ndarray):
     """One row per profile, its field on ``radii``, and the squared norm
     of each row on each rule, checked positive and finite."""
-    fields = np.empty((len(profiles), radii.size), dtype=complex)
-    for row, profile in zip(fields, profiles):
-        row[...] = profile(radii)
+    fields = np.array([profile(radii) for profile in profiles], dtype=complex)
     norm_sq = unit_rule_norms_sq(fields)
     for value in norm_sq.ravel().tolist():
         if not 0.0 < value < math.inf:
@@ -570,11 +573,11 @@ def _normalized(profiles: Sequence[FieldProfile], radii: np.ndarray) -> np.ndarr
     return fields
 
 
-def _check_overlaps(overlaps: list, offsets: Sequence[float]) -> None:
-    """Each row of ``overlaps`` (<psi_c | psi(z + offset)> on each rule,
+def _check_overlaps(sizes: np.ndarray, offsets: Sequence[float]) -> None:
+    """Each row of ``sizes`` (|<psi_c | psi(z + offset)>| on each rule,
     one row per offset) is far from orthogonal."""
-    for offset, row in zip(offsets, overlaps):
-        if min(abs(value) for value in row) < 1e-3:
+    for offset, smallest in zip(offsets, sizes.min(axis=-1).tolist()):
+        if smallest < 1e-3:
             raise NumericalLimitError(
                 f"field at offset {offset!r} nearly orthogonal to the center "
                 "field; reduce the finite-difference step"
@@ -605,18 +608,18 @@ def qfi_pure_state(
     profiles must therefore accept an array of radii and return the
     complex field with the same shape (``beam_optics.FieldProfile``).
     Each field is evaluated once, on both node sets at once
-    (``numerics.stacked_radial_rule``), and the four fields of a stencil
-    are normalized, aligned and differenced as the rows of one array.
+    (``numerics.stacked_radial_rule``), and each set of fields (the
+    centre with the probe below, the stencil's four) is one array.
     Every inner product is one fixed-order reduction on the rules' unit
-    weights (``numerics.unit_rule_sums`` and
-    ``numerics.unit_rule_norms_sq``), whose common scale^2 the
-    normalization cancels, so no BLAS kernel reaches Q.  Its complex
-    products are numpy's, fused multiply-adds wherever numpy dispatches
-    AVX2 or AVX-512: Q is the same bits with the AVX-512 loops off, not
-    on a CPU without AVX2.  The centre is normalized together with the
-    probe below; each stencil field is normalized and turned onto the
-    centre's phase by one factor per rule, from its squared norm and its
-    overlap with the centre.
+    weights, whose common scale^2 the normalization cancels; folded
+    into the conjugated centre once, they make each overlap with it one
+    product and one ``numerics.rule_sums``.  No BLAS kernel reaches Q.
+    Its complex products are numpy's, fused multiply-adds wherever numpy
+    dispatches AVX2 or AVX-512: Q is the same bits with the AVX-512
+    loops off, not on a CPU without AVX2.  Each stencil field is
+    normalized and turned onto the centre's phase by one factor per
+    rule, conj(o) / (|o| |f|) with o = <psi_c | f> / |f|, and the aligned
+    rows are differenced directly (``numerics.stencil_derivative``).
     Q is computed on the coarse and on the fine rule, and the fine value
     is returned.  Their gap is the error estimate: ``QuadratureError`` is
     raised when it exceeds ``numerics.RULE_TOL`` |Q| (plus a roundoff
@@ -657,39 +660,35 @@ def qfi_pure_state(
     if not math.isfinite(transverse_scale):
         raise ValueError(f"transverse_scale must be finite, got {transverse_scale}")
     radii = stacked_radial_rule(transverse_scale)
-
+    # centre: conj(psi_c) times the unit weights; an overlap is one rule_sums.
     if refine:
         # The Bures angle arccos |<psi(z) | psi(z + h)>| is sqrt(Q) h / 2 to
         # second order, so one probe field, normalized together with the
         # centre, gives the state's speed sqrt(Q).
         psi_c, probe = _normalized([center_raw, field_family(z + step)], radii)
-        psi_c_conj = psi_c.conj()
-        overlap = unit_rule_sums(probe * psi_c_conj).tolist()
-        _check_overlaps([overlap], [step])
-        speed = 2.0 * math.acos(min(abs(overlap[-1]), 1.0)) / step
+        centre = psi_c.conj() * unit_rule_weights()
+        size = np.abs(rule_sums(probe * centre))
+        _check_overlaps(size[np.newaxis], [step])
+        speed = 2.0 * math.acos(min(float(size[-1]), 1.0)) / step
         if speed * step > 0.02:
             step = 0.01 / speed
     else:
-        psi_c_conj = _normalized([center_raw], radii)[0].conj()
+        centre = _normalized([center_raw], radii)[0].conj() * unit_rule_weights()
     offsets = (step, -step, 0.5 * step, -0.5 * step)
     fields, norm_sq = _fields_on([field_family(z + offset) for offset in offsets], radii)
-    # Normalize each stencil field and turn it by the conjugate phase of its
-    # overlap with the centre, which removes any piston phase: one factor
-    # conj(o) / (|o| |f|) per field and rule, o = <psi_c | f> / |f|.
-    norms = np.sqrt(norm_sq).tolist()
-    overlaps = [[value / norm for value, norm in zip(row, row_norms)]
-                for row, row_norms in zip(unit_rule_sums(fields * psi_c_conj).tolist(), norms)]
-    _check_overlaps(overlaps, offsets)
-    fields *= on_rule_nodes(np.array(
-        [[value.conjugate() / (abs(value) * norm) for value, norm in zip(row, row_norms)]
-         for row, row_norms in zip(overlaps, norms)]))
-    stencil = dict(zip(offsets, fields))
-    dpsi = central_derivative(lambda offset: stencil[offset], 0.0, step)
+    # Normalize each field and turn it onto the centre's phase, which
+    # removes any piston phase.
+    norms = np.sqrt(norm_sq)
+    overlaps = rule_sums(fields * centre) / norms
+    size = np.abs(overlaps)
+    _check_overlaps(size, offsets)
+    fields *= on_rule_nodes(overlaps.conj() / (size * norms))
+    dpsi = stencil_derivative(fields, step)
     # The stencil fields' squared norms and d_z psi's, in one reduction.
     norm_sq = unit_rule_norms_sq(np.vstack((fields, dpsi)))
     _check_drift(norm_sq[:-1])
     grad_sq = norm_sq[-1].tolist()
-    overlap = unit_rule_sums(psi_c_conj * dpsi).tolist()
+    overlap = rule_sums(centre * dpsi).tolist()
     values = [4.0 * (g - abs(o) * abs(o)) for g, o in zip(grad_sq, overlap)]
     # Differencing unit-norm states leaves roundoff of order eps / h in
     # d_z psi; a gap below that floor says nothing about the rule.

@@ -5,8 +5,8 @@ same form: a fixed pair of trapezoid rules for radial integrals of a
 Gaussian-windowed integrand, the check that takes the gap between two
 estimates of an integral (the two rules, or two grids) as its error
 estimate, a Richardson-extrapolated central difference for axial
-derivatives, and an exponential that is the same bits at every numpy
-SIMD level (``libm_exp``).
+derivatives, and an exponential and a cosine that are the same bits at
+every numpy SIMD level (``libm_exp``, ``libm_cos``).
 
 Every radial integral of the package has the shape
 ``integral f(r) 2 pi r dr`` from some radius to infinity, with f a
@@ -19,7 +19,8 @@ a fixed set of nodes.  Each integral is taken on the two rules of
 the coarse one agrees with it.  ``stacked_radial_rule`` puts both node
 sets on one array of radii, so each integrand is evaluated once for the
 pair, and ``unit_rule_sums`` (``unit_rule_norms_sq`` for |f|^2 of complex
-fields) reduces the values to both rules' sums on the unit weights in one
+fields, ``rule_sums`` for products that already carry the weights)
+reduces the values to both rules' sums on the unit weights in one
 fixed-order numpy reduction, never a BLAS product, so an integral is the
 same bits on every CPU.  The rules have no zeros to find: each node
 and weight is one closed-form expression, rounded once to a double, and
@@ -130,6 +131,8 @@ class _UnitRules(NamedTuple):
     #: Each weight twice, for the real and imaginary parts of a complex
     #: value side by side.
     pair_weights: np.ndarray
+    #: The first index of each rule among those side-by-side parts.
+    pair_starts: np.ndarray
 
 
 @functools.cache
@@ -163,10 +166,10 @@ def _unit_rules() -> _UnitRules:
                 us.append(float(u))
                 windows.append(float((-u).exp()))
                 weights.append(float(pi / 2 * h * u * (1 + decay)))
-    weights = np.array(weights)
+    weights, starts = np.array(weights), np.array(starts)
     rules = _UnitRules(np.array(radii), np.array(us), np.array(windows), weights,
-                       np.array(starts), np.diff(starts, append=len(radii)),
-                       weights.repeat(2))
+                       starts, np.diff(starts, append=len(radii)),
+                       weights.repeat(2), 2 * starts)
     for array in rules:
         array.flags.writeable = False
     return rules
@@ -240,8 +243,23 @@ def unit_rule_sums(values: np.ndarray) -> np.ndarray:
     depend on ``lower``, so every integral on the radii of scale s is s^2
     times its unit sum.
     """
-    rules = _unit_rules()
-    return np.add.reduceat(values * rules.weights, rules.starts, axis=-1)
+    return rule_sums(values * _unit_rules().weights)
+
+
+def unit_rule_weights() -> np.ndarray:
+    """The unit weight of each radius of ``stacked_radial_rule`` in its
+    own rule, read-only and cached with the rules: a factor that many
+    integrands share can take them once, and ``rule_sums`` of its
+    products is then ``unit_rule_sums`` up to the order of the two
+    roundings."""
+    return _unit_rules().weights
+
+
+def rule_sums(terms: np.ndarray) -> np.ndarray:
+    """Each rule's plain sum of ``terms``, already weighted, along the
+    last axis: ``unit_rule_sums``'s one fixed-order ``np.add.reduceat``
+    without its multiplication by the unit weights."""
+    return np.add.reduceat(terms, _unit_rules().starts, axis=-1)
 
 
 def unit_rule_norms_sq(fields: np.ndarray) -> np.ndarray:
@@ -250,8 +268,9 @@ def unit_rule_norms_sq(fields: np.ndarray) -> np.ndarray:
     the real and imaginary parts, side by side, times each weight twice,
     in one fixed-order reduction."""
     rules = _unit_rules()
-    parts = fields.view(float)
-    return np.add.reduceat(parts * parts * rules.pair_weights, 2 * rules.starts, axis=-1)
+    terms = np.square(fields.view(float))
+    terms *= rules.pair_weights
+    return np.add.reduceat(terms, rules.pair_starts, axis=-1)
 
 
 def on_rule_nodes(per_rule: np.ndarray) -> np.ndarray:
@@ -273,6 +292,14 @@ def libm_exp(x) -> np.ndarray:
     return np.exp(np.asarray(x, dtype=complex)).real
 
 
+def libm_cos(x) -> np.ndarray:
+    """cos x for every element of ``x``, as the real part of the C
+    library's complex exponential e^{ix} = cos x + i sin x, the same
+    bits at every numpy SIMD level (``libm_exp``'s route: numpy's real
+    ``cos`` has SIMD loops of its own)."""
+    return np.exp(1j * np.asarray(x, dtype=float)).real
+
+
 def central_derivative(fn: Callable[[float], float], x: float, step: float):
     """First derivative of ``fn`` at ``x`` by Richardson-extrapolated
     central differences.
@@ -285,7 +312,17 @@ def central_derivative(fn: Callable[[float], float], x: float, step: float):
         raise ValueError(f"finite-difference step must be positive, got {step}")
     if not math.isfinite(step):
         raise ValueError(f"finite-difference step must be finite, got {step}")
-    coarse = (fn(x + step) - fn(x - step)) / (2.0 * step)
     half = 0.5 * step
-    fine = (fn(x + half) - fn(x - half)) / (2.0 * half)
+    return stencil_derivative((fn(x + step), fn(x - step), fn(x + half), fn(x - half)), step)
+
+
+def stencil_derivative(values, step: float):
+    """``central_derivative`` from the four values it takes, at offsets
+    ``step``, ``-step``, ``step / 2`` and ``-step / 2`` in that order:
+    numbers or arrays (the rows of one array, say), differenced
+    directly."""
+    plus, minus, half_plus, half_minus = values
+    coarse = (plus - minus) / (2.0 * step)
+    half = 0.5 * step
+    fine = (half_plus - half_minus) / (2.0 * half)
     return (4.0 * fine - coarse) / 3.0

@@ -9,7 +9,8 @@ exponential; with c = 2 r_b^2 / w^2 split it as X = c F + c V:
 * F = floor(X / c) is geometric, P(F >= f) = exp(-c f);
 * V in [0, 1) has density proportional to exp(-c V), and its binary
   digits b_j are independent Bernoulli variables with
-  P(b_j = 1) = 1 / (1 + exp(c 2^-j));
+  P(b_j = 1) = 1 / (1 + exp(c 2^-j)), each exponential the C library's
+  (``numerics.libm_exp``), so the law is the same bits on every CPU;
 * F and V are independent, because the density factorises (Marsaglia,
   "Random variables with independent binary digits", Ann. Math.
   Statist. 42 (1971)).
@@ -66,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import NumericalLimitError
+from .numerics import NumericalLimitError, libm_exp
 
 #: Binary digits of V drawn per exposure; the rest is below 2^-64.
 _DIGITS = 64
@@ -265,7 +266,10 @@ class _ExposureLaw(NamedTuple):
 
 def _exposure_law(width_sq: float, r_b: float) -> _ExposureLaw:
     """c = 2 r_b^2 / width_sq, P(F >= 1) = exp(-c), p = 1 - exp(-c) and
-    the 64 digit probabilities, checked."""
+    the 64 digit probabilities, checked.  Every exponential is the C
+    library's (``math.exp``, ``math.expm1`` and, for the digits,
+    ``numerics.libm_exp``), so the law, and the draws it feeds, are the
+    same bits at every numpy SIMD level."""
     if width_sq == math.inf:
         raise NumericalLimitError("the true squared width width_sq overflows a double")
     if not width_sq > 0.0:
@@ -278,7 +282,7 @@ def _exposure_law(width_sq: float, r_b: float) -> _ExposureLaw:
         )
     # q_j = 1 / (1 + exp(c 2^-j)), written with exp(-c 2^-j) so that a
     # large c underflows to q_j = 0 instead of overflowing.
-    e = np.exp(-c * _DIGIT_WEIGHTS)
+    e = libm_exp(-c * _DIGIT_WEIGHTS)
     return _ExposureLaw(width_sq, r_b, c, math.exp(-c), -math.expm1(-c), e / (1.0 + e))
 
 

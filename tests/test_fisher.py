@@ -509,6 +509,64 @@ def test_scan_rejects_values_above_quantum_bound():
         )
 
 
+@pytest.mark.parametrize("bad,count,first,last", [
+    ({2: math.nan}, 1, 2.0, 2.0),
+    ({1: math.inf}, 1, 1.0, 1.0),
+    ({0: -math.inf, 3: math.inf}, 2, 0.0, 3.0),
+    ({4: math.nan, 1: math.inf}, 2, 1.0, 4.0),
+    ({3: math.inf, 0: math.nan, 4: math.nan}, 3, 0.0, 4.0),
+], ids=["nan", "inf", "both-infs", "nan-and-inf", "nan-first"])
+def test_scan_names_the_planes_where_the_information_is_not_finite(bad, count, first, last):
+    """NaN alone, inf alone or both, wherever they sit among finite
+    values (including values that would fail the other checks): a
+    ``NumericalLimitError`` naming how many planes and their range."""
+    values = np.array([0.5, -1.0, 0.25, 7.0, 0.0])
+    for index, value in bad.items():
+        values[index] = value
+    with pytest.raises(NumericalLimitError) as excinfo:
+        FisherScan(plane_positions=np.arange(5.0), fi_values=values, qfi=1.0)
+    assert str(excinfo.value) == (
+        f"classical information is not finite at {count} of 5 planes, from "
+        f"{first!r} m to {last!r} m: the ray matrix is out of double range there")
+
+
+@pytest.mark.parametrize("values,parts", [
+    ([0.5, -1e-300, 0.25], ["classical information cannot be negative"]),
+    ([0.5, 1.0 + 2e-9, 0.25],
+     ["classical information exceeds the quantum bound: max F = ", "1.000000002", " > Q = 1.0"]),
+])
+def test_scan_refuses_negative_information_and_information_above_q(values, parts):
+    with pytest.raises(ValueError) as excinfo:
+        FisherScan(plane_positions=np.arange(3.0), fi_values=np.array(values), qfi=1.0)
+    assert not isinstance(excinfo.value, NumericalLimitError)
+    assert all(part in str(excinfo.value) for part in parts)
+
+
+def test_scan_accepts_q_within_its_tolerance_and_an_empty_scan():
+    scan = FisherScan(plane_positions=[0.0, 1.0], fi_values=[0.0, 1.0 + 5e-10], qfi=1.0)
+    assert scan.fi_values.tolist() == [0.0, 1.0 + 5e-10]
+    empty = FisherScan(plane_positions=[], fi_values=[], qfi=1.0)
+    assert empty.plane_positions.shape == empty.fi_values.shape == (0,)
+
+
+@pytest.mark.parametrize("planes,values", [
+    ([0.0, 1.0], [0.5]),
+    ([0.0, 1.0], [[0.5, 0.5]]),
+    ([], [0.5]),
+    ([0.0], []),
+])
+def test_scan_refuses_mismatched_shapes(planes, values):
+    with pytest.raises(ValueError, match="plane/value shape mismatch"):
+        FisherScan(plane_positions=planes, fi_values=values, qfi=1.0)
+
+
+@pytest.mark.parametrize("qfi", [0.0, -1.0, math.inf, math.nan])
+def test_scan_refuses_a_quantum_bound_that_is_not_positive_and_finite(qfi):
+    for planes in ([], [0.0]):
+        with pytest.raises(ValueError, match="qfi must be positive and finite"):
+            FisherScan(plane_positions=planes, fi_values=[0.0] * len(planes), qfi=qfi)
+
+
 # ---------------------------------------------------------------------------
 # Radial structure
 # ---------------------------------------------------------------------------

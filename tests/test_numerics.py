@@ -17,11 +17,15 @@ from axialfisher.numerics import (
     QuadratureError,
     central_derivative,
     check_rule_gap,
+    libm_cos,
     libm_exp,
     on_rule_nodes,
+    rule_sums,
     stacked_radial_rule,
+    stencil_derivative,
     unit_rule_norms_sq,
     unit_rule_sums,
+    unit_rule_weights,
 )
 
 
@@ -136,9 +140,10 @@ def test_unit_rules_are_their_formula_correctly_rounded():
     window e^{-u} and weight pi h (1 + e^{-t}) r^2 at t = t_lo + k h;
     ``unit_rule_window`` hands out the cached u and window."""
     pi = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
-    radii, us, windows, weights, starts, sizes, pair_weights = numerics._unit_rules()
+    radii, us, windows, weights, starts, sizes, pair_weights, pair_starts = numerics._unit_rules()
     assert starts.tolist() == [0, 37] and sizes.tolist() == [37, 89]
     assert pair_weights.tolist() == [w for weight in weights.tolist() for w in (weight, weight)]
+    assert pair_starts.tolist() == [0, 74]
     u_window = numerics.unit_rule_window()
     assert u_window[0] is us and u_window[1] is windows
     parts = _rule_parts()
@@ -197,7 +202,7 @@ def test_radial_rule_is_cached_and_read_only():
     assert numerics._unit_rules() is numerics._unit_rules()
     rules = numerics._unit_rules()
     assert rules._fields == ("radii", "u", "window", "weights", "starts", "sizes",
-                             "pair_weights")
+                             "pair_weights", "pair_starts")
     for array in rules:
         with pytest.raises(ValueError):
             array[0] = 1
@@ -241,12 +246,13 @@ def test_unit_rules_do_not_depend_on_numpy_simd_level():
 
 
 #: The three radial routes to the bounds on seeded free beams and point
-#: sources, then each command once; the artifacts go to the working
-#: directory.
+#: sources; the sampler's 64 digit probabilities at seeded c and the
+#: generator route's spectral moments; then each command once, the
+#: artifacts going to the working directory.
 _ROUTES_AND_COMMANDS = """
 import math
 import numpy as np
-from axialfisher import beam_optics, fisher
+from axialfisher import beam_optics, fisher, photon_sim
 from axialfisher.cli import main
 rng = np.random.default_rng(34)
 values = []
@@ -261,6 +267,10 @@ for _ in range(6):
                fisher.beam_fi_numeric(beam, z),
                fisher.info_fraction_outside(w_sq, math.sqrt(w_sq) * rng.uniform(0.0, 2.5))]
 print(" ".join(value.hex() for value in values))
+laws = [photon_sim._exposure_law(1.0, math.sqrt(0.5 * 10.0 ** rng.uniform(-3.0, 1.5)))
+        for _ in range(8)]
+print(" ".join(value.hex() for law in laws for value in [law.c, *law.digit_probs.tolist()]),
+      " ".join(value.hex() for value in fisher._waist_mode_spectral_moments()))
 beam = ["--wavelength", "632.8nm", "--rayleigh-range", "18.9um"]
 relay = ["--focal", "10mm", "--object-distance", "12mm"]
 trials = ["--n-per-trial", "2000", "--trials", "4"]
@@ -305,7 +315,9 @@ _AVX2_AND_UP = sorted({"AVX2", "FMA3", "X86_V3", *_AVX512})
 
 def _without_qfis(output: str) -> str:
     """``output`` of ``_ROUTES_AND_COMMANDS`` with the 12 QFIs of its
-    first line (the first two of each group of four values) blanked."""
+    first line (the first two of each group of four values) blanked; the
+    digit probabilities and spectral moments of the second line, and
+    every later line, are kept."""
     values, rest = output.split("\n", 1)
     kept = [value if index % 4 >= 2 else "-" for index, value in enumerate(values.split())]
     return " ".join(kept) + "\n" + rest
@@ -328,20 +340,23 @@ def _without_qfis(output: str) -> str:
 def test_bound_routes_and_artifacts_are_the_same_bits_on_every_cpu(
         knobs, same_qfis, default_routes_and_commands, tmp_path):
     """``qfi_pure_state``, ``beam_fi_numeric`` and ``info_fraction_outside``
-    give the same bits (``float.hex``), and the six commands the same
-    output, exit codes and artifact bytes, under another OpenBLAS kernel
-    or with numpy's AVX-512 loops off as under the default set-up: no
-    BLAS call reaches them, and no numpy loop whose AVX-512 form rounds
-    differently.  With the AVX2 loops off as well, everything but the 12
-    QFIs is still the same bits: ``qfi_pure_state``'s complex products
-    are fused multiply-adds only where numpy dispatches AVX2 or AVX-512
-    (ROADMAP item 7)."""
+    give the same bits (``float.hex``), and so do the sampler's digit
+    probabilities and the generator route's spectral moments (libm's
+    exponential and cosine, not numpy's real loops); the six commands
+    give the same output, exit codes and artifact bytes, under another
+    OpenBLAS kernel or with numpy's AVX-512 loops off as under the
+    default set-up: no BLAS call reaches them, and no numpy loop whose
+    AVX-512 form rounds differently.  With the AVX2 loops off as well,
+    everything but the 12 QFIs is still the same bits:
+    ``qfi_pure_state``'s complex products are fused multiply-adds only
+    where numpy dispatches AVX2 or AVX-512 (ROADMAP item 7)."""
     output, artifacts = _routes_and_commands(tmp_path / "knobs", **knobs)
     default_output, default_artifacts = default_routes_and_commands
     if same_qfis:
         assert output == default_output
     else:
         assert _without_qfis(output) == _without_qfis(default_output)
+    assert len(output.splitlines()[1].split()) == 8 * 65 + 2
     assert output.splitlines()[-1] == "0 0 0 0 0 0"
     assert sorted(artifacts) == sorted(default_artifacts)
     for name, data in artifacts.items():
@@ -411,6 +426,16 @@ def test_unit_rule_sums_take_each_row_in_the_same_order():
             assert reduce(row).tobytes() == row_sums.tobytes()
 
 
+def test_rule_sums_of_weighted_values_are_unit_rule_sums():
+    """``unit_rule_weights`` hands out the cached weights, and
+    ``rule_sums`` of values times them is ``unit_rule_sums``, bit for
+    bit, for real and complex rows."""
+    assert unit_rule_weights() is numerics._unit_rules().weights
+    values = np.random.default_rng(8).standard_normal((2, 3, numerics._unit_rules().radii.size))
+    for rows in (values[0], values[0] + 1j * values[1]):
+        assert rule_sums(rows * unit_rule_weights()).tobytes() == unit_rule_sums(rows).tobytes()
+
+
 def test_on_rule_nodes_spreads_each_rule_over_its_radii():
     rules = numerics._unit_rules()
     spread = on_rule_nodes(np.array([[2.0, 3.0], [5.0, 7.0]]))
@@ -428,6 +453,15 @@ def test_libm_exp_is_math_exp():
     expected = [math.exp(value) for value in x.tolist()]
     assert libm_exp(x).tolist() == expected
     assert libm_exp(x.reshape(5, -1)).ravel().tolist() == expected
+
+
+def test_libm_cos_is_math_cos():
+    """Every element is ``math.cos`` of it, bit for bit, on seeded
+    arguments and on the products of the generator route's grids."""
+    grid = 0.15 * np.arange(67)
+    x = np.concatenate([np.random.default_rng(4).uniform(-50.0, 50.0, 4000),
+                        np.multiply.outer(grid, grid).ravel(), [0.0, -0.0, math.pi, 1e5]])
+    assert libm_cos(x).tolist() == [math.cos(value) for value in x.tolist()]
 
 
 def test_stacked_rule_validates_its_map():
@@ -452,6 +486,19 @@ def test_central_derivative_complex_valued():
     d = central_derivative(lambda x: complex(math.cos(x), math.sin(x)), 0.0, step=1e-3)
     assert d.real == pytest.approx(0.0, abs=1e-12)
     assert d.imag == pytest.approx(1.0, rel=1e-12)
+
+
+def test_stencil_derivative_is_central_derivative_on_every_row():
+    """The four rows of one array, differenced directly, are
+    ``central_derivative`` of the function the rows sample, bit for bit."""
+    step, x = 1e-3, 0.7
+    nodes = np.linspace(0.0, 3.0, 50)
+
+    def fn(z):
+        return np.exp(-nodes * nodes * z) * np.cos(nodes + z) + 1j * np.sin(z * nodes)
+
+    rows = np.array([fn(x + offset) for offset in (step, -step, 0.5 * step, -0.5 * step)])
+    assert stencil_derivative(rows, step).tobytes() == central_derivative(fn, x, step).tobytes()
 
 
 def test_central_derivative_rejects_bad_step():
