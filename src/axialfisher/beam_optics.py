@@ -87,10 +87,12 @@ class ImageBeam:
     waist_position: float
 
     def __post_init__(self) -> None:
-        if self.m_sq <= 0.0:
-            raise ValueError(f"m_sq must be positive, got {self.m_sq}")
-        if self.waist <= 0.0 or self.rayleigh_range <= 0.0:
-            raise ValueError("image waist and rayleigh range must be positive")
+        for name in ("m_sq", "waist", "rayleigh_range"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.waist_position):
+            raise ValueError(f"waist_position must be finite, got {self.waist_position}")
 
 
 def ray_matrix(relay: RelaySystem | None, plane: float) -> tuple[float, float]:

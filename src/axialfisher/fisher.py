@@ -48,14 +48,11 @@ from .numerics import (
     check_rule_gap,
     libm_cos,
     libm_exp,
-    on_rule_nodes,
     rule_sums,
     stacked_radial_rule,
     stencil_derivative,
     unit_rule_norms_sq,
-    unit_rule_sums,
-    unit_rule_weights,
-    unit_rule_window,
+    unit_rules,
 )
 
 #: Pinned relative step for axial finite differences, in units of the
@@ -119,7 +116,7 @@ class FisherScan:
         if high > self.qfi * (1.0 + 1e-9):
             raise ValueError(
                 "classical information exceeds the quantum bound: "
-                f"max F = {high!r} > Q = {self.qfi!r}"
+                f"max F = {float(high)!r} > Q = {self.qfi!r}"
             )
 
 
@@ -254,9 +251,10 @@ def classical_fi_numeric(
     stencil) evaluated once on both node sets
     (``numerics.stacked_radial_rule``), as the rows of one array, with
     one ``numerics.libm_exp`` call, and the stencil rows differenced
-    directly (``numerics.stencil_derivative``); the score is reduced once
-    (``numerics.unit_rule_sums``) and its two unit sums times w^2 are the
-    integral on each rule, the same bits on every CPU.
+    directly (``numerics.stencil_derivative``); the score times the
+    rules' unit weights (``numerics.unit_rules``) is reduced once
+    (``numerics.rule_sums``) and its two sums times w^2 are the integral
+    on each rule, the same bits on every CPU.
     Their gap is the error estimate, checked by
     ``numerics.check_rule_gap`` above a roundoff floor of
     100 sqrt(F) eps / ``step``: each p carries a few ulps, so d_z p
@@ -287,7 +285,7 @@ def classical_fi_numeric(
     dp = stencil_derivative(rows, step)
     # Far tail: p has underflowed, and the score with it.
     score = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
-    coarse, fine = (w_sq * unit_rule_sums(score)).tolist()
+    coarse, fine = (w_sq * rule_sums(score * unit_rules().weights)).tolist()
     floor = 100.0 * math.sqrt(abs(fine)) * sys.float_info.epsilon / step
     return check_rule_gap(coarse, fine, floor, "score integral")
 
@@ -452,9 +450,9 @@ def info_fraction_outside(width_sq: float, r_b: float) -> float:
     the density over [r_b, inf) is 2 / (pi w^2) e^{-c} e^{-u}
     (c + u - 1)^2, and over [0, inf) (c = 0) 2 / (pi w^2) e^{-u} (u - 1)^2,
     so both integrands are the rules' cached window e^{-u} times a
-    quadratic in the cached u (``numerics.unit_rule_window``), taken as
-    the two rows of one array and reduced once
-    (``numerics.unit_rule_sums``).  No radius is built and no exponential
+    quadratic in the cached u (``numerics.unit_rules``), taken times the
+    unit weights as the two rows of one array and reduced once
+    (``numerics.rule_sums``).  No radius is built and no exponential
     is taken on the nodes: e^{-c} is one ``math.exp``, and the result is
     the same bits on every CPU.  The fine rule integrates each within
     4e-15 and the coarse one within 4e-13 (relative, for c up to 30), so
@@ -473,10 +471,10 @@ def info_fraction_outside(width_sq: float, r_b: float) -> float:
     # one array, with c - 1 and -1 added to u; the rules' weights carry
     # the w^2 of the density's 2 / (pi w^2).
     c = 2.0 * r_b * r_b / width_sq
-    u, window = unit_rule_window()
-    t = u + np.array(((c - 1.0,), (-1.0,)))
+    rules = unit_rules()
+    t = rules.u + np.array(((c - 1.0,), (-1.0,)))
     factors = np.array(((2.0 / math.pi * math.exp(-c),), (2.0 / math.pi,)))
-    outside, total = (factors * unit_rule_sums(window * (t * t))).tolist()
+    outside, total = (factors * rule_sums(rules.window * (t * t) * rules.weights)).tolist()
     return (check_rule_gap(*outside, 0.0, "outside information")
             / check_rule_gap(*total, 0.0, "total information"))
 
@@ -568,7 +566,7 @@ def _normalized(profiles: Sequence[FieldProfile], radii: np.ndarray) -> np.ndarr
     """One row per profile: its field on ``radii``, scaled to unit norm on
     each rule."""
     fields, norm_sq = _fields_on(profiles, radii)
-    fields /= on_rule_nodes(np.sqrt(norm_sq))
+    fields /= np.sqrt(norm_sq).repeat(unit_rules().sizes, axis=-1)
     _check_drift(unit_rule_norms_sq(fields))
     return fields
 
@@ -611,9 +609,10 @@ def qfi_pure_state(
     (``numerics.stacked_radial_rule``), and each set of fields (the
     centre with the probe below, the stencil's four) is one array.
     Every inner product is one fixed-order reduction on the rules' unit
-    weights, whose common scale^2 the normalization cancels; folded
-    into the conjugated centre once, they make each overlap with it one
-    product and one ``numerics.rule_sums``.  No BLAS kernel reaches Q.
+    weights (``numerics.unit_rules``), whose common scale^2 the
+    normalization cancels; folded into the conjugated centre once, they
+    make each overlap with it one product and one ``numerics.rule_sums``.
+    No BLAS kernel reaches Q.
     Its complex products are numpy's, fused multiply-adds wherever numpy
     dispatches AVX2 or AVX-512: Q is the same bits with the AVX-512
     loops off, not on a CPU without AVX2.  Each stencil field is
@@ -660,20 +659,21 @@ def qfi_pure_state(
     if not math.isfinite(transverse_scale):
         raise ValueError(f"transverse_scale must be finite, got {transverse_scale}")
     radii = stacked_radial_rule(transverse_scale)
+    rules = unit_rules()
     # centre: conj(psi_c) times the unit weights; an overlap is one rule_sums.
     if refine:
         # The Bures angle arccos |<psi(z) | psi(z + h)>| is sqrt(Q) h / 2 to
         # second order, so one probe field, normalized together with the
         # centre, gives the state's speed sqrt(Q).
         psi_c, probe = _normalized([center_raw, field_family(z + step)], radii)
-        centre = psi_c.conj() * unit_rule_weights()
+        centre = psi_c.conj() * rules.weights
         size = np.abs(rule_sums(probe * centre))
         _check_overlaps(size[np.newaxis], [step])
         speed = 2.0 * math.acos(min(float(size[-1]), 1.0)) / step
         if speed * step > 0.02:
             step = 0.01 / speed
     else:
-        centre = _normalized([center_raw], radii)[0].conj() * unit_rule_weights()
+        centre = _normalized([center_raw], radii)[0].conj() * rules.weights
     offsets = (step, -step, 0.5 * step, -0.5 * step)
     fields, norm_sq = _fields_on([field_family(z + offset) for offset in offsets], radii)
     # Normalize each field and turn it onto the centre's phase, which
@@ -682,7 +682,7 @@ def qfi_pure_state(
     overlaps = rule_sums(fields * centre) / norms
     size = np.abs(overlaps)
     _check_overlaps(size, offsets)
-    fields *= on_rule_nodes(overlaps.conj() / (size * norms))
+    fields *= (overlaps.conj() / (size * norms)).repeat(rules.sizes, axis=-1)
     dpsi = stencil_derivative(fields, step)
     # The stencil fields' squared norms and d_z psi's, in one reduction.
     norm_sq = unit_rule_norms_sq(np.vstack((fields, dpsi)))

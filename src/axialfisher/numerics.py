@@ -9,24 +9,22 @@ derivatives, and an exponential and a cosine that are the same bits at
 every numpy SIMD level (``libm_exp``, ``libm_cos``).
 
 Every radial integral of the package has the shape
-``integral f(r) 2 pi r dr`` from some radius to infinity, with f a
-Gaussian spot of known width times a factor smooth in u = 2 r^2 / w^2.
-In u that is e^{-u} times the smooth factor.  The double-exponential
-substitution u = exp(t - e^{-t}) makes the integrand in t decay double
-exponentially at both ends, and the trapezoid rule in t integrates it on
-a fixed set of nodes.  Each integral is taken on the two rules of
-``RULES`` and ``check_rule_gap`` accepts the fine rule's value only when
-the coarse one agrees with it.  ``stacked_radial_rule`` puts both node
-sets on one array of radii, so each integrand is evaluated once for the
-pair, and ``unit_rule_sums`` (``unit_rule_norms_sq`` for |f|^2 of complex
-fields, ``rule_sums`` for products that already carry the weights)
-reduces the values to both rules' sums on the unit weights in one
-fixed-order numpy reduction, never a BLAS product, so an integral is the
-same bits on every CPU.  The rules have no zeros to find: each node
-and weight is one closed-form expression, rounded once to a double, and
-so are each node's u and Gaussian window e^{-u} (``unit_rule_window``),
-cached with the rules on first use: an integrand known in u needs
-neither radii nor an exponential on the nodes.
+``integral f(r) 2 pi r dr`` over [0, inf), with f a Gaussian spot of
+known width times a factor smooth in u = 2 r^2 / w^2.  In u that is
+e^{-u} times the smooth factor.  The double-exponential substitution
+u = exp(t - e^{-t}) makes the integrand in t decay double exponentially
+at both ends, and the trapezoid rule in t integrates it on a fixed set
+of nodes.  Each integral is taken on the two rules of ``RULES`` and
+``check_rule_gap`` accepts the fine rule's value only when the coarse
+one agrees with it.  ``unit_rules`` is the one place that knows the
+rules' layout: both node sets end to end, each node's radius, u, window
+e^{-u} and weight one closed-form expression rounded once to a double,
+cached on first use.  ``stacked_radial_rule`` scales the radii, so each
+integrand is evaluated once for the pair, and ``rule_sums``
+(``unit_rule_norms_sq`` for |f|^2 of complex fields) reduces values
+times the weights to both rules' sums in one fixed-order numpy
+reduction, never a BLAS product, so an integral is the same bits on
+every CPU.
 
 Everything here is numpy, and the standard library's ``decimal`` for the
 rules.  Only the benchmark tracer's hook needs scipy, a test dependency:
@@ -136,8 +134,9 @@ class _UnitRules(NamedTuple):
 
 
 @functools.cache
-def _unit_rules() -> _UnitRules:
-    """The unit-scale rules of ``RULES``, built once per process.
+def unit_rules() -> _UnitRules:
+    """The unit-scale rules of ``RULES``, coarse then fine on every
+    array, built once per process on first use and read-only.
 
     A rule of step h over [t_lo, t_hi] has the nodes t = t_lo + k h, each
     with u = exp(t - e^{-t}), radius sqrt(u / 2), window e^{-u} and weight
@@ -148,6 +147,32 @@ def _unit_rules() -> _UnitRules:
     of its formula, the same on every platform: no libm and no numpy
     kernel reaches them.  In doubles the argument t - e^{-t} (down to
     -153) would carry ~1e-14 of absolute rounding, tens of ulps of u.
+    An integrand known in u needs neither radii nor an exponential on
+    the nodes; the weights do not depend on the scale, so an integral on
+    the radii of ``stacked_radial_rule(scale)`` is ``scale**2`` times
+    ``rule_sums`` of its values times ``weights``, and a per-rule value
+    spreads back over the radii as ``value.repeat(sizes, axis=-1)``.
+
+    In t the integrand g(u(t)) u'(t) decays double exponentially at
+    t -> -inf and, for g = e^{-u} times a factor smooth in u, at
+    t -> +inf, and the trapezoid rule on such an integrand converges
+    geometrically in 1/h (Takahasi & Mori, Publ. RIMS 9, 721 (1974);
+    Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).  So both rules are
+    accurate when f is a Gaussian of 1/e^2 radius ``scale`` (|psi|^2 for
+    a field whose amplitude falls to 1/e there) times a factor smooth in
+    u: on e^{-u} u^m (m <= 5, and shifted to e^{-c} e^{-u} (u + c)^m for
+    c up to 4) the fine rule is within 1e-15 and the coarse one within
+    2e-11, relative.  The fine rule also reaches further out (u up to ~400,
+    against ~89), so the gap checks the truncated tail as well as the
+    coarse step.
+
+    The limit is the coarse rule's, in the degree of the smooth factor:
+    its relative error on e^{-u} u^m is 1.0e-11 at m = 5, 1.6e-10 at
+    m = 6 and 6.6e-8 at m = 12, while the fine rule stays within 5e-16.
+    So ``check_rule_gap`` (``RULE_TOL`` 1e-10) refuses a correct fine
+    value once the factor has degree 6 or more in u (a Laguerre-Gauss
+    mode with 2p + |l| >= 3, say).  Every integrand of the package has
+    degree 4 or less.
     """
     import decimal  # only the rules need it, once per process
 
@@ -175,109 +200,46 @@ def _unit_rules() -> _UnitRules:
     return rules
 
 
-def stacked_radial_rule(scale: float, lower: float = 0.0) -> np.ndarray:
+def stacked_radial_rule(scale: float) -> np.ndarray:
     """Radii of the two rules of ``RULES`` for ``integral f(r) 2 pi r dr``
-    over ``[lower, inf)``, the coarse rule's followed by the fine rule's,
-    so that an integrand is evaluated once for the pair of sums
-    ``check_rule_gap`` compares.  ``unit_rule_sums`` reduces integrand
-    values on these radii to the two rules' sums, and the integral is
-    ``scale**2`` times them.
-
-    The map r^2 = lower^2 + scale^2 u / 2 turns the measure into
-    (pi scale^2 / 2) du, so with unit radii rho_i and weights w_i the
-    radii are hypot(lower, scale rho_i) and the weights scale^2 w_i,
-    whatever ``lower`` is; at ``lower`` = 0 the radii are scale rho_i
-    exactly.  In t, with u = exp(t - e^{-t}), the integrand
-    g(u(t)) u'(t) decays double exponentially at t -> -inf and, for
-    g = e^{-u} times a factor smooth in u, at t -> +inf, and the
-    trapezoid rule on such an integrand converges geometrically in 1/h
-    (Takahasi & Mori, Publ. RIMS 9, 721 (1974); Trefethen & Weideman,
-    SIAM Rev. 56, 385 (2014)).  So both rules are accurate when f is a
-    Gaussian of 1/e^2 radius ``scale`` (|psi|^2 for a field whose
-    amplitude falls to 1/e there) times a factor smooth in u: on
-    e^{-u} u^m (m <= 5, from four lower radii) the fine rule is within
-    1e-15 and the coarse one within 2e-11, relative.  The fine rule also
-    reaches further out (u up to ~400, against ~89), so the gap checks the
-    truncated tail as well as the coarse step.
-
-    The limit is the coarse rule's, in the degree of the smooth factor:
-    from ``lower`` 0 its relative error on e^{-u} u^m is 1.0e-11 at
-    m = 5, 1.6e-10 at m = 6 and 6.6e-8 at m = 12, while the fine rule
-    stays within 5e-16.  So ``check_rule_gap`` (``RULE_TOL`` 1e-10)
-    refuses a correct fine value once the factor has degree 6 or more in
-    u (a Laguerre-Gauss mode with 2p + |l| >= 3, say).  Every integrand of
-    the package has degree 4 or less.
+    over [0, inf), the coarse rule's followed by the fine rule's, so that
+    an integrand is evaluated once for the pair of sums
+    ``check_rule_gap`` compares: ``scale`` times the unit radii of
+    ``unit_rules``, whose weights times ``scale**2`` are the rules'.
+    Both rules are accurate when f is a Gaussian of 1/e^2 radius
+    ``scale`` times a factor of degree 5 or less in u = 2 r^2 / scale^2
+    (``unit_rules``).
     """
     if not scale > 0.0:
         raise ValueError(f"quadrature scale must be positive, got {scale}")
     if not math.isfinite(scale):
         raise ValueError(f"quadrature scale must be finite, got {scale}")
-    if not lower >= 0.0:
-        raise ValueError(f"lower radius must be nonnegative, got {lower}")
-    if not math.isfinite(lower):
-        raise ValueError(f"lower radius must be finite, got {lower}")
-    radii = scale * _unit_rules().radii
-    return np.hypot(lower, radii) if lower else radii
-
-
-def unit_rule_window() -> tuple[np.ndarray, np.ndarray]:
-    """(u, e^{-u}) at the unit radii rho of ``stacked_radial_rule``,
-    u = 2 rho^2, coarse rule then fine, read-only and cached with the
-    rules.  Each is its formula correctly rounded, so an integrand that
-    is the window e^{-u} times a factor in u takes no exponential on the
-    radii at all."""
-    rules = _unit_rules()
-    return rules.u, rules.window
-
-
-def unit_rule_sums(values: np.ndarray) -> np.ndarray:
-    """The two rules' unit-weight sums of ``values``, integrand values on
-    the radii of ``stacked_radial_rule`` along the last axis: an array of
-    the leading shape with the coarse and the fine sum on its last axis.
-
-    Each sum is one fixed-order numpy reduction (``np.add.reduceat`` of
-    the products with the unit weights), whose order of additions is
-    numpy's and not the CPU's, and no BLAS kernel reaches it, so it is
-    the same bits on every CPU.  Complex values are summed alike, their
-    real and imaginary parts each times the weight.  The weights do not
-    depend on ``lower``, so every integral on the radii of scale s is s^2
-    times its unit sum.
-    """
-    return rule_sums(values * _unit_rules().weights)
-
-
-def unit_rule_weights() -> np.ndarray:
-    """The unit weight of each radius of ``stacked_radial_rule`` in its
-    own rule, read-only and cached with the rules: a factor that many
-    integrands share can take them once, and ``rule_sums`` of its
-    products is then ``unit_rule_sums`` up to the order of the two
-    roundings."""
-    return _unit_rules().weights
+    return scale * unit_rules().radii
 
 
 def rule_sums(terms: np.ndarray) -> np.ndarray:
-    """Each rule's plain sum of ``terms``, already weighted, along the
-    last axis: ``unit_rule_sums``'s one fixed-order ``np.add.reduceat``
-    without its multiplication by the unit weights."""
-    return np.add.reduceat(terms, _unit_rules().starts, axis=-1)
+    """Each rule's sum of ``terms``, values on the radii of
+    ``stacked_radial_rule`` along the last axis already times the unit
+    weights: an array of the leading shape with the coarse and the fine
+    sum on its last axis.
+
+    Each sum is one fixed-order numpy reduction (``np.add.reduceat``),
+    whose order of additions is numpy's and not the CPU's, and no BLAS
+    kernel reaches it, so it is the same bits on every CPU.  Complex
+    terms are summed alike, their real and imaginary parts apart.
+    """
+    return np.add.reduceat(terms, unit_rules().starts, axis=-1)
 
 
 def unit_rule_norms_sq(fields: np.ndarray) -> np.ndarray:
-    """``unit_rule_sums`` of |f|^2 for complex ``fields`` on the radii of
-    ``stacked_radial_rule`` (the last axis, C-contiguous): the squares of
-    the real and imaginary parts, side by side, times each weight twice,
-    in one fixed-order reduction."""
-    rules = _unit_rules()
+    """Each rule's unit-weight sum of |f|^2 for complex ``fields`` on the
+    radii of ``stacked_radial_rule`` (the last axis, C-contiguous): the
+    squares of the real and imaginary parts, side by side, times each
+    weight twice, in one fixed-order reduction."""
+    rules = unit_rules()
     terms = np.square(fields.view(float))
     terms *= rules.pair_weights
     return np.add.reduceat(terms, rules.pair_starts, axis=-1)
-
-
-def on_rule_nodes(per_rule: np.ndarray) -> np.ndarray:
-    """Per-rule values (the last axis, coarse then fine, as
-    ``unit_rule_sums`` returns them) spread over the radii of
-    ``stacked_radial_rule``: each radius gets its own rule's value."""
-    return np.asarray(per_rule).repeat(_unit_rules().sizes, axis=-1)
 
 
 def libm_exp(x) -> np.ndarray:

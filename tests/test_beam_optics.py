@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from axialfisher.beam_optics import (
     BeamParams,
+    ImageBeam,
     RelaySystem,
     beam_width_sq,
     gaussian_field_family,
@@ -113,6 +114,25 @@ def test_relay_transform_reference_case():
     assert image.waist == pytest.approx(1.0 / math.sqrt(17.0), rel=1e-14)
     assert image.rayleigh_range == pytest.approx(1.0 / 17.0, rel=1e-14)
     assert image.waist_position == pytest.approx(21.0 / 17.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("m_sq", 0.0), ("m_sq", math.nan), ("m_sq", math.inf), ("waist", math.nan),
+    ("waist", math.inf), ("rayleigh_range", math.nan), ("rayleigh_range", math.inf),
+    ("waist_position", math.nan), ("waist_position", -math.inf),
+])
+def test_image_beam_names_a_field_that_is_not_a_finite_number(field, value):
+    fields = {"m_sq": 1.0, "waist": 1.0, "rayleigh_range": 1.0, "waist_position": 0.0}
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
+        ImageBeam(**{**fields, field: value})
+
+
+def test_relay_transform_refuses_an_image_beam_out_of_double_range():
+    """f^2 overflows at f = 1e200, so m^2 is inf and the image-side
+    waist position inf - inf; the transform refuses it instead of
+    returning an ``ImageBeam`` of infinities and NaN."""
+    with pytest.raises(ValueError, match="^m_sq must be positive and finite, got inf$"):
+        relay_transform(BeamParams(632.8e-9, 1.95e-6), RelaySystem(1e200, 1e200))
 
 
 def test_image_width_at_image_waist():

@@ -48,8 +48,9 @@ from axialfisher.numerics import (
     QuadratureError,
     central_derivative,
     check_rule_gap,
+    rule_sums,
     stacked_radial_rule,
-    unit_rule_sums,
+    unit_rules,
 )
 from pure_state_oracle import adaptive_qfi_pure_state
 
@@ -165,7 +166,7 @@ def test_quadrature_route_rejects_bad_width_function():
 def _per_row_classical_fi(width_sq_fn, z: float, step: float) -> float:
     """``classical_fi_numeric`` with one ``intensity_pdf`` call per
     intensity, the centre and each stencil offset, and the score reduced
-    by the same ``unit_rule_sums``."""
+    by the same ``rule_sums`` on the unit weights."""
     w_sq = width_sq_fn(z)
     offsets = (step, -step, 0.5 * step, -0.5 * step)
     widths_sq = {offset: width_sq_fn(z + offset) for offset in offsets}
@@ -175,7 +176,7 @@ def _per_row_classical_fi(width_sq_fn, z: float, step: float) -> float:
         lambda offset: intensity_pdf(widths_sq[offset], radii), 0.0, step
     )
     score = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0)
-    coarse, fine = (w_sq * unit_rule_sums(score)).tolist()
+    coarse, fine = (w_sq * rule_sums(score * unit_rules().weights)).tolist()
     floor = 100.0 * math.sqrt(abs(fine)) * np.finfo(float).eps / step
     return check_rule_gap(coarse, fine, floor, "score integral")
 
@@ -539,7 +540,7 @@ def test_scan_refuses_negative_information_and_information_above_q(values, parts
     with pytest.raises(ValueError) as excinfo:
         FisherScan(plane_positions=np.arange(3.0), fi_values=np.array(values), qfi=1.0)
     assert not isinstance(excinfo.value, NumericalLimitError)
-    assert all(part in str(excinfo.value) for part in parts)
+    assert str(excinfo.value) == "".join(parts)
 
 
 def test_scan_accepts_q_within_its_tolerance_and_an_empty_scan():
@@ -685,7 +686,6 @@ _PUPIL = pupil_field_family(1e-3, 1e7)
     (lambda: qfi_pure_state(_PUPIL, math.inf, step=1e-4), "z must be finite"),
     (lambda: stacked_radial_rule(math.nan), "quadrature scale must be positive"),
     (lambda: stacked_radial_rule(math.inf), "quadrature scale must be finite"),
-    (lambda: stacked_radial_rule(1.0, math.inf), "lower radius must be finite"),
     (lambda: central_derivative(math.sin, 0.0, math.nan),
      "finite-difference step must be positive"),
     (lambda: central_derivative(math.sin, 0.0, math.inf),
@@ -701,7 +701,7 @@ _PUPIL = pupil_field_family(1e-3, 1e7)
     (lambda: intensity_pdf(1.0, math.nan), "radius must be nonnegative"),
     (lambda: intensity_pdf(1.0, np.array([0.5, math.nan])), "radius must be nonnegative"),
 ], ids=["qfi-step-inf", "qfi-step-nan", "qfi-scale-nan", "qfi-scale-inf", "qfi-z-nan",
-        "qfi-z-inf", "rule-scale-nan", "rule-scale-inf", "rule-lower-inf",
+        "qfi-z-inf", "rule-scale-nan", "rule-scale-inf",
         "derivative-step-nan", "derivative-step-inf", "fraction-width-nan",
         "fraction-width-inf", "fraction-boundary-nan", "fraction-boundary-inf",
         "boundary-width-nan", "boundary-width-inf", "pdf-width-nan", "pdf-width-inf",
