@@ -108,7 +108,15 @@ class UsageError(Exception):
     """Bad flags or parameter values; maps to exit code 1."""
 
 
+#: "-1m" and "-6e-5" are values, not options (argparse's pattern takes only "-1", "-0.5").
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 

@@ -40,6 +40,7 @@ from numpy.typing import ArrayLike
 
 from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
 from .fisher import info_boundary, qfi_gaussian, width_response
+from .numerics import finite_scalar
 from .photon_sim import _POISSON_LAM_MAX, derive_trial_seeds, poisson_counts, sample_trials
 
 #: Slopes smaller than this (in units of 1 / z_R) mark a detection plane
@@ -65,12 +66,10 @@ class EstimatorCalibration:
     slope: float
 
     def __post_init__(self) -> None:
-        if not (self.r_b > 0.0 and math.isfinite(self.r_b)):
-            raise ValueError(f"boundary radius must be positive, got {self.r_b}")
+        finite_scalar("boundary radius", self.r_b)
         if not 0.0 < self.f0 < 1.0:
             raise ValueError(f"nominal fraction must lie in (0, 1), got {self.f0}")
-        if not (self.slope != 0.0 and math.isfinite(self.slope)):
-            raise ValueError(f"slope must be finite and nonzero, got {self.slope}")
+        finite_scalar("slope", self.slope, "nonzero")
 
 
 def calibrate(
@@ -125,8 +124,7 @@ def estimate_fraction_absolute(
     and the exposure's photon number fluctuates (Poisson totals).
     Returns (estimates, flagged); a zero count is NaN, flagged.
     """
-    if expected_total <= 0.0:
-        raise ValueError(f"expected_total must be positive, got {expected_total}")
+    finite_scalar("expected_total", expected_total)
     k = np.asarray(outside, dtype=np.int64)
     saturated = k == 0
     estimates = (k / (expected_total * cal.f0) - 1.0) / cal.slope
@@ -194,8 +192,7 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         for name in ("detector_plane", "true_delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            finite_scalar(name, getattr(self, name), None)
         if not 0 < self.n_per_trial < 2**63:
             raise ValueError(
                 f"n_per_trial must be positive and below 2**63 (numpy draws a photon "

@@ -46,6 +46,7 @@ from .beam_optics import (
 from .numerics import (
     NumericalLimitError,
     check_rule_gap,
+    finite_scalar,
     libm_cos,
     libm_exp,
     rule_sums,
@@ -99,8 +100,7 @@ class FisherScan:
             raise ValueError(
                 f"plane/value shape mismatch: {planes.shape} vs {values.shape}"
             )
-        if not (self.qfi > 0.0 and math.isfinite(self.qfi)):
-            raise ValueError(f"qfi must be positive and finite, got {self.qfi}")
+        finite_scalar("qfi", self.qfi)
         if not values.size:
             return
         low, high = values.min(), values.max()  # a NaN reaches both, an inf one
@@ -434,11 +434,7 @@ def fi_density(width_sq: float, dwidth_sq_dz: float, r):
 def info_boundary(width_sq: float) -> float:
     """Radius w / sqrt(2) of the information-free circle.  A ``width_sq``
     that is not a positive finite number raises ``ValueError``."""
-    if not width_sq > 0.0:
-        raise ValueError(f"width_sq must be positive, got {width_sq}")
-    if not math.isfinite(width_sq):
-        raise ValueError(f"width_sq must be finite, got {width_sq}")
-    return math.sqrt(0.5 * width_sq)
+    return math.sqrt(0.5 * finite_scalar("width_sq", width_sq))
 
 
 def info_fraction_outside(width_sq: float, r_b: float) -> float:
@@ -459,14 +455,8 @@ def info_fraction_outside(width_sq: float, r_b: float) -> float:
     the gap check passes with a wide margin.  A ``width_sq`` or ``r_b``
     that is not a finite number raises ``ValueError``.
     """
-    if not width_sq > 0.0:
-        raise ValueError(f"width_sq must be positive, got {width_sq}")
-    if not math.isfinite(width_sq):
-        raise ValueError(f"width_sq must be finite, got {width_sq}")
-    if not r_b >= 0.0:
-        raise ValueError(f"boundary radius must be nonnegative, got {r_b}")
-    if not math.isfinite(r_b):
-        raise ValueError(f"boundary radius must be finite, got {r_b}")
+    finite_scalar("width_sq", width_sq)
+    finite_scalar("boundary radius", r_b, "nonnegative")
     # The integrals over [r_b, inf) and over [0, inf) as the two rows of
     # one array, with c - 1 and -1 added to u; the rules' weights carry
     # the w^2 of the density's 2 / (pi w^2).
@@ -483,8 +473,7 @@ def info_fraction_beyond(c: float) -> float:
     """``info_fraction_outside`` in closed form, at the boundary
     c = 2 r_b^2 / w^2: integral over u > c of (u - 1)^2 e^{-u} du is
     (1 + c^2) e^{-c}, and the total is 1."""
-    if not c >= 0.0:
-        raise ValueError(f"boundary 2 r_b^2 / w^2 must be nonnegative, got {c}")
+    finite_scalar("boundary 2 r_b^2 / w^2", c, "nonnegative")
     return (1.0 + c * c) * math.exp(-c)
 
 
@@ -639,25 +628,18 @@ def qfi_pure_state(
     ``transverse_scale`` that is not a finite number raises
     ``ValueError``.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
+    finite_scalar("z", z, None)
     refine = step is None
     if step is None:
         if z == 0.0:
             raise ValueError("at z = 0 an explicit finite-difference step is required")
         step = 1e-3 * abs(z)
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not math.isfinite(step):
-        raise ValueError(f"step must be finite, got {step}")
+    finite_scalar("step", step)
 
     center_raw = field_family(z)
     if transverse_scale is None:
         transverse_scale = _estimate_transverse_scale(center_raw)
-    if not transverse_scale > 0.0:
-        raise ValueError(f"transverse_scale must be positive, got {transverse_scale}")
-    if not math.isfinite(transverse_scale):
-        raise ValueError(f"transverse_scale must be finite, got {transverse_scale}")
+    finite_scalar("transverse_scale", transverse_scale)
     radii = stacked_radial_rule(transverse_scale)
     rules = unit_rules()
     # centre: conj(psi_c) times the unit weights; an overlap is one rule_sums.
@@ -700,16 +682,9 @@ def qfi_pure_state(
 
 
 def _check_point_source(wavenumber: float, pupil_width: float, z: float) -> None:
-    if wavenumber <= 0.0:
-        raise ValueError(f"wavenumber must be positive, got {wavenumber}")
-    if pupil_width <= 0.0:
-        raise ValueError(f"pupil width must be positive, got {pupil_width}")
-    if z == 0.0:
-        raise ValueError("source distance must be nonzero")
-    for name, value in (("wavenumber", wavenumber), ("pupil width", pupil_width),
-                        ("source distance", z)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    finite_scalar("wavenumber", wavenumber)
+    finite_scalar("pupil width", pupil_width)
+    finite_scalar("source distance", z, "nonzero")
 
 
 def qfi_point_source(wavenumber: float, pupil_width: float, z: float) -> float:
@@ -729,8 +704,7 @@ def point_source_range_std(
     """Quantum-limited ranging precision 1 / sqrt(n Q) = 2 z^2 / (k w_l^2
     sqrt(n)), taken as 2 (z / w_l)((z / w_l) / k) / sqrt(n), so that it
     leaves double range only where the precision does, not where Q does."""
-    if detections <= 0:
-        raise ValueError(f"detections must be positive, got {detections}")
+    finite_scalar("detections", detections)
     _check_point_source(wavenumber, pupil_width, z)
     ratio = abs(z) / pupil_width
     return 2.0 * ratio * (ratio / wavenumber) / math.sqrt(detections)

@@ -1,12 +1,12 @@
 """Shared numerical kernels.
 
-Four tools live here because several physics modules need them in the
-same form: a fixed pair of trapezoid rules for radial integrals of a
-Gaussian-windowed integrand, the check that takes the gap between two
-estimates of an integral (the two rules, or two grids) as its error
-estimate, a Richardson-extrapolated central difference for axial
-derivatives, and an exponential and a cosine that are the same bits at
-every numpy SIMD level (``libm_exp``, ``libm_cos``).
+Five tools live here because several physics modules need them in the
+same form: the finite-domain check of a scalar input, a fixed pair of
+trapezoid rules for radial integrals of a Gaussian-windowed integrand,
+the check that takes the gap between two estimates of an integral as
+its error estimate, a Richardson-extrapolated central difference, and
+an exponential and a cosine that are the same bits at every numpy SIMD
+level (``libm_exp``, ``libm_cos``).
 
 Every radial integral of the package has the shape
 ``integral f(r) 2 pi r dr`` over [0, inf), with f a Gaussian spot of
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,6 +64,19 @@ def __getattr__(name: str):
         globals()["integrate"] = integrate
         return integrate
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_SIGN_TESTS = {"positive": operator.gt, "nonnegative": operator.ge, "nonzero": operator.ne}
+
+
+def finite_scalar(name: str, value: float, sign: str | None = "positive") -> float:
+    """``value`` if it is finite and ``sign`` (positive, nonnegative,
+    nonzero, or ``None`` for any), the library's one finite-domain check
+    of a scalar input; else ``ValueError("<name> must be <sign> and
+    finite, got <value>")``, without a sign "<name> must be finite, ..."."""
+    if math.isfinite(value) and (sign is None or _SIGN_TESTS[sign](value, 0.0)):
+        return value
+    raise ValueError(f"{name} must be {f'{sign} and ' if sign else ''}finite, got {value}")
 
 
 class NumericalLimitError(ValueError):
@@ -141,7 +155,9 @@ def unit_rules() -> _UnitRules:
     A rule of step h over [t_lo, t_hi] has the nodes t = t_lo + k h, each
     with u = exp(t - e^{-t}), radius sqrt(u / 2), window e^{-u} and weight
     (pi / 2) h u (1 + e^{-t}), the trapezoid rule in t for
-    ``integral f(r) 2 pi r dr`` = (pi / 2) ``integral f du``.  Every
+    ``integral f(r) 2 pi r dr`` = (pi / 2) ``integral f du``.  So the
+    coarse rule's nodes are the fine rule's nodes 4, 6, ..., 76, the same
+    radius, u and window bits at exactly twice the weight.  Every
     radius, u, window and weight is taken in 40-digit decimal arithmetic
     and rounded once to a double, so each is the correctly rounded value
     of its formula, the same on every platform: no libm and no numpy
@@ -210,11 +226,7 @@ def stacked_radial_rule(scale: float) -> np.ndarray:
     ``scale`` times a factor of degree 5 or less in u = 2 r^2 / scale^2
     (``unit_rules``).
     """
-    if not scale > 0.0:
-        raise ValueError(f"quadrature scale must be positive, got {scale}")
-    if not math.isfinite(scale):
-        raise ValueError(f"quadrature scale must be finite, got {scale}")
-    return scale * unit_rules().radii
+    return finite_scalar("quadrature scale", scale) * unit_rules().radii
 
 
 def rule_sums(terms: np.ndarray) -> np.ndarray:
@@ -270,11 +282,7 @@ def central_derivative(fn: Callable[[float], float], x: float, step: float):
     cancel the leading O(step^2) error, leaving O(step^4).  Works
     unchanged for complex-valued ``fn``.
     """
-    if not step > 0.0:
-        raise ValueError(f"finite-difference step must be positive, got {step}")
-    if not math.isfinite(step):
-        raise ValueError(f"finite-difference step must be finite, got {step}")
-    half = 0.5 * step
+    half = 0.5 * finite_scalar("finite-difference step", step)
     return stencil_derivative((fn(x + step), fn(x - step), fn(x + half), fn(x - half)), step)
 
 

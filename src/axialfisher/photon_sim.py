@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import NumericalLimitError, libm_exp
+from .numerics import NumericalLimitError, finite_scalar, libm_exp
 
 #: Binary digits of V drawn per exposure; the rest is below 2^-64.
 _DIGITS = 64
@@ -247,8 +247,7 @@ def sample_radii(width_sq: float, n: int, seed: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"photon count must be nonnegative, got {n}")
-    if not (width_sq > 0.0 and math.isfinite(width_sq)):
-        raise ValueError(f"width_sq must be positive, got {width_sq}")
+    finite_scalar("width_sq", width_sq)
     u = 1.0 - np.random.default_rng(seed).random(n)
     return np.sqrt(-0.5 * width_sq * np.log(u))
 
@@ -272,9 +271,7 @@ def _exposure_law(width_sq: float, r_b: float) -> _ExposureLaw:
     same bits at every numpy SIMD level."""
     if width_sq == math.inf:
         raise NumericalLimitError("the true squared width width_sq overflows a double")
-    if not width_sq > 0.0:
-        raise ValueError(f"width_sq must be positive, got {width_sq}")
-    c = 2.0 * r_b * r_b / width_sq
+    c = 2.0 * r_b * r_b / finite_scalar("width_sq", width_sq)
     if not (r_b > 0.0 and 0.0 < c < math.inf):
         raise ValueError(
             "boundary radius r_b must be positive, with 2 r_b^2 / width_sq positive "
@@ -331,6 +328,5 @@ def sample_trials(
 def poisson_counts(mean: float, seeds: np.ndarray) -> np.ndarray:
     """One Poisson draw of ``mean`` from ``default_rng(seed)`` for each
     seed, as an int64 array: the fluctuating total photon numbers."""
-    if mean < 0.0:
-        raise ValueError(f"mean must be nonnegative, got {mean}")
+    finite_scalar("mean", mean, "nonnegative")
     return np.array([rng.poisson(mean) for rng in _generators(seeds)], dtype=np.int64)

@@ -60,7 +60,8 @@ def test_from_rayleigh_range_round_trips():
 
 @pytest.mark.parametrize("rayleigh_range", [math.nan, math.inf])
 def test_from_rayleigh_range_names_a_bad_rayleigh_range(rayleigh_range):
-    with pytest.raises(ValueError, match=f"rayleigh range must be positive, got {rayleigh_range}"):
+    message = f"^rayleigh range must be positive and finite, got {rayleigh_range}$"
+    with pytest.raises(ValueError, match=message):
         BeamParams.from_rayleigh_range(632.8e-9, rayleigh_range)
 
 

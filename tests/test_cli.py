@@ -386,6 +386,28 @@ def test_sampler_limit_exits_two(tmp_path, monkeypatch, capsys):
 SMALL_BEAM = ("--wavelength", "632.8nm", "--rayleigh-range", "18.9um")
 
 
+@pytest.mark.parametrize(("argv", "key", "value"), [
+    (["point-source", "--wavenumber", "1e7", "--pupil-width", "2mm", "--distance", "-1m"],
+     "distance_m", -1.0),
+    (["fi-scan", *SMALL_BEAM, "--focal", "10mm", "--object-distance", "12mm",
+      "--zmin", "-6e-5", "--zmax", "60mm", "--steps", "3", "--format", "json"], "zmin_m",
+     -6e-5),
+    (["simulate", *SMALL_BEAM, "--delta", "-2um", "--n-per-trial", "1000", "--trials", "2",
+      "--format", "json"], "true_delta_m", -2e-6),
+], ids=["distance-unit", "zmin-exponent", "delta-unit"])
+def test_negative_lengths_with_a_unit_or_an_exponent_are_values(tmp_path, capsys, argv, key,
+                                                                 value):
+    """A negative length written as its own token, with a unit or an
+    exponent, is a flag's value, not an unknown option: the run writes it
+    into its artifact.  An unknown flag is still a usage error."""
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["config"][key] == value
+    capsys.readouterr()
+    assert main([*argv, "--bogus", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
+
+
 def test_simulate_writes_per_trial_csv(tmp_path):
     out = tmp_path / "run.csv"
     argv = [

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from axialfisher.beam_optics import (
     BeamParams,
+    ImageBeam,
     RelaySystem,
     beam_width_sq,
     gaussian_field_family,
@@ -20,6 +21,7 @@ from axialfisher.beam_optics import (
     wavefront_curvature,
 )
 from axialfisher import fisher
+from axialfisher.estimators import EstimatorCalibration, TrialConfig, estimate_fraction_absolute
 from axialfisher.fisher import (
     ALPHA_DEGENERACY_TOL,
     FisherScan,
@@ -32,6 +34,7 @@ from axialfisher.fisher import (
     geometric_image_plane,
     image_fi,
     info_boundary,
+    info_fraction_beyond,
     info_fraction_outside,
     optimal_detection_planes,
     point_source_range_std,
@@ -52,6 +55,7 @@ from axialfisher.numerics import (
     stacked_radial_rule,
     unit_rules,
 )
+from axialfisher.photon_sim import poisson_counts, sample_radii, sample_trials
 from pure_state_oracle import adaptive_qfi_pure_state
 
 UNIT = BeamParams(math.pi, 1.0)  # z_R = 1, k = 2, Q = 1
@@ -673,48 +677,107 @@ def test_fraction_outside_validates_inputs():
 
 
 _PUPIL = pupil_field_family(1e-3, 1e7)
+_IMAGE = {"m_sq": 1.0, "waist": 1.0, "rayleigh_range": 1.0, "waist_position": 0.0}
+_SEEDS = np.array([1, 2], dtype=np.uint64)
+_CALIBRATION = EstimatorCalibration(r_b=1.0, f0=0.5, slope=1.0)
 
 
-@pytest.mark.parametrize("call,names", [
-    (lambda: qfi_pure_state(_PUPIL, 0.1, step=math.inf), "step must be finite"),
-    (lambda: qfi_pure_state(_PUPIL, 0.1, step=math.nan), "step must be positive"),
-    (lambda: qfi_pure_state(_PUPIL, 0.1, transverse_scale=math.nan),
-     "transverse_scale must be positive"),
-    (lambda: qfi_pure_state(_PUPIL, 0.1, transverse_scale=math.inf),
-     "transverse_scale must be finite"),
-    (lambda: qfi_pure_state(_PUPIL, math.nan), "z must be finite"),
-    (lambda: qfi_pure_state(_PUPIL, math.inf, step=1e-4), "z must be finite"),
-    (lambda: stacked_radial_rule(math.nan), "quadrature scale must be positive"),
-    (lambda: stacked_radial_rule(math.inf), "quadrature scale must be finite"),
-    (lambda: central_derivative(math.sin, 0.0, math.nan),
-     "finite-difference step must be positive"),
-    (lambda: central_derivative(math.sin, 0.0, math.inf),
-     "finite-difference step must be finite"),
-    (lambda: info_fraction_outside(math.nan, 0.5), "width_sq must be positive"),
-    (lambda: info_fraction_outside(math.inf, 0.5), "width_sq must be finite"),
-    (lambda: info_fraction_outside(1.0, math.nan), "boundary radius must be nonnegative"),
-    (lambda: info_fraction_outside(1.0, math.inf), "boundary radius must be finite"),
-    (lambda: info_boundary(math.nan), "width_sq must be positive"),
-    (lambda: info_boundary(math.inf), "width_sq must be finite"),
-    (lambda: intensity_pdf(math.nan, 1.0), "width_sq must be positive"),
-    (lambda: intensity_pdf(math.inf, 1.0), "width_sq must be finite"),
-    (lambda: intensity_pdf(1.0, math.nan), "radius must be nonnegative"),
-    (lambda: intensity_pdf(1.0, np.array([0.5, math.nan])), "radius must be nonnegative"),
-], ids=["qfi-step-inf", "qfi-step-nan", "qfi-scale-nan", "qfi-scale-inf", "qfi-z-nan",
-        "qfi-z-inf", "rule-scale-nan", "rule-scale-inf",
-        "derivative-step-nan", "derivative-step-inf", "fraction-width-nan",
-        "fraction-width-inf", "fraction-boundary-nan", "fraction-boundary-inf",
-        "boundary-width-nan", "boundary-width-inf", "pdf-width-nan", "pdf-width-inf",
-        "pdf-radius-nan", "pdf-radii-nan"])
-def test_radial_routes_reject_non_finite_arguments_by_name(call, names):
-    """A NaN or infinite argument is refused up front with a plain
-    ``ValueError`` that names it, not answered (``step=inf`` gave Q = 0,
-    ``info_boundary`` and ``intensity_pdf`` passed NaN and inf through)
-    or reported as a normalization drift, a quadrature gap or a profile
-    that vanishes on axis."""
-    with pytest.raises(ValueError, match=names) as excinfo:
+def _trial_config(**fields):
+    return TrialConfig(**{"beam": UNIT, "detector_plane": -1.0, "true_delta": 0.0,
+                          "n_per_trial": 100, "trials": 2, "estimator": "mle",
+                          "base_seed": 0, **fields})
+
+
+#: Every scalar library input with a finite domain, one row per input:
+#: the test id's stem, the call with the value put in, the name the
+#: refusal gives, and the sign of the domain (None: any finite value).
+_FINITE_DOMAINS = [
+    ("beam-wavelength", lambda v: BeamParams(v, 1e-6), "wavelength", "positive"),
+    ("beam-waist", lambda v: BeamParams(1e-6, v), "waist", "positive"),
+    ("beam-rayleigh", lambda v: BeamParams.from_rayleigh_range(1e-6, v), "rayleigh range",
+     "positive"),
+    ("relay-focal", lambda v: RelaySystem(v, 1.0), "focal length", "nonzero"),
+    ("relay-distance", lambda v: RelaySystem(1.0, v), "object distance", None),
+    *((f"image-{name}", lambda v, name=name: ImageBeam(**{**_IMAGE, name: v}), name,
+       "positive") for name in ("m_sq", "waist", "rayleigh_range")),
+    ("image-waist_position", lambda v: ImageBeam(**{**_IMAGE, "waist_position": v}),
+     "waist_position", None),
+    ("pdf-width", lambda v: intensity_pdf(v, 1.0), "width_sq", "positive"),
+    ("pupil-width", lambda v: pupil_field_family(v, 1e7), "pupil width", "positive"),
+    ("pupil-wavenumber", lambda v: pupil_field_family(1e-3, v), "wavenumber", "positive"),
+    ("scan-qfi", lambda v: FisherScan(plane_positions=[], fi_values=[], qfi=v), "qfi",
+     "positive"),
+    ("boundary-width", info_boundary, "width_sq", "positive"),
+    ("fraction-width", lambda v: info_fraction_outside(v, 0.5), "width_sq", "positive"),
+    ("fraction-boundary", lambda v: info_fraction_outside(1.0, v), "boundary radius",
+     "nonnegative"),
+    ("beyond-c", info_fraction_beyond, "boundary 2 r_b^2 / w^2", "nonnegative"),
+    ("qfi-z", lambda v: qfi_pure_state(_PUPIL, v, step=1e-4), "z", None),
+    ("qfi-step", lambda v: qfi_pure_state(_PUPIL, 0.1, step=v), "step", "positive"),
+    ("qfi-scale", lambda v: qfi_pure_state(_PUPIL, 0.1, transverse_scale=v),
+     "transverse_scale", "positive"),
+    ("point-wavenumber", lambda v: qfi_point_source(v, 1e-3, 1.0), "wavenumber", "positive"),
+    ("point-width", lambda v: qfi_point_source(1e7, v, 1.0), "pupil width", "positive"),
+    ("point-distance", lambda v: qfi_point_source(1e7, 1e-3, v), "source distance",
+     "nonzero"),
+    ("range-detections", lambda v: point_source_range_std(1e7, 1e-3, 1.0, v), "detections",
+     "positive"),
+    ("range-distance", lambda v: point_source_range_std(1e7, 1e-3, v, 1), "source distance",
+     "nonzero"),
+    ("rule-scale", stacked_radial_rule, "quadrature scale", "positive"),
+    ("derivative-step", lambda v: central_derivative(math.sin, 0.0, v),
+     "finite-difference step", "positive"),
+    ("calibration-boundary", lambda v: EstimatorCalibration(v, 0.5, 1.0), "boundary radius",
+     "positive"),
+    ("calibration-slope", lambda v: EstimatorCalibration(1.0, 0.5, v), "slope", "nonzero"),
+    ("absolute-total", lambda v: estimate_fraction_absolute([1, 2], _CALIBRATION, v),
+     "expected_total", "positive"),
+    ("trials-plane", lambda v: _trial_config(detector_plane=v), "detector_plane", None),
+    ("trials-delta", lambda v: _trial_config(true_delta=v), "true_delta", None),
+    ("radii-width", lambda v: sample_radii(v, 10, 0), "width_sq", "positive"),
+    ("poisson-mean", lambda v: poisson_counts(v, _SEEDS), "mean", "nonnegative"),
+]
+
+#: The value outside each sign's domain that every row is also refused.
+_OUT_OF_SIGN = {"positive": ("zero", 0.0), "nonnegative": ("negative", -0.5),
+                "nonzero": ("zero", 0.0)}
+
+
+def _finite_domain_cases():
+    """NaN, both infinities and the value out of sign at every row of
+    ``_FINITE_DOMAINS``, each with its whole message; then the sampler's
+    width (whose +inf is a numerical limit) and the local radius rule."""
+    for stem, call, name, sign in _FINITE_DOMAINS:
+        cases = [("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf)]
+        if sign is not None:
+            cases.append(_OUT_OF_SIGN[sign])
+        domain = f"{sign} and finite" if sign else "finite"
+        for case, value in cases:
+            yield pytest.param(lambda call=call, value=value: call(value),
+                               f"{name} must be {domain}, got {value}", id=f"{stem}-{case}")
+    for case, value in (("nan", math.nan), ("minus-inf", -math.inf), ("zero", 0.0)):
+        yield pytest.param(lambda value=value: sample_trials(value, 0.5, [10], _SEEDS[:1]),
+                           f"width_sq must be positive and finite, got {value}",
+                           id=f"statistics-width-{case}")
+    yield pytest.param(lambda: intensity_pdf(1.0, math.nan), "radius must be nonnegative, got nan",
+                       id="pdf-radius-nan")
+    yield pytest.param(lambda: intensity_pdf(1.0, np.array([0.5, math.nan])),
+                       "radius must be nonnegative, got nan", id="pdf-radii-nan")
+
+
+@pytest.mark.parametrize("call,message", _finite_domain_cases())
+def test_radial_routes_reject_non_finite_arguments_by_name(call, message):
+    """Every scalar library input outside its finite domain is refused up
+    front with a plain ``ValueError`` that names it, in the one format of
+    ``numerics.finite_scalar``: not answered (``step=inf`` gave Q = 0,
+    ``info_fraction_beyond(inf)`` NaN, ``estimate_fraction_absolute``
+    with an infinite total 1.99e-5 for every count), not left to numpy
+    (``poisson_counts(nan)``), and not reported as a normalization drift,
+    a quadrature gap or a profile that vanishes on axis."""
+    with pytest.raises(ValueError) as excinfo:
         call()
     assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -1024,9 +1087,11 @@ def test_point_source_validation():
     ],
 )
 def test_point_source_rejects_non_finite_inputs(inputs, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    domain = "nonzero" if name == "source distance" else "positive"
+    message = f"^{name} must be {domain} and finite, got "
+    with pytest.raises(ValueError, match=message):
         qfi_point_source(*inputs)
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=message):
         point_source_range_std(*inputs, 1)
 
 

@@ -3,6 +3,7 @@ import decimal
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,19 @@ def test_unit_rules_are_their_formula_correctly_rounded():
                     assert abs(decimal.Decimal(value) - exact) <= half_ulp
 
 
+def test_coarse_rule_nodes_are_every_other_fine_node():
+    """The coarse rule's t = -4.5 + k / 4 are the fine rule's
+    t = -5 + j / 8 at j = 4, 6, ..., 76: the same radius, u and window
+    bits, and exactly twice the fine weight, so 37 of the 126 stacked
+    radii repeat a fine node."""
+    rules = unit_rules()
+    coarse, fine = _rule_parts()
+    for array in (rules.radii, rules.u, rules.window):
+        assert array[coarse].tobytes() == array[fine][4:77:2].tobytes()
+    assert rules.weights[coarse].tobytes() == (2.0 * rules.weights[fine][4:77:2]).tobytes()
+    assert np.unique(rules.radii).size == 126 - 37
+
+
 @pytest.mark.parametrize("seed", [48, 96])
 def test_radial_rule_from_zero_is_the_plain_rule(seed):
     """The rule from r = 0 has the unit rule's radii times the scale, bit
@@ -256,8 +270,9 @@ def test_unit_rules_do_not_depend_on_numpy_simd_level():
 
 #: The three radial routes to the bounds on seeded free beams and point
 #: sources; the sampler's 64 digit probabilities at seeded c and the
-#: generator route's spectral moments; then each command once, the
-#: artifacts going to the working directory.
+#: generator route's spectral moments; the last beam's Gaussian profile
+#: at 16 radii; then each command once, the artifacts going to the
+#: working directory.
 _ROUTES_AND_COMMANDS = """
 import math
 import numpy as np
@@ -280,6 +295,8 @@ laws = [photon_sim._exposure_law(1.0, math.sqrt(0.5 * 10.0 ** rng.uniform(-3.0, 
         for _ in range(8)]
 print(" ".join(value.hex() for law in laws for value in [law.c, *law.digit_probs.tolist()]),
       " ".join(value.hex() for value in fisher._waist_mode_spectral_moments()))
+field = beam_optics.gaussian_field_family(beam)(z)(math.sqrt(w_sq) * np.linspace(0.0, 3.0, 16))
+print(" ".join(part.hex() for value in field.tolist() for part in (value.real, value.imag)))
 beam = ["--wavelength", "632.8nm", "--rayleigh-range", "18.9um"]
 relay = ["--focal", "10mm", "--object-distance", "12mm"]
 trials = ["--n-per-trial", "2000", "--trials", "4"]
@@ -325,8 +342,8 @@ _AVX2_AND_UP = sorted({"AVX2", "FMA3", "X86_V3", *_AVX512})
 def _without_qfis(output: str) -> str:
     """``output`` of ``_ROUTES_AND_COMMANDS`` with the 12 QFIs of its
     first line (the first two of each group of four values) blanked; the
-    digit probabilities and spectral moments of the second line, and
-    every later line, are kept."""
+    digit probabilities and spectral moments of the second line, the
+    Gaussian profile of the third, and every later line, are kept."""
     values, rest = output.split("\n", 1)
     kept = [value if index % 4 >= 2 else "-" for index, value in enumerate(values.split())]
     return " ".join(kept) + "\n" + rest
@@ -351,7 +368,8 @@ def test_bound_routes_and_artifacts_are_the_same_bits_on_every_cpu(
     """``qfi_pure_state``, ``beam_fi_numeric`` and ``info_fraction_outside``
     give the same bits (``float.hex``), and so do the sampler's digit
     probabilities and the generator route's spectral moments (libm's
-    exponential and cosine, not numpy's real loops); the six commands
+    exponential and cosine, not numpy's real loops) and the Gaussian
+    field family's profile (its carrier a real rotation); the six commands
     give the same output, exit codes and artifact bytes, under another
     OpenBLAS kernel or with numpy's AVX-512 loops off as under the
     default set-up: no BLAS call reaches them, and no numpy loop whose
@@ -366,6 +384,7 @@ def test_bound_routes_and_artifacts_are_the_same_bits_on_every_cpu(
     else:
         assert _without_qfis(output) == _without_qfis(default_output)
     assert len(output.splitlines()[1].split()) == 8 * 65 + 2
+    assert len(output.splitlines()[2].split()) == 2 * 16
     assert output.splitlines()[-1] == "0 0 0 0 0 0"
     assert sorted(artifacts) == sorted(default_artifacts)
     for name, data in artifacts.items():
@@ -468,6 +487,78 @@ def test_every_public_numerics_function_has_a_caller_in_the_package():
     package = _called_names(path for path in source.parent.glob("*.py") if path != source)
     assert sorted(public - package) == sorted(_TEST_REFERENCES)
     assert set(_TEST_REFERENCES) <= _called_names(Path(__file__).parent.glob("test_*.py"))
+
+
+#: The hand-written finite-domain refusals outside ``numerics``, as
+#: "module.function: the message up to its domain word", each with the
+#: reason it stays local: it says more than a sign, or checks an integer
+#: (``math.isfinite`` overflows on an int past ~1e308).
+_LOCAL_DOMAIN_RULES = {
+    "estimators.TrialConfig.__post_init__: n_per_trial must be positive":
+        "an integer below 2**63, numpy's C long",
+    "estimators.TrialConfig.__post_init__: trials must be positive":
+        "an integer below 2**32, one word of the spawn key",
+    "estimators.TrialConfig.__post_init__: base_seed must be nonnegative": "an integer",
+    "photon_sim.derive_trial_seeds: base_seed must be nonnegative": "an integer",
+    "photon_sim.sample_radii: photon count must be nonnegative": "an integer",
+    "photon_sim.sample_trials: photon counts must be nonnegative": "an integer array",
+    "photon_sim._exposure_law: boundary radius r_b must be positive":
+        "r_b together with c = 2 r_b^2 / width_sq, which must also be finite",
+    "fisher.OptimalPlanes.__post_init__: optimal planes must be finite":
+        "two computed planes; the CLI reports their overflow as a numerical limit",
+    "beam_optics.intensity_pdf: radius must be nonnegative": "an array of radii",
+}
+
+_DOMAIN_WORD = re.compile(r"must be (positive|nonnegative|nonzero|finite)")
+
+
+def _message_templates(exc: ast.AST):
+    """The text of each string literal in ``exc``, an f-string's formatted
+    values written as ``{}`` and its pieces not again on their own."""
+    nodes = list(ast.walk(exc))
+    pieces = {id(piece) for node in nodes if isinstance(node, ast.JoinedStr)
+              for piece in node.values}
+    for node in nodes:
+        if isinstance(node, ast.JoinedStr):
+            yield "".join(piece.value if isinstance(piece, ast.Constant) else "{}"
+                          for piece in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in pieces:
+            yield node.value
+
+
+def _domain_refusals(path: Path) -> set[str]:
+    """"function: message up to its domain word" for every ``raise`` in the
+    module at ``path`` whose message says an input must be positive,
+    nonnegative, nonzero or finite."""
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for text in _message_templates(node.exc):
+                match = _DOMAIN_WORD.search(text)
+                if match:
+                    found.add(f"{'.'.join((path.stem, *scope))}: {text[:match.end()]}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_finite_domain_refusals_are_decided_in_numerics():
+    """Outside ``numerics`` no ``raise`` builds a "must be positive /
+    nonnegative / nonzero / finite" message by hand: every finite-domain
+    refusal of a scalar goes through ``numerics.finite_scalar``, except the
+    listed local rules, and none of those is stale."""
+    source = Path(numerics.__file__).resolve()
+    found = set()
+    for path in sorted(source.parent.glob("*.py")):
+        if path != source:
+            found |= _domain_refusals(path)
+    assert sorted(found) == sorted(_LOCAL_DOMAIN_RULES)
 
 
 def test_libm_exp_is_math_exp():
