@@ -712,7 +712,9 @@ _FINITE_DOMAINS = [
     ("fraction-boundary", lambda v: info_fraction_outside(1.0, v), "boundary radius",
      "nonnegative"),
     ("beyond-c", info_fraction_beyond, "boundary 2 r_b^2 / w^2", "nonnegative"),
-    ("qfi-z", lambda v: qfi_pure_state(_PUPIL, v, step=1e-4), "z", None),
+    # z is refused before the default step 1e-3 |z| is derived from it.
+    ("qfi-z", lambda v: qfi_pure_state(_PUPIL, v), "z", None),
+    ("qfi-z-given-step", lambda v: qfi_pure_state(_PUPIL, v, step=1e-4), "z", None),
     ("qfi-step", lambda v: qfi_pure_state(_PUPIL, 0.1, step=v), "step", "positive"),
     ("qfi-scale", lambda v: qfi_pure_state(_PUPIL, 0.1, transverse_scale=v),
      "transverse_scale", "positive"),
