@@ -41,6 +41,7 @@ class BeamParams:
         waist is w0 = sqrt(z_R * wavelength / pi).
         """
         finite_scalar("rayleigh range", rayleigh_range)
+        finite_scalar("wavelength", wavelength)
         return cls(wavelength, math.sqrt(rayleigh_range * wavelength / math.pi))
 
     @property
@@ -199,7 +200,8 @@ def image_beam_width_sq(image: ImageBeam, z_prime: float) -> float:
 # ``fisher.qfi_pure_state`` reads field values; everything else works with
 # intensities.  A family maps an axial position to a profile, and a profile
 # takes a radius or an array of radii and returns the complex field with
-# the same shape.
+# the same shape.  A profile carries ``.scale``, the 1/e amplitude radius
+# of its Gaussian envelope in meters, which sizes the radial rules.
 # ---------------------------------------------------------------------------
 
 FieldProfile = Callable[[float | np.ndarray], complex | np.ndarray]
@@ -236,6 +238,7 @@ def gaussian_field_family(beam: BeamParams) -> FieldFamily:
             field.real, field.imag = cos_part * x - sin_part * y, cos_part * y + sin_part * x
             return field[()]
 
+        profile.scale = math.sqrt(w_sq)
         return profile
 
     return family
@@ -267,6 +270,7 @@ def pupil_field_family(pupil_width: float, wavenumber: float) -> FieldFamily:
         def profile(r):
             return amp * np.exp(exponent * (r * r))
 
+        profile.scale = pupil_width
         return profile
 
     return family

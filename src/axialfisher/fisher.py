@@ -224,11 +224,10 @@ def classical_fi_analytic(beam: BeamParams, z: float) -> float:
     """Closed-form classical information of the transverse intensity.
 
     F(z) = (d/dz ln w^2)^2 = 4 C(z)^2, the free-space case of
-    ``width_response``.  Equals the quantum bound at z = +-z_R and
-    vanishes at the waist.
+    ``image_fi``.  Equals the quantum bound at z = +-z_R and vanishes at
+    the waist.
     """
-    slope = width_response(beam, None, z)[1]
-    return slope * slope
+    return image_fi(beam, None, z)
 
 
 def classical_fi_numeric(
@@ -243,8 +242,9 @@ def classical_fi_numeric(
     differences.  This is the reference the closed form is validated
     against; it shares no algebra with ``classical_fi_analytic``.
 
-    ``step`` is the finite-difference step in meters; for a width law of
-    axial scale ``scale``, ``max(1e-6 * scale, 1e-12)`` works.
+    ``step`` is the finite-difference step in meters, refused with
+    ``ValueError`` unless positive and finite; for a width law of axial
+    scale ``scale``, ``max(1e-6 * scale, 1e-12)`` works.
 
     The integral is taken on both radial rules of ``numerics.RULES`` at
     scale w = sqrt(w^2(z)), with the five intensities (the centre and the
@@ -263,6 +263,7 @@ def classical_fi_numeric(
     that a stencil width exceeds twice w^2(z) makes the integral diverge,
     and the gap raises ``QuadratureError``.
     """
+    finite_scalar("step", step)
     w_sq = width_sq_fn(z)
     if not (w_sq > 0.0 and math.isfinite(w_sq)):
         raise ValueError(
@@ -329,11 +330,11 @@ def _log_width_slope(beam: BeamParams, a, b):
     return 2.0 * a * b / (a * a * zr * zr + b * b)
 
 
-def image_fi(beam: BeamParams, relay: RelaySystem, z_prime: float) -> float:
+def image_fi(beam: BeamParams, relay: RelaySystem | None, z_prime: float) -> float:
     """Classical information about the object distance available from
     the intensity profile at detector plane z' (a float or an array of
-    planes): the square of ``width_response``'s slope, which alone is
-    computed."""
+    planes), in free space (``relay`` None) or behind a relay: the square
+    of ``width_response``'s slope, which alone is computed."""
     slope = _log_width_slope(beam, *ray_matrix(relay, z_prime))
     return slope * slope
 
@@ -482,45 +483,6 @@ def info_fraction_beyond(c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: Radii of ``_estimate_transverse_scale``'s search: 1e-12 m doubled up
-#: to 119 times, ~6.6e23 m at the top.
-_SCALE_LADDER = np.ldexp(1e-12, np.arange(120))
-_SCALE_LADDER.flags.writeable = False
-
-#: The ladder in blocks of 48 radii (up to ~1.4e2 m, ~4e16 m and the
-#: top), each one call of the profile.
-_SCALE_BLOCKS = tuple(_SCALE_LADDER[start:start + 48]
-                      for start in range(0, _SCALE_LADDER.size, 48))
-
-
-def _estimate_transverse_scale(profile: FieldProfile) -> float:
-    """Radius where |profile| falls to 1/e of its axis value: the first
-    radius of ``_SCALE_LADDER`` where it is below that.  The profile is
-    called on ``_SCALE_BLOCKS`` in turn, and the walk stops at the first
-    block that holds such a radius, so a field of any scale below ~140 m
-    takes one call and no radius past its own block is asked for.  Used
-    only to condition quadrature maps."""
-    center = abs(profile(0.0))
-    if not (center > 0.0 and math.isfinite(center)):
-        raise ValueError(
-            "cannot infer a transverse scale for a profile that vanishes "
-            "on axis; pass transverse_scale explicitly"
-        )
-    # Far out on the ladder a profile may overflow or lose its phase to
-    # nan; those radii lie past its scale or count as not decayed.  A
-    # profile that ignores r gives one value for the whole block.
-    target = center / math.e
-    for block in _SCALE_BLOCKS:
-        with np.errstate(all="ignore"):
-            below = (np.abs(profile(block)) < target).ravel()
-        first = int(below.argmax())
-        if below[first]:
-            return float(block[first])
-    raise NumericalLimitError(
-        "field profile does not decay; cannot infer a transverse scale"
-    )
-
-
 # qfi_pure_state's fields are rows on the stacked radii of both rules,
 # and every inner product is on the rules' unit weights, so the common
 # scale^2 of the weights cancels from the normalized fields and from Q.
@@ -575,7 +537,6 @@ def qfi_pure_state(
     field_family: FieldFamily,
     z: float,
     step: float | None = None,
-    transverse_scale: float | None = None,
 ) -> float:
     """Quantum information of a pure radial field family at parameter z.
 
@@ -589,9 +550,9 @@ def qfi_pure_state(
     gauge invariant, so this only improves conditioning.
 
     Every inner product is taken on the fixed radial rules of
-    ``numerics.RULES`` in u = 2 r^2 / s^2, where s is
-    ``transverse_scale`` or, by default, the radius where the central
-    profile's amplitude falls to 1/e.  The field
+    ``numerics.RULES`` in u = 2 r^2 / s^2, where s is the central
+    profile's ``.scale``, the 1/e amplitude radius of its Gaussian
+    envelope, which the family's constructor states.  The field
     profiles must therefore accept an array of radii and return the
     complex field with the same shape (``beam_optics.FieldProfile``).
     Each field is evaluated once, on both node sets at once
@@ -611,8 +572,8 @@ def qfi_pure_state(
     Q is computed on the coarse and on the fine rule, and the fine value
     is returned.  Their gap is the error estimate: ``QuadratureError`` is
     raised when it exceeds ``numerics.RULE_TOL`` |Q| (plus a roundoff
-    floor that lets a frozen family return Q = 0), e.g. when
-    ``transverse_scale`` is far from the field's actual width.
+    floor that lets a frozen family return Q = 0), e.g. when the stated
+    scale is far from the field's actual width.
 
     By default the step is chosen from one probe field at h0 = 1e-3 |z|
     (an explicit step is required at z = 0): sqrt(Q) is the state's rate
@@ -623,10 +584,9 @@ def qfi_pure_state(
     0.01 / speed when speed h0 > 0.02, and at h0 otherwise.  An
     explicitly passed step is used as given.  A probe or stencil field
     nearly orthogonal to the central one (|overlap| < 1e-3: the step is
-    too large) or, with no ``transverse_scale``, a profile that does not
-    decay raises ``NumericalLimitError``; a ``z``, ``step`` or
-    ``transverse_scale`` that is not a finite number raises
-    ``ValueError``.
+    too large) raises ``NumericalLimitError``; a ``z`` or ``step`` that is
+    not a finite number, or a central profile that states no positive
+    finite ``.scale``, raises ``ValueError`` naming it.
     """
     finite_scalar("z", z, None)
     refine = step is None
@@ -637,10 +597,8 @@ def qfi_pure_state(
     finite_scalar("step", step)
 
     center_raw = field_family(z)
-    if transverse_scale is None:
-        transverse_scale = _estimate_transverse_scale(center_raw)
-    finite_scalar("transverse_scale", transverse_scale)
-    radii = stacked_radial_rule(transverse_scale)
+    scale = finite_scalar("transverse scale", getattr(center_raw, "scale", math.nan))
+    radii = stacked_radial_rule(scale)
     rules = unit_rules()
     # centre: conj(psi_c) times the unit weights; an overlap is one rule_sums.
     if refine:
@@ -677,7 +635,7 @@ def qfi_pure_state(
     floor = (1e3 * sys.float_info.epsilon / step) ** 2
     return check_rule_gap(
         *values, floor,
-        f"pure-state information (transverse scale={transverse_scale!r})",
+        f"pure-state information (transverse scale={scale!r})",
     )
 
 

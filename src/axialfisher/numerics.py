@@ -82,7 +82,7 @@ def finite_scalar(name: str, value: float, sign: str | None = "positive") -> flo
 class NumericalLimitError(ValueError):
     """The inputs take a numerical method past what it can do: a draw
     past the sampler's range, a finite-difference stencil whose fields
-    are nearly orthogonal, a profile with no transverse scale.
+    are nearly orthogonal.
 
     A ``ValueError``, because a different input is the remedy; the CLI
     still reports it as a numerical failure (exit code 2), not as a

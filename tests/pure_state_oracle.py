@@ -1,8 +1,9 @@
 """Adaptive-quadrature route to the pure-state quantum information.
 
 Every inner product is an adaptive quadrature (``scipy.integrate.quad``)
-over [0, 20 s], with s the transverse scale, where a field whose
-amplitude falls to 1/e at s has |psi|^2 below e^-800 beyond.  It shares
+over [0, 20 s], with s the central profile's ``.scale``, where a field
+whose Gaussian envelope falls to 1/e at s has |psi|^2 below e^-800
+beyond.  It shares
 the Richardson stencil, the renormalization, the gauge alignment and the
 probe that picks the default step with ``fisher.qfi_pure_state``, and
 nothing of its fixed radial rules (``numerics.RULES``), so the tests use
@@ -16,7 +17,6 @@ from typing import Callable
 
 from scipy.integrate import quad
 
-from axialfisher.fisher import _estimate_transverse_scale
 from axialfisher.numerics import central_derivative
 
 
@@ -36,7 +36,6 @@ def adaptive_qfi_pure_state(
     z: float,
     step: float | None = None,
     quad_tol: float = 1e-10,
-    transverse_scale: float | None = None,
 ) -> float:
     """Q = 4 (<d_z psi|d_z psi> - |<psi|d_z psi>|^2) by adaptive radial
     quadrature, with the same step rule as ``fisher.qfi_pure_state``: by
@@ -47,12 +46,11 @@ def adaptive_qfi_pure_state(
     if step is None:
         step = 1e-3 * abs(z)
     center_raw = field_family(z)
-    if transverse_scale is None:
-        transverse_scale = _estimate_transverse_scale(center_raw)
+    scale = center_raw.scale
 
     def normalized(profile):
         norm_sq = _radial_integral(
-            lambda r: abs(profile(r)) ** 2, transverse_scale, quad_tol
+            lambda r: abs(profile(r)) ** 2, scale, quad_tol
         ).real
         inv = 1.0 / math.sqrt(norm_sq)
         return lambda r: inv * profile(r)
@@ -61,7 +59,7 @@ def adaptive_qfi_pure_state(
 
     def center_overlap(profile) -> complex:
         return _radial_integral(
-            lambda r: psi_c(r).conjugate() * profile(r), transverse_scale, quad_tol,
+            lambda r: psi_c(r).conjugate() * profile(r), scale, quad_tol,
             abs_tol=quad_tol,
         )
 
@@ -78,13 +76,13 @@ def adaptive_qfi_pure_state(
             return central_derivative(lambda offset: stencil[offset](r), 0.0, h)
 
         grad_sq = _radial_integral(
-            lambda r: abs(dpsi(r)) ** 2, transverse_scale, quad_tol
+            lambda r: abs(dpsi(r)) ** 2, scale, quad_tol
         ).real
         # Absolute floors keep the adaptive rule from chasing pure
         # roundoff in components that vanish by symmetry.
         floor = quad_tol * (1.0 + math.sqrt(max(grad_sq, 0.0)))
         overlap = _radial_integral(
-            lambda r: psi_c(r).conjugate() * dpsi(r), transverse_scale, quad_tol,
+            lambda r: psi_c(r).conjugate() * dpsi(r), scale, quad_tol,
             abs_tol=floor,
         )
         return 4.0 * (grad_sq - abs(overlap) ** 2)

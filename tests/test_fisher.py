@@ -12,6 +12,7 @@ from axialfisher.beam_optics import (
     RelaySystem,
     beam_width_sq,
     gaussian_field_family,
+    gouy_phase,
     image_beam_width_sq,
     intensity_pdf,
     pupil_field_family,
@@ -677,6 +678,12 @@ def test_fraction_outside_validates_inputs():
 
 
 _PUPIL = pupil_field_family(1e-3, 1e7)
+
+
+def _unit_width_sq(z: float) -> float:
+    return beam_width_sq(UNIT, z)
+
+
 _IMAGE = {"m_sq": 1.0, "waist": 1.0, "rayleigh_range": 1.0, "waist_position": 0.0}
 _SEEDS = np.array([1, 2], dtype=np.uint64)
 _CALIBRATION = EstimatorCalibration(r_b=1.0, f0=0.5, slope=1.0)
@@ -696,6 +703,8 @@ _FINITE_DOMAINS = [
     ("beam-waist", lambda v: BeamParams(1e-6, v), "waist", "positive"),
     ("beam-rayleigh", lambda v: BeamParams.from_rayleigh_range(1e-6, v), "rayleigh range",
      "positive"),
+    ("beam-rayleigh-wavelength", lambda v: BeamParams.from_rayleigh_range(v, 1.0),
+     "wavelength", "positive"),
     ("relay-focal", lambda v: RelaySystem(v, 1.0), "focal length", "nonzero"),
     ("relay-distance", lambda v: RelaySystem(1.0, v), "object distance", None),
     *((f"image-{name}", lambda v, name=name: ImageBeam(**{**_IMAGE, name: v}), name,
@@ -716,8 +725,10 @@ _FINITE_DOMAINS = [
     ("qfi-z", lambda v: qfi_pure_state(_PUPIL, v), "z", None),
     ("qfi-z-given-step", lambda v: qfi_pure_state(_PUPIL, v, step=1e-4), "z", None),
     ("qfi-step", lambda v: qfi_pure_state(_PUPIL, 0.1, step=v), "step", "positive"),
-    ("qfi-scale", lambda v: qfi_pure_state(_PUPIL, 0.1, transverse_scale=v),
-     "transverse_scale", "positive"),
+    ("qfi-scale", lambda v: qfi_pure_state(lambda z: _stating(v, _PUPIL(z)), 0.1),
+     "transverse scale", "positive"),
+    ("numeric-step", lambda v: classical_fi_numeric(_unit_width_sq, 1.0, v), "step",
+     "positive"),
     ("point-wavenumber", lambda v: qfi_point_source(v, 1e-3, 1.0), "wavenumber", "positive"),
     ("point-width", lambda v: qfi_point_source(1e7, v, 1.0), "pupil width", "positive"),
     ("point-distance", lambda v: qfi_point_source(1e7, 1e-3, v), "source distance",
@@ -748,7 +759,10 @@ _OUT_OF_SIGN = {"positive": ("zero", 0.0), "nonnegative": ("negative", -0.5),
 def _finite_domain_cases():
     """NaN, both infinities and the value out of sign at every row of
     ``_FINITE_DOMAINS``, each with its whole message; then the sampler's
-    width (whose +inf is a numerical limit) and the local radius rule."""
+    width (whose +inf is a numerical limit), the local radius rule, and a
+    small negative wavelength and step, which the square root of
+    ``from_rayleigh_range`` and the score integral's rule gap had refused
+    without a name."""
     for stem, call, name, sign in _FINITE_DOMAINS:
         cases = [("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf)]
         if sign is not None:
@@ -765,6 +779,12 @@ def _finite_domain_cases():
                        id="pdf-radius-nan")
     yield pytest.param(lambda: intensity_pdf(1.0, np.array([0.5, math.nan])),
                        "radius must be nonnegative, got nan", id="pdf-radii-nan")
+    yield pytest.param(lambda: BeamParams.from_rayleigh_range(-1e-6, 1.0),
+                       "wavelength must be positive and finite, got -1e-06",
+                       id="beam-rayleigh-wavelength-small-negative")
+    yield pytest.param(lambda: classical_fi_numeric(_unit_width_sq, 1.0, -1e-6),
+                       "step must be positive and finite, got -1e-06",
+                       id="numeric-step-small-negative")
 
 
 @pytest.mark.parametrize("call,message", _finite_domain_cases())
@@ -775,7 +795,7 @@ def test_radial_routes_reject_non_finite_arguments_by_name(call, message):
     ``info_fraction_beyond(inf)`` NaN, ``estimate_fraction_absolute``
     with an infinite total 1.99e-5 for every count), not left to numpy
     (``poisson_counts(nan)``), and not reported as a normalization drift,
-    a quadrature gap or a profile that vanishes on axis."""
+    a quadrature gap, a division by zero or a math domain error."""
     with pytest.raises(ValueError) as excinfo:
         call()
     assert type(excinfo.value) is ValueError
@@ -805,12 +825,22 @@ def test_pure_state_requires_explicit_step_at_origin():
         qfi_pure_state(gaussian_field_family(UNIT), 0.0)
 
 
+def _stating(scale, profile):
+    """``profile`` as a new function that states ``scale``: how a family
+    built in a test passes its width on to ``qfi_pure_state``."""
+    def stated(r):
+        return profile(r)
+
+    stated.scale = scale
+    return stated
+
+
 def test_pure_state_renormalizes_scaled_families():
     base = gaussian_field_family(UNIT)
 
     def scaled(z: float):
         inner = base(z)
-        return lambda r: 2.5 * inner(r)
+        return _stating(inner.scale, lambda r: 2.5 * inner(r))
 
     assert qfi_pure_state(scaled, 1.0) == pytest.approx(qfi_gaussian(UNIT), rel=1e-8)
 
@@ -823,7 +853,7 @@ def test_pure_state_ignores_piston_phase():
     def spinning(z: float):
         inner = base(z)
         gauge = complex(math.cos(1e6 * z), math.sin(1e6 * z))
-        return lambda r: gauge * inner(r)
+        return _stating(inner.scale, lambda r: gauge * inner(r))
 
     assert qfi_pure_state(spinning, 1.0) == pytest.approx(qfi_gaussian(UNIT), rel=1e-8)
 
@@ -838,23 +868,22 @@ def test_pure_state_is_zero_for_a_frozen_family():
 
 
 def test_pure_state_rejects_pathological_profiles():
-    def vanishing_on_axis(_z: float):
-        return lambda r: complex(r, 0.0)
-
-    with pytest.raises(ValueError):
-        qfi_pure_state(vanishing_on_axis, 1.0)
-
-    def non_decaying(_z: float):
-        return lambda r: complex(1.0, 0.0)
-
-    with pytest.raises(NumericalLimitError):
-        qfi_pure_state(non_decaying, 1.0)
+    """A profile that states no scale is refused by name before it is
+    asked for a field, whatever its shape; a family whose fields turn
+    through orthogonal modes is refused once the step spans them."""
+    for shape in (lambda r: complex(r, 0.0), lambda r: complex(1.0, 0.0)):
+        with pytest.raises(ValueError) as excinfo:
+            qfi_pure_state(lambda _z, shape=shape: shape, 1.0)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == "transverse scale must be positive and finite, got nan"
 
     def rotating(z: float):
-        """cos z L0 + sin z L1 of two orthonormal radial modes: Q = 4."""
+        """cos z L0 + sin z L1 of two orthonormal radial modes, whose
+        envelope e^{-r^2} falls to 1/e at r = 1: Q = 4."""
         def profile(r):
             u = 2.0 * np.asarray(r) ** 2
             return (math.cos(z) + math.sin(z) * (1.0 - u)) * np.exp(-0.5 * u) + 0j
+        profile.scale = 1.0
         return profile
 
     assert qfi_pure_state(rotating, 0.0, step=1e-3) == pytest.approx(4.0, rel=1e-9)
@@ -864,14 +893,6 @@ def test_pure_state_rejects_pathological_profiles():
     z = 500.0 * math.pi
     with pytest.raises(NumericalLimitError, match=f"offset {1e-3 * z!r} nearly orthogonal"):
         qfi_pure_state(rotating, z)
-
-
-def test_pure_state_accepts_explicit_transverse_scale():
-    family = gaussian_field_family(UNIT)
-    w = math.sqrt(beam_width_sq(UNIT, 1.0))
-    assert qfi_pure_state(family, 1.0, transverse_scale=w) == pytest.approx(
-        qfi_gaussian(UNIT), rel=1e-8
-    )
 
 
 @pytest.mark.parametrize("wavenumber,pupil_width", [(1e7, 2e-3), (2.0 * math.pi / 632.8e-9, 5e-4),
@@ -926,21 +947,56 @@ def test_pure_state_rejects_a_mismatched_transverse_scale(factor):
     """A rule sized 10x too wide or too narrow for the pupil cannot
     resolve its inner products, and the gap between the two rules says so."""
     family = pupil_field_family(0.05, 1e6)
+
+    def mismatched(z: float):
+        inner = family(z)
+        return _stating(factor * inner.scale, inner)
+
     with pytest.raises(QuadratureError) as excinfo:
-        qfi_pure_state(family, 10.0, transverse_scale=factor * 0.05)
+        qfi_pure_state(mismatched, 10.0)
     assert excinfo.value.estimate > 1e-3
 
 
-def _doubling_search(profile) -> float | None:
-    """The transverse-scale search as a loop of scalar calls: 1e-12 m,
-    doubled until |profile| falls below 1/e of its axis value."""
-    target = abs(profile(0.0)) / math.e
-    r = 1e-12
-    for _ in range(120):
-        if abs(profile(r)) < target:
-            return r
-        r *= 2.0
-    return None
+def _laguerre_gauss_01_family(beam: BeamParams):
+    """z -> radial profile of the LG_0^1 mode of ``beam``,
+
+    psi(r) = 2 r / (sqrt(pi) w^2) * exp(-r^2 / w^2)
+             * exp(-i (k z + k r^2 C(z) / 2 - 2 gouy)),
+
+    which vanishes on axis, its Gouy phase counted 2p + |l| + 1 = 2 times,
+    stating ``scale = w(z)`` as ``gaussian_field_family`` does.  As there,
+    the piston k z - 2 gouy is one complex carrier: added to each radius's
+    phase it would round every radius by ulp(k z)."""
+    k = beam.wavenumber
+
+    def family(z: float):
+        w_sq = beam_width_sq(beam, z)
+        piston = k * z - 2.0 * gouy_phase(beam, z)
+        carrier = 2.0 / (math.sqrt(math.pi) * w_sq) * complex(math.cos(piston),
+                                                             -math.sin(piston))
+        curv = wavefront_curvature(beam, z)
+
+        def profile(r):
+            return carrier * r * np.exp(-r * r / w_sq - 1j * (0.5 * k * r * r * curv))
+
+        profile.scale = math.sqrt(w_sq)
+        return profile
+
+    return family
+
+
+def test_pure_state_meets_the_laguerre_gauss_01_bound():
+    """LG_0^1 is dark on axis, and with the width its family states Q is
+    flat at (N^2 + 1 - l^2) / (2 z_R^2) = 2 / z_R^2 (N = 2p + |l| + 1),
+    within 1e-9 over 200 seeded beams and planes."""
+    rng = np.random.default_rng(40)
+    for _ in range(200):
+        beam = BeamParams.from_rayleigh_range(10.0 ** rng.uniform(-6.5, -5.8),
+                                              10.0 ** rng.uniform(-6.0, -3.0))
+        zr = beam.rayleigh_range
+        z = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 4.0)) * zr
+        q = qfi_pure_state(_laguerre_gauss_01_family(beam), z)
+        assert q * zr * zr == pytest.approx(2.0, rel=1e-9)
 
 
 SCALE_CASES = [
@@ -952,57 +1008,39 @@ SCALE_CASES = [
     for width, wavenumber, distance in (
         (1.0, 1e7, 2e5), (2e-3, 2.0 * math.pi / 632.8e-9, 0.5),
         (0.05, 1e6, 8.0), (3e-7, 1e7, 1e-3), (40.0, 1e5, 1e3),
-        # Scales past the first block of the ladder (~1.4e2 m), in the
-        # second and in the third.
         (1e3, 1e5, 1e4), (1e20, 1e-3, 1e25),
     )
 ]
 
 
 @pytest.mark.parametrize("profile", SCALE_CASES)
-def test_transverse_scale_ladder_matches_the_doubling_search(profile):
-    assert fisher._estimate_transverse_scale(profile) == _doubling_search(profile)
+def test_field_profiles_state_their_one_over_e_radius(profile):
+    """Each package profile's ``.scale``, from ~6e-5 m to 1e20 m, is the
+    radius where its amplitude falls to 1/e of its axis value, within a
+    few ulps."""
+    ratio = abs(profile(profile.scale)) / abs(profile(0.0))
+    assert ratio == pytest.approx(math.exp(-1.0), rel=4.0 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("profile", SCALE_CASES)
-def test_transverse_scale_ladder_asks_for_no_radius_past_the_answers_block(profile):
-    """The ladder is walked in blocks and stops at the first block that
-    holds a decayed radius: every radius the profile is asked for lies in
-    that block or before it."""
+def test_pure_state_asks_a_profile_only_for_the_rule_radii_at_its_scale(profile):
+    """No axis value and no search: with an explicit step, the five
+    fields of a frozen family are each the profile on the stacked rules
+    at the scale it states, and Q is 0."""
     asked = []
 
     def recording(r):
-        asked.append(np.asarray(r))
+        asked.append(np.asarray(r).tobytes())
         return profile(r)
 
-    scale = fisher._estimate_transverse_scale(recording)
-    blocks = [block.tolist() for block in fisher._SCALE_BLOCKS]
-    last = next(index for index, block in enumerate(blocks) if scale in block)
-    assert [r.tolist() for r in asked] == [0.0, *blocks[:last + 1]]
-
-
-def test_transverse_scale_ladder_is_quiet_where_a_profile_overflows(recwarn):
-    """The ladder reaches ~6.6e23 m, far past any scale; a profile that
-    overflows out there gives no warning and the same radius."""
-
-    def overflowing(r):
-        r = np.asarray(r)
-        return np.exp(r - r * r) * np.exp(r) + 0j  # inf * 0 = nan beyond r ~ 710
-
-    def growing(r):
-        return np.exp(np.asarray(r, dtype=float) ** 2) + 0j
-
-    assert fisher._estimate_transverse_scale(overflowing) == _doubling_search(overflowing)
-    with pytest.raises(NumericalLimitError, match="does not decay"):
-        fisher._estimate_transverse_scale(growing)
-    assert len(recwarn) == 0
+    assert qfi_pure_state(lambda _z: _stating(profile.scale, recording), 1.0, step=1e-3) == 0.0
+    assert asked == [stacked_radial_rule(profile.scale).tobytes()] * 5
 
 
 @pytest.mark.parametrize("family,z", ORACLE_CASES, ids=ORACLE_IDS)
 def test_pure_state_calls_each_profile_once_per_field(family, z):
-    """One call for the axis value, one on the scale ladder, one for the
-    central field, one for the default step's probe and four for the one
-    stencil."""
+    """One call for the central field, one for the default step's probe
+    and four for the one stencil."""
     calls = 0
 
     def counted(zz: float):
@@ -1013,13 +1051,13 @@ def test_pure_state_calls_each_profile_once_per_field(family, z):
             calls += 1
             return inner(r)
 
-        return profile
+        return _stating(inner.scale, profile)
 
     qfi_pure_state(counted, z)
-    assert calls <= 8
+    assert calls == 6
     calls = 0
     qfi_pure_state(counted, z, step=1e-3 * abs(z))
-    assert calls == 7
+    assert calls == 5
 
 
 @pytest.mark.parametrize(
@@ -1033,7 +1071,7 @@ def test_pure_state_rejects_fields_it_cannot_normalize(amplitude, message, drift
 
     def faint(z: float):
         inner = base(z)
-        return lambda r: amplitude * inner(r)
+        return _stating(inner.scale, lambda r: amplitude * inner(r))
 
     with pytest.raises(NormalizationDriftError, match=message) as excinfo:
         qfi_pure_state(faint, 1.0)
