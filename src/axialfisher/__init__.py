@@ -19,15 +19,12 @@ from .beam_optics import (
     ImageBeam,
     RelaySystem,
     beam_width_sq,
-    gaussian_field_family,
-    gouy_phase,
     image_beam_width_sq,
     intensity_pdf,
     pupil_field_family,
     ray_matrix,
     ray_width_sq,
     relay_transform,
-    wavefront_curvature,
 )
 from .estimators import (
     EstimatorCalibration,
@@ -66,11 +63,7 @@ from .fisher import (
     scan_image_fi,
     width_response,
 )
-from .numerics import (
-    NumericalLimitError,
-    QuadratureError,
-    central_derivative,
-)
+from .numerics import NumericalLimitError, QuadratureError
 from .photon_sim import sample_radii
 
 __version__ = "0.1.0"
@@ -91,7 +84,6 @@ __all__ = [
     "beam_fi_numeric",
     "beam_width_sq",
     "calibrate",
-    "central_derivative",
     "classical_fi_analytic",
     "classical_fi_numeric",
     "estimate_fraction",
@@ -100,10 +92,8 @@ __all__ = [
     "expected_fraction_estimate",
     "fi_density",
     "fraction_estimator_fi",
-    "gaussian_field_family",
     "generator_moments",
     "geometric_image_plane",
-    "gouy_phase",
     "image_beam_width_sq",
     "image_fi",
     "info_boundary",
@@ -124,6 +114,5 @@ __all__ = [
     "run_trials",
     "sample_radii",
     "scan_image_fi",
-    "wavefront_curvature",
     "width_response",
 ]

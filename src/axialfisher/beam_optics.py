@@ -6,9 +6,9 @@ inverse meters.  Angles and phases are radians.  The axial coordinate
 direction; image-side coordinates ``z'`` are measured from the lens.
 
 The fundamental mode is parameterized by wavelength and waist radius
-alone.  Every derived quantity (wavenumber, Rayleigh range, width,
-curvature, Gouy phase) comes out of those two numbers, which keeps the
-types free of redundant, possibly inconsistent state.
+alone.  Every derived quantity (wavenumber, Rayleigh range, width)
+comes out of those two numbers, which keeps the types free of
+redundant, possibly inconsistent state.
 """
 
 from __future__ import annotations
@@ -128,22 +128,6 @@ def beam_width_sq(beam: BeamParams, z: float) -> float:
     return ray_width_sq(beam, 1.0, z)
 
 
-def wavefront_curvature(beam: BeamParams, z: float) -> float:
-    """Wavefront curvature C(z) = z / (z^2 + z_R^2), in 1/m.
-
-    This is 1/R(z) written without the coordinate singularity the radius
-    form has at the waist: C(0) = 0, and |C| peaks at z = +-z_R with
-    value 1 / (2 z_R).
-    """
-    zr = beam.rayleigh_range
-    return z / (z * z + zr * zr)
-
-
-def gouy_phase(beam: BeamParams, z: float) -> float:
-    """Gouy phase arctan(z / z_R), radians."""
-    return math.atan2(z, beam.rayleigh_range)
-
-
 def intensity_pdf(width_sq: float, r):
     """Normalized transverse intensity at radius r (a float or an array
     of radii) for a beam of squared width ``width_sq``.
@@ -196,52 +180,18 @@ def image_beam_width_sq(image: ImageBeam, z_prime: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Complex field models, one constructor per physical field.  Only
-# ``fisher.qfi_pure_state`` reads field values; everything else works with
-# intensities.  A family maps an axial position to a profile, and a profile
-# takes a radius or an array of radii and returns the complex field with
-# the same shape.  A profile carries ``.scale``, the 1/e amplitude radius
-# of its Gaussian envelope in meters, which sizes the radial rules.
+# Complex field families.  Only ``fisher.qfi_pure_state`` reads field
+# values; everything else works with intensities.  A family maps an axial
+# position to a profile, and a profile takes a radius or an array of radii
+# and returns the complex field with the same shape.  A profile carries
+# ``.scale``, the 1/e amplitude radius of its Gaussian envelope in meters,
+# which sizes the radial rules.  The package builds one family, the point
+# source's pupil; any family with this contract works, and the tests build
+# the Gaussian beam's and a Laguerre-Gauss mode's as oracles.
 # ---------------------------------------------------------------------------
 
 FieldProfile = Callable[[float | np.ndarray], complex | np.ndarray]
 FieldFamily = Callable[[float], FieldProfile]
-
-
-def gaussian_field_family(beam: BeamParams) -> FieldFamily:
-    """z -> complex fundamental-mode profile at axial position z,
-
-    psi(r) = sqrt(2/pi) / w * exp(-r^2 / w^2)
-             * exp(-i (k z + k r^2 C(z) / 2 - gouy)),
-
-    normalized so that the integral of |psi|^2 * 2 pi r dr is one.
-
-    The piston k z - gouy is applied as one complex carrier.  Added to
-    each radius's phase it would round every radius by ulp(k z), ~4e-9
-    rad at z = 3 m and 1 um wavelength, which no later phase alignment
-    removes.  A real rotation turns each field, the same bits at every SIMD
-    level (numpy's complex product fuses a multiply-add under AVX2).
-    """
-    k = beam.wavenumber
-
-    def family(z: float) -> FieldProfile:
-        w_sq = beam_width_sq(beam, z)
-        piston = k * z - gouy_phase(beam, z)
-        carrier = (math.sqrt(2.0 / math.pi) / math.sqrt(w_sq)
-                   * complex(math.cos(piston), -math.sin(piston)))
-        cos_part, sin_part = carrier.real, carrier.imag
-        curv = wavefront_curvature(beam, z)
-
-        def profile(r):
-            field = np.asarray(np.exp(-r * r / w_sq - 1j * (0.5 * k * r * r * curv)))
-            x, y = field.real, field.imag
-            field.real, field.imag = cos_part * x - sin_part * y, cos_part * y + sin_part * x
-            return field[()]
-
-        profile.scale = math.sqrt(w_sq)
-        return profile
-
-    return family
 
 
 def pupil_field_family(pupil_width: float, wavenumber: float) -> FieldFamily:

@@ -4,9 +4,10 @@ Five tools live here because several physics modules need them in the
 same form: the finite-domain check of a scalar input, a fixed pair of
 trapezoid rules for radial integrals of a Gaussian-windowed integrand,
 the check that takes the gap between two estimates of an integral as
-its error estimate, a Richardson-extrapolated central difference, and
-an exponential and a cosine that are the same bits at every numpy SIMD
-level (``libm_exp``, ``libm_cos``).
+its error estimate, a Richardson-extrapolated central difference of
+four function values already in hand, and an exponential and a cosine
+that are the same bits at every numpy SIMD level (``libm_exp``,
+``libm_cos``).
 
 Every radial integral of the package has the shape
 ``integral f(r) 2 pi r dr`` over [0, inf), with f a Gaussian spot of
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -274,23 +275,15 @@ def libm_cos(x) -> np.ndarray:
     return np.exp(1j * np.asarray(x, dtype=float)).real
 
 
-def central_derivative(fn: Callable[[float], float], x: float, step: float):
-    """First derivative of ``fn`` at ``x`` by Richardson-extrapolated
-    central differences.
-
-    Combines the two-point rule at steps ``step`` and ``step / 2`` to
-    cancel the leading O(step^2) error, leaving O(step^4).  Works
-    unchanged for complex-valued ``fn``.
-    """
-    half = 0.5 * finite_scalar("finite-difference step", step)
-    return stencil_derivative((fn(x + step), fn(x - step), fn(x + half), fn(x - half)), step)
-
-
 def stencil_derivative(values, step: float):
-    """``central_derivative`` from the four values it takes, at offsets
-    ``step``, ``-step``, ``step / 2`` and ``-step / 2`` in that order:
-    numbers or arrays (the rows of one array, say), differenced
-    directly."""
+    """First derivative by Richardson-extrapolated central differences,
+    from the four values of a function at offsets ``step``, ``-step``,
+    ``step / 2`` and ``-step / 2`` in that order: numbers or arrays (the
+    rows of one array, say), real or complex, differenced directly.
+
+    The two-point rules at steps ``step`` and ``step / 2`` combine to
+    cancel their leading O(step^2) error, leaving O(step^4).
+    """
     plus, minus, half_plus, half_minus = values
     coarse = (plus - minus) / (2.0 * step)
     half = 0.5 * step

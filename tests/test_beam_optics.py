@@ -10,16 +10,15 @@ from axialfisher.beam_optics import (
     ImageBeam,
     RelaySystem,
     beam_width_sq,
-    gaussian_field_family,
-    gouy_phase,
     image_beam_width_sq,
     intensity_pdf,
     pupil_field_family,
     ray_matrix,
     ray_width_sq,
     relay_transform,
-    wavefront_curvature,
 )
+from pure_state_oracle import gaussian_field_family, gouy_phase, wavefront_curvature
+
 HENE = BeamParams(632.8e-9, 1.951143452944258e-06)
 
 # Dimensionless reference beam: waist 1, wavelength pi, so z_R = 1 and k = 2.

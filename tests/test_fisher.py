@@ -11,15 +11,12 @@ from axialfisher.beam_optics import (
     ImageBeam,
     RelaySystem,
     beam_width_sq,
-    gaussian_field_family,
-    gouy_phase,
     image_beam_width_sq,
     intensity_pdf,
     pupil_field_family,
     ray_matrix,
     ray_width_sq,
     relay_transform,
-    wavefront_curvature,
 )
 from axialfisher import fisher
 from axialfisher.estimators import EstimatorCalibration, TrialConfig, estimate_fraction_absolute
@@ -50,14 +47,19 @@ from axialfisher.fisher import (
 from axialfisher.numerics import (
     NumericalLimitError,
     QuadratureError,
-    central_derivative,
     check_rule_gap,
     rule_sums,
     stacked_radial_rule,
     unit_rules,
 )
 from axialfisher.photon_sim import poisson_counts, sample_radii, sample_trials
-from pure_state_oracle import adaptive_qfi_pure_state
+from pure_state_oracle import (
+    adaptive_qfi_pure_state,
+    central_derivative,
+    gaussian_field_family,
+    gouy_phase,
+    wavefront_curvature,
+)
 
 UNIT = BeamParams(math.pi, 1.0)  # z_R = 1, k = 2, Q = 1
 HENE = BeamParams.from_rayleigh_range(632.8e-9, 18.9e-6)
@@ -738,8 +740,6 @@ _FINITE_DOMAINS = [
     ("range-distance", lambda v: point_source_range_std(1e7, 1e-3, v, 1), "source distance",
      "nonzero"),
     ("rule-scale", stacked_radial_rule, "quadrature scale", "positive"),
-    ("derivative-step", lambda v: central_derivative(math.sin, 0.0, v),
-     "finite-difference step", "positive"),
     ("calibration-boundary", lambda v: EstimatorCalibration(v, 0.5, 1.0), "boundary radius",
      "positive"),
     ("calibration-slope", lambda v: EstimatorCalibration(1.0, 0.5, v), "slope", "nonzero"),

@@ -17,7 +17,6 @@ from axialfisher.numerics import (
     RULES,
     RULE_TOL,
     QuadratureError,
-    central_derivative,
     check_rule_gap,
     libm_cos,
     libm_exp,
@@ -27,6 +26,7 @@ from axialfisher.numerics import (
     unit_rule_norms_sq,
     unit_rules,
 )
+from pure_state_oracle import central_derivative
 
 
 def test_divergent_integrand_raises_with_estimate():
@@ -278,6 +278,7 @@ import math
 import numpy as np
 from axialfisher import beam_optics, fisher, photon_sim
 from axialfisher.cli import main
+from pure_state_oracle import gaussian_field_family
 rng = np.random.default_rng(34)
 values = []
 for _ in range(6):
@@ -286,7 +287,7 @@ for _ in range(6):
     z = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 4.0)) * beam.rayleigh_range
     w_sq = beam_optics.beam_width_sq(beam, z)
     pupil = beam_optics.pupil_field_family(10.0 ** rng.uniform(-3.3, -2.3), 1e7)
-    values += [fisher.qfi_pure_state(beam_optics.gaussian_field_family(beam), z),
+    values += [fisher.qfi_pure_state(gaussian_field_family(beam), z),
                fisher.qfi_pure_state(pupil, 10.0 ** rng.uniform(-1.5, 0.0)),
                fisher.beam_fi_numeric(beam, z),
                fisher.info_fraction_outside(w_sq, math.sqrt(w_sq) * rng.uniform(0.0, 2.5))]
@@ -295,7 +296,7 @@ laws = [photon_sim._exposure_law(1.0, math.sqrt(0.5 * 10.0 ** rng.uniform(-3.0, 
         for _ in range(8)]
 print(" ".join(value.hex() for law in laws for value in [law.c, *law.digit_probs.tolist()]),
       " ".join(value.hex() for value in fisher._waist_mode_spectral_moments()))
-field = beam_optics.gaussian_field_family(beam)(z)(math.sqrt(w_sq) * np.linspace(0.0, 3.0, 16))
+field = gaussian_field_family(beam)(z)(math.sqrt(w_sq) * np.linspace(0.0, 3.0, 16))
 print(" ".join(part.hex() for value in field.tolist() for part in (value.real, value.imag)))
 beam = ["--wavelength", "632.8nm", "--rayleigh-range", "18.9um"]
 relay = ["--focal", "10mm", "--object-distance", "12mm"]
@@ -315,9 +316,11 @@ _CPU_KNOBS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 def _routes_and_commands(workdir: Path, **knobs) -> tuple[str, dict]:
     """stdout and stderr of ``_ROUTES_AND_COMMANDS`` in a fresh
     interpreter set up by ``knobs`` alone, and the bytes of every artifact
-    it wrote."""
+    it wrote.  The Gaussian family comes from ``pure_state_oracle``, on
+    the path beside the package."""
     src = str(Path(numerics.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
+                                         os.environ.get("PYTHONPATH")]))
     env = {name: value for name, value in os.environ.items() if name not in _CPU_KNOBS}
     workdir.mkdir()
     done = subprocess.run(
@@ -455,40 +458,6 @@ def test_unit_rule_sums_take_each_row_in_the_same_order():
             assert reduce(row).tobytes() == row_sums.tobytes()
 
 
-#: Public functions of ``numerics`` that no other module of the package
-#: calls, each with the reason it stays; the tests call each of them.
-_TEST_REFERENCES = {
-    "central_derivative": "the Richardson stencil on a function, the reference "
-                          "stencil_derivative is checked against, and exported",
-}
-
-
-def _called_names(paths) -> set[str]:
-    """The name of every function called in the modules at ``paths``, as
-    a bare name or as the attribute of a module or object."""
-    names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(Path(path).read_text())):
-            if isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name):
-                    names.add(node.func.id)
-                elif isinstance(node.func, ast.Attribute):
-                    names.add(node.func.attr)
-    return names
-
-
-def test_every_public_numerics_function_has_a_caller_in_the_package():
-    """No hook without a consumer: every public top-level function of
-    ``numerics`` is called from another module of the package, except the
-    listed test references, which only the tests call."""
-    source = Path(numerics.__file__).resolve()
-    public = {node.name for node in ast.parse(source.read_text()).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    package = _called_names(path for path in source.parent.glob("*.py") if path != source)
-    assert sorted(public - package) == sorted(_TEST_REFERENCES)
-    assert set(_TEST_REFERENCES) <= _called_names(Path(__file__).parent.glob("test_*.py"))
-
-
 #: The hand-written finite-domain refusals outside ``numerics``, as
 #: "module.function: the message up to its domain word", each with the
 #: reason it stays local: it says more than a sign, or checks an integer
@@ -585,26 +554,34 @@ def test_stacked_rule_validates_its_map():
         stacked_radial_rule(0.0)
 
 
+def _stencil(fn, x, step):
+    """``fn`` at ``x + step``, ``x - step``, ``x + step / 2`` and
+    ``x - step / 2``, the four values ``stencil_derivative`` takes."""
+    return fn(x + step), fn(x - step), fn(x + 0.5 * step), fn(x - 0.5 * step)
+
+
 def test_central_derivative_is_exact_for_cubics():
     # Richardson cancels the h^2 term, which is the only error a cubic has.
-    d = central_derivative(lambda x: x**3 - 2.0 * x, 2.0, step=0.1)
+    d = stencil_derivative(_stencil(lambda x: x**3 - 2.0 * x, 2.0, 0.1), 0.1)
     assert d == pytest.approx(10.0, abs=1e-12)
 
 
 def test_central_derivative_trig():
-    d = central_derivative(math.sin, 0.3, step=1e-3)
+    d = stencil_derivative(_stencil(math.sin, 0.3, 1e-3), 1e-3)
     assert d == pytest.approx(math.cos(0.3), rel=1e-12)
 
 
 def test_central_derivative_complex_valued():
-    d = central_derivative(lambda x: complex(math.cos(x), math.sin(x)), 0.0, step=1e-3)
+    d = stencil_derivative(_stencil(lambda x: complex(math.cos(x), math.sin(x)), 0.0, 1e-3),
+                           1e-3)
     assert d.real == pytest.approx(0.0, abs=1e-12)
     assert d.imag == pytest.approx(1.0, rel=1e-12)
 
 
 def test_stencil_derivative_is_central_derivative_on_every_row():
     """The four rows of one array, differenced directly, are
-    ``central_derivative`` of the function the rows sample, bit for bit."""
+    ``central_derivative`` (``pure_state_oracle``'s Richardson stencil on a
+    function) of the function the rows sample, bit for bit."""
     step, x = 1e-3, 0.7
     nodes = np.linspace(0.0, 3.0, 50)
 
@@ -613,8 +590,3 @@ def test_stencil_derivative_is_central_derivative_on_every_row():
 
     rows = np.array([fn(x + offset) for offset in (step, -step, 0.5 * step, -0.5 * step)])
     assert stencil_derivative(rows, step).tobytes() == central_derivative(fn, x, step).tobytes()
-
-
-def test_central_derivative_rejects_bad_step():
-    with pytest.raises(ValueError):
-        central_derivative(math.sin, 0.0, step=0.0)
