@@ -33,6 +33,7 @@ import numpy as np
 
 from .beam_optics import BeamParams, RelaySystem, intensity_pdf
 from .estimators import (
+    ESTIMATORS,
     TrialConfig,
     TrialReport,
     UninformativePlaneError,
@@ -56,7 +57,7 @@ from .fisher import (
     scan_image_fi,
     width_response,
 )
-from .numerics import NumericalLimitError, QuadratureError
+from .numerics import NumericalLimitError, QuadratureError, finite_scalar
 
 #: Fixed default seed so that bare invocations are reproducible.
 DEFAULT_SEED = 0xA71A10C
@@ -121,6 +122,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _in_domain(text: str, value, refusal: str, sign: str | None = None,
+               at_most: int | None = None):
+    """``value``, parsed from ``text``, if the library's one rule,
+    ``numerics.finite_scalar``, takes it; else the usage error ``refusal``."""
+    try:
+        return finite_scalar(text, value, sign, at_most)
+    except ValueError:
+        raise argparse.ArgumentTypeError(refusal) from None
+
+
 def parse_length(text: str) -> float:
     """Parse a length with an optional unit suffix into meters; one that
     overflows a double is rejected here rather than failing downstream.
@@ -138,9 +149,7 @@ def parse_length(text: str) -> float:
             f"unknown length unit {unit!r} in {text!r}; use one of "
             + ", ".join(sorted(set(_UNIT_FACTORS) - {"µm"}))
         ) from None
-    if not math.isfinite(meters):
-        raise argparse.ArgumentTypeError(f"length {text!r} overflows a double")
-    return meters
+    return _in_domain(text, meters, f"length {text!r} overflows a double")
 
 
 def parse_delta_list(text: str) -> list[float]:
@@ -161,21 +170,15 @@ def _at_least(minimum: int):
         if value < minimum:
             kind = "a positive integer" if minimum == 1 else f"an integer of at least {minimum}"
             raise argparse.ArgumentTypeError(f"expected {kind}, got {value}")
-        if value > sys.float_info.max:
-            raise argparse.ArgumentTypeError(f"integer {text!r} overflows a double")
-        return value
+        return _in_domain(text, value, f"integer {text!r} overflows a double")
     return at_least
 
 
-def _restricted(parse, signed: bool = False):
-    """``parse`` restricted to finite values that are positive, or with
-    ``signed`` nonzero: the domain of a flag, decided as it is parsed."""
+def _restricted(parse, sign: str = "positive"):
+    """``parse`` restricted to the finite values of ``sign``: positive,
+    or nonzero for --focal and --distance."""
     def restricted(text: str) -> float:
-        value = parse(text)
-        if not (math.isfinite(value) and (value != 0.0 if signed else value > 0.0)):
-            kind = "nonzero" if signed else "positive"
-            raise argparse.ArgumentTypeError(f"expected a {kind} finite value, got {text!r}")
-        return value
+        return _in_domain(text, parse(text), f"expected a {sign} finite value, got {text!r}", sign)
     restricted.__name__ = parse.__name__  # argparse's "invalid float value: 'x'"
     return restricted
 
@@ -185,9 +188,8 @@ def _seed(text: str) -> int:
         value = int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {value}")
-    return value
+    return _in_domain(text, value, f"seed must fit in 64 bits, got {value}", "nonnegative",
+                      at_most=2**64 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +197,17 @@ def _seed(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _cell(value) -> str:
+    """A header value or CSV cell: a float's round-tripping repr, else str."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def render_header(config: dict) -> str:
     """One-line ``# key=value`` header embedding the resolved config."""
     parts = []
     for key in sorted(config):
         value = config[key]
-        if isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
+        rendered = _cell(value)
         if any(ch.isspace() for ch in rendered):
             raise ValueError(f"config value for {key!r} contains whitespace: {value!r}")
         parts.append(f"{key}={rendered}")
@@ -234,16 +238,14 @@ def write_csv(
         fh.write(render_header(config) + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    repr(item) if isinstance(item, float) else str(item) for item in row
-                )
-                + "\n"
-            )
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
-def _out_path(args, default_name: str) -> Path:
-    return Path(args.out) if args.out else Path(default_name)
+def _write_json(args, stem: str, payload: dict) -> None:
+    """Write ``payload`` to ``<stem>.json``, or to --out."""
+    out = Path(args.out or f"{stem}.json")
+    write_json(out, payload)
+    print(f"wrote {out}")
 
 
 def _write_table(
@@ -255,13 +257,11 @@ def _write_table(
     holding ``full`` when given, else the sidecar with the columns and
     rows added."""
     if args.format == "json":
-        out = _out_path(args, f"{stem}.json")
         if full is None:
             full = {**sidecar, "columns": list(columns), "rows": rows}
-        write_json(out, full)
-        print(f"wrote {out}")
+        _write_json(args, stem, full)
     else:
-        out = _out_path(args, f"{stem}.csv")
+        out = Path(args.out or f"{stem}.csv")
         write_csv(out, csv_config, columns, rows)
         sidecar_path = out.with_suffix(".json")
         write_json(sidecar_path, sidecar)
@@ -299,11 +299,16 @@ def _add_beam(parser: argparse.ArgumentParser) -> None:
                         help="Rayleigh range, e.g. 18.9um")
 
 
-def _add_relay(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--focal", type=_restricted(parse_length, signed=True), default=None,
+def _add_relay(parser: argparse.ArgumentParser, plane: bool = False) -> None:
+    """--focal and --object-distance, and --plane for a command that reads one."""
+    parser.add_argument("--focal", type=_restricted(parse_length, "nonzero"), default=None,
                         help="relay focal length")
     parser.add_argument("--object-distance", type=parse_length, default=None,
                         help="waist-to-lens distance")
+    if plane:
+        parser.add_argument("--plane", type=parse_length, default=None,
+                            help="detector plane (default: -z_R, or the preferred "
+                            "optimal plane behind a relay)")
 
 
 _BEAM_FLAGS = ("wavelength", "waist", "rayleigh_range")
@@ -550,9 +555,7 @@ def cmd_optimal_plane(args) -> int:
     if not math.isinf(geometric):
         payload["defocus_plus_m"] = plus - geometric
         payload["defocus_minus_m"] = minus - geometric
-    out = _out_path(args, "optimal_plane.json")
-    write_json(out, payload)
-    print(f"wrote {out}")
+    _write_json(args, "optimal_plane", payload)
     print(
         f"optimal planes: {plus!r} m and {minus!r} m"
         + (" (degenerate geometry: the other plane is at infinity)"
@@ -586,9 +589,7 @@ def cmd_point_source(args) -> int:
         "sigma_single_m": sigma_one,
         "sigma_n_m": sigma_n,
     }
-    out = _out_path(args, "point_source.json")
-    write_json(out, payload)
-    print(f"wrote {out}")
+    _write_json(args, "point_source", payload)
     print(f"range precision: {sigma_n!r} m at {args.detections} detections")
     return EXIT_OK
 
@@ -809,10 +810,7 @@ def build_parser() -> _Parser:
     density = sub.add_parser("fi-density", help="radial information density")
     _add_common(density, tabular=True)
     _add_beam(density)
-    _add_relay(density)
-    density.add_argument("--plane", type=parse_length, default=None,
-                         help="detector plane (default: -z_R, or the preferred "
-                         "optimal plane behind a relay)")
+    _add_relay(density, plane=True)
     density.add_argument("--rmax", type=_restricted(parse_length), default=None,
                          help="largest radius (default: 3 beam widths)")
     density.add_argument("--steps", type=_at_least(2), default=400)
@@ -829,24 +827,19 @@ def build_parser() -> _Parser:
     point.add_argument("--wavenumber", type=_restricted(float), required=True,
                        help="wavenumber k in 1/m")
     point.add_argument("--pupil-width", type=_restricted(parse_length), required=True)
-    point.add_argument("--distance", type=_restricted(parse_length, signed=True), required=True)
+    point.add_argument("--distance", type=_restricted(parse_length, "nonzero"), required=True)
     point.add_argument("--detections", type=_at_least(1), default=1)
     point.set_defaults(func=cmd_point_source)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo estimator benchmark")
     _add_common(simulate, seed=True, tabular=True)
     _add_beam(simulate)
-    _add_relay(simulate)
-    simulate.add_argument("--plane", type=parse_length, default=None,
-                          help="detector plane (default: -z_R, or the preferred "
-                          "optimal plane behind a relay)")
+    _add_relay(simulate, plane=True)
     simulate.add_argument("--delta", type=parse_length, default=0.0,
                           help="true displacement from the nominal plane")
     simulate.add_argument("--n-per-trial", type=_at_least(1), default=100_000)
     simulate.add_argument("--trials", type=_at_least(2), default=200)
-    simulate.add_argument("--estimator",
-                          choices=("fraction", "fraction-absolute", "mle"),
-                          default="fraction")
+    simulate.add_argument("--estimator", choices=ESTIMATORS, default="fraction")
     simulate.add_argument("--poisson-total", action="store_true",
                           help="draw each exposure's photon number from a Poisson law")
     simulate.set_defaults(func=cmd_simulate)

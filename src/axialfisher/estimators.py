@@ -33,15 +33,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
 from .fisher import info_boundary, qfi_gaussian, width_response
 from .numerics import finite_scalar
-from .photon_sim import _POISSON_LAM_MAX, derive_trial_seeds, poisson_counts, sample_trials
+from .photon_sim import _INT64_MAX, _MAX_TRIALS, _POISSON_LAM_MAX
+from .photon_sim import derive_trial_seeds, poisson_counts, sample_trials
+
+if TYPE_CHECKING:  # annotations only: no process loads numpy.typing
+    from numpy.typing import ArrayLike
+
+#: The estimators ``TrialConfig.estimator`` names.
+ESTIMATORS = ("fraction", "fraction-absolute", "mle")
 
 #: Slopes smaller than this (in units of 1 / z_R) mark a detection plane
 #: as carrying no usable first-order signal.
@@ -185,7 +191,7 @@ class TrialConfig:
     true_delta: float
     n_per_trial: int
     trials: int
-    estimator: Literal["fraction", "fraction-absolute", "mle"]
+    estimator: str  # one of ESTIMATORS
     base_seed: int
     relay: RelaySystem | None = None
     poisson_total: bool = False
@@ -193,25 +199,17 @@ class TrialConfig:
     def __post_init__(self) -> None:
         for name in ("detector_plane", "true_delta"):
             finite_scalar(name, getattr(self, name), None)
-        if not 0 < self.n_per_trial < 2**63:
-            raise ValueError(
-                f"n_per_trial must be positive and below 2**63 (numpy draws a photon "
-                f"count as a C long), got {self.n_per_trial}"
-            )
+        # numpy draws a photon count as a C long.
+        finite_scalar("n_per_trial", self.n_per_trial, at_most=_INT64_MAX)
         if self.poisson_total and float(self.n_per_trial) > _POISSON_LAM_MAX:
             raise ValueError(
                 f"with poisson_total, n_per_trial must not exceed numpy's largest "
                 f"Poisson mean {_POISSON_LAM_MAX!r}, got {self.n_per_trial}"
             )
-        if not 0 < self.trials < 2**32:
-            raise ValueError(
-                f"trials must be positive and below 2**32 (a trial index is one "
-                f"32-bit word of its seed's spawn key), got {self.trials}"
-            )
-        if self.estimator not in ("fraction", "fraction-absolute", "mle"):
+        finite_scalar("trials", self.trials, at_most=_MAX_TRIALS)
+        if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
+        finite_scalar("base_seed", self.base_seed, "nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
 Five tools live here because several physics modules need them in the
-same form: the finite-domain check of a scalar input, a fixed pair of
+same form: the domain check of a scalar input, a fixed pair of
 trapezoid rules for radial integrals of a Gaussian-windowed integrand,
 the check that takes the gap between two estimates of an integral as
 its error estimate, a Richardson-extrapolated central difference of
@@ -37,8 +37,8 @@ library code reads it.
 from __future__ import annotations
 
 import functools
-import math
 import operator
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -68,16 +68,24 @@ def __getattr__(name: str):
 
 
 _SIGN_TESTS = {"positive": operator.gt, "nonnegative": operator.ge, "nonzero": operator.ne}
+_DOUBLE_MAX = sys.float_info.max
 
 
-def finite_scalar(name: str, value: float, sign: str | None = "positive") -> float:
+def finite_scalar(name: str, value: float, sign: str | None = "positive",
+                  at_most: int | None = None) -> float:
     """``value`` if it is finite and ``sign`` (positive, nonnegative,
-    nonzero, or ``None`` for any), the library's one finite-domain check
-    of a scalar input; else ``ValueError("<name> must be <sign> and
-    finite, got <value>")``, without a sign "<name> must be finite, ..."."""
-    if math.isfinite(value) and (sign is None or _SIGN_TESTS[sign](value, 0.0)):
+    nonzero, or ``None`` for any), the library's one domain check of a
+    scalar input; else ``ValueError("<name> must be <sign> and finite, got
+    <value>")``, without a sign "<name> must be finite, ...".  Finite is
+    no larger in magnitude than the largest double, compared exactly: an
+    int past it is refused, not overflowed.  An integer rule also states
+    its inclusive upper bound ``at_most``, which its message gives in
+    place of "finite"."""
+    if (-_DOUBLE_MAX <= value <= _DOUBLE_MAX and (sign is None or _SIGN_TESTS[sign](value, 0.0))
+            and (at_most is None or value <= at_most)):
         return value
-    raise ValueError(f"{name} must be {f'{sign} and ' if sign else ''}finite, got {value}")
+    bound = "finite" if at_most is None else f"at most {at_most}"
+    raise ValueError(f"{name} must be {f'{sign} and ' if sign else ''}{bound}, got {value}")
 
 
 class NumericalLimitError(ValueError):

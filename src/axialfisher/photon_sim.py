@@ -90,6 +90,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 
+#: The trial bound of ``derive_trial_seeds`` and ``TrialConfig``: one word.
+_MAX_TRIALS = _MASK32
+
 
 def _hash_calls(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
     """The (xor, multiply) constants of the given hash calls, read-only."""
@@ -184,15 +187,12 @@ def derive_trial_seeds(base_seed: int, trials: int, substream: int = 0) -> np.nd
     and the mapping never changes between runs; ``substream`` separates
     the random purposes of one trial (statistics, fluctuating totals).
     The entropy is the base seed's 32-bit words, padded with zeros to
-    four, then t and ``substream``, one word each: ``trials`` is at most
-    2^32.
+    four, then t and ``substream``, one word each, and ``trials`` fits in
+    one word too: it is at most 2^32 - 1.
     """
-    if base_seed < 0:
-        raise ValueError(f"base_seed must be nonnegative, got {base_seed}")
-    if not 0 <= trials <= 2**32:
-        raise ValueError(f"trials must lie in [0, 2**32], got {trials}")
-    if not 0 <= substream <= _MASK32:
-        raise ValueError(f"substream must lie in [0, 2**32), got {substream}")
+    finite_scalar("base_seed", base_seed, "nonnegative")
+    finite_scalar("trials", trials, "nonnegative", at_most=_MAX_TRIALS)
+    finite_scalar("substream", substream, "nonnegative", at_most=_MASK32)
     pool, extra = _base_pool(int(base_seed))
     trial = np.arange(trials, dtype=np.uint32)[:, None]  # one pool row per trial
     return _output_words(_absorb(pool, [*extra, trial, substream]), 1)[:, 0]
@@ -245,8 +245,7 @@ def sample_radii(width_sq: float, n: int, seed: int) -> np.ndarray:
     The uniform variate is mapped to (0, 1] before the log so the
     transform never sees zero.
     """
-    if n < 0:
-        raise ValueError(f"photon count must be nonnegative, got {n}")
+    finite_scalar("photon count n", n, "nonnegative", at_most=_INT64_MAX)
     finite_scalar("width_sq", width_sq)
     u = 1.0 - np.random.default_rng(seed).random(n)
     return np.sqrt(-0.5 * width_sq * np.log(u))
@@ -318,8 +317,8 @@ def sample_trials(
     totals = np.asarray(totals, dtype=np.int64)
     if totals.shape != np.shape(seeds):
         raise ValueError(f"{totals.size} totals for {np.size(seeds)} seeds")
-    if totals.size and totals.min() < 0:
-        raise ValueError(f"photon counts must be nonnegative, got {totals.min()}")
+    if totals.size:
+        finite_scalar("photon counts", totals.min(), "nonnegative")
     rows = [_draw(rng, n, law) for n, rng in zip(totals.tolist(), _generators(seeds))]
     return (np.array([k for k, _ in rows], dtype=np.int64),
             np.array([t for _, t in rows], dtype=float))

@@ -39,7 +39,7 @@ from axialfisher.estimators import (
     run_trials,
 )
 from axialfisher.fisher import preferred_detection_plane
-from axialfisher.numerics import NumericalLimitError, QuadratureError
+from axialfisher.numerics import NumericalLimitError, QuadratureError, finite_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_optimal_plane_reaches_the_quantum_limit(tmp_path):
     assert payload["defocus_minus_m"] == pytest.approx(1.2 - 1.25, rel=1e-9)
 
 
-def test_optimal_plane_numeric_fallback(tmp_path):
+def test_optimal_plane_reports_the_reachable_plane_on_degenerate_geometry(tmp_path):
     # Waist one Rayleigh range in front of the focus: one optimal plane
     # is at infinity.  The command reports the reachable one in both
     # fields, with alpha null and the fallback marker set.
@@ -536,14 +536,15 @@ print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy
 def test_importing_the_package_loads_no_sampler_or_process_pool(tmp_path):
     """Importing the package loads neither numpy's random package (with
     the ``secrets`` and ``hashlib`` modules it brings) nor the process
-    pool's; the deterministic commands and bound routes still have not
-    loaded numpy's random package when they are done."""
+    pool's, nor ``numpy.typing``, which only annotations name; the
+    deterministic commands and bound routes still have not loaded numpy's
+    random package when they are done."""
     script = (
         "import sys, axialfisher, axialfisher.cli\n"
         "print(sorted(name for name in sys.modules\n"
         "             if name.split('.')[0] in ('secrets', '_hashlib', 'concurrent',\n"
         "                                       'multiprocessing')\n"
-        "             or name.startswith('numpy.random')))\n"
+        "             or name.startswith(('numpy.random', 'numpy.typing'))))\n"
     )
     done = _run_fresh(["-c", script], timeout=60)
     assert done.returncode == 0, done.stderr
@@ -1079,6 +1080,28 @@ def test_usage_errors_exit_one_with_the_message(argv, message, tmp_path, monkeyp
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(_CONFIG_FILES)
+
+
+def test_flag_domains_are_decided_by_the_numerics_rule(monkeypatch):
+    """Each flag type with a numeric domain (a length, a positive or
+    nonzero value, an integer count, the seed) asks
+    ``numerics.finite_scalar``, the library's one rule, once per flag,
+    instead of restating its predicate; only the usage error's words are
+    the flag's own."""
+    asked = []
+
+    def spy(name, value, sign="positive", at_most=None):
+        asked.append((value, sign, at_most))
+        return finite_scalar(name, value, sign, at_most)
+
+    monkeypatch.setattr(cli, "finite_scalar", spy)
+    assert parse_length("2mm") == 2e-3
+    assert cli._restricted(float)("3") == 3.0
+    assert cli._restricted(parse_length, "nonzero")("-1m") == -1.0
+    assert cli._at_least(2)("5") == 5
+    assert cli._seed("0x10") == 16
+    assert asked == [(2e-3, None, None), (3.0, "positive", None), (-1.0, None, None),
+                     (-1.0, "nonzero", None), (5, None, None), (16, "nonnegative", 2**64 - 1)]
 
 
 @pytest.mark.parametrize(

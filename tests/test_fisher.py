@@ -48,11 +48,14 @@ from axialfisher.numerics import (
     NumericalLimitError,
     QuadratureError,
     check_rule_gap,
+    finite_scalar,
     rule_sums,
     stacked_radial_rule,
     unit_rules,
 )
-from axialfisher.photon_sim import poisson_counts, sample_radii, sample_trials
+from axialfisher.photon_sim import (
+    derive_trial_seeds, poisson_counts, sample_radii, sample_trials,
+)
 from pure_state_oracle import (
     adaptive_qfi_pure_state,
     central_derivative,
@@ -168,6 +171,20 @@ def test_score_integral_raises_when_the_step_makes_it_diverge():
 def test_quadrature_route_rejects_bad_width_function():
     with pytest.raises(ValueError, match="non-positive squared width"):
         classical_fi_numeric(lambda z: -1.0, 1.0, 1e-6)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_quadrature_route_rejects_a_width_bad_only_at_a_stencil_point(bad):
+    """A width function that is fine at the centre but not a positive,
+    finite squared width at a stencil point is refused there, naming the
+    value and the point."""
+    def width_sq_fn(z):
+        return 1.0 if z < 1.0005 else bad
+
+    with pytest.raises(ValueError) as excinfo:
+        classical_fi_numeric(width_sq_fn, 1.0, 1e-3)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == f"width_sq_fn returned {bad!r} at z={1.0 + 1e-3!r}"
 
 
 def _per_row_classical_fi(width_sq_fn, z: float, step: float) -> float:
@@ -317,7 +334,7 @@ def test_degenerate_geometries_report_the_reachable_plane(offset, reachable):
     assert preferred_detection_plane(UNIT, relay) == planes.plane_plus
 
 
-def test_numeric_fallback_on_degenerate_geometry():
+def test_degenerate_geometry_reports_the_reachable_plane():
     """At z = f + z_R one optimum sits at the image waist and the other
     recedes to infinity; the reachable one must still be reported."""
     relay = RelaySystem(1.0, 2.0)
@@ -796,6 +813,65 @@ def test_radial_routes_reject_non_finite_arguments_by_name(call, message):
     with an infinite total 1.99e-5 for every count), not left to numpy
     (``poisson_counts(nan)``), and not reported as a normalization drift,
     a quadrature gap, a division by zero or a math domain error."""
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message
+
+
+#: The integer rules, one row per input: the test id's stem, the call
+#: with the value put in, the name the refusal gives, the sign of the
+#: domain and its inclusive upper bound (None: the largest double).
+_INTEGER_DOMAINS = [
+    ("trials-n", lambda v: _trial_config(n_per_trial=v), "n_per_trial", "positive", 2**63 - 1),
+    ("trials-trials", lambda v: _trial_config(trials=v), "trials", "positive", 2**32 - 1),
+    ("trials-seed", lambda v: _trial_config(base_seed=v), "base_seed", "nonnegative", None),
+    ("seeds-base", lambda v: derive_trial_seeds(v, 3), "base_seed", "nonnegative", None),
+    ("seeds-trials", lambda v: derive_trial_seeds(0, v), "trials", "nonnegative", 2**32 - 1),
+    ("seeds-substream", lambda v: derive_trial_seeds(0, 3, v), "substream", "nonnegative",
+     2**32 - 1),
+    ("radii-n", lambda v: sample_radii(1.0, v, 0), "photon count n", "nonnegative",
+     2**63 - 1),
+]
+
+
+def _refused(stem, case, call, value, name, sign, at_most=None):
+    """``call(value)``, refused as ``name`` outside ``sign`` and ``at_most``
+    in ``finite_scalar``'s one format."""
+    bound = "finite" if at_most is None else f"at most {at_most}"
+    domain = f"{sign} and {bound}" if sign else bound
+    return pytest.param(lambda: call(value), f"{name} must be {domain}, got {value}",
+                        id=f"{stem}-{case}")
+
+
+def _past_double_range_cases():
+    """+-10**400 at ``finite_scalar`` itself, at every row of
+    ``_FINITE_DOMAINS`` and at every integer rule; then each integer
+    rule's value out of sign and one past its bound, and a negative total
+    of ``sample_trials``."""
+    rules = [(f"rule-{sign}", lambda v, sign=sign: finite_scalar("x", v, sign), "x", sign)
+             for sign in ("positive", "nonnegative", "nonzero", None)]
+    for stem, call, name, sign, *at_most in [*rules, *_FINITE_DOMAINS, *_INTEGER_DOMAINS]:
+        for case, value in (("plus", 10**400), ("minus", -10**400)):
+            yield _refused(stem, case, call, value, name, sign, *at_most)
+    for stem, call, name, sign, at_most in _INTEGER_DOMAINS:
+        case, value = ("zero", 0) if sign == "positive" else ("negative", -1)
+        yield _refused(stem, case, call, value, name, sign, at_most)
+        if at_most is not None:
+            yield _refused(stem, "past-bound", call, at_most + 1, name, sign, at_most)
+    for case, low in (("negative", -1), ("int64-min", -2**63)):
+        yield pytest.param(lambda low=low: sample_trials(1.0, 0.5, [3, low], _SEEDS),
+                           f"photon counts must be nonnegative and finite, got {low}",
+                           id=f"statistics-totals-{case}")
+
+
+@pytest.mark.parametrize("call,message", _past_double_range_cases())
+def test_integers_past_double_range_are_refused_by_name(call, message):
+    """An int past double range is not finite: ``finite_scalar`` refuses
+    it, and every scalar input it checks, in its one ``ValueError``
+    format, never with an ``OverflowError`` from converting it to a
+    double.  The integer rules (photons, trials, seeds, substreams) go
+    through the same rule with their upper bound."""
     with pytest.raises(ValueError) as excinfo:
         call()
     assert type(excinfo.value) is ValueError

@@ -458,19 +458,15 @@ def test_unit_rule_sums_take_each_row_in_the_same_order():
             assert reduce(row).tobytes() == row_sums.tobytes()
 
 
-#: The hand-written finite-domain refusals outside ``numerics``, as
-#: "module.function: the message up to its domain word", each with the
-#: reason it stays local: it says more than a sign, or checks an integer
-#: (``math.isfinite`` overflows on an int past ~1e308).
+#: The hand-written domain refusals outside ``numerics``, as
+#: "module.function: the message up to its domain words", each with the
+#: reason it stays local: it says more than a sign and a bound about a
+#: scalar, or checks an array.
 _LOCAL_DOMAIN_RULES = {
-    "estimators.TrialConfig.__post_init__: n_per_trial must be positive":
-        "an integer below 2**63, numpy's C long",
-    "estimators.TrialConfig.__post_init__: trials must be positive":
-        "an integer below 2**32, one word of the spawn key",
-    "estimators.TrialConfig.__post_init__: base_seed must be nonnegative": "an integer",
-    "photon_sim.derive_trial_seeds: base_seed must be nonnegative": "an integer",
-    "photon_sim.sample_radii: photon count must be nonnegative": "an integer",
-    "photon_sim.sample_trials: photon counts must be nonnegative": "an integer array",
+    "estimators.EstimatorCalibration.__post_init__: nominal fraction must lie in":
+        "an open interval, (0, 1)",
+    "estimators.TrialConfig.__post_init__: with poisson_total, n_per_trial must not exceed":
+        "numpy's largest Poisson mean, compared as the double numpy draws from",
     "photon_sim._exposure_law: boundary radius r_b must be positive":
         "r_b together with c = 2 r_b^2 / width_sq, which must also be finite",
     "fisher.OptimalPlanes.__post_init__: optimal planes must be finite":
@@ -478,7 +474,7 @@ _LOCAL_DOMAIN_RULES = {
     "beam_optics.intensity_pdf: radius must be nonnegative": "an array of radii",
 }
 
-_DOMAIN_WORD = re.compile(r"must be (positive|nonnegative|nonzero|finite)")
+_DOMAIN_WORD = re.compile(r"must (be (positive|nonnegative|nonzero|finite)|lie in|not exceed)")
 
 
 def _message_templates(exc: ast.AST):
@@ -497,9 +493,10 @@ def _message_templates(exc: ast.AST):
 
 
 def _domain_refusals(path: Path) -> set[str]:
-    """"function: message up to its domain word" for every ``raise`` in the
-    module at ``path`` whose message says an input must be positive,
-    nonnegative, nonzero or finite."""
+    """"function: message up to its domain words" for every ``raise`` in
+    the module at ``path`` whose message says an input must be positive,
+    nonnegative, nonzero or finite, must lie in a range or must not exceed
+    a bound."""
     found = set()
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -519,9 +516,10 @@ def _domain_refusals(path: Path) -> set[str]:
 
 def test_finite_domain_refusals_are_decided_in_numerics():
     """Outside ``numerics`` no ``raise`` builds a "must be positive /
-    nonnegative / nonzero / finite" message by hand: every finite-domain
-    refusal of a scalar goes through ``numerics.finite_scalar``, except the
-    listed local rules, and none of those is stale."""
+    nonnegative / nonzero / finite" or "must lie in / not exceed" message
+    by hand: every domain refusal of a scalar, an integer range included,
+    goes through ``numerics.finite_scalar``, except the listed local
+    rules, and none of those is stale."""
     source = Path(numerics.__file__).resolve()
     found = set()
     for path in sorted(source.parent.glob("*.py")):

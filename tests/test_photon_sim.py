@@ -9,6 +9,7 @@ from scipy import stats
 from axialfisher.numerics import NumericalLimitError
 from axialfisher.photon_sim import (
     _seed_states,
+    _state_words_class,
     derive_trial_seeds,
     poisson_counts,
     sample_radii,
@@ -97,6 +98,21 @@ def test_vectorized_streams_reject_what_one_word_cannot_hold():
         derive_trial_seeds(0, 3, substream=2**32)
     with pytest.raises(ValueError, match="base_seed"):
         derive_trial_seeds(-1, 3)
+
+
+def test_state_words_hand_pcg64_only_its_four_seed_words():
+    """The seed sequence that hands PCG64 a seed's precomputed words gives
+    them for PCG64's one request, ``generate_state(4, uint64)``, and
+    refuses any other request instead of answering it with those words."""
+    words = _seed_states(np.array([7], dtype=np.uint64))[0]
+    assert words.tolist() == np.random.SeedSequence(7).generate_state(4, np.uint64).tolist()
+    state_words = _state_words_class()(words)
+    assert state_words.generate_state(4, np.uint64) is words
+    for args, asked in (((4,), f"4 {np.uint32}"), ((2, np.uint64), f"2 {np.uint64}"),
+                        ((8, np.uint32), f"8 {np.uint32}")):
+        with pytest.raises(ValueError) as excinfo:
+            state_words.generate_state(*args)
+        assert str(excinfo.value) == f"holds 4 uint64 words, asked for {asked}"
 
 
 def test_sample_trials_equals_default_rng_on_each_seed():
