@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .beam_optics import BeamParams, RelaySystem, ray_matrix, ray_width_sq
-from .fisher import info_boundary, qfi_gaussian, width_response
+from .fisher import image_fi, info_boundary, qfi_gaussian, width_response
 from .numerics import finite_scalar
 from .photon_sim import _INT64_MAX, _MAX_TRIALS, _POISSON_LAM_MAX
 from .photon_sim import derive_trial_seeds, poisson_counts, sample_trials
@@ -317,7 +317,6 @@ def run_trials(config: TrialConfig) -> TrialReport:
         width_sq_hat = np.where(totals > 0, width_sq_true * stats / totals, math.nan)
 
     n_info = config.n_per_trial
-    _, log_slope = width_response(config.beam, config.relay, config.detector_plane)
     return TrialReport(
         config=config,
         trial_seeds=seeds,
@@ -325,7 +324,8 @@ def run_trials(config: TrialConfig) -> TrialReport:
         counts_outside=counts,
         width_sq_hat=width_sq_hat,
         **_estimate(config, cal, totals, counts, width_sq_hat),
-        classical_crb_std=1.0 / math.sqrt(n_info * (log_slope * log_slope)),
+        classical_crb_std=1.0 / math.sqrt(
+            n_info * image_fi(config.beam, config.relay, config.detector_plane)),
         quantum_crb_std=1.0 / math.sqrt(n_info * qfi_gaussian(config.beam)),
     )
 

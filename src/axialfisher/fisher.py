@@ -123,9 +123,10 @@ class FisherScan:
 @dataclass(frozen=True)
 class OptimalPlanes:
     """The two image-side planes where the relayed intensity measurement
-    reaches the quantum bound.  ``alpha`` is the asymmetry parameter of
-    the closed form.  In a degenerate geometry one plane is at infinity:
-    ``alpha`` is then NaN and both fields hold the reachable plane."""
+    reaches the quantum bound.  The object-side one is ``plane_plus`` if
+    s = z - f > 0, else ``plane_minus``; ``alpha`` is the pair's asymmetry.
+    In a degenerate geometry one plane is at infinity: ``alpha`` is then NaN
+    and both fields hold the reachable plane."""
 
     alpha: float
     plane_plus: float
@@ -358,11 +359,8 @@ def geometric_image_plane(relay: RelaySystem) -> float:
     and the intensity profile carries no axial information.  With the
     object at the front focal plane the image is at infinity: ``math.inf``.
     """
-    f = relay.focal_length
-    z = relay.object_distance
-    if z == f:
-        return math.inf
-    return f * z / (z - f)
+    f, z = relay.focal_length, relay.object_distance
+    return math.inf if z == f else f * z / (z - f)
 
 
 def optimal_detection_planes(beam: BeamParams, relay: RelaySystem) -> OptimalPlanes:
@@ -393,22 +391,19 @@ def optimal_detection_planes(beam: BeamParams, relay: RelaySystem) -> OptimalPla
 
 
 def preferred_detection_plane(beam: BeamParams, relay: RelaySystem | None) -> float:
-    """The one default detector plane.  In free space (``relay`` None):
-    -z_R, a convention, as the windows of F/Q >= 0.99 around +-z_R are
-    equally wide.  Behind a relay: the optimal plane farther from the
-    geometric image plane (from the lens if there is no image), whose
-    window is never the narrower; ``tests/test_fisher.py`` measures both
-    by bisection on ``image_fi`` over seeded relays.
-    """
+    """The one default detector plane: -z_R in free space (``relay``
+    None), a convention, as the windows of F/Q >= 0.99 around +-z_R are
+    equally wide; behind a relay the optimal plane on the object's side,
+    ``plane_plus`` if s = z - f > 0, else ``plane_minus`` (a convention at
+    s = 0, where the windows are equally wide).  The geometric image lies
+    f^2 z_R / |s (s -+ z_R)| from the two planes, and their windows scale
+    nearly as f^2 z_R / (s -+ z_R)^2, in the ratio alpha^2: that plane is
+    the farther from the image, and its window is never the narrower
+    (``tests/test_fisher.py`` bisects both on ``image_fi``)."""
     if relay is None:
         return -beam.rayleigh_range
     planes = optimal_detection_planes(beam, relay)
-    anchor = geometric_image_plane(relay)
-    if math.isinf(anchor):
-        return max(planes.plane_plus, planes.plane_minus)
-    if abs(planes.plane_plus - anchor) >= abs(planes.plane_minus - anchor):
-        return planes.plane_plus
-    return planes.plane_minus
+    return planes.plane_plus if relay.object_distance > relay.focal_length else planes.plane_minus
 
 
 # ---------------------------------------------------------------------------

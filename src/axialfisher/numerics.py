@@ -85,7 +85,11 @@ def finite_scalar(name: str, value: float, sign: str | None = "positive",
             and (at_most is None or value <= at_most)):
         return value
     bound = "finite" if at_most is None else f"at most {at_most}"
-    raise ValueError(f"{name} must be {f'{sign} and ' if sign else ''}{bound}, got {value}")
+    try:
+        shown = str(value)
+    except ValueError:  # an int past Python's int-to-str digit limit
+        shown = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    raise ValueError(f"{name} must be {f'{sign} and ' if sign else ''}{bound}, got {shown}")
 
 
 class NumericalLimitError(ValueError):

@@ -41,6 +41,13 @@ CASES = {
             "density.csv": "6ccc3e41bc2fa713d31093fd9c372baebc56a1213ed0bf06cbfe215f6329a237",
             "density.json": "6090ae084d6ef0debaca4aa1511f923dd3a25bc350716badde1b3a322fe70b86",
         }),
+    # Object inside the focal length (s = -z_R/2): the default plane is
+    # plane_minus, 3 m.
+    "fi-density-relay-minus-plane": (
+        ["fi-density", *UNIT, "--focal", "1m", "--object-distance", "500mm"], "density.csv", {
+            "density.csv": "82cd8d65fc07a62e4cc5a71f548c5611f84ebee8446c6d2292d1ac01683e8071",
+            "density.json": "7dbbe4eafcc1321d60fc86f40dfa8da01874ee8f83ee3158cc94c3ca8a0551a7",
+        }),
     "optimal-plane-relay": (
         ["optimal-plane", *HENE, *RELAY], "planes.json", {
             "planes.json": "df09ed8955fe2a4efd8fc16ea7ce29750b3105c625da6f6fab294a8aa770b8de",

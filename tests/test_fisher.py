@@ -436,6 +436,51 @@ def test_preferred_plane_without_a_geometric_image_is_the_one_farther_from_the_l
     assert preferred_detection_plane(UNIT, relay) == 2.0
 
 
+def _exact_farther_plane(beam, relay):
+    """"plus" or "minus": which optimal plane lies farther from the
+    geometric image f + f^2 / s, in exact rational arithmetic on the
+    float inputs (f, z, z_R), or "minus" at s = 0, where the image is at
+    infinity and the windows are equally wide."""
+    f, zr = Fraction(relay.focal_length), Fraction(beam.rayleigh_range)
+    s = Fraction(relay.object_distance) - f
+    if s == 0:
+        return "minus"
+    image = f + f * f / s
+    plus = abs(f + f * f / (s - zr) - image)
+    minus = abs(f + f * f / (s + zr) - image)
+    assert plus != minus
+    return "plus" if plus > minus else "minus"
+
+
+def test_preferred_plane_is_the_exact_farther_plane_from_the_geometric_image():
+    """Over seeded relays of both lens signs with the object at z_R to
+    1e8 z_R from the front focal plane, on either side, and at it, the
+    preferred plane is the optimal plane that exact arithmetic on the
+    same float inputs puts farther from the geometric image.  Where the
+    two float planes are equal, either answer is that plane.  Far from
+    the focal plane the two distances f^2 z_R / |s (s -+ z_R)| differ in
+    the last bits of the planes, so a rounded comparison of them can
+    pick the nearer plane."""
+    rng = np.random.default_rng(20261022)
+    decided = 0
+    for f_sign in (-1.0, 1.0):
+        for s_sign in (-1.0, 0.0, 1.0):
+            for _ in range(200 if s_sign else 20):
+                beam = BeamParams.from_rayleigh_range(632.8e-9, 10.0 ** rng.uniform(-5.0, -1.0))
+                zr = beam.rayleigh_range
+                f = f_sign * 10.0 ** rng.uniform(-2.0, 1.0)
+                relay = RelaySystem(f, f + s_sign * zr * 10.0 ** rng.uniform(0.0, 8.0))
+                planes = optimal_detection_planes(beam, relay)
+                preferred = preferred_detection_plane(beam, relay)
+                if planes.plane_plus == planes.plane_minus:
+                    assert preferred == planes.plane_plus
+                    continue
+                farther = _exact_farther_plane(beam, relay)
+                assert preferred == (planes.plane_plus if farther == "plus" else planes.plane_minus)
+                decided += 1
+    assert decided >= 600
+
+
 def _window_width(beam, relay, plane):
     """Width in z' of the window of F/Q >= 0.99 around ``plane``, each
     edge found by bisection on ``image_fi``: toward the nearest zero of F

@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate
 
 from axialfisher import numerics
+from axialfisher.beam_optics import BeamParams
 from axialfisher.numerics import (
     RULES,
     RULE_TOL,
@@ -245,6 +246,7 @@ _AVX512 = sorted(name for name, present in __cpu_features__.items()
 
 _DUMP_UNIT_RULES = """
 from axialfisher import numerics
+from axialfisher.beam_optics import BeamParams
 rules = numerics.unit_rules()
 print(b"".join(array.tobytes() for array in rules).hex())
 """
@@ -526,6 +528,23 @@ def test_finite_domain_refusals_are_decided_in_numerics():
         if path != source:
             found |= _domain_refusals(path)
     assert sorted(found) == sorted(_LOCAL_DOMAIN_RULES)
+
+
+@pytest.mark.parametrize("value,shown", [
+    (10**5000, "an integer of 16610 bits"),
+    (-10**5000, "a negative integer of 16610 bits"),
+    (10**400, str(10**400)),
+], ids=["plus-5001-digits", "minus-5001-digits", "plus-401-digits"])
+def test_an_integer_too_long_to_print_is_refused_by_name(value, shown):
+    """An int past Python's 4,300-digit limit on int-to-str conversion is
+    named by its sign and bit count in the one refusal format, not left
+    to the conversion's own ``ValueError``; a shorter one is printed."""
+    with pytest.raises(ValueError) as excinfo:
+        numerics.finite_scalar("x", value)
+    assert str(excinfo.value) == f"x must be positive and finite, got {shown}"
+    with pytest.raises(ValueError) as excinfo:
+        BeamParams(value, 1e-5)
+    assert str(excinfo.value) == f"wavelength must be positive and finite, got {shown}"
 
 
 def test_libm_exp_is_math_exp():
